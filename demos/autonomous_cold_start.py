@@ -31,7 +31,7 @@ print(f"\nmean reward, first 10 episodes: {first:.3f}; last 10: {last:.3f}"
       f"  (lift {last / first:.2f}x)")
 
 # What does the learned policy recommend for the customers it ended up with?
-probe = result.replay.arrays()["states"][-1000:]
+probe = result.replay.contents().states[-1000:]
 actions, _, _ = recommend_batch(
     result.net, result.norm_stats.normalize_state(probe),
     "discrete_only", ActionSpec(), ContOptConfig(seed=1),

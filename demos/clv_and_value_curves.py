@@ -31,12 +31,12 @@ for label, state in examples.items():
           f"inaction CLV {est.values[0]:7.2f}")
 
 # Sweep i_frequency with the other dims pinned to replay medians.
-arrs = result.replay.arrays()
+states = result.replay.contents().states
 names = ("recency", "frequency", "monetary", "i_recency", "i_frequency")
-median = dict(zip(names, np.median(arrs["states"], axis=0)))
+median = dict(zip(names, np.median(states, axis=0)))
 sweep = SweepSpec(
     dims=("i_frequency",),
-    ranges=((0.0, float(arrs["states"][:, 4].max())),),
+    ranges=((0.0, float(states[:, 4].max())),),
     resolution=10,
     reference={k: v for k, v in median.items() if k != "i_frequency"},
 )

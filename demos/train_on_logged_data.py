@@ -1,7 +1,7 @@
 """Train a Q-network on logged marketing interactions, end to end.
 
 Synthesizes a small logged dataset (customer timelines), flattens it into
-transition tuples, trains a network, and prints the matched-vs-deviated
+transitions, trains a network, and prints the matched-vs-deviated
 evaluation report. Everything is seeded, so reruns print the same numbers.
 
 Run: python3 demos/train_on_logged_data.py
@@ -14,6 +14,7 @@ from clvdqn.policy_eval import evaluate, report_text
 from clvdqn.qlearn import TrainConfig, train
 from clvdqn.rfmi import (
     CustomerTimeline,
+    Transitions,
     apply_norm,
     build_transitions,
     compute_norm_stats,
@@ -30,15 +31,12 @@ for c in range(200):
     amounts = np.where(rng.random(12) < p, rng.exponential(12.0, size=12), 0.0)
     timelines.append(CustomerTimeline(f"cust{c}", amounts, actions, np.zeros(12)))
 
-transitions = []
-for tl in timelines:
-    transitions.extend(build_transitions(tl))
-print(f"built {len(transitions)} transition tuples from {len(timelines)} timelines")
+transitions = Transitions.concat([build_transitions(tl) for tl in timelines])
+print(f"built {len(transitions)} transitions from {len(timelines)} timelines")
 
 # 2. Split, normalize with training-set statistics only, train.
 mask = rng.random(len(transitions)) < 0.25
-train_set = [t for t, m in zip(transitions, mask) if not m]
-val_set = [t for t, m in zip(transitions, mask) if m]
+train_set, val_set = transitions[~mask], transitions[mask]
 stats = compute_norm_stats(train_set)
 
 cfg = TrainConfig(epochs=15, seed=0)

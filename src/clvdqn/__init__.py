@@ -4,7 +4,7 @@ from .action_space import ActionSpec, ContOptConfig, MixedAction, best_discrete,
 from .env import AgentConfig, DonorModel, env_step, run_autonomous
 from .nn_core import LayerSpec, Mlp, RmspropState, backward, forward, init_mlp, load_mlp, rmsprop_step, save_mlp
 from .policy_eval import ClvEstimate, EvaluationReport, SweepSpec, estimate_clv, evaluate, export_value_curves, extract_policy
-from .qlearn import ReplayBuffer, TrainConfig, TrainHistory, bellman_target, clone_target, td_step, train
-from .rfmi import CustomerTimeline, NormStats, RfmiState, TransitionTuple, build_transitions, compute_state, normalize_states
+from .qlearn import Learner, TrainConfig, TrainHistory, bellman_target, clone_target, td_step, td_steps, train
+from .rfmi import CustomerTimeline, NormStats, RfmiState, Transitions, apply_norm, build_transitions, compute_norm_stats, compute_state
 
 __version__ = "0.1.0"

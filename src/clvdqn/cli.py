@@ -64,7 +64,6 @@ class RunConfig:
     thankyou_boost: float = 0.35
     thankyou_action: int = 7
     amount_mean: float = 10.0
-    threads: int = 1
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -151,11 +150,8 @@ def _effective_config(args) -> RunConfig:
 
 
 def _split(transitions, fraction, seed):
-    rng = np.random.default_rng(seed)
-    mask = rng.random(len(transitions)) < fraction
-    train = [t for t, m in zip(transitions, mask) if not m]
-    val = [t for t, m in zip(transitions, mask) if m]
-    return train, val
+    mask = np.random.default_rng(seed).random(len(transitions)) < fraction
+    return transitions[~mask], transitions[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +164,9 @@ def cmd_build_transitions(args):
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
         raise CliError(f"no timelines found in {args.timelines}", EXIT_DATA)
-    tuples = []
-    for tl in timelines:
-        tuples.extend(rfmi.build_transitions(tl))
-    rfmi.write_transitions(tuples, args.out)
-    print(f"wrote {len(tuples)} transitions to {args.out}")
+    transitions = rfmi.Transitions.concat([rfmi.build_transitions(tl) for tl in timelines])
+    rfmi.write_transitions(transitions, args.out)
+    print(f"wrote {len(transitions)} transitions to {args.out}")
 
 
 def cmd_train(args):
@@ -232,10 +226,14 @@ def cmd_clv(args):
     if state.shape != (5,):
         raise CliError("--state needs 5 comma-separated values r,f,m,ir,if", EXIT_USAGE)
     est = policy_eval.estimate_clv(net, state, stats, tc.mode, cfg.action_spec(), cfg.cont_cfg())
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    writer.writerow(["action", "clv", "acont"])
-    for a in range(cfg.n_discrete):
-        writer.writerow([a, repr(float(est.values[a])), repr(float(est.aconts[a]))])
+    rows = [["action", "clv", "acont"]] + [
+        [a, repr(float(est.values[a])), repr(float(est.aconts[a]))] for a in range(cfg.n_discrete)
+    ]
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
 
 
 def cmd_simulate(args):
@@ -293,7 +291,6 @@ def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["discrete", "mixed"], default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-timestamp", action="store_true")
 
 

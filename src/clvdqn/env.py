@@ -11,23 +11,15 @@ so simulated transitions and logged-data transitions share one convention.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import policy_eval
 from .action_space import ActionSpec, ContOptConfig
 from .nn_core import init_mlp
-from .qlearn import (
-    N_ACTIONS,
-    RmspropState,
-    TrainConfig,
-    TrainingDiverged,
-    clone_target,
-    network_spec,
-    td_step_arrays,
-)
-from .rfmi import NormStats, RfmiState
+from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
+from .rfmi import N_ACTIONS, NormStats, RfmiState, Transitions, apply_norm, compute_norm_stats
 
 log = logging.getLogger(__name__)
 
@@ -123,40 +115,31 @@ class EpisodeRecord:
     replay_size: int
 
 
-class ColumnarReplay:
-    """Array-backed replay memory: same FIFO/uniform semantics as ReplayBuffer,
-    but stored as parallel columns so bursts can train without re-boxing tuples."""
+class ReplayRing:
+    """Fixed-size FIFO replay memory; once full, each new row overwrites the oldest."""
 
-    def __init__(self, capacity: int = 1_000_000):
-        self.capacity = capacity
-        self._chunks = []  # list of dict-of-arrays appended per episode
-        self._arrays = None
-
-    def add_episode(self, states, actions, aconts, next_states, rewards):
-        self._chunks.append(
-            {
-                "states": states,
-                "actions": actions,
-                "aconts": aconts,
-                "next_states": next_states,
-                "rewards": rewards,
-            }
-        )
-        self._arrays = None
-
-    def arrays(self):
-        if self._arrays is None:
-            merged = {
-                k: np.concatenate([c[k] for c in self._chunks])
-                for k in ("states", "actions", "aconts", "next_states", "rewards")
-            }
-            if len(merged["rewards"]) > self.capacity:  # FIFO: oldest rows evicted
-                merged = {k: v[-self.capacity:] for k, v in merged.items()}
-            self._arrays = merged
-        return self._arrays
+    def __init__(self, capacity: int):
+        self._rows = Transitions.empty(capacity)
+        self._added = 0  # rows ever added; row k lives in slot k % capacity
 
     def __len__(self):
-        return min(sum(len(c["rewards"]) for c in self._chunks), self.capacity)
+        return min(self._added, len(self._rows))
+
+    def add(self, batch: Transitions):
+        capacity = len(self._rows)
+        keep = batch[max(len(batch) - capacity, 0):]
+        first = self._added + len(batch) - len(keep)
+        slots = np.arange(first, first + len(keep)) % capacity
+        for f in fields(Transitions):
+            getattr(self._rows, f.name)[slots] = getattr(keep, f.name)
+        self._added += len(batch)
+
+    def contents(self) -> Transitions:
+        """Every stored row, oldest first. Before the ring wraps this is a view
+        of its storage, valid until the next add."""
+        if self._added <= len(self._rows):
+            return self._rows[:self._added]
+        return self._rows[np.arange(self._added - len(self), self._added) % len(self._rows)]
 
 
 @dataclass
@@ -164,7 +147,7 @@ class AutonomousResult:
     net: object
     norm_stats: NormStats
     history: list
-    replay: ColumnarReplay
+    replay: ReplayRing
     dropped_actions: set
 
 
@@ -206,19 +189,16 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         raise ValueError("population must contain at least one customer")
     env_rng = np.random.default_rng(model.seed)
     agent_rng = np.random.default_rng(agent_cfg.seed)
-    sample_rng = np.random.default_rng(train_cfg.seed)
     net_seed = train_cfg.seed
-    net = init_mlp(network_spec(train_cfg.mode), net_seed)
-    opt = RmspropState.init_like(net)
-    target = clone_target(net)
-    replay = ColumnarReplay(capacity=agent_cfg.replay_capacity)
+    learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
+                            np.random.default_rng(train_cfg.seed))
+    replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
     spec = ActionSpec(continuous_dims=1 if train_cfg.mode == "mixed" else 0)
     cont_cfg = ContOptConfig(seed=train_cfg.seed)
     trained = False
     dropped = set()
     history = []
-    global_step = 0
 
     for episode in range(agent_cfg.episodes):
         eps = agent_cfg.epsilon(episode)
@@ -227,7 +207,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         if trained:
             norm = stats.normalize_state(np.array([s.to_array() for s in states]))
             greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
-                net, norm, train_cfg.mode, spec, cont_cfg,
+                learner.net, norm, train_cfg.mode, spec, cont_cfg,
                 inaction_acont=stats.normalize_acont(0.0),
             )
         elif agent_cfg.initial_policy is not None:
@@ -265,7 +245,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
             ep_aconts[i] = acont
             rewards[i] = reward
             states[i] = next_state
-        replay.add_episode(ep_states, ep_actions, ep_aconts, ep_next, rewards)
+        replay.add(Transitions(ep_states, ep_actions, ep_aconts, ep_next, rewards))
         history.append(
             EpisodeRecord(
                 episode=episode,
@@ -277,61 +257,30 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         )
 
         if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
-            arrs = replay.arrays()
-            stats = _stats_from_arrays(arrs)
-            inaction_acont = stats.normalize_acont(0.0)
-            norm_s = stats.normalize_state(arrs["states"])
-            norm_s2 = stats.normalize_state(arrs["next_states"])
-            norm_ac = (arrs["aconts"] - stats.acont_mean) / (
-                stats.acont_std if stats.acont_std > 0 else 1.0
-            )
-            total = len(arrs["rewards"])
+            data = replay.contents()
+            stats = compute_norm_stats(data)
             try:
-                for _ in range(agent_cfg.steps_per_burst):
-                    idx = sample_rng.integers(0, total, size=train_cfg.batch_size)
-                    batch = {
-                        "states": norm_s[idx],
-                        "actions": arrs["actions"][idx],
-                        "aconts": norm_ac[idx],
-                        "next_states": norm_s2[idx],
-                        "rewards": arrs["rewards"][idx],
-                    }
-                    td_step_arrays(batch, net, target, opt, train_cfg,
-                                   action_spec=spec, cont_cfg=cont_cfg,
-                                   inaction_acont=inaction_acont)
-                    global_step += 1
-                    if global_step % train_cfg.target_clone_period == 0:
-                        target = clone_target(net)
+                td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
+                         action_spec=spec, cont_cfg=cont_cfg,
+                         inaction_acont=stats.normalize_acont(0.0))
                 trained = True
             except TrainingDiverged:
                 net_seed += 1
                 log.warning("training diverged; re-initializing network with seed %d", net_seed)
-                net = init_mlp(network_spec(train_cfg.mode), net_seed)
-                opt = RmspropState.init_like(net)
-                target = clone_target(net)
+                learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
+                                        learner.rng, learner.step)
                 trained = False
             if agent_cfg.drop_threshold is not None:
-                dropped |= _underperforming_actions(arrs, agent_cfg)
+                dropped |= _underperforming_actions(data, agent_cfg)
 
-    return AutonomousResult(net=net, norm_stats=stats, history=history,
+    return AutonomousResult(net=learner.net, norm_stats=stats, history=history,
                             replay=replay, dropped_actions=dropped)
 
 
-def _stats_from_arrays(arrs) -> NormStats:
-    pooled = np.concatenate([arrs["states"], arrs["next_states"]])
-    acted = arrs["aconts"][arrs["actions"] != 0]
-    return NormStats(
-        state_mean=pooled.mean(axis=0),
-        state_std=pooled.std(axis=0),
-        acont_mean=float(acted.mean()) if acted.size else 0.0,
-        acont_std=float(acted.std()) if acted.size else 0.0,
-    )
-
-
-def _underperforming_actions(arrs, cfg: AgentConfig) -> set:
+def _underperforming_actions(data: Transitions, cfg: AgentConfig) -> set:
     dropped = set()
     for action in range(1, N_ACTIONS):  # inaction must remain available
-        mask = arrs["actions"] == action
-        if mask.sum() >= cfg.drop_min_observations and arrs["rewards"][mask].mean() < cfg.drop_threshold:
+        mask = data.actions == action
+        if mask.sum() >= cfg.drop_min_observations and data.rewards[mask].mean() < cfg.drop_threshold:
             dropped.add(action)
     return dropped

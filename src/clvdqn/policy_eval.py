@@ -18,7 +18,7 @@ import numpy as np
 
 from .action_space import ActionSpec, ContOptConfig, MixedAction, best_mixed_batch
 from .nn_core import ConfigError, Mlp, forward, forward_batch
-from .rfmi import STATE_DIMS, NormStats
+from .rfmi import STATE_DIMS, NormStats, Transitions
 
 BIAS_CAVEAT = (
     "matched/deviated comparison is a biased off-policy estimate (no importance weighting)"
@@ -89,7 +89,7 @@ def extract_policy(net: Mlp, states, mode: str, spec: ActionSpec, cfg: ContOptCo
     return [MixedAction(int(a), float(c), float(q)) for a, c, q in zip(actions, aconts, qs)]
 
 
-def evaluate(transitions, net: Mlp, mode: str, spec: ActionSpec, cfg: ContOptConfig,
+def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec, cfg: ContOptConfig,
              baseline_seed: int = 0, norm_stats: NormStats = None,
              inaction_acont: float = 0.0) -> EvaluationReport:
     """Matched-vs-deviated report over logged transitions.
@@ -100,17 +100,17 @@ def evaluate(transitions, net: Mlp, mode: str, spec: ActionSpec, cfg: ContOptCon
     """
     if not transitions:
         raise ConfigError("cannot evaluate on empty transition list")
-    states = np.array([t.state.to_array() for t in transitions])
-    logged_actions = np.array([t.action for t in transitions], dtype=np.int64)
-    logged_aconts = np.array([t.acont for t in transitions])
-    rewards = np.array([t.reward for t in transitions])
+    logged_actions = transitions.actions
+    logged_aconts = transitions.aconts
+    rewards = transitions.rewards
 
-    rec_actions, rec_aconts, _ = recommend_batch(net, states, mode, spec, cfg, inaction_acont)
+    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, mode, spec, cfg,
+                                                 inaction_acont)
     matched_mask = rec_actions == logged_actions
     if mode == "mixed":
         if norm_stats is not None:
-            logged_raw = np.array([norm_stats.denormalize_acont(v) for v in logged_aconts])
-            rec_raw = np.array([norm_stats.denormalize_acont(v) for v in rec_aconts])
+            logged_raw = norm_stats.denormalize_acont(logged_aconts)
+            rec_raw = norm_stats.denormalize_acont(rec_aconts)
         else:
             logged_raw, rec_raw = logged_aconts, rec_aconts
         acont_match = np.round(logged_raw) == np.round(rec_raw)

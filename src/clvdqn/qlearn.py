@@ -28,8 +28,8 @@ from .nn_core import (
     init_mlp,
     rmsprop_step,
 )
+from .rfmi import N_ACTIONS, NormStats, Transitions
 
-N_ACTIONS = 12
 HIDDEN = (40, 15)
 
 MODES = ("discrete_only", "mixed")
@@ -73,34 +73,6 @@ def network_spec(mode: str):
     ]
 
 
-class ReplayBuffer:
-    """Uniform-with-replacement sampler over stored transitions, FIFO beyond capacity."""
-
-    def __init__(self, seed: int = 0, capacity: int = 1_000_000):
-        self._tuples = []
-        self._start = 0  # ring-buffer head once full
-        self.capacity = capacity
-        self.rng = np.random.default_rng(seed)
-
-    def add(self, tup):
-        if len(self._tuples) < self.capacity:
-            self._tuples.append(tup)
-        else:
-            self._tuples[self._start] = tup
-            self._start = (self._start + 1) % self.capacity
-
-    def extend(self, tuples):
-        for t in tuples:
-            self.add(t)
-
-    def __len__(self):
-        return len(self._tuples)
-
-    def sample(self, n: int):
-        idx = self.rng.integers(0, len(self._tuples), size=n)
-        return [self._tuples[i] for i in idx]
-
-
 def clone_target(net: Mlp) -> Mlp:
     return net.copy()
 
@@ -129,16 +101,15 @@ def max_next_q(next_states, target_net, cfg, action_spec=None, cont_cfg=None,
     return best.max(axis=1)
 
 
-def bellman_target(tup, target_net: Mlp, cfg: TrainConfig, action_spec=None,
-                   cont_cfg=None, inaction_acont: float = 0.0) -> float:
-    """y = r + gamma * max_a' Q_target(s', a') for one transition."""
-    m = max_next_q(
-        tup.next_state.to_array()[None, :], target_net, cfg, action_spec, cont_cfg, inaction_acont
+def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig, action_spec=None,
+                   cont_cfg=None, inaction_acont: float = 0.0) -> np.ndarray:
+    """y = r + gamma * max_a' Q_target(s', a') for each transition of a batch."""
+    return batch.rewards + cfg.gamma * max_next_q(
+        batch.next_states, target_net, cfg, action_spec, cont_cfg, inaction_acont
     )
-    return float(tup.reward + cfg.gamma * m[0])
 
 
-def td_step(batch, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
+def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
             lr=None, action_spec=None, cont_cfg=None, inaction_acont: float = 0.0):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
@@ -146,39 +117,54 @@ def td_step(batch, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfi
     """
     if not batch:
         raise ConfigError("empty training batch")
-    arrs = _batch_arrays(batch)
-    return td_step_arrays(arrs, net, target_net, opt, cfg, lr, action_spec, cont_cfg, inaction_acont)
-
-
-def _batch_arrays(batch):
-    return {
-        "states": np.array([t.state.to_array() for t in batch]),
-        "actions": np.array([t.action for t in batch], dtype=np.int64),
-        "aconts": np.array([t.acont for t in batch]),
-        "next_states": np.array([t.next_state.to_array() for t in batch]),
-        "rewards": np.array([t.reward for t in batch]),
-    }
-
-
-def td_step_arrays(arrs, net, target_net, opt, cfg, lr=None, action_spec=None,
-                   cont_cfg=None, inaction_acont: float = 0.0):
     lr = cfg.lr0 if lr is None else lr
-    n = len(arrs["rewards"])
-    y = arrs["rewards"] + cfg.gamma * max_next_q(
-        arrs["next_states"], target_net, cfg, action_spec, cont_cfg, inaction_acont
-    )
-    x = _inputs_for(arrs["states"], arrs["aconts"], cfg.mode)
+    n = len(batch)
+    y = bellman_target(batch, target_net, cfg, action_spec, cont_cfg, inaction_acont)
+    x = _inputs_for(batch.states, batch.aconts, cfg.mode)
     q, cache = forward_batch(net, x)
-    taken = q[np.arange(n), arrs["actions"]]
+    taken = q[np.arange(n), batch.actions]
     err = taken - y
     loss = float(np.mean(err * err))
     if not math.isfinite(loss):
         raise TrainingDiverged(-1, -1, loss)
     output_grads = np.zeros_like(q)
-    output_grads[np.arange(n), arrs["actions"]] = 2.0 * err / n
+    output_grads[np.arange(n), batch.actions] = 2.0 * err / n
     grads = backward_batch(net, cache, output_grads)
     rmsprop_step(net, grads, opt, lr)
     return loss
+
+
+@dataclass
+class Learner:
+    """What TD training carries from one call of td_steps to the next."""
+
+    net: Mlp
+    target: Mlp  # clone of net, refreshed every cfg.target_clone_period steps
+    opt: RmspropState
+    rng: np.random.Generator  # uniform replay draws
+    step: int = 0  # gradient steps completed
+
+    @classmethod
+    def fresh(cls, net: Mlp, rng, step: int = 0) -> "Learner":
+        return cls(net, clone_target(net), RmspropState.init_like(net), rng, step)
+
+
+def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig, lr=None,
+             action_spec=None, cont_cfg=None, inaction_acont: float = 0.0) -> np.ndarray:
+    """n_steps TD steps on batches drawn uniformly with replacement from data.
+
+    Clones the target net whenever the learner's global step count reaches a
+    multiple of cfg.target_clone_period. Returns the per-step losses.
+    """
+    losses = np.empty(n_steps)
+    for i in range(n_steps):
+        idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
+        losses[i] = td_step(data[idx], learner.net, learner.target, learner.opt, cfg, lr,
+                            action_spec, cont_cfg, inaction_acont)
+        learner.step += 1
+        if learner.step % cfg.target_clone_period == 0:
+            learner.target = clone_target(learner.net)
+    return losses
 
 
 @dataclass
@@ -203,8 +189,8 @@ class TrainHistory:
                                  repr(r.val_mean_reward), repr(r.lr)])
 
 
-def train(train_set, validation_set, cfg: TrainConfig, action_spec=None, cont_cfg=None,
-          inaction_acont: float = 0.0, net: Mlp = None):
+def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
+          action_spec=None, cont_cfg=None, inaction_acont: float = 0.0, net: Mlp = None):
     """Train a DQN on logged transitions. Returns (best net, TrainHistory).
 
     An epoch is ceil(N / batch_size) uniform replay draws, so each sample is
@@ -218,27 +204,17 @@ def train(train_set, validation_set, cfg: TrainConfig, action_spec=None, cont_cf
     history = TrainHistory()
     if cfg.epochs == 0:
         return net, history
-    buffer = ReplayBuffer(seed=cfg.seed)
-    buffer.extend(train_set)
-    target = clone_target(net)
-    opt = RmspropState.init_like(net)
+    learner = Learner.fresh(net, np.random.default_rng(cfg.seed))
     steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     lr = cfg.lr0
     best_net = clone_target(net)
     best_reward = -np.inf
-    global_step = 0
     for epoch in range(cfg.epochs):
-        losses = np.empty(steps_per_epoch)
-        for step in range(steps_per_epoch):
-            batch = buffer.sample(cfg.batch_size)
-            try:
-                losses[step] = td_step(batch, net, target, opt, cfg, lr,
-                                       action_spec, cont_cfg, inaction_acont)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(epoch, global_step, float("nan")) from exc
-            global_step += 1
-            if global_step % cfg.target_clone_period == 0:
-                target = clone_target(net)
+        try:
+            losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr,
+                              action_spec, cont_cfg, inaction_acont)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(epoch, learner.step, float("nan")) from exc
         report = policy_eval.evaluate(
             validation_set, net, cfg.mode,
             action_spec or ActionSpec(continuous_dims=1 if cfg.mode == "mixed" else 0),
@@ -282,8 +258,6 @@ def write_sidecar(path, cfg: TrainConfig, norm_stats):
 
 
 def read_sidecar(path):
-    from .rfmi import NormStats
-
     kv = {}
     with open(path, encoding="utf-8") as f:
         for line in f:

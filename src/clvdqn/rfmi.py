@@ -9,9 +9,11 @@ recency equals the number of elapsed periods. Action 0 is inaction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+N_ACTIONS = 12  # action 0 is inaction
 
 STATE_DIMS = ("recency", "frequency", "monetary", "i_recency", "i_frequency")
 
@@ -38,10 +40,6 @@ class RfmiState:
             [self.recency, self.frequency, self.monetary, self.i_recency, self.i_frequency]
         )
 
-    @classmethod
-    def from_array(cls, arr) -> "RfmiState":
-        return cls(*(float(v) for v in arr))
-
 
 @dataclass
 class CustomerTimeline:
@@ -67,12 +65,42 @@ class CustomerTimeline:
 
 
 @dataclass
-class TransitionTuple:
-    state: RfmiState
-    action: int
-    acont: float
-    next_state: RfmiState
-    reward: float
+class Transitions:
+    """A batch of transitions as parallel columns; row i of every field is one transition.
+
+    `len()` is the row count. Indexing with a slice, boolean mask or index
+    array selects rows and returns another Transitions.
+    """
+
+    states: np.ndarray  # (n, 5) state at the start of the period
+    actions: np.ndarray  # (n,) int64, 0 = inaction
+    aconts: np.ndarray  # (n,) continuous attribute
+    next_states: np.ndarray  # (n, 5)
+    rewards: np.ndarray  # (n,) currency units
+
+    def __post_init__(self):
+        self.states = np.asarray(self.states, dtype=np.float64)
+        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.aconts = np.asarray(self.aconts, dtype=np.float64)
+        self.next_states = np.asarray(self.next_states, dtype=np.float64)
+        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.rewards)
+
+    def __getitem__(self, rows) -> "Transitions":
+        return Transitions(self.states[rows], self.actions[rows], self.aconts[rows],
+                           self.next_states[rows], self.rewards[rows])
+
+    @classmethod
+    def empty(cls, n: int) -> "Transitions":
+        """n rows of uninitialized storage."""
+        return cls(np.empty((n, 5)), np.empty(n, dtype=np.int64), np.empty(n),
+                   np.empty((n, 5)), np.empty(n))
+
+    @classmethod
+    def concat(cls, parts: list) -> "Transitions":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 def compute_state(timeline: CustomerTimeline, period_index: int) -> RfmiState:
@@ -102,23 +130,13 @@ def compute_state(timeline: CustomerTimeline, period_index: int) -> RfmiState:
     )
 
 
-def build_transitions(timeline: CustomerTimeline) -> list:
-    """One tuple per period after the first; reward co-occurs with the action."""
+def build_transitions(timeline: CustomerTimeline) -> Transitions:
+    """One transition per period after the first; reward co-occurs with the action."""
     if timeline.periods < 2:
         raise DataError(f"timeline {timeline.customer_id} needs >= 2 periods")
-    states = [compute_state(timeline, p) for p in range(timeline.periods)]
-    tuples = []
-    for t in range(timeline.periods - 1):
-        tuples.append(
-            TransitionTuple(
-                state=states[t],
-                action=int(timeline.actions[t]),
-                acont=float(timeline.aconts[t]),
-                next_state=states[t + 1],
-                reward=float(timeline.amounts[t]),
-            )
-        )
-    return tuples
+    states = np.array([compute_state(timeline, p).to_array() for p in range(timeline.periods)])
+    return Transitions(states[:-1], timeline.actions[:-1], timeline.aconts[:-1],
+                       states[1:], timeline.amounts[:-1])
 
 
 @dataclass
@@ -153,14 +171,12 @@ class NormStats:
         return cls(np.zeros(5), np.ones(5), 0.0, 1.0)
 
 
-def compute_norm_stats(tuples) -> NormStats:
+def compute_norm_stats(data: Transitions) -> NormStats:
     """Population moments over states and next states; acont over acted rows only."""
-    if not tuples:
+    if not data:
         raise DataError("cannot compute normalization stats from empty input")
-    states = np.array(
-        [t.state.to_array() for t in tuples] + [t.next_state.to_array() for t in tuples]
-    )
-    aconts = np.array([t.acont for t in tuples if t.action != 0])
+    states = np.concatenate([data.states, data.next_states])
+    aconts = data.aconts[data.actions != 0]
     if aconts.size:
         acont_mean, acont_std = float(aconts.mean()), float(aconts.std())
     else:
@@ -173,25 +189,15 @@ def compute_norm_stats(tuples) -> NormStats:
     )
 
 
-def apply_norm(stats: NormStats, tuples) -> list:
-    out = []
-    for t in tuples:
-        out.append(
-            TransitionTuple(
-                state=RfmiState.from_array(stats.normalize_state(t.state.to_array())),
-                action=t.action,
-                acont=stats.normalize_acont(t.acont),
-                next_state=RfmiState.from_array(stats.normalize_state(t.next_state.to_array())),
-                reward=t.reward,
-            )
-        )
-    return out
-
-
-def normalize_states(tuples):
-    """Returns (normalized tuples, NormStats). Rewards are left in currency units."""
-    stats = compute_norm_stats(tuples)
-    return apply_norm(stats, tuples), stats
+def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
+    """Normalized states and aconts; actions and rewards (currency units) are shared, not copied."""
+    return Transitions(
+        stats.normalize_state(data.states),
+        data.actions,
+        stats.normalize_acont(data.aconts),
+        stats.normalize_state(data.next_states),
+        data.rewards,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +252,23 @@ def write_timelines(timelines, path):
                 )
 
 
-def write_transitions(tuples, path):
+def write_transitions(data: Transitions, path):
     """13-column transition CSV in the fixed r..reward order, UTF-8, '.' decimals."""
+    floats = np.column_stack([data.states, data.aconts, data.next_states, data.rewards]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TRANSITION_COLUMNS)
-        for t in tuples:
-            row = list(t.state.to_array()) + [t.action, t.acont] + list(
-                t.next_state.to_array()
-            ) + [t.reward]
-            writer.writerow([repr(float(v)) if not isinstance(v, int) else v for v in row])
+        for row, action in zip(floats, data.actions.tolist()):
+            writer.writerow(row[:5] + [action] + row[5:])
 
 
-def read_transitions(path) -> list:
-    tuples = []
+def read_transitions(path) -> Transitions:
+    """Reads a transition CSV, rejecting malformed rows with DataError("path:line: ...").
+
+    Every value must be finite, the action an integer in 0..N_ACTIONS-1 and
+    every state component non-negative.
+    """
+    rows = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -269,27 +278,21 @@ def read_transitions(path) -> list:
             if len(row) != 13:
                 raise DataError(f"{path}:{line_no}: expected 13 columns, got {len(row)}")
             try:
-                vals = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
-            tuples.append(
-                TransitionTuple(
-                    state=RfmiState.from_array(vals[0:5]),
-                    action=int(vals[5]),
-                    acont=vals[6],
-                    next_state=RfmiState.from_array(vals[7:12]),
-                    reward=vals[12],
-                )
-            )
-    return tuples
-
-
-def transitions_to_arrays(tuples):
-    """Columnar view used by the training loop."""
-    return {
-        "states": np.array([t.state.to_array() for t in tuples]),
-        "actions": np.array([t.action for t in tuples], dtype=np.int64),
-        "aconts": np.array([t.acont for t in tuples]),
-        "next_states": np.array([t.next_state.to_array() for t in tuples]),
-        "rewards": np.array([t.reward for t in tuples]),
-    }
+    vals = np.array(rows, dtype=np.float64).reshape(-1, 13)
+    actions = vals[:, 5]
+    state_cols = vals[:, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]]
+    faults = (  # checked in this order, so a row's first fault is the one reported
+        (~np.isfinite(vals).all(axis=1), "non-finite value"),
+        ((actions != np.floor(actions)) | (actions < 0) | (actions >= N_ACTIONS),
+         f"action must be an integer in 0..{N_ACTIONS - 1}"),
+        ((state_cols < 0).any(axis=1), "negative state value"),
+    )
+    bad = [(int(np.argmax(mask)), message) for mask, message in faults if mask.any()]
+    if bad:
+        row, message = min(bad, key=lambda b: b[0])
+        raise DataError(f"{path}:{row + 2}: {message}")
+    return Transitions(vals[:, 0:5], actions.astype(np.int64), vals[:, 6],
+                       vals[:, 7:12], vals[:, 12])

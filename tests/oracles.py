@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's analytic paths: gradients come from
 central finite differences, continuous maximization from a dense grid scan,
-and tabular Q* from value iteration on explicit dynamics.
+tabular Q* from value iteration on explicit dynamics, and normalization from
+row-by-row loops over a batch of transitions.
 """
 
 import numpy as np
@@ -82,3 +83,41 @@ def value_iteration(rewards, transitions, gamma, tol=1e-10, max_iter=100000):
             return new_q
         q = new_q
     raise RuntimeError("value iteration did not converge")
+
+
+def norm_stats_rows(data):
+    """Row-by-row reference for rfmi.compute_norm_stats.
+
+    Pools every state and next state one row at a time, and the acont of every
+    acted row; returns (state_mean, state_std, acont_mean, acont_std).
+    """
+    pooled, acted = [], []
+    for i in range(len(data)):
+        pooled.append(list(data.states[i]))
+        if data.actions[i] != 0:
+            acted.append(float(data.aconts[i]))
+    for i in range(len(data)):
+        pooled.append(list(data.next_states[i]))
+    pooled = np.array(pooled)
+    acted = np.array(acted)
+    if acted.size:
+        return pooled.mean(axis=0), pooled.std(axis=0), float(acted.mean()), float(acted.std())
+    return pooled.mean(axis=0), pooled.std(axis=0), 0.0, 0.0
+
+
+def apply_norm_rows(stats, data):
+    """Row-by-row reference for rfmi.apply_norm, in Python float arithmetic.
+
+    Returns (states, aconts, next_states); a zero std divides by 1.
+    """
+    div = [float(s) if s > 0 else 1.0 for s in stats.state_std]
+    mean = [float(m) for m in stats.state_mean]
+    acont_div = stats.acont_std if stats.acont_std > 0 else 1.0
+
+    def state(row):
+        return [(float(v) - m) / d for v, m, d in zip(row, mean, div)]
+
+    states = np.array([state(row) for row in data.states]).reshape(-1, 5)
+    next_states = np.array([state(row) for row in data.next_states]).reshape(-1, 5)
+    aconts = np.array([(float(a) - stats.acont_mean) / acont_div for a in data.aconts])
+    return states, aconts, next_states

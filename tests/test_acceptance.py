@@ -17,14 +17,8 @@ from clvdqn.cli import main
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
 from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves
-from clvdqn.qlearn import (
-    ReplayBuffer,
-    TrainConfig,
-    clone_target,
-    network_spec,
-    td_step,
-)
-from clvdqn.rfmi import RfmiState, TransitionTuple
+from clvdqn.qlearn import TrainConfig, clone_target, network_spec, td_step
+from clvdqn.rfmi import Transitions
 from oracles import (
     finite_difference_grads,
     grid_scan_max,
@@ -32,7 +26,7 @@ from oracles import (
     value_iteration,
 )
 from test_action_space import tent_net
-from test_qlearn import GAMMA, TOY_R, TOY_T, onehot_state, toy_tuples
+from test_qlearn import GAMMA, TOY_R, TOY_T, onehot_state, toy_data
 
 MIXED_SPEC = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
 STATE_NAMES = ("recency", "frequency", "monetary", "i_recency", "i_frequency")
@@ -101,23 +95,23 @@ class TestCriterion3ToyMdpConvergence:
     def test_dqn_recovers_tabular_qstar(self):
         t0 = time.time()
         qstar = value_iteration(TOY_R, TOY_T, GAMMA, tol=1e-10)
-        data = toy_tuples(100)
+        data = toy_data(100)
         cfg = TrainConfig(gamma=GAMMA, lr0=0.03, batch_size=100, target_clone_period=50, seed=0)
         net = init_mlp(network_spec("discrete_only"), cfg.seed)
         target = clone_target(net)
         opt = RmspropState.init_like(net)
-        buffer = ReplayBuffer(seed=cfg.seed)
-        buffer.extend(data)
+        rng = np.random.default_rng(cfg.seed)
         lr = cfg.lr0
         for step in range(10_000):
-            td_step(buffer.sample(cfg.batch_size), net, target, opt, cfg, lr=lr)
+            batch = data[rng.integers(0, len(data), size=cfg.batch_size)]
+            td_step(batch, net, target, opt, cfg, lr=lr)
             lr *= 0.9994
             if (step + 1) % cfg.target_clone_period == 0:
                 target = clone_target(net)
         max_err = 0.0
         policy_ok = True
         for s in range(3):
-            q, _ = forward(net, onehot_state(s).to_array())
+            q, _ = forward(net, onehot_state(s))
             max_err = max(max_err, float(np.abs(q[:2] - qstar[s]).max()))
             policy_ok &= int(np.argmax(q[:2])) == int(np.argmax(qstar[s]))
         elapsed = time.time() - t0
@@ -131,16 +125,12 @@ class TestCriterion4EvaluationOracle:
         spec = ActionSpec()
         cont = ContOptConfig(seed=0)
 
-        def fixed_tuple(action, reward):
-            s = RfmiState.from_array(np.zeros(5))
-            return TransitionTuple(s, action, 0.0, s, reward)
-
         net4 = init_mlp(network_spec("discrete_only"), seed=0)
         for w in net4.weights:
             w[:] = 0.0
         net4.biases[-1][4] = 7.0  # always recommends action 4
-        fixture = [fixed_tuple(4, 10.0), fixed_tuple(4, 0.0),
-                   fixed_tuple(2, 5.0), fixed_tuple(3, 0.0)]
+        fixture = Transitions(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4), np.zeros((4, 5)),
+                              [10.0, 0.0, 5.0, 0.0])
         rep = evaluate(fixture, net4, "discrete_only", spec, cont)
         fixture_ok = (
             rep.matched.n == 2 and rep.deviated.n == 2
@@ -149,16 +139,14 @@ class TestCriterion4EvaluationOracle:
         )
 
         rng = np.random.default_rng(4)
-        transitions = [
-            TransitionTuple(
-                RfmiState.from_array(np.abs(rng.normal(size=5))),
-                int(rng.integers(12)), 0.0,
-                RfmiState.from_array(np.abs(rng.normal(size=5))),
-                float(max(0.0, rng.uniform(-10.0, 20.0))),
-            )
+        rows = [  # drawn row by row: state, action, next state, reward
+            (np.abs(rng.normal(size=5)), int(rng.integers(12)), np.abs(rng.normal(size=5)),
+             float(max(0.0, rng.uniform(-10.0, 20.0))))
             for _ in range(1000)
         ]
-        total_reward = sum(t.reward for t in transitions)
+        states, actions, next_states, rewards = (np.array(col) for col in zip(*rows))
+        transitions = Transitions(states, actions, np.zeros(1000), next_states, rewards)
+        total_reward = sum(rewards.tolist())
         identities_ok = True
         worst_resid = 0.0
         for policy_seed in range(10_000):
@@ -213,8 +201,7 @@ class TestCriterion5SyntheticAutonomyLift:
         effects = tuple(0.5 if a == dominant else (0.0 if a == 0 else 0.02) for a in range(12))
         model = DonorModel(action_effects=effects, thankyou_boost=0.0, seed=1)
         res = run_autonomous(200, model, AgentConfig(seed=1), TrainConfig(seed=1))
-        arrs = res.replay.arrays()
-        probe = arrs["states"][-1000:]
+        probe = res.replay.contents().states[-1000:]
         from clvdqn.policy_eval import recommend_batch
 
         actions, _, _ = recommend_batch(
@@ -290,9 +277,9 @@ class TestCriterion7LoggedDatasetDirectional:
 class TestCriterion8CurveShape:
     def test_fatigue_and_thankyou_curve_shapes(self, default_autonomy_run):
         res = default_autonomy_run
-        arrs = res.replay.arrays()
-        median = dict(zip(STATE_NAMES, np.median(arrs["states"], axis=0)))
-        i_freq_max = float(arrs["states"][:, 4].max())
+        states = res.replay.contents().states
+        median = dict(zip(STATE_NAMES, np.median(states, axis=0)))
+        i_freq_max = float(states[:, 4].max())
 
         sweep = SweepSpec(dims=("i_frequency",), ranges=((5.0, i_freq_max),), resolution=20,
                           reference={k: v for k, v in median.items() if k != "i_frequency"})

@@ -1,8 +1,12 @@
 import csv
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clvdqn
 from clvdqn.cli import RunConfig, load_config, main
 from clvdqn.nn_core import init_mlp, load_mlp, save_mlp
 from clvdqn.qlearn import TrainConfig, network_spec, write_sidecar
@@ -77,6 +81,28 @@ class TestTrain:
                          (tmp_path / f"{tag}.ckpt.meta").read_bytes()))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("a", "2.7", "action must be an integer"),
+        ("a", "99", "action must be an integer"),
+        ("m", "nan", "non-finite value"),
+        ("reward", "inf", "non-finite value"),
+        ("r", "-1.0", "negative state value"),
+    ])
+    def test_invalid_transition_row_is_data_error(self, tmp_path, transitions_csv, capsys,
+                                                  field, value, message):
+        lines = transitions_csv.read_text().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(field)] = value
+        lines[2] = ",".join(row)
+        src = tmp_path / "bad.csv"
+        src.write_text("\n".join(lines) + "\n")
+        code = main(["train", str(src), "--checkpoint", str(tmp_path / "c"),
+                     "--history", str(tmp_path / "h"), "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{src}:3: {message}" in err
+        assert "Traceback" not in err
+
     def test_empty_transitions_is_data_error(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text("r,f,m,ir,if,a,acont,r2,f2,m2,ir2,if2,reward\n")
@@ -126,6 +152,21 @@ class TestClv:
         assert main(["clv", str(ckpt), "--state", "1,-2,3,0,0"]) == 1
 
 
+    def test_out_file_is_closed(self, tmp_path):
+        ckpt = zero_checkpoint(tmp_path)
+        out = tmp_path / "clv.csv"
+        script = "import sys; from clvdqn.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+             "clv", str(ckpt), "--state", "3,2,15,1,4", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(clvdqn.__file__).parents[1])},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(out.read_text().splitlines()) == 13
+
+
 class TestCurves:
     def test_export(self, tmp_path):
         ckpt = zero_checkpoint(tmp_path)
@@ -171,6 +212,16 @@ class TestConfigFile:
         path.write_text("no_such_knob=1\n")
         assert main(["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--config", str(path)]) == 1
+
+    def test_threads_key_and_flag_are_gone(self, tmp_path, transitions_csv):
+        path = tmp_path / "run.cfg"
+        path.write_text("threads=1\n")
+        argv = ["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
+                "--history", str(tmp_path / "h")]
+        assert main(argv + ["--config", str(path)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "1"])
+        assert exc.value.code == 1
 
     def test_flag_overrides_config(self, tmp_path, transitions_csv):
         path = tmp_path / "run.cfg"

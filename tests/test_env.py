@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+import clvdqn.qlearn as qlearn_module
 from clvdqn.env import (
     AgentConfig,
-    ColumnarReplay,
     DonorModel,
+    ReplayRing,
     env_step,
     response_probability,
     run_autonomous,
     write_history_csv,
 )
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
-from clvdqn.rfmi import CustomerTimeline, RfmiState, compute_state
+from clvdqn.rfmi import CustomerTimeline, RfmiState, Transitions, compute_state
 
 
 def small_train_cfg(seed=0):
@@ -69,16 +70,33 @@ class TestEnvStep:
         assert response_probability(model, RfmiState(0, 0, 0, 0, 0), 0) == 0.001
 
 
-class TestColumnarReplay:
+def rows_with_rewards(rewards):
+    n = len(rewards)
+    return Transitions(np.zeros((n, 5)), np.zeros(n), np.zeros(n), np.zeros((n, 5)), rewards)
+
+
+class TestReplayRing:
     def test_size_tracks_episodes_then_caps(self):
-        replay = ColumnarReplay(capacity=25)
+        replay = ReplayRing(25)
         for e in range(4):
-            replay.add_episode(np.zeros((10, 5)), np.zeros(10, dtype=int),
-                               np.zeros(10), np.zeros((10, 5)), np.full(10, float(e)))
+            replay.add(rows_with_rewards(np.full(10, float(e))))
         assert len(replay) == 25
-        arrs = replay.arrays()
-        assert len(arrs["rewards"]) == 25
-        assert arrs["rewards"][0] == 1.0  # oldest rows evicted first
+        rewards = replay.contents().rewards
+        assert len(rewards) == 25
+        assert rewards[0] == 1.0  # oldest rows evicted first
+
+    def test_fifo_eviction(self):
+        # past capacity the ring holds the newest rows, oldest first, across
+        # wrap-arounds and a batch larger than the ring itself
+        replay = ReplayRing(7)
+        added = np.empty(0)
+        for size in (3, 5, 2, 9, 4, 7, 1):
+            batch = np.arange(len(added), len(added) + size, dtype=float)
+            replay.add(rows_with_rewards(batch))
+            added = np.concatenate([added, batch])
+            assert len(replay) == min(len(added), 7)
+            np.testing.assert_array_equal(replay.contents().rewards, added[-7:])
+            np.testing.assert_array_equal(replay.contents().states, np.zeros((len(replay), 5)))
 
 
 class TestAgentConfig:
@@ -120,23 +138,20 @@ class TestRunAutonomous:
         rule = lambda state, action: action != thankyou or state.recency <= 1
         cfg = AgentConfig(seed=3, episodes=30, constraints=[rule])
         res = run_autonomous(30, DonorModel(seed=3), cfg, small_train_cfg(3))
-        arrs = res.replay.arrays()
-        violations = (arrs["actions"] == thankyou) & (arrs["states"][:, 0] > 1)
+        data = res.replay.contents()
+        violations = (data.actions == thankyou) & (data.states[:, 0] > 1)
         assert violations.sum() == 0
 
     def test_action_dropping(self):
         cfg = AgentConfig(seed=4, episodes=40, drop_threshold=1000.0, drop_min_observations=20)
         res = run_autonomous(30, DonorModel(seed=4), cfg, small_train_cfg(4))
         assert res.dropped_actions  # everything underperforms an absurd floor
-        arrs = res.replay.arrays()
-        late = arrs["actions"][-30 * 5:]
+        late = res.replay.contents().actions[-30 * 5:]
         assert not set(late) & res.dropped_actions
 
     def test_divergence_reinitializes(self, monkeypatch, caplog):
-        import clvdqn.env as env_module
-
         calls = {"n": 0}
-        real = env_module.td_step_arrays
+        real = qlearn_module.td_step
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -144,7 +159,7 @@ class TestRunAutonomous:
                 raise TrainingDiverged(0, 0, float("nan"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(env_module, "td_step_arrays", flaky)
+        monkeypatch.setattr(qlearn_module, "td_step", flaky)
         with caplog.at_level("WARNING"):
             res = run_autonomous(20, DonorModel(seed=6), AgentConfig(seed=6, episodes=15),
                                  small_train_cfg(6))
@@ -155,8 +170,7 @@ class TestRunAutonomous:
         cfg = AgentConfig(seed=7, episodes=6, epsilon0=0.0, epsilon_floor=0.0,
                           train_every=10**9, initial_policy=lambda s: 9)
         res = run_autonomous(10, DonorModel(seed=7), cfg, small_train_cfg(7))
-        arrs = res.replay.arrays()
-        assert set(arrs["actions"]) == {9}
+        assert set(res.replay.contents().actions) == {9}
 
     def test_history_csv(self, tmp_path):
         res = run_autonomous(5, DonorModel(seed=8), AgentConfig(seed=8, episodes=4),

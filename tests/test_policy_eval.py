@@ -14,7 +14,7 @@ from clvdqn.policy_eval import (
     write_curves_csv,
 )
 from clvdqn.qlearn import network_spec
-from clvdqn.rfmi import NormStats, RfmiState, TransitionTuple
+from clvdqn.rfmi import NormStats, Transitions
 
 DISCRETE_SPEC = ActionSpec()
 CONT_CFG = ContOptConfig(seed=0)
@@ -27,9 +27,11 @@ def zero_net(mode="discrete_only"):
     return net
 
 
-def make_tuple(action, reward, state=None):
-    s = RfmiState.from_array(state if state is not None else np.zeros(5))
-    return TransitionTuple(s, action, 0.0, s, reward)
+def logged(actions, rewards, states=None, aconts=None):
+    """Logged transitions whose next state equals the state."""
+    n = len(actions)
+    states = np.zeros((n, 5)) if states is None else states
+    return Transitions(states, actions, np.zeros(n) if aconts is None else aconts, states, rewards)
 
 
 def biased_net(action, bias=7.0):
@@ -54,7 +56,7 @@ class TestExtractPolicy:
 class TestEvaluate:
     def test_total_match(self):
         # policy that recommends exactly the logged action for every transition
-        transitions = [make_tuple(4, r) for r in (10.0, 0.0, 3.0)]
+        transitions = logged([4, 4, 4], [10.0, 0.0, 3.0])
         report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
         assert report.matched.n == 3
         assert report.deviated.n == 0
@@ -64,12 +66,7 @@ class TestEvaluate:
 
     def test_four_row_hand_fixture(self):
         # rewards 10,0,5,0; policy (always action 4) matches rows 1 and 2
-        transitions = [
-            make_tuple(4, 10.0),
-            make_tuple(4, 0.0),
-            make_tuple(2, 5.0),
-            make_tuple(3, 0.0),
-        ]
+        transitions = logged([4, 4, 2, 3], [10.0, 0.0, 5.0, 0.0])
         report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
         assert report.matched.n == 2 and report.deviated.n == 2
         assert report.matched.response_rate == 0.5
@@ -79,14 +76,14 @@ class TestEvaluate:
 
     def test_partition_and_weighted_mean(self):
         rng = np.random.default_rng(1)
-        transitions = [
-            make_tuple(int(rng.integers(12)), float(rng.uniform(0, 20)), rng.normal(size=5))
-            for _ in range(200)
-        ]
+        draws = [(int(rng.integers(12)), float(rng.uniform(0, 20)), rng.normal(size=5))
+                 for _ in range(200)]
+        actions, rewards, states = (np.array(col) for col in zip(*draws))
+        transitions = logged(actions, rewards, states)
         report = evaluate(transitions, init_mlp(network_spec("discrete_only"), 3),
                           "discrete_only", DISCRETE_SPEC, CONT_CFG)
         assert report.matched.n + report.deviated.n == 200
-        total = sum(t.reward for t in transitions)
+        total = sum(rewards.tolist())
         acc = 0.0
         if report.matched.defined:
             acc += report.matched.n * report.matched.mean_reward
@@ -95,16 +92,14 @@ class TestEvaluate:
         assert acc == pytest.approx(total, rel=1e-12)
 
     def test_random_baseline_deterministic(self):
-        transitions = [make_tuple(i % 12, float(i)) for i in range(50)]
+        transitions = logged([i % 12 for i in range(50)], np.arange(50.0))
         net = init_mlp(network_spec("discrete_only"), 0)
         a = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, CONT_CFG, baseline_seed=9)
         b = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, CONT_CFG, baseline_seed=9)
         assert a.random_baseline == b.random_baseline
 
     def test_best_single_action_from_logged_data(self):
-        transitions = (
-            [make_tuple(4, 10.0)] * 3 + [make_tuple(2, 1.0)] * 3 + [make_tuple(7, 4.0)] * 3
-        )
+        transitions = logged([4] * 3 + [2] * 3 + [7] * 3, [10.0] * 3 + [1.0] * 3 + [4.0] * 3)
         report = evaluate(transitions, zero_net(), "discrete_only", DISCRETE_SPEC, CONT_CFG)
         assert report.best_single_action == 4
         assert report.best_single_action_stats.mean_reward == 10.0
@@ -114,17 +109,15 @@ class TestEvaluate:
         net = zero_net("mixed")
         net.biases[-1][5] = 3.0
         spec = ActionSpec(continuous_dims=1, bounds=(5.6, 6.4))  # flat in acont
-        t_match = TransitionTuple(RfmiState.from_array(np.zeros(5)), 5, 5.8,
-                                  RfmiState.from_array(np.zeros(5)), 1.0)
-        t_differ = TransitionTuple(RfmiState.from_array(np.zeros(5)), 5, 9.0,
-                                   RfmiState.from_array(np.zeros(5)), 1.0)
-        report = evaluate([t_match, t_differ], net, "mixed", spec, CONT_CFG)
+        # row 0 logs acont 5.8 (matches), row 1 logs 9.0 (differs)
+        transitions = logged([5, 5], [1.0, 1.0], aconts=[5.8, 9.0])
+        report = evaluate(transitions, net, "mixed", spec, CONT_CFG)
         assert report.matched.n == 1
         assert report.deviated.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate([], zero_net(), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+            evaluate(Transitions.empty(0), zero_net(), "discrete_only", DISCRETE_SPEC, CONT_CFG)
 
 
 class TestEstimateClv:
@@ -207,7 +200,7 @@ class TestValueCurves:
 
 class TestReportFormats:
     def test_text_report_mentions_caveat_and_respects_timestamp_flag(self):
-        transitions = [make_tuple(4, 1.0), make_tuple(3, 0.0)]
+        transitions = logged([4, 3], [1.0, 0.0])
         report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
         text = report_text(report, timestamp=False)
         assert "biased off-policy" in text
@@ -216,7 +209,7 @@ class TestReportFormats:
         assert len(text_ts.splitlines()) == len(text.splitlines()) + 1
 
     def test_csv_rows_shape(self):
-        transitions = [make_tuple(4, 1.0)]
+        transitions = logged([4], [1.0])
         report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
         rows = report_csv_rows(report)
         assert rows[0] == ["group", "action", "n", "response_rate", "mean_reward"]

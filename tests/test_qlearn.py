@@ -5,8 +5,9 @@ import pytest
 
 from clvdqn.action_space import ActionSpec, ContOptConfig
 from clvdqn.nn_core import LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
+import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
-    ReplayBuffer,
+    Learner,
     TrainConfig,
     TrainingDiverged,
     bellman_target,
@@ -14,10 +15,11 @@ from clvdqn.qlearn import (
     network_spec,
     read_sidecar,
     td_step,
+    td_steps,
     train,
     write_sidecar,
 )
-from clvdqn.rfmi import NormStats, RfmiState, TransitionTuple
+from clvdqn.rfmi import NormStats, Transitions
 from oracles import value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
@@ -29,24 +31,25 @@ GAMMA = 0.9
 def onehot_state(s):
     v = np.zeros(5)
     v[s] = 1.0
-    return RfmiState.from_array(v)
+    return v
 
 
-def toy_tuples(copies=100):
-    tuples = []
-    for s in range(3):
-        for a in range(2):
-            for _ in range(copies):
-                tuples.append(
-                    TransitionTuple(onehot_state(s), a, 0.0, onehot_state(TOY_T[s][a]), TOY_R[s][a])
-                )
-    return tuples
+def toy_data(copies=100):
+    rows = [(s, a) for s in range(3) for a in range(2) for _ in range(copies)]
+    return Transitions(
+        np.array([onehot_state(s) for s, _ in rows]),
+        np.array([a for _, a in rows]),
+        np.zeros(len(rows)),
+        np.array([onehot_state(TOY_T[s][a]) for s, a in rows]),
+        np.array([TOY_R[s][a] for s, a in rows]),
+    )
 
 
-def make_tuple(reward=0.0, action=0, s=None, s2=None):
+def make_batch(reward=0.0, action=0, s=None, s2=None, n=1):
     s = s if s is not None else np.zeros(5)
     s2 = s2 if s2 is not None else np.zeros(5)
-    return TransitionTuple(RfmiState.from_array(s), action, 0.0, RfmiState.from_array(s2), reward)
+    return Transitions(np.tile(s, (n, 1)), np.full(n, action), np.zeros(n),
+                       np.tile(s2, (n, 1)), np.full(n, reward))
 
 
 def zero_net(mode="discrete_only"):
@@ -60,11 +63,11 @@ class TestBellmanTarget:
     def test_gamma_zero_is_reward(self):
         cfg = TrainConfig(gamma=0.0)
         net = init_mlp(network_spec("discrete_only"), seed=1)
-        assert bellman_target(make_tuple(reward=3.5), net, cfg) == 3.5
+        assert bellman_target(make_batch(reward=3.5), net, cfg)[0] == 3.5
 
     def test_zero_network(self):
         cfg = TrainConfig(gamma=0.9)
-        assert bellman_target(make_tuple(reward=5.0), zero_net(), cfg) == 5.0
+        assert bellman_target(make_batch(reward=5.0), zero_net(), cfg)[0] == 5.0
 
     def test_qstar_is_fixed_point(self):
         # A net hard-wired to output tabular Q* reproduces Q* through the target.
@@ -77,16 +80,15 @@ class TestBellmanTarget:
         cfg = TrainConfig(gamma=GAMMA)
         for s in range(3):
             for a in range(2):
-                tup = make_tuple(TOY_R[s][a], a, np.eye(3, 5)[s], np.eye(3, 5)[TOY_T[s][a]])
-                assert bellman_target(tup, net, cfg) == pytest.approx(qstar[s][a], abs=1e-9)
+                batch = make_batch(TOY_R[s][a], a, np.eye(3, 5)[s], np.eye(3, 5)[TOY_T[s][a]])
+                assert bellman_target(batch, net, cfg)[0] == pytest.approx(qstar[s][a], abs=1e-9)
 
     def test_mixed_mode_uses_continuous_max(self):
         cfg = TrainConfig(gamma=0.9, mode="mixed")
         net = init_mlp(network_spec("mixed"), seed=2)
         spec = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
         cont = ContOptConfig(seed=0)
-        tup = make_tuple(reward=1.0)
-        y = bellman_target(tup, net, cfg, spec, cont)
+        y = bellman_target(make_batch(reward=1.0), net, cfg, spec, cont)[0]
         # must bootstrap off at least the best fixed-acont scan
         grid = np.linspace(-2, 2, 101)
         x = np.concatenate([np.tile(np.zeros(5), (101, 1)), grid[:, None]], axis=1)
@@ -101,7 +103,7 @@ class TestTdStep:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         before = [w.copy() for w in net.weights]
-        loss = td_step([make_tuple() for _ in range(10)], net, target, opt, TrainConfig())
+        loss = td_step(make_batch(n=10), net, target, opt, TrainConfig())
         assert loss == 0.0
         for w, b4 in zip(net.weights, before):
             np.testing.assert_array_equal(w, b4)
@@ -113,21 +115,9 @@ class TestTdStep:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.0, lr0=0.001, batch_size=1)
-        tup = TransitionTuple(
-            RfmiState.from_array([1.0] * 5), 0, 0.0, RfmiState.from_array([1.0] * 5), 1.0
-        )
-
-        # reuse td_step via a 1-in/1-out tuple shim: build arrays directly
-        from clvdqn.qlearn import td_step_arrays
-
-        arrs = {
-            "states": np.array([[1.0]]),
-            "actions": np.array([0]),
-            "aconts": np.array([0.0]),
-            "next_states": np.array([[1.0]]),
-            "rewards": np.array([1.0]),
-        }
-        loss = td_step_arrays(arrs, net, target, opt, cfg)
+        batch = Transitions(np.array([[1.0]]), np.array([0]), np.array([0.0]),
+                            np.array([[1.0]]), np.array([1.0]))
+        loss = td_step(batch, net, target, opt, cfg)
         assert loss == 1.0
         g = -2.0
         expected = 0.0 - cfg.lr0 * g / (np.sqrt(0.1 * g * g) + 1e-8)
@@ -138,8 +128,8 @@ class TestTdStep:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.9, lr0=0.001)
-        tup = make_tuple(reward=2.0, action=3, s=np.arange(5.0) / 5)
-        losses = [td_step([tup], net, target, opt, cfg) for _ in range(40)]
+        batch = make_batch(reward=2.0, action=3, s=np.arange(5.0) / 5)
+        losses = [td_step(batch, net, target, opt, cfg) for _ in range(40)]
         tail = losses[5:]
         assert all(b <= a for a, b in zip(tail, tail[1:]))
 
@@ -148,7 +138,7 @@ class TestTdStep:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         before = net.weights[-1].copy()
-        td_step([make_tuple(reward=10.0, action=3, s=np.ones(5))], net, target, opt, TrainConfig())
+        td_step(make_batch(reward=10.0, action=3, s=np.ones(5)), net, target, opt, TrainConfig())
         changed = np.any(net.weights[-1] != before, axis=1)
         assert changed[3]
         assert not changed[[a for a in range(12) if a != 3]].any()
@@ -159,26 +149,23 @@ class TestTdStep:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         with pytest.raises(TrainingDiverged):
-            td_step([make_tuple(reward=1.0)], net, target, opt, TrainConfig())
+            td_step(make_batch(reward=1.0), net, target, opt, TrainConfig())
 
 
-class TestReplayBuffer:
-    def test_uniformity(self):
-        buf = ReplayBuffer(seed=0)
-        for i in range(10):
-            buf.add(i)
-        counts = np.zeros(10)
-        for item in buf.sample(100_000):
-            counts[item] += 1
+class TestReplaySampling:
+    def test_uniformity(self, monkeypatch):
+        # td_steps draws each batch uniformly with replacement from the whole data set
+        drawn = []
+        monkeypatch.setattr(qlearn_module, "td_step",
+                            lambda batch, *args: drawn.extend(batch.rewards) or 0.0)
+        data = Transitions(np.zeros((10, 5)), np.zeros(10), np.zeros(10), np.zeros((10, 5)),
+                           np.arange(10.0))
+        learner = Learner.fresh(zero_net(), np.random.default_rng(0))
+        td_steps(learner, data, 1000, TrainConfig(batch_size=100))
+        counts = np.bincount(np.array(drawn, dtype=int), minlength=10)
         freqs = counts / 100_000
         assert np.abs(freqs - 0.1).max() < 0.03
-
-    def test_fifo_eviction(self):
-        buf = ReplayBuffer(seed=0, capacity=3)
-        for i in range(5):
-            buf.add(i)
-        assert len(buf) == 3
-        assert set(buf._tuples) == {2, 3, 4}
+        assert learner.step == 1000
 
 
 class TestCloneTarget:
@@ -213,7 +200,7 @@ class TestCloneTarget:
 class TestTrain:
     def test_zero_epochs_is_noop(self):
         cfg = TrainConfig(epochs=0, seed=5)
-        net, history = train(toy_tuples(2), toy_tuples(1), cfg)
+        net, history = train(toy_data(2), toy_data(1), cfg)
         reference = init_mlp(network_spec("discrete_only"), 5)
         for a, b in zip(net.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
@@ -221,7 +208,7 @@ class TestTrain:
 
     def test_deterministic(self):
         cfg = TrainConfig(epochs=3, batch_size=50, seed=7)
-        data = toy_tuples(20)
+        data = toy_data(20)
         net1, h1 = train(data, data, cfg)
         net2, h2 = train(data, data, cfg)
         for a, b in zip(net1.weights, net2.weights):
@@ -229,7 +216,7 @@ class TestTrain:
         assert h1.records == h2.records
 
     def test_epoch_accounting_and_history_shape(self):
-        data = toy_tuples(20)  # 120 tuples -> ceil(120/50) = 3 steps per epoch
+        data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
         cfg = TrainConfig(epochs=4, batch_size=50, seed=7, target_clone_period=5)
         _, history = train(data, data, cfg)
         assert len(history.records) == 4
@@ -243,11 +230,11 @@ class TestTrain:
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.9)
-        tup = make_tuple(reward=1.0, s=np.ones(5), s2=np.ones(5))
-        y0 = bellman_target(tup, target, cfg)
+        batch = make_batch(reward=1.0, s=np.ones(5), s2=np.ones(5))
+        y0 = bellman_target(batch, target, cfg)
         for _ in range(5):
-            td_step([tup], net, target, opt, cfg)
-        assert bellman_target(tup, target, cfg) == y0
+            td_step(batch, net, target, opt, cfg)
+        np.testing.assert_array_equal(bellman_target(batch, target, cfg), y0)
 
     def test_sidecar_round_trip(self, tmp_path):
         cfg = TrainConfig(gamma=0.85, lr0=0.002, epochs=7, seed=3, mode="mixed")
@@ -266,7 +253,7 @@ class TestTrain:
         assert (stats2.acont_mean, stats2.acont_std) == (6.5, 2.25)
 
     def test_history_csv(self, tmp_path):
-        data = toy_tuples(5)
+        data = toy_data(5)
         cfg = TrainConfig(epochs=2, batch_size=30, seed=1)
         _, history = train(data, data, cfg)
         path = tmp_path / "history.csv"

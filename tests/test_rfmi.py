@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clvdqn.rfmi import (
     CustomerTimeline,
     DataError,
-    NormStats,
     RfmiState,
-    TransitionTuple,
+    Transitions,
     apply_norm,
     build_transitions,
     compute_norm_stats,
     compute_state,
-    normalize_states,
     read_timelines,
     read_transitions,
     write_timelines,
     write_transitions,
 )
+from oracles import apply_norm_rows, norm_stats_rows
 
 
 def timeline(amounts, actions=None, aconts=None, cid="c1"):
@@ -71,19 +73,21 @@ class TestBuildTransitions:
         assert len(build_transitions(timeline([0] * 23))) == 22
 
     def test_all_empty_two_periods(self):
-        (t,) = build_transitions(timeline([0, 0]))
-        assert t.action == 0
-        assert t.reward == 0
-        assert t.state.recency == 0
-        assert t.next_state.recency == 1
+        t = build_transitions(timeline([0, 0]))
+        assert len(t) == 1
+        assert t.actions[0] == 0
+        assert t.rewards[0] == 0
+        assert t.states[0, 0] == 0
+        assert t.next_states[0, 0] == 1
 
     def test_hand_walked_fixture(self):
         tl = timeline([0, 10, 0], actions=[0, 4, 0], aconts=[0, 6, 0])
-        t1, t2 = build_transitions(tl)
-        assert (t1.action, t1.acont, t1.reward) == (0, 0.0, 0.0)
-        assert (t2.action, t2.acont, t2.reward) == (4, 6.0, 10.0)
-        assert t2.state == RfmiState(1, 0, 0, 1, 0)
-        assert t2.next_state == RfmiState(1, 1, 10, 1, 1)
+        t = build_transitions(tl)
+        assert len(t) == 2
+        assert (t.actions[0], t.aconts[0], t.rewards[0]) == (0, 0.0, 0.0)
+        assert (t.actions[1], t.aconts[1], t.rewards[1]) == (4, 6.0, 10.0)
+        np.testing.assert_array_equal(t.states[1], [1, 0, 0, 1, 0])
+        np.testing.assert_array_equal(t.next_states[1], [1, 1, 10, 1, 1])
 
     def test_too_short(self):
         with pytest.raises(DataError):
@@ -96,48 +100,76 @@ class TestBuildTransitions:
         assert states[4].recency == 2
 
 
+def rows(states, actions, aconts, next_states, rewards=None):
+    n = len(actions)
+    return Transitions(states, actions, aconts, next_states,
+                       np.zeros(n) if rewards is None else rewards)
+
+
+@st.composite
+def random_transitions(draw):
+    n = draw(st.integers(1, 40))
+    values = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+    return rows(
+        draw(arrays(np.float64, (n, 5), elements=values)),
+        draw(arrays(np.int64, n, elements=st.integers(0, 11))),
+        draw(arrays(np.float64, n, elements=st.floats(-50.0, 50.0))),
+        draw(arrays(np.float64, (n, 5), elements=values)),
+        draw(arrays(np.float64, n, elements=values)),
+    )
+
+
 class TestNormalize:
     def test_single_tuple_constant_dims_to_zero(self):
-        tl = timeline([0, 0])
-        normed, stats = normalize_states(build_transitions(tl))
-        arr = normed[0].state.to_array()
+        data = build_transitions(timeline([0, 0]))
+        arr = apply_norm(compute_norm_stats(data), data).states[0]
         # dims constant across state/next_state pool come out exactly 0
         assert arr[1] == 0 and arr[2] == 0 and arr[4] == 0
 
     def test_two_point_dimension_normalizes_to_unit(self):
-        a = TransitionTuple(RfmiState(0, 0, 0, 0, 0), 1, 0.0, RfmiState(0, 0, 0, 0, 0), 0)
-        b = TransitionTuple(RfmiState(10, 0, 0, 0, 0), 1, 0.0, RfmiState(10, 0, 0, 0, 0), 0)
-        normed, stats = normalize_states([a, b])
+        states = np.array([[0.0, 0, 0, 0, 0], [10.0, 0, 0, 0, 0]])
+        data = rows(states, [1, 1], [0.0, 0.0], states)
+        stats = compute_norm_stats(data)
+        normed = apply_norm(stats, data)
         assert stats.state_mean[0] == 5
         assert stats.state_std[0] == 5  # population std
-        assert normed[0].state.recency == -1
-        assert normed[1].state.recency == 1
+        assert normed.states[0, 0] == -1
+        assert normed.states[1, 0] == 1
 
     def test_reapplying_stats_is_bit_exact(self):
         rng = np.random.default_rng(0)
-        tuples = [
-            TransitionTuple(
-                RfmiState(*rng.uniform(0, 10, 5)), int(rng.integers(12)), float(rng.normal()),
-                RfmiState(*rng.uniform(0, 10, 5)), float(rng.uniform(0, 5)),
-            )
-            for _ in range(20)
-        ]
-        normed, stats = normalize_states(tuples)
-        again = apply_norm(stats, tuples)
-        for x, y in zip(normed, again):
-            np.testing.assert_array_equal(x.state.to_array(), y.state.to_array())
-            assert x.acont == y.acont
+        data = rows(rng.uniform(0, 10, (20, 5)), rng.integers(12, size=20), rng.normal(size=20),
+                    rng.uniform(0, 10, (20, 5)), rng.uniform(0, 5, 20))
+        normed = apply_norm(compute_norm_stats(data), data)
+        again = apply_norm(compute_norm_stats(data), data)
+        np.testing.assert_array_equal(normed.states, again.states)
+        np.testing.assert_array_equal(normed.aconts, again.aconts)
 
     def test_inaction_rows_excluded_from_acont_stats(self):
-        mk = lambda a, c: TransitionTuple(RfmiState(0, 0, 0, 0, 0), a, c, RfmiState(0, 0, 0, 0, 0), 0)
-        tuples = [mk(1, 2.0), mk(1, 4.0), mk(0, 100.0)]
-        stats = compute_norm_stats(tuples)
+        stats = compute_norm_stats(rows(np.zeros((3, 5)), [1, 1, 0], [2.0, 4.0, 100.0],
+                                        np.zeros((3, 5))))
         assert stats.acont_mean == 3.0
         assert stats.acont_std == 1.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            normalize_states([])
+            compute_norm_stats(Transitions.empty(0))
+
+    @settings(deadline=None)
+    @given(random_transitions())
+    def test_vectorized_matches_row_by_row_reference(self, data):
+        stats = compute_norm_stats(data)
+        mean, std, acont_mean, acont_std = norm_stats_rows(data)
+        np.testing.assert_array_equal(stats.state_mean, mean)
+        np.testing.assert_array_equal(stats.state_std, std)
+        assert (stats.acont_mean, stats.acont_std) == (acont_mean, acont_std)
+        normed = apply_norm(stats, data)
+        states, aconts, next_states = apply_norm_rows(stats, data)
+        np.testing.assert_array_equal(normed.states, states)
+        np.testing.assert_array_equal(normed.aconts, aconts)
+        np.testing.assert_array_equal(normed.next_states, next_states)
+        np.testing.assert_array_equal(normed.actions, data.actions)
+        np.testing.assert_array_equal(normed.rewards, data.rewards)
 
 
 class TestCsv:
@@ -156,15 +188,16 @@ class TestCsv:
             np.testing.assert_array_equal(got.aconts, tl.aconts)
 
     def test_transition_round_trip(self, tmp_path):
-        tuples = build_transitions(timeline([0, 10, 0, 3], actions=[2, 0, 4, 0], aconts=[1, 0, 7, 0]))
+        data = build_transitions(timeline([0, 10, 0, 3], actions=[2, 0, 4, 0], aconts=[1, 0, 7, 0]))
         path = tmp_path / "transitions.csv"
-        write_transitions(tuples, path)
+        write_transitions(data, path)
         back = read_transitions(path)
-        assert len(back) == len(tuples)
-        for x, y in zip(tuples, back):
-            assert x.state == y.state
-            assert x.next_state == y.next_state
-            assert (x.action, x.acont, x.reward) == (y.action, y.acont, y.reward)
+        assert len(back) == len(data)
+        np.testing.assert_array_equal(back.states, data.states)
+        np.testing.assert_array_equal(back.next_states, data.next_states)
+        np.testing.assert_array_equal(back.actions, data.actions)
+        np.testing.assert_array_equal(back.aconts, data.aconts)
+        np.testing.assert_array_equal(back.rewards, data.rewards)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
