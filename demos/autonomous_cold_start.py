@@ -13,7 +13,7 @@ import numpy as np
 
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.policy_eval import recommend_batch
-from clvdqn.action_space import ActionSpec, ContOptConfig
+from clvdqn.action_space import ActionSpec
 from clvdqn.qlearn import TrainConfig
 
 model = DonorModel(seed=1)
@@ -34,7 +34,7 @@ print(f"\nmean reward, first 10 episodes: {first:.3f}; last 10: {last:.3f}"
 probe = result.replay.contents().states[-1000:]
 actions, _, _ = recommend_batch(
     result.net, result.norm_stats.normalize_state(probe),
-    "discrete_only", ActionSpec(), ContOptConfig(seed=1),
+    "discrete_only", ActionSpec(),
 )
 counts = np.bincount(actions, minlength=12)
 print("\nrecommended action distribution on the final probe set:")

@@ -1,17 +1,19 @@
-"""Choosing a continuous action attribute (e.g. discount depth) by gradient ascent.
+"""Choosing a continuous action attribute (e.g. discount depth) exactly.
 
 In mixed mode the network takes the 5-dim customer state plus one continuous
 attribute, and picking the best action means maximizing each discrete action's
-Q over that attribute. This demo builds a network whose value of action 7 is a
-tent peaking at attribute = 1, then shows the multi-restart ascent finding it.
+Q over that attribute. With ReLU hidden layers each Q is piecewise linear in
+the attribute, so its maximum sits at a bound or at a kink, and enumerating
+the kinks finds it exactly. This demo builds a network whose value of action 7
+is a tent peaking at attribute = 1, then shows the maximizer finding the peak.
 
 Run: python3 demos/continuous_action_optimization.py
 """
 
 import numpy as np
 
-from clvdqn.action_space import ActionSpec, ContOptConfig, best_mixed, maximize_continuous
-from clvdqn.nn_core import LayerSpec, Mlp
+from clvdqn.action_space import ActionSpec, best_mixed, maximize_continuous_batch
+from clvdqn.nn_core import LayerSpec, Mlp, forward
 
 # Q[7](state, a) = 2 + relu(a) - 2*relu(a - 1): rises to 3.0 at a=1, falls after.
 specs = (LayerSpec(6, 2, "relu"), LayerSpec(2, 12, "linear"))
@@ -26,20 +28,19 @@ b2[7] = 2.0
 net = Mlp(specs=specs, weights=[w1, w2], biases=[np.array([0.0, -1.0]), b2])
 
 spec = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
-cfg = ContOptConfig(seed=0)
 state = np.zeros(5)
 
-acont, q = maximize_continuous(net, state, 7, spec, cfg)
-print(f"action 7: best attribute {acont:.3f} (true peak 1.0), Q = {q:.3f} (true max 3.0)")
+# One call maximizes every action's Q for a batch of states (here, one state).
+aconts, qs = maximize_continuous_batch(net, state[None, :], spec)
+print(f"action 7: best attribute {aconts[0, 7]:.3f} (true peak 1.0), "
+      f"Q = {qs[0, 7]:.3f} (true max 3.0)")
 
 # best_mixed compares the maximized Q of every action, including inaction.
-choice = best_mixed(net, state, spec, cfg)
+choice = best_mixed(net, state, spec)
 print(f"best mixed action: {choice.action} at attribute {choice.acont:.3f}, "
       f"Q = {choice.q_value:.3f}")
 
 # The attribute matters: evaluate the same action at a few fixed settings.
-from clvdqn.nn_core import forward
-
 for a in (-2.0, 0.0, 1.0, 2.0):
     y, _ = forward(net, np.concatenate([state, [a]]))
     print(f"  Q[7] at attribute {a:+.1f} = {y[7]:.3f}")

@@ -1,6 +1,6 @@
 """Deep Q-learning over RFM-I customer states for direct-marketing control."""
 
-from .action_space import ActionSpec, ContOptConfig, MixedAction, best_discrete, best_mixed, maximize_continuous
+from .action_space import ActionSpec, MixedAction, best_discrete, best_mixed, maximize_continuous_batch
 from .env import AgentConfig, DonorModel, env_step, run_autonomous
 from .nn_core import LayerSpec, Mlp, RmspropState, backward, forward, init_mlp, load_mlp, rmsprop_step, save_mlp
 from .policy_eval import ClvEstimate, EvaluationReport, SweepSpec, estimate_clv, evaluate, export_value_curves, extract_policy

@@ -1,9 +1,11 @@
-"""Action selection: discrete argmax and continuous-attribute maximization.
+"""Action selection: discrete argmax and exact continuous-attribute maximization.
 
-In mixed mode the network input is [state(5), acont]; the value of each
-discrete action (output neuron) is maximized over acont by seeded multi-restart
-projected ascent using the network's input gradients, with the state held
-fixed. Ties always break toward the lowest action index.
+In mixed mode the network input is [state(5), acont]. With ReLU hidden layers
+each output is piecewise linear in acont for a fixed state, so its maximum over
+the bounds lies at a bound or at a kink, where some hidden pre-activation
+changes sign. maximize_continuous_batch enumerates those points and evaluates
+them all. Ties always break toward the lowest acont, then the lowest action
+index.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, backward_batch, forward, forward_batch
+from .nn_core import ConfigError, Mlp, forward, forward_batch
 
 N_ACTIONS_DEFAULT = 12  # 11 mailing types + inaction 0
+CHUNK_ROWS = 2048  # network rows per block of states in the kink search; bounds memory only
 
 
 @dataclass
@@ -35,18 +38,6 @@ class ActionSpec:
 
 
 @dataclass
-class ContOptConfig:
-    restarts: int = 8
-    steps: int = 100
-    step_size: float = 0.05  # in normalized acont units
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.steps < 1 or self.step_size <= 0:
-            raise ConfigError("continuous optimizer settings must be positive")
-
-
-@dataclass
 class MixedAction:
     action: int
     acont: float  # meaningless for inaction
@@ -60,91 +51,85 @@ def best_discrete(net: Mlp, state) -> MixedAction:
     return MixedAction(action=action, acont=0.0, q_value=float(q[action]))
 
 
-def maximize_continuous_batch(net: Mlp, states, action: int, spec: ActionSpec, cfg: ContOptConfig):
-    """Per-state acont maximizing output neuron `action`, for a (n, 5) state batch.
+def _max_points(net: Mlp) -> int:
+    """Bound on _argmax_aconts' points per state: each hidden unit can cross 0 once per segment."""
+    m = 2
+    for spec in net.specs[:-1]:
+        m += (m - 1) * spec.output_dim
+    return m
 
-    Each restart takes fixed-size steps in the sign of the acont gradient,
-    projecting onto the bounds; the best point visited by any restart is kept
-    and both bound endpoints are always evaluated. Restart r draws its starts
-    from a (seed, r) stream, so a larger restart budget extends, never
-    replaces, a smaller one.
+
+def _paired(states, aconts):
+    """Network inputs pairing row i of states with each acont in row i of aconts."""
+    return np.column_stack([np.repeat(states, aconts.shape[1], axis=0), aconts.reshape(-1)])
+
+
+def _argmax_aconts(net: Mlp, states, lo: float, hi: float):
+    """(n, output_dim) lowest acont in [lo, hi] at which each output peaks.
+
+    Hidden layers are taken in order. Between consecutive points found so far
+    every earlier layer is affine in acont, so this layer's pre-activations are
+    too, and each sign change gives a kink by linear interpolation. (A linear
+    hidden layer adds points that are not kinks: more candidates, same maximum.
+    An output ReLU only clips a segment's affine value, which keeps its maximum
+    at a segment end.) Rows are padded with `hi` past their `count` points.
+    """
+    n = len(states)
+    points = np.tile([lo, hi], (n, 1))
+    count = np.full(n, 2)
+    for k in range(len(net.specs) - 1):
+        _, cache = forward_batch(net, _paired(states, points))
+        z = cache["pres"][k].reshape(n, points.shape[1], -1)
+        z0, z1 = z[:, :-1], z[:, 1:]
+        t0, t1 = points[:, :-1, None], points[:, 1:, None]
+        cross = np.sign(z0) * np.sign(z1) < 0
+        frac = np.divide(z0, z0 - z1, out=np.zeros_like(z0), where=cross)
+        kinks = np.where(cross, np.clip(t0 + (t1 - t0) * frac, t0, t1), hi)
+        count += cross.sum(axis=(1, 2))
+        points = np.sort(np.concatenate([points, kinks.reshape(n, -1)], axis=1), axis=1)
+        points = points[:, :count.max()]
+    q, _ = forward_batch(net, _paired(states, points))
+    first_max = np.argmax(q.reshape(n, points.shape[1], -1), axis=1)
+    return np.take_along_axis(points, first_max, axis=1)
+
+
+def maximize_continuous_batch(net: Mlp, states, spec: ActionSpec, inaction_acont: float = 0.0):
+    """Exact best acont and Q of every discrete action, for a (n, 5) state batch.
+
+    Returns (aconts, qs), both (n, spec.n_discrete). Column 0 is inaction at
+    `inaction_acont`, not maximized; every other column holds the maximum of
+    that output over spec.bounds, at the lowest acont reaching it. Each
+    column's q comes from one forward_batch over the n chosen inputs.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    n = states.shape[0]
     if net.input_dim != states.shape[1] + 1:
         raise ConfigError(
             f"mixed-mode net expects {net.input_dim} inputs, states have {states.shape[1]} dims"
         )
     lo, hi = spec.bounds
-
-    def evaluate(points):
-        x = np.concatenate([states, points[:, None]], axis=1)
-        q, cache = forward_batch(net, x)
-        return q[:, action], cache
-
-    best_acont = np.full(n, lo)
-    best_q = np.full(n, -np.inf)
-    for endpoint in (lo, hi):
-        q_end, _ = evaluate(np.full(n, endpoint))
-        better = np.isfinite(q_end) & (q_end > best_q)
-        best_q = np.where(better, q_end, best_q)
-        best_acont = np.where(better, endpoint, best_acont)
-
-    onehot = np.zeros((n, net.output_dim))
-    onehot[:, action] = 1.0
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, action, r))
-        points = rng.uniform(lo, hi, size=n)
-        q, cache = evaluate(points)
-        alive = np.isfinite(q)
-        better = alive & (q > best_q)
-        best_q = np.where(better, q, best_q)
-        best_acont = np.where(better, points, best_acont)
-        for _ in range(cfg.steps):
-            grads = backward_batch(net, cache, onehot)
-            g = grads.input_grads[:, -1]
-            points = np.clip(points + cfg.step_size * np.sign(g), lo, hi)
-            q, cache = evaluate(points)
-            alive &= np.isfinite(q)
-            better = alive & (q > best_q)
-            best_q = np.where(better, q, best_q)
-            best_acont = np.where(better, points, best_acont)
-    if not np.all(np.isfinite(best_q)):
-        raise ConfigError("all continuous-action restarts diverged to NaN")
-    return best_acont, best_q
+    aconts = np.empty((len(states), net.output_dim))
+    block = max(1, CHUNK_ROWS // _max_points(net))
+    for i in range(0, len(states), block):
+        aconts[i:i + block] = _argmax_aconts(net, states[i:i + block], lo, hi)
+    aconts = aconts[:, :spec.n_discrete]
+    aconts[:, 0] = inaction_acont
+    qs = np.empty_like(aconts)
+    for a in range(spec.n_discrete):
+        q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
+        qs[:, a] = q[:, a]
+    if not np.all(np.isfinite(qs)):
+        raise ConfigError("non-finite Q-value while maximizing over the continuous action")
+    return aconts, qs
 
 
-def maximize_continuous(net: Mlp, state, action: int, spec: ActionSpec, cfg: ContOptConfig):
-    """Single-state version; returns (acont, q)."""
-    if action == 0:
-        raise ConfigError("inaction has no continuous attribute to maximize")
-    aconts, qs = maximize_continuous_batch(net, np.asarray(state)[None, :], action, spec, cfg)
-    return float(aconts[0]), float(qs[0])
+def best_mixed_batch(net: Mlp, states, spec: ActionSpec, inaction_acont: float = 0.0):
+    """(actions, aconts, qs) of the best mixed action per state; inaction sits at inaction_acont."""
+    aconts, qs = maximize_continuous_batch(net, states, spec, inaction_acont)
+    actions = np.argmax(qs, axis=1)
+    rows = np.arange(len(actions))
+    return actions, aconts[rows, actions], qs[rows, actions]
 
 
-def best_mixed_batch(net: Mlp, states, spec: ActionSpec, cfg: ContOptConfig, inaction_acont: float = 0.0):
-    """Vectorized best_mixed over a (n, 5) state batch.
-
-    Returns (actions, aconts, qs) arrays. Inaction is evaluated at the supplied
-    acont value (the normalized image of the raw-0 convention).
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    n = states.shape[0]
-    per_action_q = np.empty((n, spec.n_discrete))
-    per_action_acont = np.empty((n, spec.n_discrete))
-    x0 = np.concatenate([states, np.full((n, 1), inaction_acont)], axis=1)
-    q0, _ = forward_batch(net, x0)
-    per_action_q[:, 0] = q0[:, 0]
-    per_action_acont[:, 0] = inaction_acont
-    for a in range(1, spec.n_discrete):
-        aconts, qs = maximize_continuous_batch(net, states, a, spec, cfg)
-        per_action_q[:, a] = qs
-        per_action_acont[:, a] = aconts
-    actions = np.argmax(per_action_q, axis=1)
-    idx = np.arange(n)
-    return actions, per_action_acont[idx, actions], per_action_q[idx, actions]
-
-
-def best_mixed(net: Mlp, state, spec: ActionSpec, cfg: ContOptConfig, inaction_acont: float = 0.0) -> MixedAction:
-    actions, aconts, qs = best_mixed_batch(net, np.asarray(state)[None, :], spec, cfg, inaction_acont)
+def best_mixed(net: Mlp, state, spec: ActionSpec, inaction_acont: float = 0.0) -> MixedAction:
+    actions, aconts, qs = best_mixed_batch(net, np.asarray(state)[None, :], spec, inaction_acont)
     return MixedAction(action=int(actions[0]), acont=float(aconts[0]), q_value=float(qs[0]))

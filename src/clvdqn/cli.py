@@ -17,7 +17,7 @@ import numpy as np
 
 from . import env as env_mod
 from . import policy_eval, qlearn, rfmi
-from .action_space import ActionSpec, ContOptConfig
+from .action_space import ActionSpec
 from .nn_core import ConfigError, load_mlp, save_mlp
 from .qlearn import TrainConfig, TrainingDiverged
 
@@ -44,13 +44,10 @@ class RunConfig:
     target_clone_period: int = 10000
     seed: int = 0
     validation_fraction: float = 0.25
-    # action space / continuous optimizer
+    # action space
     n_discrete: int = 12
     bounds_lo: float = -2.0
     bounds_hi: float = 2.0
-    restarts: int = 8
-    opt_steps: int = 100
-    step_size: float = 0.05
     # simulator
     population: int = 500
     episodes: int = 300
@@ -82,12 +79,6 @@ class RunConfig:
             n_discrete=self.n_discrete,
             continuous_dims=1 if self.mode == "mixed" else 0,
             bounds=(self.bounds_lo, self.bounds_hi),
-        )
-
-    def cont_cfg(self) -> ContOptConfig:
-        return ContOptConfig(
-            restarts=self.restarts, steps=self.opt_steps,
-            step_size=self.step_size, seed=self.seed,
         )
 
     def donor_model(self) -> env_mod.DonorModel:
@@ -149,6 +140,16 @@ def _effective_config(args) -> RunConfig:
     return cfg
 
 
+def _load_checkpoint(path):
+    """(net, TrainConfig, NormStats) of a checkpoint; a malformed file is a data error."""
+    try:
+        net = load_mlp(path)
+    except ConfigError as exc:
+        raise CliError(str(exc), EXIT_DATA) from None
+    tc, stats = qlearn.read_sidecar(path + ".meta")
+    return net, tc, stats
+
+
 def _split(transitions, fraction, seed):
     mask = np.random.default_rng(seed).random(len(transitions)) < fraction
     return transitions[~mask], transitions[mask]
@@ -183,7 +184,7 @@ def cmd_train(args):
     tc = cfg.train_config()
     inaction = stats.normalize_acont(0.0)
     net, history = qlearn.train(
-        train_norm, val_norm, tc, cfg.action_spec(), cfg.cont_cfg(), inaction_acont=inaction
+        train_norm, val_norm, tc, cfg.action_spec(), inaction_acont=inaction
     )
     save_mlp(net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
@@ -196,13 +197,11 @@ def cmd_evaluate(args):
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
-    net = load_mlp(args.checkpoint)
-    tc, stats = qlearn.read_sidecar(args.checkpoint + ".meta")
+    net, tc, stats = _load_checkpoint(args.checkpoint)
     cfg.mode = tc.mode
     normed = rfmi.apply_norm(stats, transitions)
     report = policy_eval.evaluate(
-        normed, net, tc.mode, cfg.action_spec(), cfg.cont_cfg(),
-        baseline_seed=cfg.seed, norm_stats=stats,
+        normed, net, tc.mode, cfg.action_spec(), baseline_seed=cfg.seed, norm_stats=stats,
         inaction_acont=stats.normalize_acont(0.0),
     )
     text = policy_eval.report_text(report, timestamp=not args.no_timestamp)
@@ -216,8 +215,7 @@ def cmd_evaluate(args):
 
 def cmd_clv(args):
     cfg = _effective_config(args)
-    net = load_mlp(args.checkpoint)
-    tc, stats = qlearn.read_sidecar(args.checkpoint + ".meta")
+    net, tc, stats = _load_checkpoint(args.checkpoint)
     cfg.mode = tc.mode
     try:
         state = np.array([float(v) for v in args.state.split(",")])
@@ -225,7 +223,7 @@ def cmd_clv(args):
         raise CliError(f"bad --state value {args.state!r}", EXIT_USAGE) from None
     if state.shape != (5,):
         raise CliError("--state needs 5 comma-separated values r,f,m,ir,if", EXIT_USAGE)
-    est = policy_eval.estimate_clv(net, state, stats, tc.mode, cfg.action_spec(), cfg.cont_cfg())
+    est = policy_eval.estimate_clv(net, state, stats, tc.mode, cfg.action_spec())
     rows = [["action", "clv", "acont"]] + [
         [a, repr(float(est.values[a])), repr(float(est.aconts[a]))] for a in range(cfg.n_discrete)
     ]
@@ -249,8 +247,7 @@ def cmd_simulate(args):
 
 def cmd_curves(args):
     cfg = _effective_config(args)
-    net = load_mlp(args.checkpoint)
-    tc, stats = qlearn.read_sidecar(args.checkpoint + ".meta")
+    net, tc, stats = _load_checkpoint(args.checkpoint)
     dims = tuple(args.dims.split(","))
     ranges = []
     for part in args.range.split(","):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import ActionSpec, ContOptConfig
+from .action_space import ActionSpec
 from .nn_core import init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
 from .rfmi import N_ACTIONS, NormStats, RfmiState, Transitions, apply_norm, compute_norm_stats
@@ -195,7 +195,6 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
     replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
     spec = ActionSpec(continuous_dims=1 if train_cfg.mode == "mixed" else 0)
-    cont_cfg = ContOptConfig(seed=train_cfg.seed)
     trained = False
     dropped = set()
     history = []
@@ -207,7 +206,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         if trained:
             norm = stats.normalize_state(np.array([s.to_array() for s in states]))
             greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, norm, train_cfg.mode, spec, cont_cfg,
+                learner.net, norm, train_cfg.mode, spec,
                 inaction_acont=stats.normalize_acont(0.0),
             )
         elif agent_cfg.initial_policy is not None:
@@ -261,8 +260,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
             stats = compute_norm_stats(data)
             try:
                 td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
-                         action_spec=spec, cont_cfg=cont_cfg,
-                         inaction_acont=stats.normalize_acont(0.0))
+                         action_spec=spec, inaction_acont=stats.normalize_acont(0.0))
                 trained = True
             except TrainingDiverged:
                 net_seed += 1

@@ -195,21 +195,29 @@ def save_mlp(net: Mlp, path):
 
 
 def load_mlp(path) -> Mlp:
+    """Reads a save_mlp file; ConfigError naming the path if it is malformed or mis-sized."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != MAGIC:
             raise ConfigError(f"bad magic in {path}: {magic!r}")
-        n_layers = int(f.readline())
-        specs = []
-        for _ in range(n_layers):
-            in_dim, out_dim, act = f.readline().split()
-            specs.append(LayerSpec(int(in_dim), int(out_dim), act.decode("ascii")))
-        specs = validate_specs(specs)
-        weights, biases = [], []
-        for spec in specs:
-            n = spec.output_dim * spec.input_dim
-            w = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(spec.output_dim, spec.input_dim)
-            b = np.frombuffer(f.read(8 * spec.output_dim), dtype="<f8")
-            weights.append(w.astype(np.float64))
-            biases.append(b.astype(np.float64))
-    return Mlp(specs=tuple(specs), weights=weights, biases=biases)
+        try:
+            n_layers = int(f.readline())
+            specs = []
+            for _ in range(n_layers):
+                in_dim, out_dim, act = f.readline().split()
+                specs.append(LayerSpec(int(in_dim), int(out_dim), act.decode("ascii")))
+            specs = validate_specs(specs)
+        except ValueError as exc:  # includes ConfigError and UnicodeDecodeError
+            raise ConfigError(f"{path}: malformed layer header ({exc})") from None
+        raw = f.read()
+    expected = 8 * sum(s.output_dim * (s.input_dim + 1) for s in specs)
+    if len(raw) != expected:
+        raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
+    params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    weights, biases = [], []
+    for spec in specs:
+        n = spec.output_dim * spec.input_dim
+        weights.append(params[:n].reshape(spec.output_dim, spec.input_dim))
+        biases.append(params[n:n + spec.output_dim])
+        params = params[n + spec.output_dim:]
+    return Mlp(specs=specs, weights=weights, biases=biases)

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .action_space import ActionSpec, ContOptConfig, MixedAction, best_mixed_batch
+from .action_space import ActionSpec, MixedAction, best_mixed_batch, maximize_continuous_batch
 from .nn_core import ConfigError, Mlp, forward, forward_batch
 from .rfmi import STATE_DIMS, NormStats, Transitions
 
@@ -71,25 +71,23 @@ class ClvEstimate:
         return float(self.values.max())
 
 
-def recommend_batch(net: Mlp, states, mode: str, spec: ActionSpec, cfg: ContOptConfig,
-                    inaction_acont: float = 0.0):
+def recommend_batch(net: Mlp, states, mode: str, spec: ActionSpec, inaction_acont: float = 0.0):
     """(actions, aconts, qs) arrays for a batch of normalized states."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if mode == "discrete_only":
         q, _ = forward_batch(net, states)
         actions = np.argmax(q, axis=1)
         return actions, np.zeros(len(states)), q[np.arange(len(states)), actions]
-    return best_mixed_batch(net, states, spec, cfg, inaction_acont)
+    return best_mixed_batch(net, states, spec, inaction_acont)
 
 
-def extract_policy(net: Mlp, states, mode: str, spec: ActionSpec, cfg: ContOptConfig,
-                   inaction_acont: float = 0.0):
+def extract_policy(net: Mlp, states, mode: str, spec: ActionSpec, inaction_acont: float = 0.0):
     """One MixedAction per normalized state."""
-    actions, aconts, qs = recommend_batch(net, states, mode, spec, cfg, inaction_acont)
+    actions, aconts, qs = recommend_batch(net, states, mode, spec, inaction_acont)
     return [MixedAction(int(a), float(c), float(q)) for a, c, q in zip(actions, aconts, qs)]
 
 
-def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec, cfg: ContOptConfig,
+def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec,
              baseline_seed: int = 0, norm_stats: NormStats = None,
              inaction_acont: float = 0.0) -> EvaluationReport:
     """Matched-vs-deviated report over logged transitions.
@@ -104,7 +102,7 @@ def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec, cf
     logged_aconts = transitions.aconts
     rewards = transitions.rewards
 
-    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, mode, spec, cfg,
+    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, mode, spec,
                                                  inaction_acont)
     matched_mask = rec_actions == logged_actions
     if mode == "mixed":
@@ -139,11 +137,11 @@ def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec, cf
 
 
 def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, mode: str,
-                 spec: ActionSpec, cfg: ContOptConfig) -> ClvEstimate:
+                 spec: ActionSpec) -> ClvEstimate:
     """Per-action Q-values for one raw (unnormalized) customer state.
 
     Q-outputs are already in reward currency units; only the inputs are
-    normalized.
+    normalized. In mixed mode inaction sits at raw acont 0.
     """
     raw_state = np.asarray(raw_state, dtype=np.float64)
     if raw_state.shape != (5,):
@@ -154,19 +152,10 @@ def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, mode: str,
     if mode == "discrete_only":
         q, _ = forward(net, state)
         return ClvEstimate(values=q.copy(), aconts=np.zeros(spec.n_discrete))
-    inaction_acont = norm_stats.normalize_acont(0.0)
-    values = np.empty(spec.n_discrete)
-    aconts = np.empty(spec.n_discrete)
-    from .action_space import maximize_continuous
-
-    q0, _ = forward(net, np.concatenate([state, [inaction_acont]]))
-    values[0] = q0[0]
+    aconts, qs = maximize_continuous_batch(net, state, spec, norm_stats.normalize_acont(0.0))
+    aconts = norm_stats.denormalize_acont(aconts[0])
     aconts[0] = 0.0
-    for a in range(1, spec.n_discrete):
-        acont, q = maximize_continuous(net, state, a, spec, cfg)
-        values[a] = q
-        aconts[a] = norm_stats.denormalize_acont(acont)
-    return ClvEstimate(values=values, aconts=aconts)
+    return ClvEstimate(values=qs[0], aconts=aconts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +196,7 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats,
     raw_states = np.tile(base, (len(grid), 1))
     for j, dim in enumerate(sweep.dims):
         raw_states[:, STATE_DIMS.index(dim)] = grid[:, j]
-    states = np.array([norm_stats.normalize_state(s) for s in raw_states])
+    states = norm_stats.normalize_state(raw_states)
     if mode == "mixed":
         states = np.concatenate([states, np.full((len(states), 1), inaction_acont)], axis=1)
     q, _ = forward_batch(net, states)

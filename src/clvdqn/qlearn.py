@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import policy_eval
-from .action_space import ActionSpec, ContOptConfig, maximize_continuous_batch
+from .action_space import ActionSpec, maximize_continuous_batch
 from .nn_core import (
     ConfigError,
     LayerSpec,
@@ -28,7 +28,7 @@ from .nn_core import (
     init_mlp,
     rmsprop_step,
 )
-from .rfmi import N_ACTIONS, NormStats, Transitions
+from .rfmi import N_ACTIONS, DataError, NormStats, Transitions
 
 HIDDEN = (40, 15)
 
@@ -77,40 +77,27 @@ def clone_target(net: Mlp) -> Mlp:
     return net.copy()
 
 
-def _inputs_for(states, aconts, mode):
-    if mode == "mixed":
-        return np.concatenate([states, np.asarray(aconts)[:, None]], axis=1)
-    return np.asarray(states)
-
-
-def max_next_q(next_states, target_net, cfg, action_spec=None, cont_cfg=None,
-               inaction_acont: float = 0.0):
+def max_next_q(next_states, target_net, cfg, action_spec=None, inaction_acont: float = 0.0):
     """max_a' Q_target(s', a') for a batch of next states."""
     next_states = np.atleast_2d(next_states)
     if cfg.mode == "discrete_only":
         q, _ = forward_batch(target_net, next_states)
         return q.max(axis=1)
-    spec = action_spec or ActionSpec(continuous_dims=1)
-    cont = cont_cfg or ContOptConfig()
-    n = next_states.shape[0]
-    best = np.empty((n, spec.n_discrete))
-    q0, _ = forward_batch(target_net, _inputs_for(next_states, np.full(n, inaction_acont), "mixed"))
-    best[:, 0] = q0[:, 0]
-    for a in range(1, spec.n_discrete):
-        _, best[:, a] = maximize_continuous_batch(target_net, next_states, a, spec, cont)
-    return best.max(axis=1)
+    _, qs = maximize_continuous_batch(target_net, next_states,
+                                      action_spec or ActionSpec(continuous_dims=1), inaction_acont)
+    return qs.max(axis=1)
 
 
 def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig, action_spec=None,
-                   cont_cfg=None, inaction_acont: float = 0.0) -> np.ndarray:
+                   inaction_acont: float = 0.0) -> np.ndarray:
     """y = r + gamma * max_a' Q_target(s', a') for each transition of a batch."""
     return batch.rewards + cfg.gamma * max_next_q(
-        batch.next_states, target_net, cfg, action_spec, cont_cfg, inaction_acont
+        batch.next_states, target_net, cfg, action_spec, inaction_acont
     )
 
 
 def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
-            lr=None, action_spec=None, cont_cfg=None, inaction_acont: float = 0.0):
+            lr=None, action_spec=None, inaction_acont: float = 0.0):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
     Only the output neuron of the taken action receives loss gradient.
@@ -119,8 +106,10 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cf
         raise ConfigError("empty training batch")
     lr = cfg.lr0 if lr is None else lr
     n = len(batch)
-    y = bellman_target(batch, target_net, cfg, action_spec, cont_cfg, inaction_acont)
-    x = _inputs_for(batch.states, batch.aconts, cfg.mode)
+    y = bellman_target(batch, target_net, cfg, action_spec, inaction_acont)
+    x = batch.states
+    if cfg.mode == "mixed":
+        x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     q, cache = forward_batch(net, x)
     taken = q[np.arange(n), batch.actions]
     err = taken - y
@@ -150,7 +139,7 @@ class Learner:
 
 
 def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig, lr=None,
-             action_spec=None, cont_cfg=None, inaction_acont: float = 0.0) -> np.ndarray:
+             action_spec=None, inaction_acont: float = 0.0) -> np.ndarray:
     """n_steps TD steps on batches drawn uniformly with replacement from data.
 
     Clones the target net whenever the learner's global step count reaches a
@@ -160,7 +149,7 @@ def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig
     for i in range(n_steps):
         idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
         losses[i] = td_step(data[idx], learner.net, learner.target, learner.opt, cfg, lr,
-                            action_spec, cont_cfg, inaction_acont)
+                            action_spec, inaction_acont)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
             learner.target = clone_target(learner.net)
@@ -190,7 +179,7 @@ class TrainHistory:
 
 
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
-          action_spec=None, cont_cfg=None, inaction_acont: float = 0.0, net: Mlp = None):
+          action_spec=None, inaction_acont: float = 0.0, net: Mlp = None):
     """Train a DQN on logged transitions. Returns (best net, TrainHistory).
 
     An epoch is ceil(N / batch_size) uniform replay draws, so each sample is
@@ -212,14 +201,13 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         try:
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr,
-                              action_spec, cont_cfg, inaction_acont)
+                              action_spec, inaction_acont)
         except TrainingDiverged as exc:
             raise TrainingDiverged(epoch, learner.step, float("nan")) from exc
         report = policy_eval.evaluate(
             validation_set, net, cfg.mode,
             action_spec or ActionSpec(continuous_dims=1 if cfg.mode == "mixed" else 0),
-            cont_cfg or ContOptConfig(), baseline_seed=cfg.seed,
-            inaction_acont=inaction_acont,
+            baseline_seed=cfg.seed, inaction_acont=inaction_acont,
         )
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
@@ -257,28 +245,36 @@ def write_sidecar(path, cfg: TrainConfig, norm_stats):
             f.write(f"{k}={v}\n")
 
 
+def _five_floats(text):
+    values = np.array([float(v) for v in text.split(",")])
+    if values.shape != (5,):
+        raise ValueError(f"expected 5 values, got {values.size}")
+    return values
+
+
 def read_sidecar(path):
-    kv = {}
+    """(TrainConfig, NormStats) of a sidecar; DataError names a missing or malformed key."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                kv[k] = v
-    cfg = TrainConfig(
-        gamma=float(kv["gamma"]),
-        lr0=float(kv["lr0"]),
-        lr_decay_per_epoch=float(kv["lr_decay_per_epoch"]),
-        batch_size=int(kv["batch_size"]),
-        epochs=int(kv["epochs"]),
-        target_clone_period=int(kv["target_clone_period"]),
-        seed=int(kv["seed"]),
-        mode=kv["mode"],
-    )
+        kv = dict(line.strip().split("=", 1) for line in f if "=" in line)
+
+    def value(key, parse):
+        if key not in kv:
+            raise DataError(f"{path}: missing key {key!r}")
+        try:
+            return parse(kv[key])
+        except ValueError:
+            raise DataError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
+
+    defaults = TrainConfig()
+    try:
+        cfg = TrainConfig(**{f.name: value(f.name, type(getattr(defaults, f.name)))
+                             for f in fields(TrainConfig)})
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
     stats = NormStats(
-        state_mean=np.array([float(v) for v in kv["state_mean"].split(",")]),
-        state_std=np.array([float(v) for v in kv["state_std"].split(",")]),
-        acont_mean=float(kv["acont_mean"]),
-        acont_std=float(kv["acont_std"]),
+        state_mean=value("state_mean", _five_floats),
+        state_std=value("state_std", _five_floats),
+        acont_mean=value("acont_mean", float),
+        acont_std=value("acont_std", float),
     )
     return cfg, stats

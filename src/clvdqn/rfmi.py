@@ -9,6 +9,7 @@ recency equals the number of elapsed periods. Action 0 is inaction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -204,8 +205,26 @@ def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
 # CSV interfaces
 
 
+def _timeline_fault(period, amount, action, acont, periods_seen):
+    """Why a parsed timeline row is invalid, or None."""
+    if not (math.isfinite(amount) and math.isfinite(acont)):
+        return "non-finite amount or acont"
+    if amount < 0:
+        return "negative amount"
+    if not 0 <= action < N_ACTIONS:
+        return f"action must be an integer in 0..{N_ACTIONS - 1}"
+    if period < 0:
+        return "negative period"
+    if period in periods_seen:
+        return f"duplicate period {period} for this customer"
+    return None
+
+
 def read_timelines(path) -> list:
-    """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction)."""
+    """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction).
+
+    A malformed row, or one with a _timeline_fault, raises DataError("path:line: ...").
+    """
     per_customer = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
@@ -221,7 +240,11 @@ def read_timelines(path) -> list:
                 acont = float(row["acont"]) if row["acont"] else 0.0
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
-            per_customer.setdefault(cid, {})[period] = (amount, action, acont)
+            rows = per_customer.setdefault(cid, {})
+            fault = _timeline_fault(period, amount, action, acont, rows)
+            if fault:
+                raise DataError(f"{path}:{line_no}: {fault}")
+            rows[period] = (amount, action, acont)
     timelines = []
     for cid, rows in per_customer.items():
         periods = max(rows) + 1

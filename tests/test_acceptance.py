@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec, ContOptConfig, maximize_continuous
+from clvdqn.action_space import ActionSpec, maximize_continuous_batch
 from clvdqn.cli import main
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
@@ -70,21 +70,19 @@ class TestCriterion1GradientCorrectness:
 class TestCriterion2ContinuousMaximizer:
     def test_ascent_matches_grid_oracle_and_tent_peak(self):
         t0 = time.time()
-        cfg = ContOptConfig(seed=0)
         worst_gap = -np.inf
         for seed in range(100):
             net = init_mlp(network_spec("mixed"), seed=seed)
             rng = np.random.default_rng(1000 + seed)
             state = rng.normal(size=5)
             action = int(rng.integers(1, 12))
-            _, q = maximize_continuous(net, state, action, MIXED_SPEC, cfg)
+            _, qs = maximize_continuous_batch(net, state[None, :], MIXED_SPEC)
             _, grid_q = grid_scan_max(net, state, action, MIXED_SPEC.bounds)
-            worst_gap = max(worst_gap, grid_q - q)
-        tent_acont, _ = maximize_continuous(
-            tent_net(), np.zeros(5), 7,
-            ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0)), cfg,
+            worst_gap = max(worst_gap, grid_q - qs[0, action])
+        tent_aconts, _ = maximize_continuous_batch(
+            tent_net(), np.zeros((1, 5)), ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0)),
         )
-        tent_err = abs(tent_acont - 1.0)
+        tent_err = abs(tent_aconts[0, 7] - 1.0)
         elapsed = time.time() - t0
         verdict(2, worst_gap <= 1e-3 and tent_err <= 0.01 and elapsed < 30.0,
                 f"100 nets, worst grid shortfall {worst_gap:.2e} (<= 1e-3), "
@@ -123,7 +121,6 @@ class TestCriterion3ToyMdpConvergence:
 class TestCriterion4EvaluationOracle:
     def test_hand_fixture_and_partition_identities(self):
         spec = ActionSpec()
-        cont = ContOptConfig(seed=0)
 
         net4 = init_mlp(network_spec("discrete_only"), seed=0)
         for w in net4.weights:
@@ -131,7 +128,7 @@ class TestCriterion4EvaluationOracle:
         net4.biases[-1][4] = 7.0  # always recommends action 4
         fixture = Transitions(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4), np.zeros((4, 5)),
                               [10.0, 0.0, 5.0, 0.0])
-        rep = evaluate(fixture, net4, "discrete_only", spec, cont)
+        rep = evaluate(fixture, net4, "discrete_only", spec)
         fixture_ok = (
             rep.matched.n == 2 and rep.deviated.n == 2
             and rep.matched.response_rate == 0.5 and rep.matched.mean_reward == 5.0
@@ -151,7 +148,7 @@ class TestCriterion4EvaluationOracle:
         worst_resid = 0.0
         for policy_seed in range(10_000):
             net = init_mlp(network_spec("discrete_only"), seed=policy_seed)
-            report = evaluate(transitions, net, "discrete_only", spec, cont)
+            report = evaluate(transitions, net, "discrete_only", spec)
             if report.matched.n + report.deviated.n != 1000:
                 identities_ok = False
                 break
@@ -206,7 +203,7 @@ class TestCriterion5SyntheticAutonomyLift:
 
         actions, _, _ = recommend_batch(
             res.net, res.norm_stats.normalize_state(probe), "discrete_only",
-            ActionSpec(), ContOptConfig(seed=1),
+            ActionSpec(),
         )
         agreement = float(np.mean(actions == dominant))
         verdict("5b", agreement >= 0.90,
@@ -265,7 +262,7 @@ class TestCriterion7LoggedDatasetDirectional:
         net = load_mlp(ckpt)
         tc, stats = read_sidecar(str(ckpt) + ".meta")
         normed = rfmi.apply_norm(stats, transitions)
-        report = evaluate(normed, net, tc.mode, ActionSpec(), ContOptConfig(seed=tc.seed),
+        report = evaluate(normed, net, tc.mode, ActionSpec(),
                           baseline_seed=tc.seed, norm_stats=stats)
         ok = (report.matched.response_rate > report.deviated.response_rate
               and report.matched.response_rate > report.best_single_action_stats.response_rate)

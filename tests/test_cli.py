@@ -55,6 +55,26 @@ class TestBuildTransitions:
         assert main(["build-transitions", str(tmp_path / "nope.csv"),
                      str(tmp_path / "out.csv")]) == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("c0,1,nan,99,", "non-finite amount or acont"),
+        ("c0,1,5.0,3,inf", "non-finite amount or acont"),
+        ("c0,1,-5.0,,", "negative amount"),
+        ("c0,1,0.0,12,", "action must be an integer in 0..11"),
+        ("c0,-1,0.0,,", "negative period"),
+        ("c0,0,0.0,,", "duplicate period 0"),
+    ])
+    def test_invalid_timeline_row_is_data_error(self, tmp_path, capsys, row, message):
+        src = tmp_path / "bad.csv"
+        src.write_text("customer_id,period,amount,action,acont\n"
+                       f"c0,0,10.0,3,5.0\n{row}\nc0,2,0.0,,\n")
+        out = tmp_path / "out.csv"
+        code = main(["build-transitions", str(src), str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{src}:3: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_epochs_zero_writes_artifacts(self, tmp_path, transitions_csv):
@@ -151,6 +171,21 @@ class TestClv:
         ckpt = zero_checkpoint(tmp_path)
         assert main(["clv", str(ckpt), "--state", "1,-2,3,0,0"]) == 1
 
+    @pytest.mark.parametrize("suffix, mutate, message", [
+        ("", lambda b: b[:-8], "parameter bytes"),
+        ("", lambda b: b + b"\0", "parameter bytes"),
+        (".meta", lambda b: b.replace(b"acont_std=", b"#"), "missing key 'acont_std'"),
+        (".meta", lambda b: b.replace(b"seed=0", b"seed=abc"), "bad value for 'seed'"),
+    ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed"])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
+        ckpt = zero_checkpoint(tmp_path)
+        damaged = Path(str(ckpt) + suffix)
+        damaged.write_bytes(mutate(damaged.read_bytes()))
+        code = main(["clv", str(ckpt), "--state", "3,2,15,1,4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{damaged}: " in err and message in err
+        assert "Traceback" not in err
 
     def test_out_file_is_closed(self, tmp_path):
         ckpt = zero_checkpoint(tmp_path)
@@ -213,14 +248,15 @@ class TestConfigFile:
         assert main(["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--config", str(path)]) == 1
 
-    def test_threads_key_and_flag_are_gone(self, tmp_path, transitions_csv):
+    @pytest.mark.parametrize("key", ["threads", "restarts", "opt_steps", "step_size"])
+    def test_threads_key_and_flag_are_gone(self, tmp_path, transitions_csv, key):
         path = tmp_path / "run.cfg"
-        path.write_text("threads=1\n")
+        path.write_text(f"{key}=1\n")
         argv = ["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
                 "--history", str(tmp_path / "h")]
         assert main(argv + ["--config", str(path)]) == 1
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--threads", "1"])
+            main(argv + ["--" + key.replace("_", "-"), "1"])
         assert exc.value.code == 1
 
     def test_flag_overrides_config(self, tmp_path, transitions_csv):

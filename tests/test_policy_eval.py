@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec, ContOptConfig
+from clvdqn.action_space import ActionSpec
 from clvdqn.nn_core import ConfigError, forward, init_mlp
 from clvdqn.policy_eval import (
     SweepSpec,
@@ -17,7 +17,6 @@ from clvdqn.qlearn import network_spec
 from clvdqn.rfmi import NormStats, Transitions
 
 DISCRETE_SPEC = ActionSpec()
-CONT_CFG = ContOptConfig(seed=0)
 
 
 def zero_net(mode="discrete_only"):
@@ -42,13 +41,13 @@ def biased_net(action, bias=7.0):
 
 class TestExtractPolicy:
     def test_zero_net_recommends_inaction(self):
-        policy = extract_policy(zero_net(), np.zeros((4, 5)), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        policy = extract_policy(zero_net(), np.zeros((4, 5)), "discrete_only", DISCRETE_SPEC)
         assert [p.action for p in policy] == [0, 0, 0, 0]
 
     def test_dominant_biased_neuron(self):
         policy = extract_policy(
             biased_net(4), np.random.default_rng(0).normal(size=(6, 5)),
-            "discrete_only", DISCRETE_SPEC, CONT_CFG,
+            "discrete_only", DISCRETE_SPEC,
         )
         assert [p.action for p in policy] == [4] * 6
 
@@ -57,7 +56,7 @@ class TestEvaluate:
     def test_total_match(self):
         # policy that recommends exactly the logged action for every transition
         transitions = logged([4, 4, 4], [10.0, 0.0, 3.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
         assert report.matched.n == 3
         assert report.deviated.n == 0
         assert not report.deviated.defined
@@ -67,7 +66,7 @@ class TestEvaluate:
     def test_four_row_hand_fixture(self):
         # rewards 10,0,5,0; policy (always action 4) matches rows 1 and 2
         transitions = logged([4, 4, 2, 3], [10.0, 0.0, 5.0, 0.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
         assert report.matched.n == 2 and report.deviated.n == 2
         assert report.matched.response_rate == 0.5
         assert report.matched.mean_reward == 5.0
@@ -81,7 +80,7 @@ class TestEvaluate:
         actions, rewards, states = (np.array(col) for col in zip(*draws))
         transitions = logged(actions, rewards, states)
         report = evaluate(transitions, init_mlp(network_spec("discrete_only"), 3),
-                          "discrete_only", DISCRETE_SPEC, CONT_CFG)
+                          "discrete_only", DISCRETE_SPEC)
         assert report.matched.n + report.deviated.n == 200
         total = sum(rewards.tolist())
         acc = 0.0
@@ -94,13 +93,13 @@ class TestEvaluate:
     def test_random_baseline_deterministic(self):
         transitions = logged([i % 12 for i in range(50)], np.arange(50.0))
         net = init_mlp(network_spec("discrete_only"), 0)
-        a = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, CONT_CFG, baseline_seed=9)
-        b = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, CONT_CFG, baseline_seed=9)
+        a = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, baseline_seed=9)
+        b = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, baseline_seed=9)
         assert a.random_baseline == b.random_baseline
 
     def test_best_single_action_from_logged_data(self):
         transitions = logged([4] * 3 + [2] * 3 + [7] * 3, [10.0] * 3 + [1.0] * 3 + [4.0] * 3)
-        report = evaluate(transitions, zero_net(), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        report = evaluate(transitions, zero_net(), "discrete_only", DISCRETE_SPEC)
         assert report.best_single_action == 4
         assert report.best_single_action_stats.mean_reward == 10.0
 
@@ -111,43 +110,43 @@ class TestEvaluate:
         spec = ActionSpec(continuous_dims=1, bounds=(5.6, 6.4))  # flat in acont
         # row 0 logs acont 5.8 (matches), row 1 logs 9.0 (differs)
         transitions = logged([5, 5], [1.0, 1.0], aconts=[5.8, 9.0])
-        report = evaluate(transitions, net, "mixed", spec, CONT_CFG)
+        report = evaluate(transitions, net, "mixed", spec)
         assert report.matched.n == 1
         assert report.deviated.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(Transitions.empty(0), zero_net(), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+            evaluate(Transitions.empty(0), zero_net(), "discrete_only", DISCRETE_SPEC)
 
 
 class TestEstimateClv:
     def test_zero_net_gives_zero_clv(self):
         est = estimate_clv(zero_net(), np.zeros(5), NormStats.identity(),
-                           "discrete_only", DISCRETE_SPEC, CONT_CFG)
+                           "discrete_only", DISCRETE_SPEC)
         np.testing.assert_array_equal(est.values, np.zeros(12))
         assert est.best_value == 0.0
 
     def test_negative_state_rejected(self):
         with pytest.raises(ConfigError):
             estimate_clv(zero_net(), np.array([1, -1, 0, 0, 0.0]), NormStats.identity(),
-                         "discrete_only", DISCRETE_SPEC, CONT_CFG)
+                         "discrete_only", DISCRETE_SPEC)
 
     def test_output_scaling_scales_clv_not_argmax(self):
         net = init_mlp(network_spec("discrete_only"), seed=5)
         est = estimate_clv(net, np.array([1.0, 2, 3, 4, 5]), NormStats.identity(),
-                           "discrete_only", DISCRETE_SPEC, CONT_CFG)
+                           "discrete_only", DISCRETE_SPEC)
         scaled = net.copy()
         scaled.weights[-1] *= 3.0
         scaled.biases[-1] *= 3.0
         est2 = estimate_clv(scaled, np.array([1.0, 2, 3, 4, 5]), NormStats.identity(),
-                            "discrete_only", DISCRETE_SPEC, CONT_CFG)
+                            "discrete_only", DISCRETE_SPEC)
         np.testing.assert_allclose(est2.values, 3.0 * est.values, rtol=1e-12)
         assert est2.best_action == est.best_action
 
     def test_normalization_applied_to_input(self):
         net = init_mlp(network_spec("discrete_only"), seed=6)
         stats = NormStats(np.array([2.0] * 5), np.array([4.0] * 5), 0.0, 1.0)
-        est = estimate_clv(net, np.full(5, 6.0), stats, "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        est = estimate_clv(net, np.full(5, 6.0), stats, "discrete_only", DISCRETE_SPEC)
         direct, _ = forward(net, np.full(5, 1.0))  # (6-2)/4 = 1
         np.testing.assert_array_equal(est.values, direct)
 
@@ -201,7 +200,7 @@ class TestValueCurves:
 class TestReportFormats:
     def test_text_report_mentions_caveat_and_respects_timestamp_flag(self):
         transitions = logged([4, 3], [1.0, 0.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
         text = report_text(report, timestamp=False)
         assert "biased off-policy" in text
         assert "matched" in text and "deviated" in text
@@ -210,7 +209,7 @@ class TestReportFormats:
 
     def test_csv_rows_shape(self):
         transitions = logged([4], [1.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC, CONT_CFG)
+        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
         rows = report_csv_rows(report)
         assert rows[0] == ["group", "action", "n", "response_rate", "mean_reward"]
         assert len(rows) == 6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec, ContOptConfig
+from clvdqn.action_space import ActionSpec
 from clvdqn.nn_core import LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
@@ -87,8 +87,7 @@ class TestBellmanTarget:
         cfg = TrainConfig(gamma=0.9, mode="mixed")
         net = init_mlp(network_spec("mixed"), seed=2)
         spec = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
-        cont = ContOptConfig(seed=0)
-        y = bellman_target(make_batch(reward=1.0), net, cfg, spec, cont)[0]
+        y = bellman_target(make_batch(reward=1.0), net, cfg, spec)[0]
         # must bootstrap off at least the best fixed-acont scan
         grid = np.linspace(-2, 2, 101)
         x = np.concatenate([np.tile(np.zeros(5), (101, 1)), grid[:, None]], axis=1)
