@@ -4,8 +4,8 @@ The ground-truth response probability is a clamped linear score: base rate plus
 a per-action effect, minus contact fatigue proportional to i_frequency, minus
 a recency penalty for formerly frequent donors, plus a thank-you bonus when the
 donor transacted in the last period. These are exactly the structures the
-learner is expected to recover. State bookkeeping matches rfmi.compute_state,
-so simulated transitions and logged-data transitions share one convention.
+learner is expected to recover. State bookkeeping follows rfmi.compute_state
+(monetary up to rounding), so simulated and logged transitions share one convention.
 """
 
 from __future__ import annotations
@@ -47,44 +47,43 @@ class DonorModel:
             raise ValueError(f"need {N_ACTIONS} action effects")
 
 
+def response_probabilities(model: DonorModel, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Ground-truth response probability per row of raw (n, 5) states, clamped to [0.001, 0.999]."""
+    recency, frequency, i_frequency = states[:, 0], states[:, 1], states[:, 4]
+    p = model.base_rate + np.asarray(model.action_effects, dtype=np.float64)[actions]
+    p = p - model.fatigue_coeff * i_frequency
+    p = np.where(frequency > 2, p - model.recency_decay * recency, p)
+    p = np.where((actions == model.thankyou_action) & (recency <= 1), p + model.thankyou_boost, p)
+    return np.clip(p, PROB_FLOOR, PROB_CEIL)
+
+
+def advance_states(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """Raw states one period on: the incremental form of the rfmi period-boundary conventions."""
+    recency, frequency, monetary, i_recency, i_frequency = states.T
+    paid, acted = rewards > 0, actions != 0
+    new_frequency = np.where(paid, frequency + 1, frequency)
+    return np.column_stack([
+        np.where(paid, 1.0, recency + 1),
+        new_frequency,
+        np.divide(monetary * frequency + rewards, new_frequency, out=monetary.copy(), where=paid),
+        np.where(acted, 1.0, i_recency + 1),
+        np.where(acted, i_frequency + 1, i_frequency),
+    ])
+
+
 def response_probability(model: DonorModel, state: RfmiState, action: int) -> float:
-    """Ground-truth response probability, clamped to [0.001, 0.999]."""
-    p = model.base_rate + model.action_effects[action]
-    p -= model.fatigue_coeff * state.i_frequency
-    if state.frequency > 2:
-        p -= model.recency_decay * state.recency
-    if action == model.thankyou_action and state.recency <= 1:
-        p += model.thankyou_boost
-    return min(max(p, PROB_FLOOR), PROB_CEIL)
-
-
-def _advance_state(state: RfmiState, action: int, reward: float) -> RfmiState:
-    # Incremental form of the rfmi period-boundary conventions.
-    if reward > 0:
-        frequency = state.frequency + 1
-        recency = 1.0
-        monetary = (state.monetary * state.frequency + reward) / frequency
-    else:
-        frequency = state.frequency
-        recency = state.recency + 1
-        monetary = state.monetary
-    if action != 0:
-        i_frequency = state.i_frequency + 1
-        i_recency = 1.0
-    else:
-        i_frequency = state.i_frequency
-        i_recency = state.i_recency + 1
-    return RfmiState(recency, frequency, monetary, i_recency, i_frequency)
+    """response_probabilities for one donor."""
+    return float(response_probabilities(model, state.to_array()[None], np.array([action]))[0])
 
 
 def env_step(model: DonorModel, state: RfmiState, action: int, acont: float, rng):
     """Simulate one period for one donor. Returns (reward, next_state)."""
     if not 0 <= action < N_ACTIONS:
         raise ValueError(f"invalid action {action}")
-    p = response_probability(model, state, action)
-    responded = rng.random() < p
+    responded = rng.random() < response_probability(model, state, action)
     reward = float(rng.exponential(model.amount_mean)) if responded else 0.0
-    return reward, _advance_state(state, action, reward)
+    next_state = advance_states(state.to_array()[None], np.array([action]), np.array([reward]))
+    return reward, RfmiState(*next_state[0].tolist())
 
 
 @dataclass
@@ -96,10 +95,11 @@ class AgentConfig:
     train_every: int = 5  # episodes between training bursts
     steps_per_burst: int = 400  # gradient steps per burst
     replay_capacity: int = 1_000_000
-    constraints: list = field(default_factory=list)  # callables (state, action) -> bool
+    # rule(states, action) -> (n,) bool over raw (n, 5) states; False forbids the action
+    constraints: list = field(default_factory=list)
     drop_threshold: float = None  # mean-reward floor for pruning actions
     drop_min_observations: int = 200
-    initial_policy: object = None  # callable state -> action, used while untrained
+    initial_policy: object = None  # policy(states) -> (n,) actions, used while untrained
     seed: int = 0
 
     def epsilon(self, episode: int) -> float:
@@ -162,30 +162,52 @@ def write_history_csv(history, path):
                              repr(r.response_rate), r.replay_size])
 
 
-def _allowed_actions(cfg: AgentConfig, state: RfmiState, dropped) -> list:
-    allowed = []
-    for a in range(N_ACTIONS):
-        if a in dropped:
-            continue
-        if any(not rule(state, a) for rule in cfg.constraints):
-            continue
-        allowed.append(a)
-    return allowed or [0]  # inaction is always a legal fallback
+def _allowed_mask(cfg: AgentConfig, states: np.ndarray, dropped) -> np.ndarray:
+    """(n, N_ACTIONS) bool: the actions each donor may receive."""
+    allowed = np.ones((len(states), N_ACTIONS), dtype=bool)
+    allowed[:, sorted(dropped)] = False
+    for rule in cfg.constraints:
+        for a in range(N_ACTIONS):
+            allowed[:, a] &= rule(states, a)
+    allowed[~allowed.any(axis=1), 0] = True  # inaction is always a legal fallback
+    return allowed
+
+
+def _choose_actions(allowed, greedy, greedy_aconts, eps, mixed, bounds, rng):
+    """Epsilon-greedy (actions, aconts) for one episode; with greedy None everyone explores.
+
+    Draws from rng as a loop over customers would: every explore coin first,
+    then per customer in turn a random allowed action (explorers, and greedy
+    picks that are not allowed) and, for a mixed-mode explorer acting, its acont.
+    """
+    n = len(allowed)
+    explore = (rng.random(n) < eps) | (greedy is None)
+    actions = np.zeros(n, dtype=np.int64) if greedy is None else np.asarray(greedy).astype(np.int64)
+    in_range = (actions >= 0) & (actions < N_ACTIONS)
+    draw = explore | ~(in_range & allowed[np.arange(n), np.clip(actions, 0, N_ACTIONS - 1)])
+    aconts = np.where(mixed & (actions != 0) & ~draw, greedy_aconts, 0.0)
+    ranked = np.argsort(~allowed, axis=1, kind="stable")  # allowed actions first, ascending
+    counts = allowed.sum(axis=1).tolist()
+    for i in np.flatnonzero(draw).tolist():
+        actions[i] = ranked[i, rng.integers(counts[i])]
+        if explore[i] and mixed and actions[i] != 0:
+            aconts[i] = rng.uniform(*bounds)
+    return actions, aconts
 
 
 def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                    train_cfg: TrainConfig):
     """Cold-start control loop: explore, log into replay, train in bursts.
 
-    `population` is either a customer count (fresh donors) or a list of
-    starting RfmiStates. Returns an AutonomousResult; the trained net consumes
-    states normalized with result.norm_stats.
+    `population` is either a customer count (fresh donors) or an (n, 5) array
+    of starting raw states. Returns an AutonomousResult; the trained net
+    consumes states normalized with result.norm_stats.
     """
     if isinstance(population, int):
-        states = [RfmiState(0, 0, 0, 0, 0) for _ in range(population)]
+        states = np.zeros((population, 5))
     else:
-        states = list(population)
-    if not states:
+        states = np.array(population, dtype=np.float64).reshape(-1, 5)
+    if not len(states):
         raise ValueError("population must contain at least one customer")
     env_rng = np.random.default_rng(model.seed)
     agent_rng = np.random.default_rng(agent_cfg.seed)
@@ -194,57 +216,35 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                             np.random.default_rng(train_cfg.seed))
     replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
-    spec = ActionSpec(continuous_dims=1 if train_cfg.mode == "mixed" else 0)
+    mixed = train_cfg.mode == "mixed"
+    spec = ActionSpec(continuous_dims=1 if mixed else 0)
     trained = False
     dropped = set()
     history = []
 
     for episode in range(agent_cfg.episodes):
         eps = agent_cfg.epsilon(episode)
-        n = len(states)
         # Greedy recommendations for the whole population at once.
         if trained:
-            norm = stats.normalize_state(np.array([s.to_array() for s in states]))
-            greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, norm, train_cfg.mode, spec,
+            greedy, greedy_aconts, _ = policy_eval.recommend_batch(
+                learner.net, stats.normalize_state(states), train_cfg.mode, spec,
                 inaction_acont=stats.normalize_acont(0.0),
             )
+            greedy_aconts = stats.denormalize_acont(greedy_aconts)
         elif agent_cfg.initial_policy is not None:
-            greedy_actions = np.array([agent_cfg.initial_policy(s) for s in states])
-            greedy_aconts = np.zeros(n)
+            greedy, greedy_aconts = agent_cfg.initial_policy(states), stats.denormalize_acont(0.0)
         else:
-            greedy_actions, greedy_aconts = None, None
-
-        explore = agent_rng.random(n) < eps
-        ep_states = np.empty((n, 5))
-        ep_next = np.empty((n, 5))
-        ep_actions = np.empty(n, dtype=np.int64)
-        ep_aconts = np.empty(n)
-        rewards = np.empty(n)
-        for i, state in enumerate(states):
-            allowed = _allowed_actions(agent_cfg, state, dropped)
-            if explore[i] or greedy_actions is None:
-                action = int(allowed[agent_rng.integers(len(allowed))])
-                if train_cfg.mode == "mixed" and action != 0:
-                    acont = float(agent_rng.uniform(*spec.bounds))
-                else:
-                    acont = 0.0
-            else:
-                action = int(greedy_actions[i])
-                if action != 0 and train_cfg.mode == "mixed":
-                    acont = float(stats.denormalize_acont(greedy_aconts[i]))
-                else:
-                    acont = 0.0
-                if action not in allowed:
-                    action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
-            reward, next_state = env_step(model, state, action, acont, env_rng)
-            ep_states[i] = state.to_array()
-            ep_next[i] = next_state.to_array()
-            ep_actions[i] = action
-            ep_aconts[i] = acont
-            rewards[i] = reward
-            states[i] = next_state
-        replay.add(Transitions(ep_states, ep_actions, ep_aconts, ep_next, rewards))
+            greedy, greedy_aconts = None, 0.0
+        actions, aconts = _choose_actions(_allowed_mask(agent_cfg, states, dropped), greedy,
+                                          greedy_aconts, eps, mixed, spec.bounds, agent_rng)
+        # The environment draws in customer order: a response, then its amount.
+        rewards = np.zeros(len(states))
+        for i, p in enumerate(response_probabilities(model, states, actions).tolist()):
+            if env_rng.random() < p:
+                rewards[i] = env_rng.exponential(model.amount_mean)
+        next_states = advance_states(states, actions, rewards)
+        replay.add(Transitions(states, actions, aconts, next_states, rewards))
+        states = next_states
         history.append(
             EpisodeRecord(
                 episode=episode,

@@ -195,7 +195,8 @@ def save_mlp(net: Mlp, path):
 
 
 def load_mlp(path) -> Mlp:
-    """Reads a save_mlp file; ConfigError naming the path if it is malformed or mis-sized."""
+    """Reads a save_mlp file; ConfigError naming the path if it is malformed, mis-sized or
+    holds a NaN or infinite parameter."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != MAGIC:
@@ -215,9 +216,12 @@ def load_mlp(path) -> Mlp:
         raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     weights, biases = [], []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         n = spec.output_dim * spec.input_dim
         weights.append(params[:n].reshape(spec.output_dim, spec.input_dim))
         biases.append(params[n:n + spec.output_dim])
         params = params[n + spec.output_dim:]
+        for key, values in ((f"layer {i} weights", weights[-1]), (f"layer {i} biases", biases[-1])):
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{path}: non-finite value in {key}")
     return Mlp(specs=specs, weights=weights, biases=biases)

@@ -182,7 +182,9 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
           action_spec=None, inaction_acont: float = 0.0, net: Mlp = None):
     """Train a DQN on logged transitions. Returns (best net, TrainHistory).
 
-    An epoch is ceil(N / batch_size) uniform replay draws, so each sample is
+    The best net has the highest matched-group mean reward on the validation
+    set; when no epoch has a matched group, it is the last trained net. An
+    epoch is ceil(N / batch_size) uniform replay draws, so each sample is
     expected once per epoch; the learning rate decays per epoch and the target
     net is cloned on a fixed gradient-step schedule.
     """
@@ -196,8 +198,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     learner = Learner.fresh(net, np.random.default_rng(cfg.seed))
     steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     lr = cfg.lr0
-    best_net = clone_target(net)
-    best_reward = -np.inf
+    best_net, best_reward = None, -np.inf
     for epoch in range(cfg.epochs):
         try:
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr,
@@ -218,7 +219,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
             best_reward = score
             best_net = clone_target(net)
         lr *= cfg.lr_decay_per_epoch
-    return best_net, history
+    return (net if best_net is None else best_net), history
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,8 @@ def _five_floats(text):
 
 
 def read_sidecar(path):
-    """(TrainConfig, NormStats) of a sidecar; DataError names a missing or malformed key."""
+    """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed or
+    non-finite key."""
     with open(path, encoding="utf-8") as f:
         kv = dict(line.strip().split("=", 1) for line in f if "=" in line)
 
@@ -261,9 +263,12 @@ def read_sidecar(path):
         if key not in kv:
             raise DataError(f"{path}: missing key {key!r}")
         try:
-            return parse(kv[key])
+            parsed = parse(kv[key])
         except ValueError:
             raise DataError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
+        if not isinstance(parsed, str) and not np.all(np.isfinite(parsed)):
+            raise DataError(f"{path}: non-finite value for {key!r}: {kv[key]!r}")
+        return parsed
 
     defaults = TrainConfig()
     try:

@@ -38,7 +38,8 @@ class RfmiState:
 
     def to_array(self) -> np.ndarray:
         return np.array(
-            [self.recency, self.frequency, self.monetary, self.i_recency, self.i_frequency]
+            [self.recency, self.frequency, self.monetary, self.i_recency, self.i_frequency],
+            dtype=np.float64,
         )
 
 

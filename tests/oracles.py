@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's analytic paths: gradients come from
 central finite differences, continuous maximization from a dense grid scan,
-tabular Q* from value iteration on explicit dynamics, and normalization from
-row-by-row loops over a batch of transitions.
+tabular Q* from value iteration on explicit dynamics, normalization from
+row-by-row loops over a batch of transitions, and the simulator from a loop
+over customers in Python floats.
 """
 
 import numpy as np
 
-from clvdqn.nn_core import forward, forward_batch
+from clvdqn import policy_eval
+from clvdqn.action_space import ActionSpec
+from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
+from clvdqn.nn_core import forward, forward_batch, init_mlp
+from clvdqn.qlearn import Learner, TrainingDiverged, network_spec, td_steps
+from clvdqn.rfmi import N_ACTIONS, NormStats, Transitions, apply_norm, compute_norm_stats
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
@@ -121,3 +127,118 @@ def apply_norm_rows(stats, data):
     next_states = np.array([state(row) for row in data.next_states]).reshape(-1, 5)
     aconts = np.array([(float(a) - stats.acont_mean) / acont_div for a in data.aconts])
     return states, aconts, next_states
+
+
+def response_probability_row(model, state, action):
+    """The simulator's response probability for one raw state, in Python floats."""
+    recency, frequency, _, _, i_frequency = (float(v) for v in state)
+    p = model.base_rate + model.action_effects[action]
+    p -= model.fatigue_coeff * i_frequency
+    if frequency > 2:
+        p -= model.recency_decay * recency
+    if action == model.thankyou_action and recency <= 1:
+        p += model.thankyou_boost
+    return min(max(p, 0.001), 0.999)
+
+
+def advance_state_row(state, action, reward):
+    """One donor's raw state one period on, in Python floats."""
+    recency, frequency, monetary, i_recency, i_frequency = (float(v) for v in state)
+    if reward > 0:
+        monetary = (monetary * frequency + reward) / (frequency + 1)
+        recency, frequency = 1.0, frequency + 1
+    else:
+        recency += 1
+    if action != 0:
+        i_recency, i_frequency = 1.0, i_frequency + 1
+    else:
+        i_recency += 1
+    return [recency, frequency, monetary, i_recency, i_frequency]
+
+
+def run_autonomous_rows(population, model, agent_cfg, train_cfg):
+    """Reference for env.run_autonomous: the population step as a loop over customers.
+
+    Each customer's allowed actions, epsilon-greedy choice, response and next
+    state are computed one at a time, drawing from the agent and environment
+    generators as it goes; the rule hooks are called on one-row state arrays.
+    The training bursts are the library's.
+    """
+    if isinstance(population, int):
+        states = [[0.0] * 5 for _ in range(population)]
+    else:
+        states = [list(map(float, row)) for row in np.asarray(population).reshape(-1, 5)]
+    env_rng = np.random.default_rng(model.seed)
+    agent_rng = np.random.default_rng(agent_cfg.seed)
+    net_seed = train_cfg.seed
+    learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
+                            np.random.default_rng(train_cfg.seed))
+    replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
+    stats = NormStats.identity()
+    mixed = train_cfg.mode == "mixed"
+    spec = ActionSpec(continuous_dims=1 if mixed else 0)
+    trained = False
+    dropped = set()
+    history = []
+
+    def allowed_actions(state):
+        row = np.array([state])
+        allowed = [a for a in range(N_ACTIONS) if a not in dropped
+                   and all(rule(row, a)[0] for rule in agent_cfg.constraints)]
+        return allowed or [0]
+
+    for episode in range(agent_cfg.episodes):
+        eps = agent_cfg.epsilon(episode)
+        n = len(states)
+        if trained:
+            greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
+                learner.net, stats.normalize_state(np.array(states)), train_cfg.mode, spec,
+                inaction_acont=stats.normalize_acont(0.0),
+            )
+        elif agent_cfg.initial_policy is not None:
+            greedy_actions = [agent_cfg.initial_policy(np.array([s]))[0] for s in states]
+            greedy_aconts = np.zeros(n)
+        else:
+            greedy_actions, greedy_aconts = None, None
+        explore = agent_rng.random(n) < eps
+        rows = []
+        for i, state in enumerate(states):
+            allowed = allowed_actions(state)
+            if explore[i] or greedy_actions is None:
+                action = int(allowed[agent_rng.integers(len(allowed))])
+                acont = float(agent_rng.uniform(*spec.bounds)) if mixed and action != 0 else 0.0
+            else:
+                action = int(greedy_actions[i])
+                acont = float(stats.denormalize_acont(greedy_aconts[i])) if mixed and action != 0 else 0.0
+                if action not in allowed:
+                    action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
+            p = response_probability_row(model, state, action)
+            reward = float(env_rng.exponential(model.amount_mean)) if env_rng.random() < p else 0.0
+            states[i] = advance_state_row(state, action, reward)
+            rows.append((state, action, acont, states[i], reward))
+        batch = Transitions(*(np.array(col) for col in zip(*rows)))
+        replay.add(batch)
+        history.append(EpisodeRecord(episode, eps, float(batch.rewards.mean()),
+                                     float(np.mean(batch.rewards > 0)), len(replay)))
+
+        if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
+            data = replay.contents()
+            stats = compute_norm_stats(data)
+            try:
+                td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
+                         action_spec=spec, inaction_acont=stats.normalize_acont(0.0))
+                trained = True
+            except TrainingDiverged:
+                net_seed += 1
+                learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
+                                        learner.rng, learner.step)
+                trained = False
+            if agent_cfg.drop_threshold is not None:
+                for action in range(1, N_ACTIONS):
+                    taken = data.rewards[data.actions == action]
+                    if (len(taken) >= agent_cfg.drop_min_observations
+                            and taken.mean() < agent_cfg.drop_threshold):
+                        dropped.add(action)
+
+    return AutonomousResult(net=learner.net, norm_stats=stats, history=history,
+                            replay=replay, dropped_actions=dropped)

@@ -1,4 +1,6 @@
 import csv
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -176,7 +178,16 @@ class TestClv:
         ("", lambda b: b + b"\0", "parameter bytes"),
         (".meta", lambda b: b.replace(b"acont_std=", b"#"), "missing key 'acont_std'"),
         (".meta", lambda b: b.replace(b"seed=0", b"seed=abc"), "bad value for 'seed'"),
-    ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed"])
+        ("", lambda b: b[:-8] + struct.pack("<d", math.nan), "non-finite value in layer 2 biases"),
+        ("", lambda b: b[:-200] + struct.pack("<d", -math.inf) + b[-192:],
+         "non-finite value in layer 2 weights"),
+        (".meta", lambda b: b.replace(b"state_std=1.0", b"state_std=nan"),
+         "non-finite value for 'state_std'"),
+        (".meta", lambda b: b.replace(b"acont_std=1.0", b"acont_std=nan"),
+         "non-finite value for 'acont_std'"),
+        (".meta", lambda b: b.replace(b"lr0=0.001", b"lr0=inf"), "non-finite value for 'lr0'"),
+    ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed", "nan-bias", "inf-weight",
+            "nan-state-std", "nan-acont-std", "inf-lr0"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
         ckpt = zero_checkpoint(tmp_path)
         damaged = Path(str(ckpt) + suffix)

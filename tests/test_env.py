@@ -1,12 +1,19 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import advance_state_row, response_probability_row, run_autonomous_rows
 
 import clvdqn.qlearn as qlearn_module
 from clvdqn.env import (
     AgentConfig,
     DonorModel,
     ReplayRing,
+    advance_states,
     env_step,
+    response_probabilities,
     response_probability,
     run_autonomous,
     write_history_csv,
@@ -68,6 +75,61 @@ class TestEnvStep:
         assert response_probability(model, RfmiState(0, 0, 0, 0, 0), 4) == 0.999
         model = DonorModel(base_rate=-5.0)
         assert response_probability(model, RfmiState(0, 0, 0, 0, 0), 0) == 0.001
+
+
+@st.composite
+def action_reward_histories(draw):
+    """(actions, rewards), both (customers, periods); a zero reward is no response."""
+    n, periods = draw(st.integers(1, 5)), draw(st.integers(1, 25))
+    actions = np.array(draw(st.lists(st.integers(0, 11), min_size=n * periods,
+                                     max_size=n * periods))).reshape(n, periods)
+    amounts = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1e4)),
+                            min_size=n * periods, max_size=n * periods))
+    return actions, np.array(amounts).reshape(n, periods)
+
+
+state_values = st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 500.0))
+
+
+class TestPopulationStep:
+    @settings(deadline=None)
+    @given(action_reward_histories())
+    def test_advance_states_matches_compute_state(self, history):
+        actions, rewards = history
+        n, periods = actions.shape
+        states = np.repeat(RfmiState(0, 0, 0, 0, 0).to_array()[None], n, axis=0)
+        rows = states.tolist()
+        for p in range(periods):
+            states = advance_states(states, actions[:, p], rewards[:, p])
+            for i in range(n):
+                rows[i] = advance_state_row(rows[i], actions[i, p], rewards[i, p])
+                timeline = CustomerTimeline("x", rewards[i, :p + 1], actions[i, :p + 1],
+                                            np.zeros(p + 1))
+                want = compute_state(timeline, p + 1)
+                assert states[i].tolist() == rows[i]
+                assert states[i, [0, 1, 3, 4]].tolist() == [
+                    want.recency, want.frequency, want.i_recency, want.i_frequency]
+                # a running mean and compute_state's sum/count round differently
+                assert states[i, 2] == pytest.approx(want.monetary, rel=1e-13, abs=0.0)
+
+    @settings(deadline=None)
+    @given(base_rate=st.floats(-0.5, 1.5),
+           effects=st.lists(st.floats(-0.5, 0.5), min_size=12, max_size=12),
+           coeffs=st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1), st.floats(0.0, 1.0)),
+           thankyou_action=st.integers(0, 11),
+           rows=st.lists(st.tuples(st.integers(0, 11), st.lists(state_values, min_size=5,
+                                                                max_size=5)),
+                         min_size=1, max_size=20))
+    def test_response_probabilities_match_scalar_formula(self, base_rate, effects, coeffs,
+                                                         thankyou_action, rows):
+        fatigue, decay, boost = coeffs
+        model = DonorModel(base_rate=base_rate, action_effects=tuple(effects),
+                           fatigue_coeff=fatigue, recency_decay=decay, thankyou_boost=boost,
+                           thankyou_action=thankyou_action)
+        actions = np.array([a for a, _ in rows])
+        states = np.array([s for _, s in rows])
+        got = response_probabilities(model, states, actions).tolist()
+        assert got == [response_probability_row(model, s, a) for a, s in rows]
 
 
 def rows_with_rewards(rewards):
@@ -135,7 +197,7 @@ class TestRunAutonomous:
 
     def test_constraint_is_hard_filter(self):
         thankyou = DonorModel().thankyou_action
-        rule = lambda state, action: action != thankyou or state.recency <= 1
+        rule = lambda states, action: (action != thankyou) | (states[:, 0] <= 1)
         cfg = AgentConfig(seed=3, episodes=30, constraints=[rule])
         res = run_autonomous(30, DonorModel(seed=3), cfg, small_train_cfg(3))
         data = res.replay.contents()
@@ -168,7 +230,8 @@ class TestRunAutonomous:
 
     def test_initial_policy_hook(self):
         cfg = AgentConfig(seed=7, episodes=6, epsilon0=0.0, epsilon_floor=0.0,
-                          train_every=10**9, initial_policy=lambda s: 9)
+                          train_every=10**9,
+                          initial_policy=lambda states: np.full(len(states), 9))
         res = run_autonomous(10, DonorModel(seed=7), cfg, small_train_cfg(7))
         assert set(res.replay.contents().actions) == {9}
 
@@ -180,3 +243,46 @@ class TestRunAutonomous:
         lines = path.read_text().splitlines()
         assert lines[0] == "episode,epsilon,mean_reward,response_rate,replay_size"
         assert len(lines) == 5
+
+
+def allow_only(actions):
+    return lambda states, action: np.full(len(states), action in actions)
+
+
+ROW_CASES = {
+    "plain": {},
+    "constraint": {"constraints": [
+        lambda states, action: (action != DonorModel().thankyou_action) | (states[:, 0] <= 1)]},
+    "drop-threshold": {"drop_threshold": 1.0, "drop_min_observations": 10},
+    "initial-policy": {"initial_policy": lambda states: np.where(states[:, 0] > 2, 7, 4)},
+    # the initial policy's pick is never allowed, so untrained episodes all take the fallback
+    "greedy-fallback": {"epsilon0": 0.0, "epsilon_floor": 0.0,
+                        "constraints": [allow_only({0, 3, 7})],
+                        "initial_policy": lambda states: np.full(len(states), 5)},
+    "start-states": {"population": np.array([[0, 0, 0, 0, 0], [3, 4, 12.5, 1, 6],
+                                             [1, 1, 7.25, 9, 0], [20, 3, 2.0, 2, 30]] * 6)},
+}
+
+
+class TestRowReference:
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("case", list(ROW_CASES))
+    def test_matches_row_reference(self, mode, case):
+        kwargs = dict(ROW_CASES[case])
+        population = kwargs.pop("population", 25)
+        agent = AgentConfig(seed=11, episodes=15, epsilon_decay=0.8, train_every=5,
+                            steps_per_burst=20, **kwargs)
+        train = TrainConfig(seed=11, batch_size=50, target_clone_period=25, mode=mode)
+        got = run_autonomous(population, DonorModel(seed=11), agent, train)
+        want = run_autonomous_rows(population, DonorModel(seed=11), agent, train)
+        assert got.history == want.history
+        assert got.dropped_actions == want.dropped_actions
+        for f in fields(Transitions):
+            np.testing.assert_array_equal(getattr(got.replay.contents(), f.name),
+                                          getattr(want.replay.contents(), f.name))
+        for a, b in zip(got.net.weights + got.net.biases, want.net.weights + want.net.biases):
+            np.testing.assert_array_equal(a, b)
+        if case == "drop-threshold":
+            assert got.dropped_actions
+        if case == "greedy-fallback":
+            assert set(got.replay.contents().actions) <= {0, 3, 7}

@@ -223,6 +223,24 @@ class TestTrain:
         lrs = [r.lr for r in history.records]
         assert lrs[1] == pytest.approx(lrs[0] * cfg.lr_decay_per_epoch)
 
+    def test_no_matched_epoch_returns_last_trained_net(self):
+        # validation aconts far outside the bounds never match a recommendation
+        cfg = TrainConfig(epochs=3, batch_size=50, seed=4, mode="mixed")
+        data = toy_data(20)
+        val = toy_data(5)
+        val.actions[:] = 1
+        val.aconts[:] = 1e6
+        net, history = train(data, val, cfg)
+        assert all(math.isnan(r.val_mean_reward) for r in history.records)
+        # the same epochs, replayed by hand
+        learner = Learner.fresh(init_mlp(network_spec("mixed"), 4), np.random.default_rng(4))
+        lr = cfg.lr0
+        for _ in range(cfg.epochs):
+            td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg, lr)
+            lr *= cfg.lr_decay_per_epoch
+        for a, b in zip(net.weights + net.biases, learner.net.weights + learner.net.biases):
+            np.testing.assert_array_equal(a, b)
+
     def test_target_staleness_between_clones(self):
         # target-based y must not change while only the online net updates
         net = init_mlp(network_spec("discrete_only"), seed=8)
