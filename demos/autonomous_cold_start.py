@@ -13,7 +13,6 @@ import numpy as np
 
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.policy_eval import recommend_batch
-from clvdqn.action_space import ActionSpec
 from clvdqn.qlearn import TrainConfig
 
 model = DonorModel(seed=1)
@@ -32,10 +31,7 @@ print(f"\nmean reward, first 10 episodes: {first:.3f}; last 10: {last:.3f}"
 
 # What does the learned policy recommend for the customers it ended up with?
 probe = result.replay.contents().states[-1000:]
-actions, _, _ = recommend_batch(
-    result.net, result.norm_stats.normalize_state(probe),
-    "discrete_only", ActionSpec(),
-)
+actions, _, _ = recommend_batch(result.net, result.norm_stats.normalize_state(probe))
 counts = np.bincount(actions, minlength=12)
 print("\nrecommended action distribution on the final probe set:")
 for a, n in enumerate(counts):

@@ -10,7 +10,6 @@ Run: python3 demos/clv_and_value_curves.py   (about half a minute)
 
 import numpy as np
 
-from clvdqn.action_space import ActionSpec
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.policy_eval import SweepSpec, estimate_clv, export_value_curves
 from clvdqn.qlearn import TrainConfig
@@ -26,7 +25,7 @@ examples = {
     "lapsed donor": np.array([9.0, 4, 15.0, 2, 8]),
 }
 for label, state in examples.items():
-    est = estimate_clv(net, state, stats, "discrete_only", ActionSpec())
+    est = estimate_clv(net, state, stats)
     print(f"{label:15s} best action {est.best_action:2d}, CLV {est.best_value:7.2f}, "
           f"inaction CLV {est.values[0]:7.2f}")
 

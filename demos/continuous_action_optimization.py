@@ -12,8 +12,9 @@ Run: python3 demos/continuous_action_optimization.py
 
 import numpy as np
 
-from clvdqn.action_space import ActionSpec, best_mixed, maximize_continuous_batch
+from clvdqn.action_space import AcontRange, maximize_continuous_batch
 from clvdqn.nn_core import LayerSpec, Mlp, forward
+from clvdqn.policy_eval import recommend_batch
 
 # Q[7](state, a) = 2 + relu(a) - 2*relu(a - 1): rises to 3.0 at a=1, falls after.
 specs = (LayerSpec(6, 2, "relu"), LayerSpec(2, 12, "linear"))
@@ -27,20 +28,21 @@ b2 = np.full(12, 1.0)  # every other action sits flat at 1.0
 b2[7] = 2.0
 net = Mlp(specs=specs, weights=[w1, w2], biases=[np.array([0.0, -1.0]), b2])
 
-spec = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
-state = np.zeros(5)
+# The attribute's search interval, and the input that stands for inaction.
+acont_range = AcontRange(-2.0, 2.0, inaction=0.0)
+states = np.zeros((1, 5))
 
 # One call maximizes every action's Q for a batch of states (here, one state).
-aconts, qs = maximize_continuous_batch(net, state[None, :], spec)
+aconts, qs = maximize_continuous_batch(net, states, acont_range)
 print(f"action 7: best attribute {aconts[0, 7]:.3f} (true peak 1.0), "
       f"Q = {qs[0, 7]:.3f} (true max 3.0)")
 
-# best_mixed compares the maximized Q of every action, including inaction.
-choice = best_mixed(net, state, spec)
-print(f"best mixed action: {choice.action} at attribute {choice.acont:.3f}, "
-      f"Q = {choice.q_value:.3f}")
+# recommend_batch compares the maximized Q of every action, including inaction.
+actions, best_aconts, best_qs = recommend_batch(net, states, acont_range)
+print(f"best mixed action: {actions[0]} at attribute {best_aconts[0]:.3f}, "
+      f"Q = {best_qs[0]:.3f}")
 
 # The attribute matters: evaluate the same action at a few fixed settings.
 for a in (-2.0, 0.0, 1.0, 2.0):
-    y, _ = forward(net, np.concatenate([state, [a]]))
+    y, _ = forward(net, np.concatenate([states[0], [a]]))
     print(f"  Q[7] at attribute {a:+.1f} = {y[7]:.3f}")

@@ -9,7 +9,6 @@ Run: python3 demos/train_on_logged_data.py
 
 import numpy as np
 
-from clvdqn.action_space import ActionSpec
 from clvdqn.policy_eval import evaluate, report_text
 from clvdqn.qlearn import TrainConfig, train
 from clvdqn.rfmi import (
@@ -44,6 +43,6 @@ net, history = train(apply_norm(stats, train_set), apply_norm(stats, val_set), c
 print(f"trained {cfg.epochs} epochs; final loss {history.records[-1].loss:.3f}")
 
 # 3. Offline evaluation on the held-out transitions.
-report = evaluate(apply_norm(stats, val_set), net, cfg.mode, ActionSpec(), norm_stats=stats)
+report = evaluate(apply_norm(stats, val_set), net, norm_stats=stats)
 print()
 print(report_text(report, timestamp=False))

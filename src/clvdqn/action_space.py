@@ -1,11 +1,12 @@
-"""Action selection: discrete argmax and exact continuous-attribute maximization.
+"""Action selection: the value of every discrete action, maximized over acont in mixed mode.
 
-In mixed mode the network input is [state(5), acont]. With ReLU hidden layers
-each output is piecewise linear in acont for a fixed state, so its maximum over
-the bounds lies at a bound or at a kink, where some hidden pre-activation
-changes sign. maximize_continuous_batch enumerates those points and evaluates
-them all. Ties always break toward the lowest acont, then the lowest action
-index.
+A net's input width says which action space it scores: 5 inputs (the state)
+for discrete actions only, 6 (the state, then the continuous attribute acont)
+for the mixed space. With ReLU hidden layers each output of a mixed net is
+piecewise linear in acont for a fixed state, so its maximum over the bounds
+lies at a bound or at a kink, where some hidden pre-activation changes sign.
+maximize_continuous_batch enumerates those points and evaluates them all.
+Ties always break toward the lowest acont, then the lowest action index.
 """
 
 from __future__ import annotations
@@ -14,41 +15,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, forward, forward_batch
+from .nn_core import ConfigError, Mlp, forward_batch
+from .rfmi import STATE_DIMS
 
-N_ACTIONS_DEFAULT = 12  # 11 mailing types + inaction 0
 CHUNK_ROWS = 2048  # network rows per block of states in the kink search; bounds memory only
 
 
-@dataclass
-class ActionSpec:
-    n_discrete: int = N_ACTIONS_DEFAULT
-    continuous_dims: int = 0  # 0 or 1
-    bounds: tuple = (0.0, 1.0)  # closed interval in normalized units
+@dataclass(frozen=True)
+class AcontRange:
+    """Normalized acont values of a mixed net: the closed search interval and inaction's input."""
+
+    lo: float
+    hi: float
+    inaction: float = 0.0  # the normalized raw acont 0; inaction is never maximized
 
     def __post_init__(self):
-        if self.n_discrete < 1:
-            raise ConfigError("n_discrete must be >= 1")
-        if self.continuous_dims not in (0, 1):
-            raise ConfigError("continuous_dims must be 0 or 1")
-        if self.continuous_dims:
-            lo, hi = self.bounds
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ConfigError(f"degenerate bounds {self.bounds}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+            raise ConfigError(f"degenerate bounds ({self.lo}, {self.hi})")
 
 
-@dataclass
-class MixedAction:
-    action: int
-    acont: float  # meaningless for inaction
-    q_value: float
+def is_mixed(net: Mlp) -> bool:
+    """True for a 6-input (mixed) net, False for a 5-input (discrete) one; ConfigError otherwise."""
+    width = len(STATE_DIMS)
+    if net.input_dim not in (width, width + 1):
+        raise ConfigError(f"a Q-network takes {width} inputs (discrete) or {width + 1} (mixed), "
+                          f"not {net.input_dim}")
+    return net.input_dim == width + 1
 
 
-def best_discrete(net: Mlp, state) -> MixedAction:
-    """Argmax over output neurons; first index wins ties."""
-    q, _ = forward(net, state)
-    action = int(np.argmax(q))
-    return MixedAction(action=action, acont=0.0, q_value=float(q[action]))
+def action_values(net: Mlp, states, acont_range: AcontRange = None):
+    """(aconts, qs), both (n, net.output_dim), for a batch of normalized states.
+
+    A discrete net's qs are its outputs and its aconts are 0. A mixed net needs
+    acont_range; see maximize_continuous_batch.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    if not is_mixed(net):
+        qs, _ = forward_batch(net, states)
+        return np.zeros_like(qs), qs
+    return maximize_continuous_batch(net, states, acont_range)
 
 
 def _max_points(net: Mlp) -> int:
@@ -93,43 +98,31 @@ def _argmax_aconts(net: Mlp, states, lo: float, hi: float):
     return np.take_along_axis(points, first_max, axis=1)
 
 
-def maximize_continuous_batch(net: Mlp, states, spec: ActionSpec, inaction_acont: float = 0.0):
+def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
     """Exact best acont and Q of every discrete action, for a (n, 5) state batch.
 
-    Returns (aconts, qs), both (n, spec.n_discrete). Column 0 is inaction at
-    `inaction_acont`, not maximized; every other column holds the maximum of
-    that output over spec.bounds, at the lowest acont reaching it. Each
-    column's q comes from one forward_batch over the n chosen inputs.
+    Returns (aconts, qs), both (n, net.output_dim). Column 0 is inaction at
+    acont_range.inaction, not maximized; every other column holds the maximum
+    of that output over [acont_range.lo, acont_range.hi], at the lowest acont
+    reaching it. Each column's q comes from one forward_batch over the n
+    chosen inputs.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if net.input_dim != states.shape[1] + 1:
-        raise ConfigError(
-            f"mixed-mode net expects {net.input_dim} inputs, states have {states.shape[1]} dims"
-        )
-    lo, hi = spec.bounds
+        raise ConfigError(f"a {net.input_dim}-input net cannot take {states.shape[1]}-dim "
+                          "states plus acont")
+    if acont_range is None:
+        raise ConfigError("a mixed-mode net needs an acont range to maximize over")
     aconts = np.empty((len(states), net.output_dim))
     block = max(1, CHUNK_ROWS // _max_points(net))
     for i in range(0, len(states), block):
-        aconts[i:i + block] = _argmax_aconts(net, states[i:i + block], lo, hi)
-    aconts = aconts[:, :spec.n_discrete]
-    aconts[:, 0] = inaction_acont
+        aconts[i:i + block] = _argmax_aconts(net, states[i:i + block],
+                                             acont_range.lo, acont_range.hi)
+    aconts[:, 0] = acont_range.inaction
     qs = np.empty_like(aconts)
-    for a in range(spec.n_discrete):
+    for a in range(net.output_dim):
         q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
         qs[:, a] = q[:, a]
     if not np.all(np.isfinite(qs)):
         raise ConfigError("non-finite Q-value while maximizing over the continuous action")
     return aconts, qs
-
-
-def best_mixed_batch(net: Mlp, states, spec: ActionSpec, inaction_acont: float = 0.0):
-    """(actions, aconts, qs) of the best mixed action per state; inaction sits at inaction_acont."""
-    aconts, qs = maximize_continuous_batch(net, states, spec, inaction_acont)
-    actions = np.argmax(qs, axis=1)
-    rows = np.arange(len(actions))
-    return actions, aconts[rows, actions], qs[rows, actions]
-
-
-def best_mixed(net: Mlp, state, spec: ActionSpec, inaction_acont: float = 0.0) -> MixedAction:
-    actions, aconts, qs = best_mixed_batch(net, np.asarray(state)[None, :], spec, inaction_acont)
-    return MixedAction(action=int(actions[0]), acont=float(aconts[0]), q_value=float(qs[0]))

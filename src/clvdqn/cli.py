@@ -2,7 +2,8 @@
 
 Subcommands: build-transitions, train, evaluate, clv, simulate, curves.
 Configuration is a flat key=value file; command-line flags win over config
-values. All randomness is controlled by --seed. Exit codes: 0 success,
+values. All randomness is controlled by --seed. evaluate, clv and curves take
+the mode and the acont bounds from the checkpoint. Exit codes: 0 success,
 1 usage error, 2 data error, 3 training divergence.
 """
 
@@ -17,14 +18,15 @@ import numpy as np
 
 from . import env as env_mod
 from . import policy_eval, qlearn, rfmi
-from .action_space import ActionSpec
 from .nn_core import ConfigError, load_mlp, save_mlp
-from .qlearn import TrainConfig, TrainingDiverged
+from .qlearn import TrainConfig, TrainingDiverged, network_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
+
+MODE_NAMES = {"discrete": "discrete_only", "discrete_only": "discrete_only", "mixed": "mixed"}
 
 
 class CliError(Exception):
@@ -44,10 +46,9 @@ class RunConfig:
     target_clone_period: int = 10000
     seed: int = 0
     validation_fraction: float = 0.25
-    # action space
-    n_discrete: int = 12
-    bounds_lo: float = -2.0
-    bounds_hi: float = 2.0
+    # acont search interval of a mixed net, normalized units
+    bounds_lo: float = TrainConfig.bounds_lo
+    bounds_hi: float = TrainConfig.bounds_hi
     # simulator
     population: int = 500
     episodes: int = 300
@@ -71,14 +72,9 @@ class RunConfig:
             epochs=self.epochs,
             target_clone_period=self.target_clone_period,
             seed=self.seed,
-            mode="mixed" if self.mode == "mixed" else "discrete_only",
-        )
-
-    def action_spec(self) -> ActionSpec:
-        return ActionSpec(
-            n_discrete=self.n_discrete,
-            continuous_dims=1 if self.mode == "mixed" else 0,
-            bounds=(self.bounds_lo, self.bounds_hi),
+            mode=self.mode,
+            bounds_lo=self.bounds_lo,
+            bounds_hi=self.bounds_hi,
         )
 
     def donor_model(self) -> env_mod.DonorModel:
@@ -123,8 +119,8 @@ def load_config(path) -> RunConfig:
                 raise CliError(f"{path}:{line_no}: unknown config key {key!r}", EXIT_USAGE)
             current = getattr(RunConfig(), key)
             try:
-                setattr(cfg, key, type(current)(value))
-            except ValueError:
+                setattr(cfg, key, MODE_NAMES[value] if key == "mode" else type(current)(value))
+            except (KeyError, ValueError):
                 raise CliError(f"{path}:{line_no}: bad value for {key!r}", EXIT_USAGE) from None
     return cfg
 
@@ -136,17 +132,21 @@ def _effective_config(args) -> RunConfig:
         if flag is not None:
             setattr(cfg, name, flag)
     if getattr(args, "mode", None):
-        cfg.mode = {"discrete": "discrete_only", "mixed": "mixed"}[args.mode]
+        cfg.mode = MODE_NAMES[args.mode]
     return cfg
 
 
 def _load_checkpoint(path):
-    """(net, TrainConfig, NormStats) of a checkpoint; a malformed file is a data error."""
+    """(net, TrainConfig, NormStats) of a checkpoint; a malformed or inconsistent file is a
+    data error."""
     try:
         net = load_mlp(path)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_DATA) from None
     tc, stats = qlearn.read_sidecar(path + ".meta")
+    if net.input_dim != network_spec(tc.mode)[0].input_dim:
+        raise CliError(f"{path}.meta: mode {tc.mode} does not match the {net.input_dim}-input "
+                       f"net in {path}", EXIT_DATA)
     return net, tc, stats
 
 
@@ -160,8 +160,6 @@ def _split(transitions, fraction, seed):
 
 
 def cmd_build_transitions(args):
-    cfg = _effective_config(args)
-    del cfg  # no knobs used; kept for flag parity
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
         raise CliError(f"no timelines found in {args.timelines}", EXIT_DATA)
@@ -182,10 +180,7 @@ def cmd_train(args):
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
     tc = cfg.train_config()
-    inaction = stats.normalize_acont(0.0)
-    net, history = qlearn.train(
-        train_norm, val_norm, tc, cfg.action_spec(), inaction_acont=inaction
-    )
+    net, history = qlearn.train(train_norm, val_norm, tc, tc.acont_range(stats))
     save_mlp(net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
     history.write_csv(args.history)
@@ -198,12 +193,9 @@ def cmd_evaluate(args):
     if not transitions:
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
     net, tc, stats = _load_checkpoint(args.checkpoint)
-    cfg.mode = tc.mode
     normed = rfmi.apply_norm(stats, transitions)
-    report = policy_eval.evaluate(
-        normed, net, tc.mode, cfg.action_spec(), baseline_seed=cfg.seed, norm_stats=stats,
-        inaction_acont=stats.normalize_acont(0.0),
-    )
+    report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg.seed,
+                                  norm_stats=stats)
     text = policy_eval.report_text(report, timestamp=not args.no_timestamp)
     sys.stdout.write(text)
     if args.report_out:
@@ -214,18 +206,16 @@ def cmd_evaluate(args):
 
 
 def cmd_clv(args):
-    cfg = _effective_config(args)
     net, tc, stats = _load_checkpoint(args.checkpoint)
-    cfg.mode = tc.mode
     try:
         state = np.array([float(v) for v in args.state.split(",")])
     except ValueError:
         raise CliError(f"bad --state value {args.state!r}", EXIT_USAGE) from None
     if state.shape != (5,):
         raise CliError("--state needs 5 comma-separated values r,f,m,ir,if", EXIT_USAGE)
-    est = policy_eval.estimate_clv(net, state, stats, tc.mode, cfg.action_spec())
+    est = policy_eval.estimate_clv(net, state, stats, tc.acont_range(stats))
     rows = [["action", "clv", "acont"]] + [
-        [a, repr(float(est.values[a])), repr(float(est.aconts[a]))] for a in range(cfg.n_discrete)
+        [a, repr(float(v)), repr(float(c))] for a, (v, c) in enumerate(zip(est.values, est.aconts))
     ]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -236,18 +226,16 @@ def cmd_clv(args):
 
 def cmd_simulate(args):
     cfg = _effective_config(args)
-    result = env_mod.run_autonomous(
-        cfg.population, cfg.donor_model(), cfg.agent_config(), cfg.train_config()
-    )
+    tc = cfg.train_config()
+    result = env_mod.run_autonomous(cfg.population, cfg.donor_model(), cfg.agent_config(), tc)
     env_mod.write_history_csv(result.history, args.history)
     save_mlp(result.net, args.checkpoint)
-    qlearn.write_sidecar(args.checkpoint + ".meta", cfg.train_config(), result.norm_stats)
+    qlearn.write_sidecar(args.checkpoint + ".meta", tc, result.norm_stats)
     print(f"simulated {cfg.episodes} episodes; wrote {args.history} and {args.checkpoint}")
 
 
 def cmd_curves(args):
-    cfg = _effective_config(args)
-    net, tc, stats = _load_checkpoint(args.checkpoint)
+    net, _, stats = _load_checkpoint(args.checkpoint)
     dims = tuple(args.dims.split(","))
     ranges = []
     for part in args.range.split(","):
@@ -266,9 +254,7 @@ def cmd_curves(args):
                                       resolution=args.resolution, reference=reference)
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    rows = policy_eval.export_value_curves(
-        net, sweep, stats, mode=tc.mode, inaction_acont=stats.normalize_acont(0.0)
-    )
+    rows = policy_eval.export_value_curves(net, sweep, stats)
     policy_eval.write_curves_csv(rows, sweep, args.out)
     print(f"wrote {len(rows)} curve rows to {args.out}")
 
@@ -284,21 +270,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(p):
+def _add_config(p, makes_net=True):
+    """--config and --seed, and --mode where the subcommand makes a net."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=["discrete", "mixed"], default=None)
-    p.add_argument("--no-timestamp", action="store_true")
+    if makes_net:
+        p.add_argument("--mode", choices=["discrete", "mixed"], default=None)
 
 
 def build_parser():
     parser = _Parser(prog="clvdqn", description="RFM-I deep Q-learning for direct marketing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-transitions", parents=[], help="timeline CSV -> transition CSV")
+    p = sub.add_parser("build-transitions", help="timeline CSV -> transition CSV")
     p.add_argument("timelines")
     p.add_argument("out")
-    _add_common(p)
     p.set_defaults(func=cmd_build_transitions)
 
     p = sub.add_parser("train", help="train a DQN on a transition CSV")
@@ -308,7 +294,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float, default=None)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="matched-vs-deviated report for a checkpoint")
@@ -316,14 +302,14 @@ def build_parser():
     p.add_argument("checkpoint")
     p.add_argument("--report-out")
     p.add_argument("--csv-out")
-    _add_common(p)
+    p.add_argument("--no-timestamp", action="store_true")
+    _add_config(p, makes_net=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("clv", help="per-action CLV for one raw state")
     p.add_argument("checkpoint")
     p.add_argument("--state", required=True, help="r,f,m,ir,if")
     p.add_argument("--out")
-    _add_common(p)
     p.set_defaults(func=cmd_clv)
 
     p = sub.add_parser("simulate", help="run the autonomous loop on the synthetic population")
@@ -331,7 +317,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--population", type=int, default=None)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("curves", help="export Q-value curves over state sweeps")
@@ -341,7 +327,6 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=50)
     p.add_argument("--reference", help="dim=value pairs for the unswept dims")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_curves)
     return parser
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import ActionSpec
+from .action_space import is_mixed
 from .nn_core import init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
 from .rfmi import N_ACTIONS, NormStats, RfmiState, Transitions, apply_norm, compute_norm_stats
@@ -173,13 +173,17 @@ def _allowed_mask(cfg: AgentConfig, states: np.ndarray, dropped) -> np.ndarray:
     return allowed
 
 
-def _choose_actions(allowed, greedy, greedy_aconts, eps, mixed, bounds, rng):
-    """Epsilon-greedy (actions, aconts) for one episode; with greedy None everyone explores.
+def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
+    """Epsilon-greedy (actions, raw aconts) for one episode; with greedy None everyone explores.
 
+    bounds is None for a discrete net, whose aconts are all 0. Otherwise an
+    acting explorer draws its acont uniformly from the normalized bounds, the
+    interval the greedy maximizer searches, and denormalizes it with stats.
     Draws from rng as a loop over customers would: every explore coin first,
     then per customer in turn a random allowed action (explorers, and greedy
     picks that are not allowed) and, for a mixed-mode explorer acting, its acont.
     """
+    mixed = bounds is not None
     n = len(allowed)
     explore = (rng.random(n) < eps) | (greedy is None)
     actions = np.zeros(n, dtype=np.int64) if greedy is None else np.asarray(greedy).astype(np.int64)
@@ -191,7 +195,7 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, mixed, bounds, rng):
     for i in np.flatnonzero(draw).tolist():
         actions[i] = ranked[i, rng.integers(counts[i])]
         if explore[i] and mixed and actions[i] != 0:
-            aconts[i] = rng.uniform(*bounds)
+            aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
     return actions, aconts
 
 
@@ -216,8 +220,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                             np.random.default_rng(train_cfg.seed))
     replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
-    mixed = train_cfg.mode == "mixed"
-    spec = ActionSpec(continuous_dims=1 if mixed else 0)
+    bounds = (train_cfg.bounds_lo, train_cfg.bounds_hi) if is_mixed(learner.net) else None
     trained = False
     dropped = set()
     history = []
@@ -227,16 +230,14 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         # Greedy recommendations for the whole population at once.
         if trained:
             greedy, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, stats.normalize_state(states), train_cfg.mode, spec,
-                inaction_acont=stats.normalize_acont(0.0),
-            )
+                learner.net, stats.normalize_state(states), train_cfg.acont_range(stats))
             greedy_aconts = stats.denormalize_acont(greedy_aconts)
         elif agent_cfg.initial_policy is not None:
             greedy, greedy_aconts = agent_cfg.initial_policy(states), stats.denormalize_acont(0.0)
         else:
             greedy, greedy_aconts = None, 0.0
         actions, aconts = _choose_actions(_allowed_mask(agent_cfg, states, dropped), greedy,
-                                          greedy_aconts, eps, mixed, spec.bounds, agent_rng)
+                                          greedy_aconts, eps, bounds, stats, agent_rng)
         # The environment draws in customer order: a response, then its amount.
         rewards = np.zeros(len(states))
         for i, p in enumerate(response_probabilities(model, states, actions).tolist()):
@@ -260,7 +261,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
             stats = compute_norm_stats(data)
             try:
                 td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
-                         action_spec=spec, inaction_acont=stats.normalize_acont(0.0))
+                         acont_range=train_cfg.acont_range(stats))
                 trained = True
             except TrainingDiverged:
                 net_seed += 1

@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .action_space import ActionSpec, MixedAction, best_mixed_batch, maximize_continuous_batch
-from .nn_core import ConfigError, Mlp, forward, forward_batch
-from .rfmi import STATE_DIMS, NormStats, Transitions
+from .action_space import action_values, is_mixed
+from .nn_core import ConfigError, Mlp, forward_batch
+from .rfmi import N_ACTIONS, STATE_DIMS, NormStats, Transitions
 
 BIAS_CAVEAT = (
     "matched/deviated comparison is a biased off-policy estimate (no importance weighting)"
@@ -60,7 +60,7 @@ class EvaluationReport:
 @dataclass
 class ClvEstimate:
     values: np.ndarray  # per-action expected discounted cumulative reward
-    aconts: np.ndarray  # maximizing acont per action (raw units), 0 in discrete mode
+    aconts: np.ndarray  # maximizing acont per action (raw units); 0 for inaction and discrete nets
 
     @property
     def best_action(self) -> int:
@@ -71,28 +71,19 @@ class ClvEstimate:
         return float(self.values.max())
 
 
-def recommend_batch(net: Mlp, states, mode: str, spec: ActionSpec, inaction_acont: float = 0.0):
-    """(actions, aconts, qs) arrays for a batch of normalized states."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if mode == "discrete_only":
-        q, _ = forward_batch(net, states)
-        actions = np.argmax(q, axis=1)
-        return actions, np.zeros(len(states)), q[np.arange(len(states)), actions]
-    return best_mixed_batch(net, states, spec, inaction_acont)
+def recommend_batch(net: Mlp, states, acont_range=None):
+    """(actions, aconts, qs) of the best action per normalized state; a mixed net needs acont_range."""
+    aconts, qs = action_values(net, states, acont_range)
+    actions = np.argmax(qs, axis=1)
+    rows = np.arange(len(actions))
+    return actions, aconts[rows, actions], qs[rows, actions]
 
 
-def extract_policy(net: Mlp, states, mode: str, spec: ActionSpec, inaction_acont: float = 0.0):
-    """One MixedAction per normalized state."""
-    actions, aconts, qs = recommend_batch(net, states, mode, spec, inaction_acont)
-    return [MixedAction(int(a), float(c), float(q)) for a, c, q in zip(actions, aconts, qs)]
-
-
-def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec,
-             baseline_seed: int = 0, norm_stats: NormStats = None,
-             inaction_acont: float = 0.0) -> EvaluationReport:
+def evaluate(transitions: Transitions, net: Mlp, acont_range=None, baseline_seed: int = 0,
+             norm_stats: NormStats = None) -> EvaluationReport:
     """Matched-vs-deviated report over logged transitions.
 
-    Mixed mode matches on the discrete action and on the continuous attribute
+    A mixed net matches on the discrete action and on the continuous attribute
     after rounding both sides to the nearest integer (in raw units when
     norm_stats is given, otherwise as stored).
     """
@@ -102,10 +93,9 @@ def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec,
     logged_aconts = transitions.aconts
     rewards = transitions.rewards
 
-    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, mode, spec,
-                                                 inaction_acont)
+    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, acont_range)
     matched_mask = rec_actions == logged_actions
-    if mode == "mixed":
+    if is_mixed(net):
         if norm_stats is not None:
             logged_raw = norm_stats.denormalize_acont(logged_aconts)
             rec_raw = norm_stats.denormalize_acont(rec_aconts)
@@ -115,11 +105,11 @@ def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec,
         matched_mask &= (rec_actions == 0) | acont_match  # inaction has no attribute
 
     rng = np.random.default_rng(baseline_seed)
-    random_actions = rng.integers(0, spec.n_discrete, size=len(transitions))
+    random_actions = rng.integers(0, N_ACTIONS, size=len(transitions))
     random_mask = random_actions == logged_actions
 
     best_action, best_stats = -1, GroupStats(0, float("nan"), float("nan"))
-    for a in range(spec.n_discrete):
+    for a in range(N_ACTIONS):
         stats = _group_stats(rewards[logged_actions == a])
         if stats.defined and (
             not best_stats.defined or stats.mean_reward > best_stats.mean_reward
@@ -136,26 +126,22 @@ def evaluate(transitions: Transitions, net: Mlp, mode: str, spec: ActionSpec,
     )
 
 
-def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, mode: str,
-                 spec: ActionSpec) -> ClvEstimate:
+def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, acont_range=None) -> ClvEstimate:
     """Per-action Q-values for one raw (unnormalized) customer state.
 
     Q-outputs are already in reward currency units; only the inputs are
-    normalized. In mixed mode inaction sits at raw acont 0.
+    normalized. A mixed net needs acont_range.
     """
     raw_state = np.asarray(raw_state, dtype=np.float64)
     if raw_state.shape != (5,):
         raise ConfigError(f"expected a 5-dim raw state, got shape {raw_state.shape}")
     if np.any(raw_state < 0):
         raise ConfigError("state components must be non-negative")
-    state = norm_stats.normalize_state(raw_state)
-    if mode == "discrete_only":
-        q, _ = forward(net, state)
-        return ClvEstimate(values=q.copy(), aconts=np.zeros(spec.n_discrete))
-    aconts, qs = maximize_continuous_batch(net, state, spec, norm_stats.normalize_acont(0.0))
-    aconts = norm_stats.denormalize_acont(aconts[0])
-    aconts[0] = 0.0
-    return ClvEstimate(values=qs[0], aconts=aconts)
+    aconts, qs = action_values(net, norm_stats.normalize_state(raw_state), acont_range)
+    if is_mixed(net):
+        aconts = norm_stats.denormalize_acont(aconts)
+        aconts[:, 0] = 0.0
+    return ClvEstimate(values=qs[0], aconts=aconts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +163,11 @@ class SweepSpec:
                 raise ConfigError(f"unknown state dimension {d!r}")
 
 
-def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats,
-                        mode: str = "discrete_only", inaction_acont: float = 0.0):
+def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):
     """Rows of (swept value(s), 12 Q-values) over a raw-unit grid.
 
-    Unswept dimensions sit at sweep.reference values (default 0). In mixed
-    mode the acont input is held at the inaction convention value.
+    Unswept dimensions sit at sweep.reference values (default 0). A mixed
+    net's acont input is held at inaction's, raw acont 0.
     """
     base = np.zeros(5)
     for dim, val in sweep.reference.items():
@@ -197,14 +182,15 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats,
     for j, dim in enumerate(sweep.dims):
         raw_states[:, STATE_DIMS.index(dim)] = grid[:, j]
     states = norm_stats.normalize_state(raw_states)
-    if mode == "mixed":
-        states = np.concatenate([states, np.full((len(states), 1), inaction_acont)], axis=1)
+    if is_mixed(net):
+        inaction = norm_stats.normalize_acont(0.0)
+        states = np.concatenate([states, np.full((len(states), 1), inaction)], axis=1)
     q, _ = forward_batch(net, states)
     return np.concatenate([grid, q], axis=1)
 
 
-def write_curves_csv(rows, sweep: SweepSpec, path, n_actions: int = 12):
-    header = list(sweep.dims) + [f"q{a}" for a in range(n_actions)]
+def write_curves_csv(rows, sweep: SweepSpec, path):
+    header = list(sweep.dims) + [f"q{a}" for a in range(np.shape(rows)[1] - len(sweep.dims))]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import ActionSpec, maximize_continuous_batch
+from .action_space import AcontRange, action_values, is_mixed
 from .nn_core import (
     ConfigError,
     LayerSpec,
@@ -44,6 +44,7 @@ class TrainingDiverged(TrainingError):
 
 @dataclass
 class TrainConfig:
+    mode: str = "discrete_only"  # the net train makes (network_spec); first key of the sidecar
     gamma: float = 0.9
     lr0: float = 0.001
     lr_decay_per_epoch: float = 0.99
@@ -51,7 +52,8 @@ class TrainConfig:
     epochs: int = 100
     target_clone_period: int = 10000  # in gradient steps
     seed: int = 0
-    mode: str = "discrete_only"
+    bounds_lo: float = -2.0  # acont search interval of a mixed net, normalized units
+    bounds_hi: float = 2.0
 
     def __post_init__(self):
         if not 0 <= self.gamma < 1:
@@ -62,6 +64,12 @@ class TrainConfig:
             raise ConfigError("bad batch/epoch/clone settings")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        self.acont_range()  # ConfigError on degenerate bounds
+
+    def acont_range(self, stats: NormStats = None) -> AcontRange:
+        """The bounds, with inaction at raw acont 0 under stats (normalized 0 without)."""
+        inaction = 0.0 if stats is None else stats.normalize_acont(0.0)
+        return AcontRange(self.bounds_lo, self.bounds_hi, inaction)
 
 
 def network_spec(mode: str):
@@ -77,27 +85,19 @@ def clone_target(net: Mlp) -> Mlp:
     return net.copy()
 
 
-def max_next_q(next_states, target_net, cfg, action_spec=None, inaction_acont: float = 0.0):
-    """max_a' Q_target(s', a') for a batch of next states."""
-    next_states = np.atleast_2d(next_states)
-    if cfg.mode == "discrete_only":
-        q, _ = forward_batch(target_net, next_states)
-        return q.max(axis=1)
-    _, qs = maximize_continuous_batch(target_net, next_states,
-                                      action_spec or ActionSpec(continuous_dims=1), inaction_acont)
-    return qs.max(axis=1)
+def max_next_q(next_states, target_net, acont_range=None):
+    """max_a' Q_target(s', a') for a batch of next states; a mixed net needs acont_range."""
+    return action_values(target_net, next_states, acont_range)[1].max(axis=1)
 
 
-def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig, action_spec=None,
-                   inaction_acont: float = 0.0) -> np.ndarray:
+def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,
+                   acont_range=None) -> np.ndarray:
     """y = r + gamma * max_a' Q_target(s', a') for each transition of a batch."""
-    return batch.rewards + cfg.gamma * max_next_q(
-        batch.next_states, target_net, cfg, action_spec, inaction_acont
-    )
+    return batch.rewards + cfg.gamma * max_next_q(batch.next_states, target_net, acont_range)
 
 
 def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
-            lr=None, action_spec=None, inaction_acont: float = 0.0):
+            lr=None, acont_range=None):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
     Only the output neuron of the taken action receives loss gradient.
@@ -106,9 +106,9 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cf
         raise ConfigError("empty training batch")
     lr = cfg.lr0 if lr is None else lr
     n = len(batch)
-    y = bellman_target(batch, target_net, cfg, action_spec, inaction_acont)
+    y = bellman_target(batch, target_net, cfg, acont_range)
     x = batch.states
-    if cfg.mode == "mixed":
+    if is_mixed(net):
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     q, cache = forward_batch(net, x)
     taken = q[np.arange(n), batch.actions]
@@ -139,7 +139,7 @@ class Learner:
 
 
 def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig, lr=None,
-             action_spec=None, inaction_acont: float = 0.0) -> np.ndarray:
+             acont_range=None) -> np.ndarray:
     """n_steps TD steps on batches drawn uniformly with replacement from data.
 
     Clones the target net whenever the learner's global step count reaches a
@@ -149,7 +149,7 @@ def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig
     for i in range(n_steps):
         idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
         losses[i] = td_step(data[idx], learner.net, learner.target, learner.opt, cfg, lr,
-                            action_spec, inaction_acont)
+                            acont_range)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
             learner.target = clone_target(learner.net)
@@ -179,8 +179,11 @@ class TrainHistory:
 
 
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
-          action_spec=None, inaction_acont: float = 0.0, net: Mlp = None):
+          acont_range=None, net: Mlp = None):
     """Train a DQN on logged transitions. Returns (best net, TrainHistory).
+
+    A mixed net needs acont_range: cfg.acont_range(stats) for data normalized
+    with stats.
 
     The best net has the highest matched-group mean reward on the validation
     set; when no epoch has a matched group, it is the last trained net. An
@@ -201,15 +204,10 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     best_net, best_reward = None, -np.inf
     for epoch in range(cfg.epochs):
         try:
-            losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr,
-                              action_spec, inaction_acont)
+            losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr, acont_range)
         except TrainingDiverged as exc:
             raise TrainingDiverged(epoch, learner.step, float("nan")) from exc
-        report = policy_eval.evaluate(
-            validation_set, net, cfg.mode,
-            action_spec or ActionSpec(continuous_dims=1 if cfg.mode == "mixed" else 0),
-            baseline_seed=cfg.seed, inaction_acont=inaction_acont,
-        )
+        report = policy_eval.evaluate(validation_set, net, acont_range, baseline_seed=cfg.seed)
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
         history.records.append(EpochRecord(epoch, float(losses.mean()),
@@ -223,24 +221,18 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint sidecar: NormStats + TrainConfig in a key=value text file
+# Checkpoint sidecar: TrainConfig (mode and bounds included) + NormStats in a key=value text file
 
 
 def write_sidecar(path, cfg: TrainConfig, norm_stats):
-    lines = {
-        "mode": cfg.mode,
-        "gamma": repr(cfg.gamma),
-        "lr0": repr(cfg.lr0),
-        "lr_decay_per_epoch": repr(cfg.lr_decay_per_epoch),
-        "batch_size": str(cfg.batch_size),
-        "epochs": str(cfg.epochs),
-        "target_clone_period": str(cfg.target_clone_period),
-        "seed": str(cfg.seed),
-        "state_mean": ",".join(repr(float(v)) for v in norm_stats.state_mean),
-        "state_std": ",".join(repr(float(v)) for v in norm_stats.state_std),
-        "acont_mean": repr(float(norm_stats.acont_mean)),
-        "acont_std": repr(float(norm_stats.acont_std)),
-    }
+    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    lines = {k: v if isinstance(v, str) else repr(v) for k, v in values.items()}
+    lines.update(
+        state_mean=",".join(repr(float(v)) for v in norm_stats.state_mean),
+        state_std=",".join(repr(float(v)) for v in norm_stats.state_std),
+        acont_mean=repr(float(norm_stats.acont_mean)),
+        acont_std=repr(float(norm_stats.acont_std)),
+    )
     with open(path, "w", encoding="utf-8") as f:
         for k, v in lines.items():
             f.write(f"{k}={v}\n")

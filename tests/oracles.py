@@ -10,7 +10,6 @@ over customers in Python floats.
 import numpy as np
 
 from clvdqn import policy_eval
-from clvdqn.action_space import ActionSpec
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import forward, forward_batch, init_mlp
 from clvdqn.qlearn import Learner, TrainingDiverged, network_spec, td_steps
@@ -176,7 +175,6 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
     mixed = train_cfg.mode == "mixed"
-    spec = ActionSpec(continuous_dims=1 if mixed else 0)
     trained = False
     dropped = set()
     history = []
@@ -192,9 +190,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
         n = len(states)
         if trained:
             greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, stats.normalize_state(np.array(states)), train_cfg.mode, spec,
-                inaction_acont=stats.normalize_acont(0.0),
-            )
+                learner.net, stats.normalize_state(np.array(states)), train_cfg.acont_range(stats))
         elif agent_cfg.initial_policy is not None:
             greedy_actions = [agent_cfg.initial_policy(np.array([s]))[0] for s in states]
             greedy_aconts = np.zeros(n)
@@ -206,7 +202,10 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
             allowed = allowed_actions(state)
             if explore[i] or greedy_actions is None:
                 action = int(allowed[agent_rng.integers(len(allowed))])
-                acont = float(agent_rng.uniform(*spec.bounds)) if mixed and action != 0 else 0.0
+                acont = 0.0
+                if mixed and action != 0:  # drawn in normalized units, like the greedy maximum
+                    acont = float(stats.denormalize_acont(
+                        agent_rng.uniform(train_cfg.bounds_lo, train_cfg.bounds_hi)))
             else:
                 action = int(greedy_actions[i])
                 acont = float(stats.denormalize_acont(greedy_aconts[i])) if mixed and action != 0 else 0.0
@@ -226,7 +225,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
             stats = compute_norm_stats(data)
             try:
                 td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
-                         action_spec=spec, inaction_acont=stats.normalize_acont(0.0))
+                         acont_range=train_cfg.acont_range(stats))
                 trained = True
             except TrainingDiverged:
                 net_seed += 1

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec, maximize_continuous_batch
+from clvdqn.action_space import AcontRange, maximize_continuous_batch
 from clvdqn.cli import main
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
-from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves
+from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves, recommend_batch
 from clvdqn.qlearn import TrainConfig, clone_target, network_spec, td_step
 from clvdqn.rfmi import Transitions
 from oracles import (
@@ -28,7 +28,7 @@ from oracles import (
 from test_action_space import tent_net
 from test_qlearn import GAMMA, TOY_R, TOY_T, onehot_state, toy_data
 
-MIXED_SPEC = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
+MIXED_RANGE = AcontRange(-2.0, 2.0)
 STATE_NAMES = ("recency", "frequency", "monetary", "i_recency", "i_frequency")
 
 
@@ -76,11 +76,11 @@ class TestCriterion2ContinuousMaximizer:
             rng = np.random.default_rng(1000 + seed)
             state = rng.normal(size=5)
             action = int(rng.integers(1, 12))
-            _, qs = maximize_continuous_batch(net, state[None, :], MIXED_SPEC)
-            _, grid_q = grid_scan_max(net, state, action, MIXED_SPEC.bounds)
+            _, qs = maximize_continuous_batch(net, state[None, :], MIXED_RANGE)
+            _, grid_q = grid_scan_max(net, state, action, (MIXED_RANGE.lo, MIXED_RANGE.hi))
             worst_gap = max(worst_gap, grid_q - qs[0, action])
         tent_aconts, _ = maximize_continuous_batch(
-            tent_net(), np.zeros((1, 5)), ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0)),
+            tent_net(), np.zeros((1, 5)), AcontRange(-2.0, 2.0),
         )
         tent_err = abs(tent_aconts[0, 7] - 1.0)
         elapsed = time.time() - t0
@@ -120,15 +120,13 @@ class TestCriterion3ToyMdpConvergence:
 
 class TestCriterion4EvaluationOracle:
     def test_hand_fixture_and_partition_identities(self):
-        spec = ActionSpec()
-
         net4 = init_mlp(network_spec("discrete_only"), seed=0)
         for w in net4.weights:
             w[:] = 0.0
         net4.biases[-1][4] = 7.0  # always recommends action 4
         fixture = Transitions(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4), np.zeros((4, 5)),
                               [10.0, 0.0, 5.0, 0.0])
-        rep = evaluate(fixture, net4, "discrete_only", spec)
+        rep = evaluate(fixture, net4)
         fixture_ok = (
             rep.matched.n == 2 and rep.deviated.n == 2
             and rep.matched.response_rate == 0.5 and rep.matched.mean_reward == 5.0
@@ -148,7 +146,7 @@ class TestCriterion4EvaluationOracle:
         worst_resid = 0.0
         for policy_seed in range(10_000):
             net = init_mlp(network_spec("discrete_only"), seed=policy_seed)
-            report = evaluate(transitions, net, "discrete_only", spec)
+            report = evaluate(transitions, net)
             if report.matched.n + report.deviated.n != 1000:
                 identities_ok = False
                 break
@@ -199,12 +197,7 @@ class TestCriterion5SyntheticAutonomyLift:
         model = DonorModel(action_effects=effects, thankyou_boost=0.0, seed=1)
         res = run_autonomous(200, model, AgentConfig(seed=1), TrainConfig(seed=1))
         probe = res.replay.contents().states[-1000:]
-        from clvdqn.policy_eval import recommend_batch
-
-        actions, _, _ = recommend_batch(
-            res.net, res.norm_stats.normalize_state(probe), "discrete_only",
-            ActionSpec(),
-        )
+        actions, _, _ = recommend_batch(res.net, res.norm_stats.normalize_state(probe))
         agreement = float(np.mean(actions == dominant))
         verdict("5b", agreement >= 0.90,
                 f"probe-set agreement with dominant action {agreement:.1%} (>= 90%)")
@@ -262,7 +255,7 @@ class TestCriterion7LoggedDatasetDirectional:
         net = load_mlp(ckpt)
         tc, stats = read_sidecar(str(ckpt) + ".meta")
         normed = rfmi.apply_norm(stats, transitions)
-        report = evaluate(normed, net, tc.mode, ActionSpec(),
+        report = evaluate(normed, net, tc.acont_range(stats),
                           baseline_seed=tc.seed, norm_stats=stats)
         ok = (report.matched.response_rate > report.deviated.response_rate
               and report.matched.response_rate > report.best_single_action_stats.response_rate)

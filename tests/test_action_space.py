@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvdqn.action_space import (
-    ActionSpec,
-    best_discrete,
-    best_mixed,
-    maximize_continuous_batch,
-)
+from clvdqn.action_space import AcontRange, action_values, maximize_continuous_batch
 from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, forward, forward_batch, init_mlp
+from clvdqn.policy_eval import recommend_batch
 from clvdqn.qlearn import network_spec
 from oracles import grid_scan_max
 
-MIXED_SPEC = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
+MIXED_RANGE = AcontRange(-2.0, 2.0)
+BOUNDS = (MIXED_RANGE.lo, MIXED_RANGE.hi)
 
 
 def zero_net(mode="discrete_only"):
@@ -51,10 +48,16 @@ def spike_net(center, half_width, neuron=5):
     return Mlp(specs=specs, weights=[w1, w2], biases=[b1, b2])
 
 
-def maximize(net, state, spec=MIXED_SPEC, inaction_acont=0.0):
+def maximize(net, state, acont_range=MIXED_RANGE):
     """(aconts, qs) rows of maximize_continuous_batch for a single state."""
-    aconts, qs = maximize_continuous_batch(net, np.asarray(state)[None, :], spec, inaction_acont)
+    aconts, qs = maximize_continuous_batch(net, np.asarray(state)[None, :], acont_range)
     return aconts[0], qs[0]
+
+
+def best(net, state, acont_range=None):
+    """(action, acont, q) of recommend_batch for a single state."""
+    actions, aconts, qs = recommend_batch(net, np.asarray(state)[None, :], acont_range)
+    return int(actions[0]), float(aconts[0]), float(qs[0])
 
 
 def random_relu_net(rng, widths, n_out):
@@ -68,15 +71,15 @@ def random_relu_net(rng, widths, n_out):
 
 class TestBestDiscrete:
     def test_zero_net_tie_breaks_to_action_zero(self):
-        result = best_discrete(zero_net(), np.zeros(5))
-        assert result.action == 0
-        assert result.q_value == 0.0
+        action, _, q = best(zero_net(), np.zeros(5))
+        assert action == 0
+        assert q == 0.0
 
     def test_bias_only_net(self):
         net = zero_net()
         net.biases[-1][4] = 7.0
-        result = best_discrete(net, np.ones(5))
-        assert (result.action, result.q_value) == (4, 7.0)
+        action, _, q = best(net, np.ones(5))
+        assert (action, q) == (4, 7.0)
 
     def test_matches_exhaustive_scan(self):
         net = init_mlp(network_spec("discrete_only"), seed=3)
@@ -84,13 +87,13 @@ class TestBestDiscrete:
         for _ in range(20):
             state = rng.normal(size=5)
             q, _ = forward(net, state)
-            result = best_discrete(net, state)
-            assert result.action == int(np.argmax(q))
-            assert result.q_value == q[result.action]
+            action, _, best_q = best(net, state)
+            assert action == int(np.argmax(q))
+            assert best_q == q[action]
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
-            best_discrete(zero_net(), np.zeros(4))
+            best(zero_net(), np.zeros(4))
 
 
 class TestMaximizeContinuous:
@@ -99,11 +102,10 @@ class TestMaximizeContinuous:
         net.biases[-1][3] = 2.5  # constant in acont
         aconts, qs = maximize(net, np.zeros(5))
         assert qs[3] == 2.5
-        assert MIXED_SPEC.bounds[0] <= aconts[3] <= MIXED_SPEC.bounds[1]
+        assert BOUNDS[0] <= aconts[3] <= BOUNDS[1]
 
     def test_tent_peak(self):
-        spec = ActionSpec(continuous_dims=1, bounds=(0.0, 2.0))
-        aconts, qs = maximize(tent_net(), np.zeros(5), spec)
+        aconts, qs = maximize(tent_net(), np.zeros(5), AcontRange(0.0, 2.0))
         assert aconts[7] == 1.0
         assert qs[7] == 1.0
 
@@ -114,25 +116,25 @@ class TestMaximizeContinuous:
             state = rng.normal(size=5)
             action = int(rng.integers(1, 12))
             _, qs = maximize(net, state)
-            _, grid_q = grid_scan_max(net, state, action, MIXED_SPEC.bounds)
+            _, grid_q = grid_scan_max(net, state, action, BOUNDS)
             assert qs[action] >= grid_q - 1e-12
 
     def test_inaction_column_is_not_maximized(self):
         net = tent_net(neuron=0)  # Q[0] peaks at acont=1
-        aconts, qs = maximize(net, np.zeros(5), inaction_acont=0.5)
+        aconts, qs = maximize(net, np.zeros(5), AcontRange(-2.0, 2.0, inaction=0.5))
         assert (aconts[0], qs[0]) == (0.5, 0.5)
 
     def test_result_within_bounds(self):
         for seed in range(10):
             net = init_mlp(network_spec("mixed"), seed=seed)
             states = np.random.default_rng(seed).normal(size=(4, 5))
-            aconts, _ = maximize_continuous_batch(net, states, MIXED_SPEC)
-            assert np.all((MIXED_SPEC.bounds[0] <= aconts) & (aconts <= MIXED_SPEC.bounds[1]))
+            aconts, _ = maximize_continuous_batch(net, states, MIXED_RANGE)
+            assert np.all((BOUNDS[0] <= aconts) & (aconts <= BOUNDS[1]))
 
     def test_narrow_spike_is_found(self):
         center = 0.0007  # 7e-4 from the nearest point of the 2001-point grid
         net = spike_net(center, half_width=1e-4)
-        _, grid_q = grid_scan_max(net, np.zeros(5), 5, MIXED_SPEC.bounds)
+        _, grid_q = grid_scan_max(net, np.zeros(5), 5, BOUNDS)
         assert grid_q < 1.001  # the grid misses the spike
         aconts, qs = maximize(net, np.zeros(5))
         assert aconts[5] == pytest.approx(center, abs=1e-12)
@@ -153,13 +155,14 @@ class TestMaximizeContinuous:
     def test_exact_on_random_relu_nets(self, seed, widths, n_out, lo, width):
         rng = np.random.default_rng(seed)
         net = random_relu_net(rng, widths, n_out)
-        spec = ActionSpec(n_discrete=n_out, continuous_dims=1, bounds=(lo, lo + width))
+        acont_range = AcontRange(lo, lo + width)
         state = rng.normal(size=5)
-        aconts, qs = maximize(net, state, spec)
-        grid = np.linspace(*spec.bounds, 20001)
+        aconts, qs = maximize(net, state, acont_range)
+        assert aconts.shape == qs.shape == (n_out,)
+        grid = np.linspace(acont_range.lo, acont_range.hi, 20001)
         grid_q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(grid), 1)), grid]))
         for a in range(1, n_out):
-            assert spec.bounds[0] <= aconts[a] <= spec.bounds[1]
+            assert acont_range.lo <= aconts[a] <= acont_range.hi
             assert qs[a] >= grid_q[:, a].max() - 1e-12
             q, _ = forward(net, np.concatenate([state, [aconts[a]]]))
             assert q[a] == qs[a]
@@ -167,44 +170,76 @@ class TestMaximizeContinuous:
 
 class TestBestMixed:
     def test_zero_net(self):
-        result = best_mixed(zero_net("mixed"), np.zeros(5), MIXED_SPEC)
-        assert result.action == 0
-        assert result.q_value == 0.0
+        action, _, q = best(zero_net("mixed"), np.zeros(5), MIXED_RANGE)
+        assert action == 0
+        assert q == 0.0
 
     def test_tent_neuron_dominates(self):
-        spec = ActionSpec(continuous_dims=1, bounds=(0.0, 2.0))
         net = tent_net(base=5.0, neuron=7, others_bias=4.0)  # others flat at 4 < peak 6
-        result = best_mixed(net, np.zeros(5), spec)
-        assert result.action == 7
-        assert abs(result.acont - 1.0) <= 0.01
+        action, acont, _ = best(net, np.zeros(5), AcontRange(0.0, 2.0))
+        assert action == 7
+        assert abs(acont - 1.0) <= 0.01
 
     def test_against_per_neuron_grid_oracle(self):
         for seed in range(5):
             net = init_mlp(network_spec("mixed"), seed=seed)
             state = np.random.default_rng(200 + seed).normal(size=5)
-            result = best_mixed(net, state, MIXED_SPEC)
+            action, _, q = best(net, state, MIXED_RANGE)
             oracle_q = np.empty(12)
             q0, _ = forward(net, np.concatenate([state, [0.0]]))
             oracle_q[0] = q0[0]
             for a in range(1, 12):
-                _, oracle_q[a] = grid_scan_max(net, state, a, MIXED_SPEC.bounds)
-            assert result.q_value >= oracle_q.max() - 1e-3
-            assert result.action == int(np.argmax(oracle_q)) or result.q_value >= oracle_q.max() - 1e-3
+                _, oracle_q[a] = grid_scan_max(net, state, a, BOUNDS)
+            assert q >= oracle_q.max() - 1e-3
+            assert action == int(np.argmax(oracle_q)) or q >= oracle_q.max() - 1e-3
 
     def test_q_consistent_with_forward(self):
         net = init_mlp(network_spec("mixed"), seed=8)
         state = np.random.default_rng(8).normal(size=5)
-        result = best_mixed(net, state, MIXED_SPEC)
-        q, _ = forward(net, np.concatenate([state, [result.acont]]))
-        assert q[result.action] == result.q_value
+        action, acont, best_q = best(net, state, MIXED_RANGE)
+        q, _ = forward(net, np.concatenate([state, [acont]]))
+        assert q[action] == best_q
 
     def test_bias_shift_leaves_argmax(self):
         net = init_mlp(network_spec("mixed"), seed=9)
         state = np.random.default_rng(9).normal(size=5)
-        before = best_mixed(net, state, MIXED_SPEC)
+        before = best(net, state, MIXED_RANGE)
         shifted = net.copy()
         shifted.biases[-1] += 3.25
-        after = best_mixed(shifted, state, MIXED_SPEC)
-        assert after.action == before.action
-        assert after.acont == before.acont
-        assert after.q_value == pytest.approx(before.q_value + 3.25, rel=1e-12)
+        after = best(shifted, state, MIXED_RANGE)
+        assert after[0] == before[0]
+        assert after[1] == before[1]
+        assert after[2] == pytest.approx(before[2] + 3.25, rel=1e-12)
+
+
+class TestActionValues:
+    def test_discrete_net_scores_its_outputs_at_acont_zero(self):
+        net = init_mlp(network_spec("discrete_only"), seed=10)
+        states = np.random.default_rng(10).normal(size=(6, 5))
+        aconts, qs = action_values(net, states)
+        want, _ = forward_batch(net, states)
+        np.testing.assert_array_equal(qs, want)
+        np.testing.assert_array_equal(aconts, np.zeros((6, 12)))
+
+    def test_mixed_net_is_maximized(self):
+        net = init_mlp(network_spec("mixed"), seed=11)
+        states = np.random.default_rng(11).normal(size=(6, 5))
+        got = action_values(net, states, MIXED_RANGE)
+        want = maximize_continuous_batch(net, states, MIXED_RANGE)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n_in", [4, 7])
+    def test_other_input_widths_rejected(self, n_in):
+        net = init_mlp([LayerSpec(n_in, 12, "linear")], seed=0)
+        with pytest.raises(ConfigError, match="5 inputs .discrete. or 6 .mixed."):
+            action_values(net, np.zeros((1, 5)), MIXED_RANGE)
+
+    def test_mixed_net_needs_a_range(self):
+        with pytest.raises(ConfigError, match="acont range"):
+            action_values(zero_net("mixed"), np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_degenerate_range_rejected(self, lo, hi):
+        with pytest.raises(ConfigError, match="degenerate bounds"):
+            AcontRange(lo, hi)

@@ -36,13 +36,13 @@ def transitions_csv(tmp_path):
     return out
 
 
-def zero_checkpoint(tmp_path, mode="discrete_only"):
+def zero_checkpoint(tmp_path, mode="discrete_only", **cfg):
     net = init_mlp(network_spec(mode), seed=0)
     for w in net.weights:
         w[:] = 0.0
     path = tmp_path / "zero.ckpt"
     save_mlp(net, path)
-    write_sidecar(str(path) + ".meta", TrainConfig(mode=mode), NormStats.identity())
+    write_sidecar(str(path) + ".meta", TrainConfig(mode=mode, **cfg), NormStats.identity())
     return path
 
 
@@ -186,8 +186,14 @@ class TestClv:
         (".meta", lambda b: b.replace(b"acont_std=1.0", b"acont_std=nan"),
          "non-finite value for 'acont_std'"),
         (".meta", lambda b: b.replace(b"lr0=0.001", b"lr0=inf"), "non-finite value for 'lr0'"),
+        (".meta", lambda b: b.replace(b"mode=discrete_only", b"mode=mixed"),
+         "mode mixed does not match the 5-input net"),
+        (".meta", lambda b: b.replace(b"bounds_lo=", b"#"), "missing key 'bounds_lo'"),
+        (".meta", lambda b: b.replace(b"bounds_hi=", b"#"), "missing key 'bounds_hi'"),
+        (".meta", lambda b: b.replace(b"bounds_lo=-2.0", b"bounds_lo=2.0"), "degenerate bounds"),
     ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed", "nan-bias", "inf-weight",
-            "nan-state-std", "nan-acont-std", "inf-lr0"])
+            "nan-state-std", "nan-acont-std", "inf-lr0", "mode-mismatch", "no-bounds-lo",
+            "no-bounds-hi", "empty-bounds"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
         ckpt = zero_checkpoint(tmp_path)
         damaged = Path(str(ckpt) + suffix)
@@ -197,6 +203,27 @@ class TestClv:
         assert code == 2
         assert f"{damaged}: " in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["clv", "evaluate"])
+    def test_mixed_net_under_discrete_meta_is_data_error(self, tmp_path, capsys, transitions_csv,
+                                                         command):
+        ckpt = zero_checkpoint(tmp_path, mode="mixed")
+        meta = Path(str(ckpt) + ".meta")
+        meta.write_text(meta.read_text().replace("mode=mixed", "mode=discrete_only"))
+        argv = {"clv": ["clv", str(ckpt), "--state", "3,2,15,1,4"],
+                "evaluate": ["evaluate", str(transitions_csv), str(ckpt)]}[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{meta}: mode discrete_only does not match the 6-input net in {ckpt}" in err
+        assert "Traceback" not in err
+
+    def test_mixed_acont_comes_from_checkpoint_bounds(self, tmp_path, capsys):
+        # a zero net is flat in acont, so every acted action sits at the lower bound
+        ckpt = zero_checkpoint(tmp_path, mode="mixed", bounds_lo=0.5, bounds_hi=0.75)
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [float(r[2]) for r in rows] == [0.0] + [0.5] * 11
 
     def test_out_file_is_closed(self, tmp_path):
         ckpt = zero_checkpoint(tmp_path)
@@ -240,6 +267,16 @@ class TestSimulate:
         assert len(hist.read_text().splitlines()) == 4
         load_mlp(ckpt)
 
+    def test_config_bounds_reach_the_checkpoint(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("mode=mixed\nbounds_lo=3.0\nbounds_hi=4.0\n")
+        ckpt = tmp_path / "sim.ckpt"
+        code = main(["simulate", "--history", str(tmp_path / "sim.csv"), "--checkpoint",
+                     str(ckpt), "--population", "5", "--episodes", "3", "--config", str(cfg)])
+        assert code == 0
+        meta = (tmp_path / "sim.ckpt.meta").read_text().splitlines()
+        assert {"mode=mixed", "bounds_lo=3.0", "bounds_hi=4.0"} <= set(meta)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -259,7 +296,7 @@ class TestConfigFile:
         assert main(["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize("key", ["threads", "restarts", "opt_steps", "step_size"])
+    @pytest.mark.parametrize("key", ["threads", "restarts", "opt_steps", "step_size", "n_discrete"])
     def test_threads_key_and_flag_are_gone(self, tmp_path, transitions_csv, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key}=1\n")
@@ -269,6 +306,23 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--" + key.replace("_", "-"), "1"])
         assert exc.value.code == 1
+
+    def test_unknown_mode_is_usage_error(self, tmp_path, transitions_csv, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs=1\nmode=mixd\n")
+        code = main(["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
+                     "--history", str(tmp_path / "h"), "--config", str(path)])
+        assert code == 1
+        assert f"{path}:2: bad value for 'mode'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("spelling, mode", [("discrete", "discrete_only"),
+                                                ("discrete_only", "discrete_only"),
+                                                ("mixed", "mixed")])
+    def test_mode_spellings(self, tmp_path, spelling, mode):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mode={spelling}\n")
+        assert load_config(path).mode == mode
 
     def test_flag_overrides_config(self, tmp_path, transitions_csv):
         path = tmp_path / "run.cfg"
@@ -290,4 +344,21 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "x.csv"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["build-transitions", "t.csv", "o.csv", "--seed", "1"],
+        ["build-transitions", "t.csv", "o.csv", "--config", "run.cfg"],
+        ["train", "t.csv", "--checkpoint", "c", "--history", "h", "--no-timestamp"],
+        ["evaluate", "t.csv", "c", "--mode", "mixed"],
+        ["clv", "c", "--state", "1,2,3,4,5", "--mode", "mixed"],
+        ["clv", "c", "--state", "1,2,3,4,5", "--seed", "1"],
+        ["clv", "c", "--state", "1,2,3,4,5", "--config", "run.cfg"],
+        ["simulate", "--history", "h", "--checkpoint", "c", "--no-timestamp"],
+        ["curves", "c", "--dims", "recency", "--range", "0:1", "--out", "o", "--seed", "1"],
+        ["curves", "c", "--dims", "recency", "--range", "0:1", "--out", "o", "--mode", "mixed"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_subcommand_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 1

@@ -235,6 +235,16 @@ class TestRunAutonomous:
         res = run_autonomous(10, DonorModel(seed=7), cfg, small_train_cfg(7))
         assert set(res.replay.contents().actions) == {9}
 
+    def test_explorers_draw_acont_from_the_bounds(self):
+        # untrained, so the stats stay the identity and the bounds are raw units too
+        agent = AgentConfig(seed=9, episodes=40, train_every=10**9)
+        train = TrainConfig(seed=9, mode="mixed", bounds_lo=3.0, bounds_hi=4.0)
+        data = run_autonomous(25, DonorModel(seed=9), agent, train).replay.contents()
+        acted = data.aconts[data.actions != 0]
+        assert acted.size > 500
+        assert np.all((acted >= 3.0) & (acted <= 4.0))
+        assert np.all(data.aconts[data.actions == 0] == 0.0)
+
     def test_history_csv(self, tmp_path):
         res = run_autonomous(5, DonorModel(seed=8), AgentConfig(seed=8, episodes=4),
                              small_train_cfg(8))

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec
-from clvdqn.nn_core import ConfigError, forward, init_mlp
+from clvdqn.action_space import AcontRange
+from clvdqn.nn_core import ConfigError, forward, forward_batch, init_mlp
 from clvdqn.policy_eval import (
     SweepSpec,
     estimate_clv,
     evaluate,
     export_value_curves,
-    extract_policy,
+    recommend_batch,
     report_csv_rows,
     report_text,
     write_curves_csv,
 )
 from clvdqn.qlearn import network_spec
 from clvdqn.rfmi import NormStats, Transitions
-
-DISCRETE_SPEC = ActionSpec()
 
 
 def zero_net(mode="discrete_only"):
@@ -39,24 +37,21 @@ def biased_net(action, bias=7.0):
     return net
 
 
-class TestExtractPolicy:
+class TestRecommendBatch:
     def test_zero_net_recommends_inaction(self):
-        policy = extract_policy(zero_net(), np.zeros((4, 5)), "discrete_only", DISCRETE_SPEC)
-        assert [p.action for p in policy] == [0, 0, 0, 0]
+        actions, _, _ = recommend_batch(zero_net(), np.zeros((4, 5)))
+        assert actions.tolist() == [0, 0, 0, 0]
 
     def test_dominant_biased_neuron(self):
-        policy = extract_policy(
-            biased_net(4), np.random.default_rng(0).normal(size=(6, 5)),
-            "discrete_only", DISCRETE_SPEC,
-        )
-        assert [p.action for p in policy] == [4] * 6
+        actions, _, _ = recommend_batch(biased_net(4), np.random.default_rng(0).normal(size=(6, 5)))
+        assert actions.tolist() == [4] * 6
 
 
 class TestEvaluate:
     def test_total_match(self):
         # policy that recommends exactly the logged action for every transition
         transitions = logged([4, 4, 4], [10.0, 0.0, 3.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, biased_net(4))
         assert report.matched.n == 3
         assert report.deviated.n == 0
         assert not report.deviated.defined
@@ -66,7 +61,7 @@ class TestEvaluate:
     def test_four_row_hand_fixture(self):
         # rewards 10,0,5,0; policy (always action 4) matches rows 1 and 2
         transitions = logged([4, 4, 2, 3], [10.0, 0.0, 5.0, 0.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, biased_net(4))
         assert report.matched.n == 2 and report.deviated.n == 2
         assert report.matched.response_rate == 0.5
         assert report.matched.mean_reward == 5.0
@@ -79,8 +74,7 @@ class TestEvaluate:
                  for _ in range(200)]
         actions, rewards, states = (np.array(col) for col in zip(*draws))
         transitions = logged(actions, rewards, states)
-        report = evaluate(transitions, init_mlp(network_spec("discrete_only"), 3),
-                          "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, init_mlp(network_spec("discrete_only"), 3))
         assert report.matched.n + report.deviated.n == 200
         total = sum(rewards.tolist())
         acc = 0.0
@@ -93,13 +87,13 @@ class TestEvaluate:
     def test_random_baseline_deterministic(self):
         transitions = logged([i % 12 for i in range(50)], np.arange(50.0))
         net = init_mlp(network_spec("discrete_only"), 0)
-        a = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, baseline_seed=9)
-        b = evaluate(transitions, net, "discrete_only", DISCRETE_SPEC, baseline_seed=9)
+        a = evaluate(transitions, net, baseline_seed=9)
+        b = evaluate(transitions, net, baseline_seed=9)
         assert a.random_baseline == b.random_baseline
 
     def test_best_single_action_from_logged_data(self):
         transitions = logged([4] * 3 + [2] * 3 + [7] * 3, [10.0] * 3 + [1.0] * 3 + [4.0] * 3)
-        report = evaluate(transitions, zero_net(), "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, zero_net())
         assert report.best_single_action == 4
         assert report.best_single_action_stats.mean_reward == 10.0
 
@@ -107,48 +101,58 @@ class TestEvaluate:
         # recommended acont differs by < 0.5 from logged: still matched after rounding
         net = zero_net("mixed")
         net.biases[-1][5] = 3.0
-        spec = ActionSpec(continuous_dims=1, bounds=(5.6, 6.4))  # flat in acont
+        acont_range = AcontRange(5.6, 6.4)  # flat in acont
         # row 0 logs acont 5.8 (matches), row 1 logs 9.0 (differs)
         transitions = logged([5, 5], [1.0, 1.0], aconts=[5.8, 9.0])
-        report = evaluate(transitions, net, "mixed", spec)
+        report = evaluate(transitions, net, acont_range)
         assert report.matched.n == 1
         assert report.deviated.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(Transitions.empty(0), zero_net(), "discrete_only", DISCRETE_SPEC)
+            evaluate(Transitions.empty(0), zero_net())
 
 
 class TestEstimateClv:
     def test_zero_net_gives_zero_clv(self):
-        est = estimate_clv(zero_net(), np.zeros(5), NormStats.identity(),
-                           "discrete_only", DISCRETE_SPEC)
+        est = estimate_clv(zero_net(), np.zeros(5), NormStats.identity())
         np.testing.assert_array_equal(est.values, np.zeros(12))
         assert est.best_value == 0.0
 
     def test_negative_state_rejected(self):
         with pytest.raises(ConfigError):
-            estimate_clv(zero_net(), np.array([1, -1, 0, 0, 0.0]), NormStats.identity(),
-                         "discrete_only", DISCRETE_SPEC)
+            estimate_clv(zero_net(), np.array([1, -1, 0, 0, 0.0]), NormStats.identity())
 
     def test_output_scaling_scales_clv_not_argmax(self):
         net = init_mlp(network_spec("discrete_only"), seed=5)
-        est = estimate_clv(net, np.array([1.0, 2, 3, 4, 5]), NormStats.identity(),
-                           "discrete_only", DISCRETE_SPEC)
+        est = estimate_clv(net, np.array([1.0, 2, 3, 4, 5]), NormStats.identity())
         scaled = net.copy()
         scaled.weights[-1] *= 3.0
         scaled.biases[-1] *= 3.0
-        est2 = estimate_clv(scaled, np.array([1.0, 2, 3, 4, 5]), NormStats.identity(),
-                            "discrete_only", DISCRETE_SPEC)
+        est2 = estimate_clv(scaled, np.array([1.0, 2, 3, 4, 5]), NormStats.identity())
         np.testing.assert_allclose(est2.values, 3.0 * est.values, rtol=1e-12)
         assert est2.best_action == est.best_action
 
     def test_normalization_applied_to_input(self):
         net = init_mlp(network_spec("discrete_only"), seed=6)
         stats = NormStats(np.array([2.0] * 5), np.array([4.0] * 5), 0.0, 1.0)
-        est = estimate_clv(net, np.full(5, 6.0), stats, "discrete_only", DISCRETE_SPEC)
+        est = estimate_clv(net, np.full(5, 6.0), stats)
         direct, _ = forward(net, np.full(5, 1.0))  # (6-2)/4 = 1
         np.testing.assert_array_equal(est.values, direct)
+
+    def test_discrete_aconts_are_zero_whatever_the_acont_stats(self):
+        stats = NormStats(np.zeros(5), np.ones(5), 10.0, 2.0)
+        est = estimate_clv(init_mlp(network_spec("discrete_only"), seed=7), np.ones(5), stats)
+        assert est.aconts.tolist() == [0.0] * 12
+
+    def test_mixed_aconts_are_raw_and_inaction_sits_at_zero(self):
+        net = zero_net("mixed")
+        net.biases[-1][:] = 1.5  # flat in acont: every action peaks at the lower bound
+        stats = NormStats(np.zeros(5), np.ones(5), 10.0, 2.0)
+        acont_range = AcontRange(-1.0, 1.0, inaction=stats.normalize_acont(0.0))
+        est = estimate_clv(net, np.ones(5), stats, acont_range)
+        assert est.aconts.tolist() == [0.0] + [8.0] * 11  # 10 + 2 * -1
+        assert est.values.tolist() == [1.5] * 12
 
 
 class TestValueCurves:
@@ -183,6 +187,16 @@ class TestValueCurves:
         peak_idx = int(np.argmax(rows[:, 1 + 2]))
         assert rows[peak_idx, 0] == pytest.approx(1.0, abs=0.01)
 
+    def test_mixed_net_holds_acont_at_raw_zero(self):
+        net = init_mlp(network_spec("mixed"), seed=4)
+        stats = NormStats(np.zeros(5), np.ones(5), 4.0, 2.0)
+        sweep = SweepSpec(dims=("recency",), ranges=((0.0, 3.0),), resolution=4)
+        rows = export_value_curves(net, sweep, stats)
+        inputs = np.zeros((4, 6))
+        inputs[:, 0] = [0.0, 1.0, 2.0, 3.0]
+        inputs[:, 5] = -2.0  # (0 - 4) / 2
+        np.testing.assert_array_equal(rows[:, 1:], forward_batch(net, inputs)[0])
+
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(dims=("bogus",), ranges=((0, 1),))
@@ -200,7 +214,7 @@ class TestValueCurves:
 class TestReportFormats:
     def test_text_report_mentions_caveat_and_respects_timestamp_flag(self):
         transitions = logged([4, 3], [1.0, 0.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, biased_net(4))
         text = report_text(report, timestamp=False)
         assert "biased off-policy" in text
         assert "matched" in text and "deviated" in text
@@ -209,7 +223,7 @@ class TestReportFormats:
 
     def test_csv_rows_shape(self):
         transitions = logged([4], [1.0])
-        report = evaluate(transitions, biased_net(4), "discrete_only", DISCRETE_SPEC)
+        report = evaluate(transitions, biased_net(4))
         rows = report_csv_rows(report)
         assert rows[0] == ["group", "action", "n", "response_rate", "mean_reward"]
         assert len(rows) == 6

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clvdqn.action_space import ActionSpec
-from clvdqn.nn_core import LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
     Learner,
@@ -84,10 +83,9 @@ class TestBellmanTarget:
                 assert bellman_target(batch, net, cfg)[0] == pytest.approx(qstar[s][a], abs=1e-9)
 
     def test_mixed_mode_uses_continuous_max(self):
-        cfg = TrainConfig(gamma=0.9, mode="mixed")
+        cfg = TrainConfig(gamma=0.9, mode="mixed", bounds_lo=-2.0, bounds_hi=2.0)
         net = init_mlp(network_spec("mixed"), seed=2)
-        spec = ActionSpec(continuous_dims=1, bounds=(-2.0, 2.0))
-        y = bellman_target(make_batch(reward=1.0), net, cfg, spec)[0]
+        y = bellman_target(make_batch(reward=1.0), net, cfg, cfg.acont_range())[0]
         # must bootstrap off at least the best fixed-acont scan
         grid = np.linspace(-2, 2, 101)
         x = np.concatenate([np.tile(np.zeros(5), (101, 1)), grid[:, None]], axis=1)
@@ -108,14 +106,13 @@ class TestTdStep:
             np.testing.assert_array_equal(w, b4)
 
     def test_hand_differentiated_gradient(self):
-        # Q = w*s with s=[1], w=0, y=1: loss (y-Q)^2 = 1, dloss/dw = -2
-        specs = (LayerSpec(1, 1, "linear"),)
-        net = Mlp(specs=specs, weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+        # Q_0 = w*s_0 with s=[1,0,0,0,0], w=0, y=1: loss (y-Q)^2 = 1, dloss/dw = -2
+        specs = (LayerSpec(5, 12, "linear"),)
+        net = Mlp(specs=specs, weights=[np.zeros((12, 5))], biases=[np.zeros(12)])
         target = clone_target(net)
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.0, lr0=0.001, batch_size=1)
-        batch = Transitions(np.array([[1.0]]), np.array([0]), np.array([0.0]),
-                            np.array([[1.0]]), np.array([1.0]))
+        batch = make_batch(reward=1.0, action=0, s=np.eye(5)[0], s2=np.eye(5)[0])
         loss = td_step(batch, net, target, opt, cfg)
         assert loss == 1.0
         g = -2.0
@@ -141,6 +138,18 @@ class TestTdStep:
         changed = np.any(net.weights[-1] != before, axis=1)
         assert changed[3]
         assert not changed[[a for a in range(12) if a != 3]].any()
+
+    def test_mixed_net_trains_on_logged_acont(self):
+        # a 6-input net reads the logged acont as its last input: with a zero state
+        # and acont 0.5, only output 3's acont weight (and bias) gets gradient
+        specs = (LayerSpec(6, 12, "linear"),)
+        net = Mlp(specs=specs, weights=[np.zeros((12, 6))], biases=[np.zeros(12)])
+        cfg = TrainConfig(gamma=0.0, mode="mixed")
+        batch = make_batch(reward=1.0, action=3)
+        batch.aconts[:] = 0.5
+        td_step(batch, net, clone_target(net), RmspropState.init_like(net), cfg,
+                acont_range=cfg.acont_range())
+        assert np.argwhere(net.weights[0] != 0.0).tolist() == [[3, 5]]
 
     def test_nonfinite_loss_raises(self):
         net = zero_net()
@@ -230,13 +239,14 @@ class TestTrain:
         val = toy_data(5)
         val.actions[:] = 1
         val.aconts[:] = 1e6
-        net, history = train(data, val, cfg)
+        net, history = train(data, val, cfg, cfg.acont_range())
         assert all(math.isnan(r.val_mean_reward) for r in history.records)
         # the same epochs, replayed by hand
         learner = Learner.fresh(init_mlp(network_spec("mixed"), 4), np.random.default_rng(4))
         lr = cfg.lr0
         for _ in range(cfg.epochs):
-            td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg, lr)
+            td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg, lr,
+                     cfg.acont_range())
             lr *= cfg.lr_decay_per_epoch
         for a, b in zip(net.weights + net.biases, learner.net.weights + learner.net.biases):
             np.testing.assert_array_equal(a, b)
@@ -254,7 +264,8 @@ class TestTrain:
         np.testing.assert_array_equal(bellman_target(batch, target, cfg), y0)
 
     def test_sidecar_round_trip(self, tmp_path):
-        cfg = TrainConfig(gamma=0.85, lr0=0.002, epochs=7, seed=3, mode="mixed")
+        cfg = TrainConfig(gamma=0.85, lr0=0.002, epochs=7, seed=3, mode="mixed",
+                          bounds_lo=-0.75, bounds_hi=3.5)
         stats = NormStats(
             state_mean=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
             state_std=np.array([1.0, 0.5, 2.0, 1.0, 3.0]),
@@ -268,6 +279,12 @@ class TestTrain:
         np.testing.assert_array_equal(stats2.state_mean, stats.state_mean)
         np.testing.assert_array_equal(stats2.state_std, stats.state_std)
         assert (stats2.acont_mean, stats2.acont_std) == (6.5, 2.25)
+        assert (cfg2.bounds_lo, cfg2.bounds_hi) == (-0.75, 3.5)
+
+    def test_mixed_net_needs_a_range(self):
+        cfg = TrainConfig(epochs=1, batch_size=50, mode="mixed")
+        with pytest.raises(ConfigError, match="acont range"):
+            train(toy_data(5), toy_data(5), cfg)
 
     def test_history_csv(self, tmp_path):
         data = toy_data(5)
