@@ -11,13 +11,7 @@ import numpy as np
 
 from clvdqn.policy_eval import evaluate, report_text
 from clvdqn.qlearn import TrainConfig, train
-from clvdqn.rfmi import (
-    CustomerTimeline,
-    Transitions,
-    apply_norm,
-    build_transitions,
-    compute_norm_stats,
-)
+from clvdqn.rfmi import CustomerTimeline, apply_norm, build_transitions, compute_norm_stats
 
 rng = np.random.default_rng(0)
 
@@ -30,7 +24,7 @@ for c in range(200):
     amounts = np.where(rng.random(12) < p, rng.exponential(12.0, size=12), 0.0)
     timelines.append(CustomerTimeline(f"cust{c}", amounts, actions, np.zeros(12)))
 
-transitions = Transitions.concat([build_transitions(tl) for tl in timelines])
+transitions = build_transitions(timelines)
 print(f"built {len(transitions)} transitions from {len(timelines)} timelines")
 
 # 2. Split, normalize with training-set statistics only, train.
@@ -39,7 +33,7 @@ train_set, val_set = transitions[~mask], transitions[mask]
 stats = compute_norm_stats(train_set)
 
 cfg = TrainConfig(epochs=15, seed=0)
-net, history = train(apply_norm(stats, train_set), apply_norm(stats, val_set), cfg)
+net, history = train(apply_norm(stats, train_set), apply_norm(stats, val_set), cfg, stats)
 print(f"trained {cfg.epochs} epochs; final loss {history.records[-1].loss:.3f}")
 
 # 3. Offline evaluation on the held-out transitions.

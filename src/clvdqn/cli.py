@@ -163,7 +163,7 @@ def cmd_build_transitions(args):
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
         raise CliError(f"no timelines found in {args.timelines}", EXIT_DATA)
-    transitions = rfmi.Transitions.concat([rfmi.build_transitions(tl) for tl in timelines])
+    transitions = rfmi.build_transitions(timelines)
     rfmi.write_transitions(transitions, args.out)
     print(f"wrote {len(transitions)} transitions to {args.out}")
 
@@ -180,7 +180,7 @@ def cmd_train(args):
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
     tc = cfg.train_config()
-    net, history = qlearn.train(train_norm, val_norm, tc, tc.acont_range(stats))
+    net, history = qlearn.train(train_norm, val_norm, tc, stats)
     save_mlp(net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
     history.write_csv(args.history)

@@ -4,8 +4,9 @@ The ground-truth response probability is a clamped linear score: base rate plus
 a per-action effect, minus contact fatigue proportional to i_frequency, minus
 a recency penalty for formerly frequent donors, plus a thank-you bonus when the
 donor transacted in the last period. These are exactly the structures the
-learner is expected to recover. State bookkeeping follows rfmi.compute_state
-(monetary up to rounding), so simulated and logged transitions share one convention.
+learner is expected to recover. States advance with rfmi.advance_states, the
+arithmetic that builds logged transitions, so a simulated history rebuilt as
+timelines gives back the same states bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from . import policy_eval
 from .action_space import is_mixed
 from .nn_core import init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
-from .rfmi import N_ACTIONS, NormStats, RfmiState, Transitions, apply_norm, compute_norm_stats
+from .rfmi import (N_ACTIONS, NormStats, Transitions, advance_states, apply_norm,
+                   compute_norm_stats)
 
 log = logging.getLogger(__name__)
 
@@ -49,41 +51,14 @@ class DonorModel:
 
 def response_probabilities(model: DonorModel, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Ground-truth response probability per row of raw (n, 5) states, clamped to [0.001, 0.999]."""
+    if np.any((actions < 0) | (actions >= N_ACTIONS)):
+        raise ValueError(f"actions must be in 0..{N_ACTIONS - 1}")
     recency, frequency, i_frequency = states[:, 0], states[:, 1], states[:, 4]
     p = model.base_rate + np.asarray(model.action_effects, dtype=np.float64)[actions]
     p = p - model.fatigue_coeff * i_frequency
     p = np.where(frequency > 2, p - model.recency_decay * recency, p)
     p = np.where((actions == model.thankyou_action) & (recency <= 1), p + model.thankyou_boost, p)
     return np.clip(p, PROB_FLOOR, PROB_CEIL)
-
-
-def advance_states(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """Raw states one period on: the incremental form of the rfmi period-boundary conventions."""
-    recency, frequency, monetary, i_recency, i_frequency = states.T
-    paid, acted = rewards > 0, actions != 0
-    new_frequency = np.where(paid, frequency + 1, frequency)
-    return np.column_stack([
-        np.where(paid, 1.0, recency + 1),
-        new_frequency,
-        np.divide(monetary * frequency + rewards, new_frequency, out=monetary.copy(), where=paid),
-        np.where(acted, 1.0, i_recency + 1),
-        np.where(acted, i_frequency + 1, i_frequency),
-    ])
-
-
-def response_probability(model: DonorModel, state: RfmiState, action: int) -> float:
-    """response_probabilities for one donor."""
-    return float(response_probabilities(model, state.to_array()[None], np.array([action]))[0])
-
-
-def env_step(model: DonorModel, state: RfmiState, action: int, acont: float, rng):
-    """Simulate one period for one donor. Returns (reward, next_state)."""
-    if not 0 <= action < N_ACTIONS:
-        raise ValueError(f"invalid action {action}")
-    responded = rng.random() < response_probability(model, state, action)
-    reward = float(rng.exponential(model.amount_mean)) if responded else 0.0
-    next_state = advance_states(state.to_array()[None], np.array([action]), np.array([reward]))
-    return reward, RfmiState(*next_state[0].tolist())
 
 
 @dataclass
@@ -204,8 +179,9 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
     """Cold-start control loop: explore, log into replay, train in bursts.
 
     `population` is either a customer count (fresh donors) or an (n, 5) array
-    of starting raw states. Returns an AutonomousResult; the trained net
-    consumes states normalized with result.norm_stats.
+    of starting raw states, whose gift sums start at frequency * monetary.
+    Returns an AutonomousResult; the trained net consumes states normalized
+    with result.norm_stats.
     """
     if isinstance(population, int):
         states = np.zeros((population, 5))
@@ -213,6 +189,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         states = np.array(population, dtype=np.float64).reshape(-1, 5)
     if not len(states):
         raise ValueError("population must contain at least one customer")
+    gift_sums = states[:, 1] * states[:, 2]
     env_rng = np.random.default_rng(model.seed)
     agent_rng = np.random.default_rng(agent_cfg.seed)
     net_seed = train_cfg.seed
@@ -243,7 +220,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         for i, p in enumerate(response_probabilities(model, states, actions).tolist()):
             if env_rng.random() < p:
                 rewards[i] = env_rng.exponential(model.amount_mean)
-        next_states = advance_states(states, actions, rewards)
+        next_states, gift_sums = advance_states(states, gift_sums, actions, rewards)
         replay.add(Transitions(states, actions, aconts, next_states, rewards))
         states = next_states
         history.append(

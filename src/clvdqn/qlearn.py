@@ -179,11 +179,12 @@ class TrainHistory:
 
 
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
-          acont_range=None, net: Mlp = None):
+          norm_stats: NormStats = None, net: Mlp = None):
     """Train a DQN on logged transitions. Returns (best net, TrainHistory).
 
-    A mixed net needs acont_range: cfg.acont_range(stats) for data normalized
-    with stats.
+    norm_stats are the stats both sets were normalized with; a mixed net
+    needs them, for its acont range and to match validation aconts in raw
+    units as policy_eval.evaluate does.
 
     The best net has the highest matched-group mean reward on the validation
     set; when no epoch has a matched group, it is the last trained net. An
@@ -198,6 +199,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     history = TrainHistory()
     if cfg.epochs == 0:
         return net, history
+    acont_range = None if norm_stats is None else cfg.acont_range(norm_stats)
     learner = Learner.fresh(net, np.random.default_rng(cfg.seed))
     steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     lr = cfg.lr0
@@ -207,7 +209,8 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr, acont_range)
         except TrainingDiverged as exc:
             raise TrainingDiverged(epoch, learner.step, float("nan")) from exc
-        report = policy_eval.evaluate(validation_set, net, acont_range, baseline_seed=cfg.seed)
+        report = policy_eval.evaluate(validation_set, net, acont_range, baseline_seed=cfg.seed,
+                                      norm_stats=norm_stats)
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
         history.records.append(EpochRecord(epoch, float(losses.mean()),

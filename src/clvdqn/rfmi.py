@@ -3,20 +3,25 @@
 A timeline is one customer's per-period record of donation amounts and
 marketing contacts. States summarize strictly the periods before the given
 index; an event in period p-1 gives recency 1 at index p, and with no history
-recency equals the number of elapsed periods. Action 0 is inaction.
+recency equals the number of elapsed periods (likewise i_recency for
+contacts). monetary is the sum of gifts, added in period order, over
+frequency. advance_states is the one definition of this arithmetic, for logged
+and simulated donors alike. Action 0 is inaction.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 N_ACTIONS = 12  # action 0 is inaction
 
 STATE_DIMS = ("recency", "frequency", "monetary", "i_recency", "i_frequency")
+
+TIMELINE_COLUMNS = ("customer_id", "period", "amount", "action", "acont")
 
 TRANSITION_COLUMNS = (
     "r", "f", "m", "ir", "if", "a", "acont",
@@ -26,21 +31,6 @@ TRANSITION_COLUMNS = (
 
 class DataError(ValueError):
     """Malformed timeline or transition data."""
-
-
-@dataclass(frozen=True)
-class RfmiState:
-    recency: float
-    frequency: float
-    monetary: float
-    i_recency: float
-    i_frequency: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.recency, self.frequency, self.monetary, self.i_recency, self.i_frequency],
-            dtype=np.float64,
-        )
 
 
 @dataclass
@@ -100,45 +90,54 @@ class Transitions:
         return cls(np.empty((n, 5)), np.empty(n, dtype=np.int64), np.empty(n),
                    np.empty((n, 5)), np.empty(n))
 
-    @classmethod
-    def concat(cls, parts: list) -> "Transitions":
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+def advance_states(states: np.ndarray, gift_sums: np.ndarray, actions: np.ndarray,
+                   amounts: np.ndarray):
+    """Raw (n, 5) states one period on, with each donor's sum of gifts so far.
+
+    Returns (next_states, next_gift_sums). A gift in the period sets recency
+    to 1 and makes monetary the new gift sum over the new frequency; a contact
+    sets i_recency to 1; otherwise the recencies grow by one.
+    """
+    recency, frequency, monetary, i_recency, i_frequency = states.T
+    paid, acted = amounts > 0, actions != 0
+    gift_sums = gift_sums + amounts
+    frequency = frequency + paid
+    return np.column_stack([
+        np.where(paid, 1.0, recency + 1),
+        frequency,
+        np.divide(gift_sums, frequency, out=monetary.copy(), where=paid),
+        np.where(acted, 1.0, i_recency + 1),
+        i_frequency + acted,
+    ]), gift_sums
 
 
-def compute_state(timeline: CustomerTimeline, period_index: int) -> RfmiState:
-    """State at a period boundary, from the first `period_index` periods only."""
-    if not 0 <= period_index <= timeline.periods:
-        raise DataError(
-            f"period_index {period_index} out of range [0, {timeline.periods}]"
-        )
-    amounts = timeline.amounts[:period_index]
-    donated = np.nonzero(amounts > 0)[0]
-    frequency = len(donated)
-    if frequency:
-        recency = period_index - 1 - donated[-1] + 1  # counted at the period's end
-        monetary = float(amounts[donated].mean())
-    else:
-        recency = period_index
-        monetary = 0.0
-    contacted = np.nonzero(timeline.actions[:period_index] != 0)[0]
-    i_frequency = len(contacted)
-    i_recency = period_index - contacted[-1] if i_frequency else period_index
-    return RfmiState(
-        recency=float(recency),
-        frequency=float(frequency),
-        monetary=monetary,
-        i_recency=float(i_recency),
-        i_frequency=float(i_frequency),
-    )
+def build_transitions(timelines) -> Transitions:
+    """One transition per period after the first of each timeline, customer by customer.
 
-
-def build_transitions(timeline: CustomerTimeline) -> Transitions:
-    """One transition per period after the first; reward co-occurs with the action."""
-    if timeline.periods < 2:
-        raise DataError(f"timeline {timeline.customer_id} needs >= 2 periods")
-    states = np.array([compute_state(timeline, p).to_array() for p in range(timeline.periods)])
-    return Transitions(states[:-1], timeline.actions[:-1], timeline.aconts[:-1],
-                       states[1:], timeline.amounts[:-1])
+    The reward co-occurs with the action. The timelines are padded to one
+    (customers, periods) grid with zero amounts and inaction, and the states
+    of every customer are stepped together with advance_states.
+    """
+    for tl in timelines:
+        if tl.periods < 2:
+            raise DataError(f"timeline {tl.customer_id} needs >= 2 periods")
+    periods = np.array([tl.periods for tl in timelines], dtype=np.int64)
+    width = int(periods.max(initial=0))
+    amounts = np.zeros((len(timelines), width))
+    actions = np.zeros((len(timelines), width), dtype=np.int64)
+    aconts = np.zeros((len(timelines), width))
+    for i, tl in enumerate(timelines):
+        amounts[i, :tl.periods], actions[i, :tl.periods], aconts[i, :tl.periods] = (
+            tl.amounts, tl.actions, tl.aconts)
+    states = np.zeros((len(timelines), width, 5))
+    gift_sums = np.zeros(len(timelines))
+    for p in range(width - 1):
+        states[:, p + 1], gift_sums = advance_states(states[:, p], gift_sums,
+                                                     actions[:, p], amounts[:, p])
+    keep = np.arange(width - 1) < periods[:, None] - 1  # (customers, width - 1), row-major
+    return Transitions(states[:, :-1][keep], actions[:, :-1][keep], aconts[:, :-1][keep],
+                       states[:, 1:][keep], amounts[:, :-1][keep])
 
 
 @dataclass
@@ -221,17 +220,22 @@ def _timeline_fault(period, amount, action, acont, periods_seen):
     return None
 
 
+def _check_header(path, header, expected):
+    if header != list(expected):
+        got = ",".join(header) if header else "an empty line"
+        raise DataError(f"{path}:1: expected header {','.join(expected)}, got {got}")
+
+
 def read_timelines(path) -> list:
     """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction).
 
-    A malformed row, or one with a _timeline_fault, raises DataError("path:line: ...").
+    A wrong header, a malformed row, one with a _timeline_fault, or a customer
+    with fewer than 2 periods raises DataError("path:line: ...").
     """
-    per_customer = {}
+    per_customer, first_lines = {}, {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        expected = ["customer_id", "period", "amount", "action", "acont"]
-        if reader.fieldnames != expected:
-            raise DataError(f"expected header {','.join(expected)}, got {reader.fieldnames}")
+        _check_header(path, reader.fieldnames, TIMELINE_COLUMNS)
         for line_no, row in enumerate(reader, start=2):
             try:
                 cid = row["customer_id"]
@@ -242,6 +246,7 @@ def read_timelines(path) -> list:
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
             rows = per_customer.setdefault(cid, {})
+            first_lines.setdefault(cid, line_no)
             fault = _timeline_fault(period, amount, action, acont, rows)
             if fault:
                 raise DataError(f"{path}:{line_no}: {fault}")
@@ -249,6 +254,8 @@ def read_timelines(path) -> list:
     timelines = []
     for cid, rows in per_customer.items():
         periods = max(rows) + 1
+        if periods < 2:
+            raise DataError(f"{path}:{first_lines[cid]}: timeline {cid} needs >= 2 periods")
         amounts = np.zeros(periods)
         actions = np.zeros(periods, dtype=np.int64)
         aconts = np.zeros(periods)
@@ -261,7 +268,7 @@ def read_timelines(path) -> list:
 def write_timelines(timelines, path):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["customer_id", "period", "amount", "action", "acont"])
+        writer.writerow(TIMELINE_COLUMNS)
         for tl in timelines:
             for p in range(tl.periods):
                 action = tl.actions[p]
@@ -295,9 +302,7 @@ def read_transitions(path) -> Transitions:
     rows = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(TRANSITION_COLUMNS):
-            raise DataError(f"expected header {','.join(TRANSITION_COLUMNS)}, got {header}")
+        _check_header(path, next(reader, None), TRANSITION_COLUMNS)
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 13:
                 raise DataError(f"{path}:{line_no}: expected 13 columns, got {len(row)}")

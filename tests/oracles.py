@@ -3,8 +3,9 @@
 These deliberately avoid the library's analytic paths: gradients come from
 central finite differences, continuous maximization from a dense grid scan,
 tabular Q* from value iteration on explicit dynamics, normalization from
-row-by-row loops over a batch of transitions, and the simulator from a loop
-over customers in Python floats.
+row-by-row loops over a batch of transitions, RFM-I states from each
+timeline's prefix, and the simulator from a loop over customers in Python
+floats.
 """
 
 import numpy as np
@@ -140,19 +141,45 @@ def response_probability_row(model, state, action):
     return min(max(p, 0.001), 0.999)
 
 
-def advance_state_row(state, action, reward):
-    """One donor's raw state one period on, in Python floats."""
+def timeline_states_rows(amounts, actions):
+    """Reference for the states of one timeline: the state at every index 0..P, each
+    counted from the periods before it alone, in Python floats.
+
+    Gifts are added one at a time in period order, in an explicit loop because
+    builtin sum() of floats compensates from Python 3.12 on; monetary is
+    their sum over their count.
+    """
+    states = []
+    for p in range(len(amounts) + 1):
+        paid = [q for q in range(p) if amounts[q] > 0]
+        contacted = [q for q in range(p) if actions[q] != 0]
+        total = 0.0
+        for q in paid:
+            total += float(amounts[q])
+        states.append([
+            float(p - paid[-1]) if paid else float(p),
+            float(len(paid)),
+            total / len(paid) if paid else 0.0,
+            float(p - contacted[-1]) if contacted else float(p),
+            float(len(contacted)),
+        ])
+    return states
+
+
+def advance_state_row(state, gift_sum, action, reward):
+    """One donor's raw state and gift sum one period on, in Python floats."""
     recency, frequency, monetary, i_recency, i_frequency = (float(v) for v in state)
     if reward > 0:
-        monetary = (monetary * frequency + reward) / (frequency + 1)
+        gift_sum += float(reward)
         recency, frequency = 1.0, frequency + 1
+        monetary = gift_sum / frequency
     else:
         recency += 1
     if action != 0:
         i_recency, i_frequency = 1.0, i_frequency + 1
     else:
         i_recency += 1
-    return [recency, frequency, monetary, i_recency, i_frequency]
+    return [recency, frequency, monetary, i_recency, i_frequency], gift_sum
 
 
 def run_autonomous_rows(population, model, agent_cfg, train_cfg):
@@ -167,6 +194,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
         states = [[0.0] * 5 for _ in range(population)]
     else:
         states = [list(map(float, row)) for row in np.asarray(population).reshape(-1, 5)]
+    gift_sums = [frequency * monetary for _, frequency, monetary, _, _ in states]
     env_rng = np.random.default_rng(model.seed)
     agent_rng = np.random.default_rng(agent_cfg.seed)
     net_seed = train_cfg.seed
@@ -213,7 +241,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
                     action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
             p = response_probability_row(model, state, action)
             reward = float(env_rng.exponential(model.amount_mean)) if env_rng.random() < p else 0.0
-            states[i] = advance_state_row(state, action, reward)
+            states[i], gift_sums[i] = advance_state_row(state, gift_sums[i], action, reward)
             rows.append((state, action, acont, states[i], reward))
         batch = Transitions(*(np.array(col) for col in zip(*rows)))
         replay.add(batch)

@@ -64,6 +64,7 @@ class TestBuildTransitions:
         ("c0,1,0.0,12,", "action must be an integer in 0..11"),
         ("c0,-1,0.0,,", "negative period"),
         ("c0,0,0.0,,", "duplicate period 0"),
+        ("c1,0,1.0,,", "timeline c1 needs >= 2 periods"),
     ])
     def test_invalid_timeline_row_is_data_error(self, tmp_path, capsys, row, message):
         src = tmp_path / "bad.csv"
@@ -76,6 +77,18 @@ class TestBuildTransitions:
         assert f"{src}:3: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("text, got", [
+        ("", "an empty line"),
+        ("customer_id,period,amount\nc0,0,1.0\n", "customer_id,period,amount"),
+    ])
+    def test_bad_header_is_data_error(self, tmp_path, capsys, text, got):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        assert main(["build-transitions", str(src), str(tmp_path / "out.csv")]) == 2
+        assert (f"{src}:1: expected header customer_id,period,amount,action,acont, got {got}"
+                in capsys.readouterr().err)
 
 
 class TestTrain:
@@ -124,6 +137,15 @@ class TestTrain:
         assert code == 2
         assert f"{src}:3: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, got", [("", "an empty line"), ("r,f,m\n1,2,3\n", "r,f,m")])
+    def test_bad_header_is_data_error(self, tmp_path, capsys, text, got):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        assert main(["train", str(src), "--checkpoint", str(tmp_path / "c"),
+                     "--history", str(tmp_path / "h"), "--epochs", "0"]) == 2
+        assert (f"{src}:1: expected header r,f,m,ir,if,a,acont,r2,f2,m2,ir2,if2,reward, got {got}"
+                in capsys.readouterr().err)
 
     def test_empty_transitions_is_data_error(self, tmp_path):
         src = tmp_path / "empty.csv"

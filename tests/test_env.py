@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import advance_state_row, response_probability_row, run_autonomous_rows
+from oracles import (
+    advance_state_row,
+    response_probability_row,
+    run_autonomous_rows,
+    timeline_states_rows,
+)
 
 import clvdqn.qlearn as qlearn_module
 from clvdqn.env import (
     AgentConfig,
     DonorModel,
     ReplayRing,
-    advance_states,
-    env_step,
     response_probabilities,
-    response_probability,
     run_autonomous,
     write_history_csv,
 )
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
-from clvdqn.rfmi import CustomerTimeline, RfmiState, Transitions, compute_state
+from clvdqn.rfmi import CustomerTimeline, Transitions, advance_states, build_transitions
 
 
 def small_train_cfg(seed=0):
@@ -31,50 +33,35 @@ class TestEnvStep:
         model = DonorModel(base_rate=0.001, action_effects=(0.0,) * 12,
                            thankyou_boost=0.0, fatigue_coeff=0.0, recency_decay=0.0)
         rng = np.random.default_rng(0)
-        state = RfmiState(3, 0, 0, 3, 0)
-        responses = sum(env_step(model, state, 1, 0.0, rng)[0] > 0 for _ in range(100_000))
+        states = np.tile([3.0, 0, 0, 3, 0], (100_000, 1))
+        p = response_probabilities(model, states, np.ones(100_000, dtype=np.int64))
+        responses = np.sum(rng.random(100_000) < p)
         assert 0 <= responses / 100_000 <= 0.01
 
     def test_fatigue_lowers_response_rate(self):
         model = DonorModel(fatigue_coeff=0.02, thankyou_boost=0.0, recency_decay=0.0)
         rng = np.random.default_rng(1)
-        fresh = RfmiState(3, 0, 0, 3, 0)
-        tired = RfmiState(3, 0, 0, 3, 10)
-        hits_fresh = sum(env_step(model, fresh, 4, 0.0, rng)[0] > 0 for _ in range(50_000))
-        hits_tired = sum(env_step(model, tired, 4, 0.0, rng)[0] > 0 for _ in range(50_000))
-        assert hits_tired < hits_fresh
-
-    def test_bookkeeping_matches_compute_state(self):
-        # replaying env transitions as a timeline must land on identical states
-        model = DonorModel(seed=3)
-        rng = np.random.default_rng(3)
-        state = RfmiState(0, 0, 0, 0, 0)
-        amounts, actions = [], []
-        for step in range(30):
-            action = step % 12
-            reward, state = env_step(model, state, action, 0.0, rng)
-            amounts.append(reward)
-            actions.append(action)
-            tl = CustomerTimeline("x", np.array(amounts), np.array(actions), np.zeros(len(actions)))
-            assert compute_state(tl, len(amounts)) == state
+        states = np.repeat([[3.0, 0, 0, 3, 0], [3.0, 0, 0, 3, 10]], 50_000, axis=0)  # fresh, tired
+        hits = rng.random(100_000) < response_probabilities(model, states, np.full(100_000, 4))
+        assert hits[50_000:].sum() < hits[:50_000].sum()
 
     def test_invalid_action(self):
-        with pytest.raises(ValueError):
-            env_step(DonorModel(), RfmiState(0, 0, 0, 0, 0), 12, 0.0, np.random.default_rng(0))
+        for action in (-1, 12):
+            with pytest.raises(ValueError):
+                response_probabilities(DonorModel(), np.zeros((2, 5)), np.array([0, action]))
 
     def test_thankyou_boost_requires_recent_transaction(self):
         model = DonorModel(fatigue_coeff=0.0, recency_decay=0.0)
-        recent = RfmiState(1, 1, 5, 1, 1)
-        stale = RfmiState(6, 1, 5, 1, 1)
-        p_recent = response_probability(model, recent, model.thankyou_action)
-        p_stale = response_probability(model, stale, model.thankyou_action)
+        recent_and_stale = np.array([[1.0, 1, 5, 1, 1], [6.0, 1, 5, 1, 1]])
+        p_recent, p_stale = response_probabilities(model, recent_and_stale,
+                                                   np.full(2, model.thankyou_action))
         assert p_recent == pytest.approx(p_stale + model.thankyou_boost)
 
     def test_probability_clamped(self):
         model = DonorModel(base_rate=5.0)
-        assert response_probability(model, RfmiState(0, 0, 0, 0, 0), 4) == 0.999
+        assert response_probabilities(model, np.zeros((1, 5)), np.array([4])).tolist() == [0.999]
         model = DonorModel(base_rate=-5.0)
-        assert response_probability(model, RfmiState(0, 0, 0, 0, 0), 0) == 0.001
+        assert response_probabilities(model, np.zeros((1, 5)), np.array([0])).tolist() == [0.001]
 
 
 @st.composite
@@ -94,23 +81,18 @@ state_values = st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 500.0))
 class TestPopulationStep:
     @settings(deadline=None)
     @given(action_reward_histories())
-    def test_advance_states_matches_compute_state(self, history):
+    def test_advance_states_matches_row_oracle(self, history):
         actions, rewards = history
         n, periods = actions.shape
-        states = np.repeat(RfmiState(0, 0, 0, 0, 0).to_array()[None], n, axis=0)
-        rows = states.tolist()
+        states, gift_sums = np.zeros((n, 5)), np.zeros(n)
+        rows = [([0.0] * 5, 0.0)] * n
+        wants = [timeline_states_rows(rewards[i], actions[i]) for i in range(n)]
         for p in range(periods):
-            states = advance_states(states, actions[:, p], rewards[:, p])
+            states, gift_sums = advance_states(states, gift_sums, actions[:, p], rewards[:, p])
             for i in range(n):
-                rows[i] = advance_state_row(rows[i], actions[i, p], rewards[i, p])
-                timeline = CustomerTimeline("x", rewards[i, :p + 1], actions[i, :p + 1],
-                                            np.zeros(p + 1))
-                want = compute_state(timeline, p + 1)
-                assert states[i].tolist() == rows[i]
-                assert states[i, [0, 1, 3, 4]].tolist() == [
-                    want.recency, want.frequency, want.i_recency, want.i_frequency]
-                # a running mean and compute_state's sum/count round differently
-                assert states[i, 2] == pytest.approx(want.monetary, rel=1e-13, abs=0.0)
+                rows[i] = advance_state_row(*rows[i], actions[i, p], rewards[i, p])
+                assert (states[i].tolist(), gift_sums[i]) == rows[i]
+                assert states[i].tolist() == wants[i][p + 1]
 
     @settings(deadline=None)
     @given(base_rate=st.floats(-0.5, 1.5),
@@ -244,6 +226,26 @@ class TestRunAutonomous:
         assert acted.size > 500
         assert np.all((acted >= 3.0) & (acted <= 4.0))
         assert np.all(data.aconts[data.actions == 0] == 0.0)
+
+    def test_replay_rebuilds_from_timelines(self):
+        # each customer's simulated history, read back as a logged timeline, gives
+        # back the replay's states exactly; one trailing period closes the last one
+        n = 200
+        res = run_autonomous(n, DonorModel(seed=3), AgentConfig(seed=3), small_train_cfg(3))
+        data = res.replay.contents()
+
+        def by_customer(column):  # the replay is episode-major
+            return np.swapaxes(column.reshape(-1, n, *column.shape[1:]), 0, 1)
+
+        timelines = [CustomerTimeline(str(i), np.append(amounts, 0.0), np.append(actions, 0),
+                                      np.append(aconts, 0.0))
+                     for i, (amounts, actions, aconts) in enumerate(zip(
+                         by_customer(data.rewards), by_customer(data.actions),
+                         by_customer(data.aconts)))]
+        rebuilt = build_transitions(timelines)
+        np.testing.assert_array_equal(rebuilt.states, by_customer(data.states).reshape(-1, 5))
+        np.testing.assert_array_equal(rebuilt.next_states,
+                                      by_customer(data.next_states).reshape(-1, 5))
 
     def test_history_csv(self, tmp_path):
         res = run_autonomous(5, DonorModel(seed=8), AgentConfig(seed=8, episodes=4),

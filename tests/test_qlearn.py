@@ -18,7 +18,8 @@ from clvdqn.qlearn import (
     train,
     write_sidecar,
 )
-from clvdqn.rfmi import NormStats, Transitions
+from clvdqn.policy_eval import evaluate
+from clvdqn.rfmi import NormStats, Transitions, apply_norm, compute_norm_stats
 from oracles import value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
@@ -239,7 +240,7 @@ class TestTrain:
         val = toy_data(5)
         val.actions[:] = 1
         val.aconts[:] = 1e6
-        net, history = train(data, val, cfg, cfg.acont_range())
+        net, history = train(data, val, cfg, NormStats.identity())
         assert all(math.isnan(r.val_mean_reward) for r in history.records)
         # the same epochs, replayed by hand
         learner = Learner.fresh(init_mlp(network_spec("mixed"), 4), np.random.default_rng(4))
@@ -250,6 +251,25 @@ class TestTrain:
             lr *= cfg.lr_decay_per_epoch
         for a, b in zip(net.weights + net.biases, learner.net.weights + learner.net.biases):
             np.testing.assert_array_equal(a, b)
+
+    def test_mixed_selection_matches_raw_aconts_as_evaluate_does(self):
+        rng = np.random.default_rng(1)
+        n = 400
+        actions = rng.integers(0, 3, n)
+        aconts = np.where(actions != 0, rng.integers(0, 8, n), 0).astype(float)
+        raw = Transitions(rng.uniform(0, 5, (n, 5)), actions, aconts, rng.uniform(0, 5, (n, 5)),
+                          rng.exponential(5.0, n) * (rng.random(n) < 0.5))
+        stats = compute_norm_stats(raw)
+        data = apply_norm(stats, raw)
+        cfg = TrainConfig(epochs=2, batch_size=50, seed=1, mode="mixed")
+        net, history = train(data, data, cfg, stats)
+        best = max(r.val_mean_reward for r in history.records)
+        report = evaluate(data, net, cfg.acont_range(stats), baseline_seed=cfg.seed,
+                          norm_stats=stats)
+        assert report.matched.mean_reward == best
+        # rounding the normalized aconts instead would match other rows
+        unscaled = evaluate(data, net, cfg.acont_range(stats), baseline_seed=cfg.seed)
+        assert unscaled.matched.mean_reward != best
 
     def test_target_staleness_between_clones(self):
         # target-based y must not change while only the online net updates

@@ -7,18 +7,32 @@ from hypothesis.extra.numpy import arrays
 from clvdqn.rfmi import (
     CustomerTimeline,
     DataError,
-    RfmiState,
     Transitions,
     apply_norm,
     build_transitions,
     compute_norm_stats,
-    compute_state,
     read_timelines,
     read_transitions,
     write_timelines,
     write_transitions,
 )
-from oracles import apply_norm_rows, norm_stats_rows
+from oracles import apply_norm_rows, norm_stats_rows, timeline_states_rows
+
+
+@st.composite
+def ragged_timelines(draw):
+    """1-6 timelines of 2-20 periods each, gifts and contacts scattered with gaps."""
+    timelines = []
+    for c in range(draw(st.integers(1, 6))):
+        periods = draw(st.integers(2, 20))
+
+        def column(elements):
+            return draw(st.lists(elements, min_size=periods, max_size=periods))
+
+        timelines.append(timeline(column(st.one_of(st.just(0.0), st.floats(0.01, 1e4))),
+                                  column(st.integers(0, 11)), column(st.floats(-50.0, 50.0)),
+                                  cid=f"c{c}"))
+    return timelines
 
 
 def timeline(amounts, actions=None, aconts=None, cid="c1"):
@@ -31,49 +45,56 @@ def timeline(amounts, actions=None, aconts=None, cid="c1"):
     )
 
 
+def states_of(tl):
+    """The states at indices 0..periods-1 of one timeline, as build_transitions makes
+    them, after checking them against the row oracle."""
+    t = build_transitions([tl])
+    states = np.vstack([t.states, t.next_states[-1:]])
+    assert states.tolist() == timeline_states_rows(tl.amounts, tl.actions)[:tl.periods]
+    return states
+
+
 class TestComputeState:
+    # The state at index p summarizes periods 0..p-1, so each case gives its
+    # timeline one trailing period beyond the state it reads.
     def test_empty_history(self):
-        state = compute_state(timeline([0] * 5), 5)
-        assert state == RfmiState(5, 0, 0, 5, 0)
+        assert states_of(timeline([0] * 6))[5].tolist() == [5, 0, 0, 5, 0]
 
     def test_transactions_hand_count(self):
-        state = compute_state(timeline([0, 10, 0, 20]), 4)
-        assert state.recency == 1  # donation in period 3, counted at its end
-        assert state.frequency == 2
-        assert state.monetary == 15
+        recency, frequency, monetary, _, _ = states_of(timeline([0, 10, 0, 20, 0]))[4]
+        assert recency == 1  # donation in period 3, counted at its end
+        assert frequency == 2
+        assert monetary == 15
 
     def test_contacts_hand_count(self):
-        state = compute_state(timeline([0, 0, 0], actions=[3, 0, 5], aconts=[1, 0, 2]), 3)
-        assert state.i_recency == 1
-        assert state.i_frequency == 2
+        state = states_of(timeline([0, 0, 0, 0], actions=[3, 0, 5, 0], aconts=[1, 0, 2, 0]))[3]
+        assert state[3] == 1
+        assert state[4] == 2
 
     def test_period_zero_is_all_zero(self):
-        state = compute_state(timeline([5, 5]), 0)
-        assert state == RfmiState(0, 0, 0, 0, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(DataError):
-            compute_state(timeline([0, 0]), 3)
+        assert states_of(timeline([5, 5]))[0].tolist() == [0, 0, 0, 0, 0]
 
     def test_causality_ignores_future(self):
         base = timeline([0, 10, 0, 0])
         altered = timeline([0, 10, 99, 99], actions=[0, 0, 4, 4], aconts=[0, 0, 1, 1])
-        assert compute_state(base, 2) == compute_state(altered, 2)
+        np.testing.assert_array_equal(states_of(base)[:3], states_of(altered)[:3])
 
     def test_counters_monotone(self):
-        tl = timeline([0, 3, 0, 7, 2], actions=[1, 0, 2, 0, 3], aconts=[1, 0, 1, 0, 1])
-        freqs = [compute_state(tl, p).frequency for p in range(6)]
-        ifreqs = [compute_state(tl, p).i_frequency for p in range(6)]
-        assert freqs == sorted(freqs)
-        assert ifreqs == sorted(ifreqs)
+        tl = timeline([0, 3, 0, 7, 2, 0], actions=[1, 0, 2, 0, 3, 0], aconts=[1, 0, 1, 0, 1, 0])
+        states = states_of(tl)
+        assert np.all(np.diff(states[:, [1, 4]], axis=0) >= 0)
+
+    def test_monetary_is_gift_sum_over_frequency(self):
+        # the gifts added in period order, over 4; a running mean gives 18.8625
+        assert states_of(timeline([28.18, 16.59, 0, 10.37, 20.31, 0]))[5, 2] == 18.862499999999997
 
 
 class TestBuildTransitions:
     def test_count_is_periods_minus_one(self):
-        assert len(build_transitions(timeline([0] * 23))) == 22
+        assert len(build_transitions([timeline([0] * 23)])) == 22
 
     def test_all_empty_two_periods(self):
-        t = build_transitions(timeline([0, 0]))
+        t = build_transitions([timeline([0, 0])])
         assert len(t) == 1
         assert t.actions[0] == 0
         assert t.rewards[0] == 0
@@ -82,7 +103,7 @@ class TestBuildTransitions:
 
     def test_hand_walked_fixture(self):
         tl = timeline([0, 10, 0], actions=[0, 4, 0], aconts=[0, 6, 0])
-        t = build_transitions(tl)
+        t = build_transitions([tl])
         assert len(t) == 2
         assert (t.actions[0], t.aconts[0], t.rewards[0]) == (0, 0.0, 0.0)
         assert (t.actions[1], t.aconts[1], t.rewards[1]) == (4, 6.0, 10.0)
@@ -90,14 +111,28 @@ class TestBuildTransitions:
         np.testing.assert_array_equal(t.next_states[1], [1, 1, 10, 1, 1])
 
     def test_too_short(self):
-        with pytest.raises(DataError):
-            build_transitions(timeline([0]))
+        with pytest.raises(DataError, match="timeline c2 needs >= 2 periods"):
+            build_transitions([timeline([0, 0]), timeline([0], cid="c2")])
 
     def test_recency_reset_after_donation(self):
-        tl = timeline([0, 0, 8, 0, 0])
-        states = [compute_state(tl, p) for p in range(6)]
-        assert states[3].recency == 1
-        assert states[4].recency == 2
+        states = states_of(timeline([0, 0, 8, 0, 0]))
+        assert states[3, 0] == 1
+        assert states[4, 0] == 2
+
+    def test_no_timelines_no_rows(self):
+        assert len(build_transitions([])) == 0
+
+    @settings(deadline=None)
+    @given(ragged_timelines())
+    def test_ragged_timelines_match_row_oracle(self, timelines):
+        got = build_transitions(timelines)
+        want = [timeline_states_rows(tl.amounts, tl.actions)[:tl.periods] for tl in timelines]
+        assert got.states.tolist() == [row for states in want for row in states[:-1]]
+        assert got.next_states.tolist() == [row for states in want for row in states[1:]]
+        for name, column in (("actions", got.actions), ("aconts", got.aconts),
+                             ("amounts", got.rewards)):
+            np.testing.assert_array_equal(
+                column, np.concatenate([getattr(tl, name)[:-1] for tl in timelines]))
 
 
 def rows(states, actions, aconts, next_states, rewards=None):
@@ -121,7 +156,7 @@ def random_transitions(draw):
 
 class TestNormalize:
     def test_single_tuple_constant_dims_to_zero(self):
-        data = build_transitions(timeline([0, 0]))
+        data = build_transitions([timeline([0, 0])])
         arr = apply_norm(compute_norm_stats(data), data).states[0]
         # dims constant across state/next_state pool come out exactly 0
         assert arr[1] == 0 and arr[2] == 0 and arr[4] == 0
@@ -188,7 +223,8 @@ class TestCsv:
             np.testing.assert_array_equal(got.aconts, tl.aconts)
 
     def test_transition_round_trip(self, tmp_path):
-        data = build_transitions(timeline([0, 10, 0, 3], actions=[2, 0, 4, 0], aconts=[1, 0, 7, 0]))
+        data = build_transitions([timeline([0, 10, 0, 3], actions=[2, 0, 4, 0],
+                                           aconts=[1, 0, 7, 0])])
         path = tmp_path / "transitions.csv"
         write_transitions(data, path)
         back = read_transitions(path)
