@@ -157,6 +157,10 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
     Draws from rng as a loop over customers would: every explore coin first,
     then per customer in turn a random allowed action (explorers, and greedy
     picks that are not allowed) and, for a mixed-mode explorer acting, its acont.
+    Only a mixed-mode explorer can draw an acont, so the drawing customers
+    split into runs that each end at one; a run draws its actions in one
+    integers call, bound by an array of counts (a scalar for a run of one),
+    which gives the scalar calls' stream.
     """
     mixed = bounds is not None
     n = len(allowed)
@@ -166,11 +170,16 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
     draw = explore | ~(in_range & allowed[np.arange(n), np.clip(actions, 0, N_ACTIONS - 1)])
     aconts = np.where(mixed & (actions != 0) & ~draw, greedy_aconts, 0.0)
     ranked = np.argsort(~allowed, axis=1, kind="stable")  # allowed actions first, ascending
-    counts = allowed.sum(axis=1).tolist()
-    for i in np.flatnonzero(draw).tolist():
-        actions[i] = ranked[i, rng.integers(counts[i])]
-        if explore[i] and mixed and actions[i] != 0:
-            aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
+    counts = allowed.sum(axis=1)
+    drawing = np.flatnonzero(draw)
+    for run in np.split(drawing, np.flatnonzero(explore[drawing] & mixed) + 1):
+        if not run.size:
+            continue
+        high = counts[run] if run.size > 1 else counts[run[0]]  # a scalar bound costs 1/4
+        actions[run] = ranked[run, rng.integers(high)]
+        last = run[-1]
+        if explore[last] and mixed and actions[last] != 0:
+            aconts[last] = stats.denormalize_acont(rng.uniform(*bounds))
     return actions, aconts
 
 

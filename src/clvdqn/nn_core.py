@@ -1,9 +1,10 @@
 """Minimal feed-forward network with backprop, RMSProp, and input gradients.
 
-Everything is float64 numpy. Networks are plain parameter containers; forward
-returns the cache needed by backward instead of storing state, so a single net
-can be evaluated concurrently. Only ReLU hidden layers and linear outputs are
-supported.
+Everything is float64 numpy. A net's parameters are one flat float64 vector
+in file order (w0, b0, w1, b1, ...; weights row-major), which its per-layer
+weights and biases view, and a weight file is its header plus that vector.
+Forward returns the cache backward needs instead of storing state. Only ReLU
+hidden layers and linear outputs are supported.
 """
 
 from __future__ import annotations
@@ -38,53 +39,62 @@ class LayerSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
+def n_params(specs) -> int:
+    return sum(s.output_dim * (s.input_dim + 1) for s in specs)
+
+
+def layer_views(specs, flat: np.ndarray):
+    """(weights, biases): tuples of per-layer views into a flat parameter vector."""
+    weights, biases, start = [], [], 0
+    for s in specs:
+        end = start + s.output_dim * s.input_dim
+        weights.append(flat[start:end].reshape(s.output_dim, s.input_dim))
+        biases.append(flat[end:end + s.output_dim])
+        start = end + s.output_dim
+    return tuple(weights), tuple(biases)
+
+
 class Mlp:
-    specs: tuple
-    weights: list  # per layer (output_dim, input_dim)
-    biases: list  # per layer (output_dim,)
+    """Layer specs plus one flat parameter vector; weights[i] is (output_dim, input_dim)."""
 
-    @property
-    def input_dim(self) -> int:
-        return self.specs[0].input_dim
+    def __init__(self, specs, weights, biases):
+        """Copies the per-layer weights and biases into one new flat vector."""
+        self._wrap(validate_specs(specs), np.zeros(n_params(specs)))
+        for view, values in zip(self.weights + self.biases, [*weights, *biases], strict=True):
+            if np.shape(values) != view.shape:
+                raise ConfigError(f"parameter shape {np.shape(values)} != {view.shape}")
+            view[...] = values
 
-    @property
-    def output_dim(self) -> int:
-        return self.specs[-1].output_dim
+    def _wrap(self, specs, flat):
+        """Makes flat itself (not a copy) the parameters of this net."""
+        self.specs, self.flat = tuple(specs), flat
+        self.weights, self.biases = layer_views(self.specs, flat)
+        self.input_dim, self.output_dim = self.specs[0].input_dim, self.specs[-1].output_dim
+        return self
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            specs=self.specs,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return Mlp.__new__(Mlp)._wrap(self.specs, self.flat.copy())
 
 
 @dataclass
 class Gradients:
-    weight_grads: list
-    bias_grads: list
+    specs: tuple
+    flat: np.ndarray  # parameter gradients summed over the batch, in Mlp.flat's layout
     input_grads: np.ndarray
+
+    def __post_init__(self):
+        self.weight_grads, self.bias_grads = layer_views(self.specs, self.flat)
 
 
 @dataclass
 class RmspropState:
-    weight_caches: list
-    bias_caches: list
+    cache: np.ndarray  # running mean of squared gradients, in Mlp.flat's layout
     decay: float = 0.9
     epsilon: float = 1e-8
 
     @classmethod
     def init_like(cls, net: Mlp, decay: float = 0.9, epsilon: float = 1e-8) -> "RmspropState":
-        return cls(
-            weight_caches=[np.zeros_like(w) for w in net.weights],
-            bias_caches=[np.zeros_like(b) for b in net.biases],
-            decay=decay,
-            epsilon=epsilon,
-        )
+        return cls(np.zeros_like(net.flat), decay, epsilon)
 
 
 def validate_specs(specs) -> tuple:
@@ -103,12 +113,11 @@ def init_mlp(specs, seed: int) -> Mlp:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     specs = validate_specs(specs)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for spec in specs:
+    net = Mlp.__new__(Mlp)._wrap(specs, np.zeros(n_params(specs)))
+    for spec, w in zip(specs, net.weights):
         scale = 1.0 / np.sqrt(spec.input_dim)
-        weights.append(rng.uniform(-scale, scale, size=(spec.output_dim, spec.input_dim)))
-        biases.append(np.zeros(spec.output_dim))
-    return Mlp(specs=specs, weights=weights, biases=biases)
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+    return net
 
 
 def forward_batch(net: Mlp, inputs: np.ndarray):
@@ -138,8 +147,8 @@ def forward(net: Mlp, inputs):
 def backward_batch(net: Mlp, cache, output_grads: np.ndarray) -> Gradients:
     """Backprop a (n, output_dim) upstream gradient through the cached batch.
 
-    Parameter gradients are summed over the batch; input_grads stay per-row.
-    ReLU subgradient at exactly 0 is 0.
+    Parameter gradients are summed over the batch into one flat vector;
+    input_grads stay per-row. ReLU subgradient at exactly 0 is 0.
     """
     g = np.asarray(output_grads, dtype=np.float64)
     if g.ndim == 1:
@@ -148,15 +157,15 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray) -> Gradients:
         raise ConfigError(
             f"output grad shape {g.shape} != output shape {cache['pres'][-1].shape}"
         )
-    weight_grads = [None] * len(net.weights)
-    bias_grads = [None] * len(net.biases)
+    grads = Gradients(net.specs, np.empty_like(net.flat), None)
     for i in range(len(net.specs) - 1, -1, -1):
         if net.specs[i].activation == "relu":
             g = g * (cache["pres"][i] > 0.0)
-        weight_grads[i] = g.T @ cache["inputs"][i]
-        bias_grads[i] = g.sum(axis=0)
+        np.matmul(g.T, cache["inputs"][i], out=grads.weight_grads[i])
+        np.sum(g, axis=0, out=grads.bias_grads[i])
         g = g @ net.weights[i]
-    return Gradients(weight_grads=weight_grads, bias_grads=bias_grads, input_grads=g)
+    grads.input_grads = g
+    return grads
 
 
 def backward(net: Mlp, cache, output_grad) -> Gradients:
@@ -167,31 +176,26 @@ def backward(net: Mlp, cache, output_grad) -> Gradients:
 
 
 def rmsprop_step(net: Mlp, grads: Gradients, state: RmspropState, lr: float):
-    """In-place RMSProp update. Returns (net, state) for convenience."""
+    """In-place RMSProp update of every parameter at once. Returns (net, state)."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    params = list(zip(net.weights, grads.weight_grads, state.weight_caches)) + list(
-        zip(net.biases, grads.bias_grads, state.bias_caches)
-    )
-    for p, g, cache in params:
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient in optimizer step")
-        cache *= state.decay
-        cache += (1.0 - state.decay) * g * g
-        p -= lr * g / (np.sqrt(cache) + state.epsilon)
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
+        raise TrainingError("non-finite gradient in optimizer step")
+    state.cache *= state.decay
+    state.cache += (1.0 - state.decay) * g * g
+    net.flat -= lr * g / (np.sqrt(state.cache) + state.epsilon)
     return net, state
 
 
 def save_mlp(net: Mlp, path):
-    """Versioned flat file: magic + layer specs, then row-major float64 LE params."""
+    """Versioned flat file: magic + layer specs, then Mlp.flat as float64 LE."""
     with open(path, "wb") as f:
         f.write(MAGIC + b"\n")
         f.write(f"{len(net.specs)}\n".encode("ascii"))
         for spec in net.specs:
             f.write(f"{spec.input_dim} {spec.output_dim} {spec.activation}\n".encode("ascii"))
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(net.flat.astype("<f8").tobytes())
 
 
 def load_mlp(path) -> Mlp:
@@ -211,17 +215,12 @@ def load_mlp(path) -> Mlp:
         except ValueError as exc:  # includes ConfigError and UnicodeDecodeError
             raise ConfigError(f"{path}: malformed layer header ({exc})") from None
         raw = f.read()
-    expected = 8 * sum(s.output_dim * (s.input_dim + 1) for s in specs)
+    expected = 8 * n_params(specs)
     if len(raw) != expected:
         raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
-    params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    weights, biases = [], []
-    for i, spec in enumerate(specs):
-        n = spec.output_dim * spec.input_dim
-        weights.append(params[:n].reshape(spec.output_dim, spec.input_dim))
-        biases.append(params[n:n + spec.output_dim])
-        params = params[n + spec.output_dim:]
-        for key, values in ((f"layer {i} weights", weights[-1]), (f"layer {i} biases", biases[-1])):
+    net = Mlp.__new__(Mlp)._wrap(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for kind, values in (("weights", w), ("biases", b)):
             if not np.all(np.isfinite(values)):
-                raise ConfigError(f"{path}: non-finite value in {key}")
-    return Mlp(specs=specs, weights=weights, biases=biases)
+                raise ConfigError(f"{path}: non-finite value in layer {i} {kind}")
+    return net

@@ -10,6 +10,7 @@ parameters with the best matched-group mean reward on the validation set.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field, fields
 
@@ -29,6 +30,8 @@ from .nn_core import (
     rmsprop_step,
 )
 from .rfmi import N_ACTIONS, DataError, NormStats, Transitions
+
+log = logging.getLogger(__name__)
 
 HIDDEN = (40, 15)
 
@@ -220,7 +223,10 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
             best_reward = score
             best_net = clone_target(net)
         lr *= cfg.lr_decay_per_epoch
-    return (net if best_net is None else best_net), history
+    if best_net is None:
+        log.warning("no epoch had a matched validation group; keeping the last trained net")
+        return net, history
+    return best_net, history
 
 
 # ---------------------------------------------------------------------------

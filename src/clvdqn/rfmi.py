@@ -236,7 +236,8 @@ def read_timelines(path) -> list:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         _check_header(path, reader.fieldnames, TIMELINE_COLUMNS)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # DictReader skips blank lines, so count them here
             try:
                 cid = row["customer_id"]
                 period = int(row["period"])

@@ -4,16 +4,17 @@ These deliberately avoid the library's analytic paths: gradients come from
 central finite differences, continuous maximization from a dense grid scan,
 tabular Q* from value iteration on explicit dynamics, normalization from
 row-by-row loops over a batch of transitions, RFM-I states from each
-timeline's prefix, and the simulator from a loop over customers in Python
-floats.
+timeline's prefix, the simulator from a loop over customers in Python
+floats, and TD training from one parameter, gradient and RMSProp cache
+array per layer weight and bias.
 """
 
 import numpy as np
 
 from clvdqn import policy_eval
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
-from clvdqn.nn_core import forward, forward_batch, init_mlp
-from clvdqn.qlearn import Learner, TrainingDiverged, network_spec, td_steps
+from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
+from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import N_ACTIONS, NormStats, Transitions, apply_norm, compute_norm_stats
 
 
@@ -89,6 +90,87 @@ def value_iteration(rewards, transitions, gamma, tol=1e-10, max_iter=100000):
             return new_q
         q = new_q
     raise RuntimeError("value iteration did not converge")
+
+
+def rmsprop_arrays(params, grads, caches, lr, decay=0.9, epsilon=1e-8):
+    """Per-array RMSProp: each gradient is checked for finiteness, then its
+    array updated in place, weights of every layer first, then biases."""
+    for p, g, cache in zip(params, grads, caches):
+        if not np.all(np.isfinite(g)):
+            raise TrainingError("non-finite gradient in optimizer step")
+        cache *= decay
+        cache += (1.0 - decay) * g * g
+        p -= lr * g / (np.sqrt(cache) + epsilon)
+
+
+def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
+    """Reference for qlearn.td_steps on a fresh Learner(net, default_rng(seed)).
+
+    The online net is a list of weight arrays and a list of bias arrays, each
+    its own allocation; forward, backward and RMSProp run array by array.
+    The target is a copy taken at the start and every cfg.target_clone_period
+    steps, and its max over next actions is the library's max_next_q.
+    Returns (losses, weights, biases); net is left untouched.
+    """
+    specs = net.specs
+    weights = [np.array(w) for w in net.weights]
+    biases = [np.array(b) for b in net.biases]
+    caches = [np.zeros_like(p) for p in weights + biases]
+    target = Mlp(specs, weights, biases)
+    rng = np.random.default_rng(seed)
+    losses = []
+    for step in range(1, n_steps + 1):
+        batch = data[rng.integers(0, len(data), size=cfg.batch_size)]
+        n = len(batch)
+        y = batch.rewards + cfg.gamma * max_next_q(batch.next_states, target, acont_range)
+        h = batch.states
+        if net.input_dim == 6:
+            h = np.concatenate([h, batch.aconts[:, None]], axis=1)
+        inputs, pres = [], []
+        for spec, w, b in zip(specs, weights, biases):
+            inputs.append(h)
+            pres.append(h @ w.T + b)
+            h = np.maximum(pres[-1], 0.0) if spec.activation == "relu" else pres[-1]
+        err = h[np.arange(n), batch.actions] - y
+        losses.append(float(np.mean(err * err)))
+        g = np.zeros_like(h)
+        g[np.arange(n), batch.actions] = 2.0 * err / n
+        weight_grads, bias_grads = [None] * len(specs), [None] * len(specs)
+        for i in range(len(specs) - 1, -1, -1):
+            if specs[i].activation == "relu":
+                g = g * (pres[i] > 0.0)
+            weight_grads[i] = g.T @ inputs[i]
+            bias_grads[i] = g.sum(axis=0)
+            g = g @ weights[i]
+        rmsprop_arrays(weights + biases, weight_grads + bias_grads, caches, lr)
+        if step % cfg.target_clone_period == 0:
+            target = Mlp(specs, weights, biases)
+    return np.array(losses), weights, biases
+
+
+def choose_actions_rows(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
+    """Reference for env._choose_actions: one customer at a time, one scalar draw each.
+
+    Every explore coin first; then per customer in turn a random allowed action
+    for an explorer, or for a greedy pick that is out of range or not allowed,
+    and, for a mixed-mode explorer acting, its acont.
+    """
+    mixed = bounds is not None
+    n = len(allowed)
+    explore = (rng.random(n) < eps) | (greedy is None)
+    actions, aconts = np.zeros(n, dtype=np.int64), np.zeros(n)
+    greedy_aconts = np.broadcast_to(greedy_aconts, (n,))
+    for i in range(n):
+        choices = [a for a in range(N_ACTIONS) if allowed[i, a]]
+        pick = None if greedy is None else int(greedy[i])
+        if explore[i] or pick not in choices:
+            actions[i] = choices[rng.integers(len(choices))]
+            if explore[i] and mixed and actions[i] != 0:
+                aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
+        else:
+            actions[i] = pick
+            aconts[i] = greedy_aconts[i] if mixed and pick != 0 else 0.0
+    return actions, aconts
 
 
 def norm_stats_rows(data):

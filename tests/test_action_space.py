@@ -205,7 +205,7 @@ class TestBestMixed:
         state = np.random.default_rng(9).normal(size=5)
         before = best(net, state, MIXED_RANGE)
         shifted = net.copy()
-        shifted.biases[-1] += 3.25
+        shifted.biases[-1][...] += 3.25
         after = best(shifted, state, MIXED_RANGE)
         assert after[0] == before[0]
         assert after[1] == before[1]

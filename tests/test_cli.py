@@ -12,7 +12,7 @@ import clvdqn
 from clvdqn.cli import RunConfig, load_config, main
 from clvdqn.nn_core import init_mlp, load_mlp, save_mlp
 from clvdqn.qlearn import TrainConfig, network_spec, write_sidecar
-from clvdqn.rfmi import NormStats
+from clvdqn.rfmi import NormStats, Transitions, write_transitions
 
 
 def write_timelines(path, n_customers=20, periods=6, seed=0):
@@ -78,6 +78,16 @@ class TestBuildTransitions:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_line_after_a_blank_line_keeps_its_number(self, tmp_path, capsys):
+        src = tmp_path / "blank.csv"
+        src.write_text("customer_id,period,amount,action,acont\n"
+                       "c0,0,10.0,3,5.0\n\nc0,1,-5.0,,\nc0,2,0.0,,\n")
+        out = tmp_path / "out.csv"
+        code = main(["build-transitions", str(src), str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{src}:4: negative amount" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, got", [
         ("", "an empty line"),
@@ -115,6 +125,32 @@ class TestTrain:
             outs.append((ckpt.read_bytes(), hist.read_bytes(),
                          (tmp_path / f"{tag}.ckpt.meta").read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_no_matched_epoch_is_logged_without_changing_outputs(self, tmp_path, capsys,
+                                                                 caplog):
+        # every row acted, at raw acont -1e6 or +1e6: no recommendation rounds to either
+        rng = np.random.default_rng(0)
+        n = 120
+        data = Transitions(rng.uniform(0, 5, (n, 5)), rng.integers(1, 12, n),
+                           np.where(rng.random(n) < 0.5, -1e6, 1e6), rng.uniform(0, 5, (n, 5)),
+                           rng.exponential(5.0, n) * (rng.random(n) < 0.5))
+        src = tmp_path / "mixed.csv"
+        write_transitions(data, src)
+        ckpt, hist = tmp_path / "model.ckpt", tmp_path / "history.csv"
+        runs = []
+        for level in ("WARNING", "CRITICAL"):  # the warning logged, then filtered out
+            caplog.clear()
+            with caplog.at_level(level, logger="clvdqn.qlearn"):
+                assert main(["train", str(src), "--checkpoint", str(ckpt), "--history", str(hist),
+                             "--epochs", "2", "--batch-size", "40", "--mode", "mixed"]) == 0
+            runs.append((ckpt.read_bytes(), hist.read_bytes(), capsys.readouterr().out,
+                         [r.getMessage() for r in caplog.records]))
+        (*logged, messages), (*silent, none) = runs
+        assert logged == silent
+        assert messages == ["no epoch had a matched validation group; keeping the last trained net"]
+        assert none == []
+        rows = list(csv.DictReader(hist.open()))
+        assert len(rows) == 2 and all(math.isnan(float(r["val_mean_reward"])) for r in rows)
 
     @pytest.mark.parametrize("field, value, message", [
         ("a", "2.7", "action must be an integer"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     advance_state_row,
+    choose_actions_rows,
     response_probability_row,
     run_autonomous_rows,
     timeline_states_rows,
@@ -16,12 +17,15 @@ from clvdqn.env import (
     AgentConfig,
     DonorModel,
     ReplayRing,
+    _allowed_mask,
+    _choose_actions,
     response_probabilities,
     run_autonomous,
     write_history_csv,
 )
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
-from clvdqn.rfmi import CustomerTimeline, Transitions, advance_states, build_transitions
+from clvdqn.rfmi import (N_ACTIONS, CustomerTimeline, NormStats, Transitions, advance_states,
+                         build_transitions)
 
 
 def small_train_cfg(seed=0):
@@ -112,6 +116,35 @@ class TestPopulationStep:
         states = np.array([s for _, s in rows])
         got = response_probabilities(model, states, actions).tolist()
         assert got == [response_probability_row(model, s, a) for a, s in rows]
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 60),
+           eps=st.floats(0.0, 1.0),
+           forbid=st.floats(0.0, 1.0),
+           mixed=st.booleans(),
+           has_greedy=st.booleans())
+    def test_choose_actions_matches_row_reference(self, seed, n, eps, forbid, mixed, has_greedy):
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, N_ACTIONS)) >= forbid
+        raw[rng.random(n) < 0.2] = False  # all forbidden: inaction is the fallback
+        dropped = set(rng.choice(np.arange(1, N_ACTIONS), rng.integers(0, 4),
+                                 replace=False).tolist())
+        allowed = _allowed_mask(AgentConfig(constraints=[lambda s, a: raw[:, a]]),
+                                np.zeros((n, 5)), dropped)
+        # greedy picks include out-of-range actions and ones the mask forbids
+        greedy = rng.integers(-2, N_ACTIONS + 2, n) if has_greedy else None
+        greedy_aconts = rng.normal(size=n)
+        bounds = (-1.5, 2.5) if mixed else None
+        stats = NormStats(np.zeros(5), np.ones(5), 3.0, 2.0)
+        got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        actions, aconts = _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats,
+                                          got_rng)
+        want_actions, want_aconts = choose_actions_rows(allowed, greedy, greedy_aconts, eps,
+                                                        bounds, stats, want_rng)
+        assert actions.tolist() == want_actions.tolist()
+        assert aconts.tolist() == want_aconts.tolist()
+        assert got_rng.random() == want_rng.random()  # same stream position
 
 
 def rows_with_rewards(rewards):

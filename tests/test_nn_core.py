@@ -3,11 +3,13 @@ import pytest
 
 from clvdqn.nn_core import (
     ConfigError,
+    Gradients,
     LayerSpec,
     Mlp,
     RmspropState,
     TrainingError,
     backward,
+    backward_batch,
     forward,
     forward_batch,
     init_mlp,
@@ -42,7 +44,7 @@ class TestInit:
             [LayerSpec(5, 40, "relu"), LayerSpec(40, 15, "relu"), LayerSpec(15, 12, "linear")],
             seed=0,
         )
-        assert net.n_params() == 1047
+        assert net.flat.size == 1047
 
     def test_weight_scale(self):
         net = init_mlp([LayerSpec(100, 50, "relu")], seed=0)
@@ -142,8 +144,6 @@ class TestBackward:
         xs = rng.normal(size=(4, 3))
         gys = rng.normal(size=(4, 2))
         _, cache = forward_batch(net, xs)
-        from clvdqn.nn_core import backward_batch
-
         batched = backward_batch(net, cache, gys)
         summed = [np.zeros_like(w) for w in net.weights]
         for x, gy in zip(xs, gys):
@@ -160,44 +160,26 @@ class TestRmsprop:
         net = init_mlp([LayerSpec(2, 2, "linear")], seed=0)
         before = [w.copy() for w in net.weights]
         state = RmspropState.init_like(net)
-        state.weight_caches[0][:] = 1.0
-        from clvdqn.nn_core import Gradients
-
-        grads = Gradients(
-            weight_grads=[np.zeros_like(w) for w in net.weights],
-            bias_grads=[np.zeros_like(b) for b in net.biases],
-            input_grads=np.zeros(2),
-        )
+        state.cache[:net.weights[0].size] = 1.0  # layer 0 weights lead the flat layout
+        grads = Gradients(net.specs, np.zeros(net.flat.size), np.zeros(2))
         rmsprop_step(net, grads, state, lr=0.1)
         for w, b4 in zip(net.weights, before):
             np.testing.assert_array_equal(w, b4)
-        assert state.weight_caches[0][0, 0] == pytest.approx(0.9)  # decayed toward 0
+        assert state.cache[0] == pytest.approx(0.9)  # decayed toward 0
 
     def test_single_param_update_rule(self):
         net = zero_net([LayerSpec(1, 1, "linear")])
         net.weights[0][:] = 1.0
         state = RmspropState.init_like(net)
-        from clvdqn.nn_core import Gradients
-
-        grads = Gradients(
-            weight_grads=[np.array([[2.0]])],
-            bias_grads=[np.array([0.0])],
-            input_grads=np.zeros(1),
-        )
+        grads = Gradients(net.specs, np.array([2.0, 0.0]), np.zeros(1))  # weight, bias
         rmsprop_step(net, grads, state, lr=0.001)
-        assert state.weight_caches[0][0, 0] == pytest.approx(0.4)
+        assert state.cache[0] == pytest.approx(0.4)
         assert net.weights[0][0, 0] == pytest.approx(1 - 0.001 * 2 / (np.sqrt(0.4) + 1e-8))
 
     def test_constant_gradient_step_approaches_lr(self):
         net = zero_net([LayerSpec(1, 1, "linear")])
         state = RmspropState.init_like(net)
-        from clvdqn.nn_core import Gradients
-
-        grads = Gradients(
-            weight_grads=[np.array([[3.0]])],
-            bias_grads=[np.array([0.0])],
-            input_grads=np.zeros(1),
-        )
+        grads = Gradients(net.specs, np.array([3.0, 0.0]), np.zeros(1))
         lr = 0.01
         prev = net.weights[0][0, 0]
         for _ in range(200):
@@ -217,21 +199,94 @@ class TestRmsprop:
             _, cache = forward(net, x)
             grads = backward(net, cache, rng.normal(size=1))
             rmsprop_step(net, grads, state, lr=0.01)
-        for c in state.weight_caches + state.bias_caches:
-            assert np.all(c >= 0)
+        assert state.cache.shape == (net.flat.size,)
+        assert np.all(state.cache >= 0)
 
     def test_nonfinite_gradient_raises(self):
         net = init_mlp([LayerSpec(1, 1, "linear")], seed=0)
         state = RmspropState.init_like(net)
-        from clvdqn.nn_core import Gradients
-
-        grads = Gradients(
-            weight_grads=[np.array([[np.nan]])],
-            bias_grads=[np.array([0.0])],
-            input_grads=np.zeros(1),
-        )
+        grads = Gradients(net.specs, np.array([np.nan, 0.0]), np.zeros(1))
         with pytest.raises(TrainingError):
             rmsprop_step(net, grads, state, lr=0.1)
+
+
+class TestFlatParameters:
+    SPECS = [LayerSpec(5, 7, "relu"), LayerSpec(7, 3, "relu"), LayerSpec(3, 12, "linear")]
+
+    def test_layers_are_views_in_file_order(self):
+        net = init_mlp(self.SPECS, seed=4)
+        assert net.flat.shape == (net.flat.size,) and net.flat.dtype == np.float64
+        expected = np.concatenate([a.ravel() for pair in zip(net.weights, net.biases)
+                                   for a in pair])
+        np.testing.assert_array_equal(net.flat, expected)
+        for p in net.weights + net.biases:
+            assert np.shares_memory(p, net.flat)
+        net.flat[0] = 9.5
+        assert net.weights[0][0, 0] == 9.5
+
+    def test_layers_cannot_be_rebound(self):
+        net = init_mlp(self.SPECS, seed=4)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((7, 5))
+        with pytest.raises(TypeError):
+            net.biases[-1] += 1.0
+
+    def test_constructor_copies_its_inputs(self):
+        rng = np.random.default_rng(0)
+        weights = [rng.normal(size=(s.output_dim, s.input_dim)) for s in self.SPECS]
+        biases = [rng.normal(size=s.output_dim) for s in self.SPECS]
+        net = Mlp(self.SPECS, weights, biases)
+        for got, given_ in zip(net.weights + net.biases, weights + biases):
+            np.testing.assert_array_equal(got, given_)
+            assert not np.shares_memory(got, given_)
+        weights[0][:] = 0.0
+        assert np.any(net.weights[0] != 0.0)
+
+    def test_constructor_rejects_wrong_shapes(self):
+        with pytest.raises(ConfigError):
+            Mlp([LayerSpec(2, 3, "linear")], [np.zeros((2, 3))], [np.zeros(3)])
+
+    def test_copy_shares_no_memory(self):
+        net = init_mlp(self.SPECS, seed=4)
+        clone = net.copy()
+        np.testing.assert_array_equal(clone.flat, net.flat)
+        for a in (clone.flat, *clone.weights, *clone.biases):
+            for b in (net.flat, *net.weights, *net.biases):
+                assert not np.shares_memory(a, b)
+        for w in clone.weights:
+            assert np.shares_memory(w, clone.flat)
+        clone.flat[:] = 0.0
+        assert np.any(net.flat != 0.0)
+
+    def test_gradients_and_cache_share_the_layout(self):
+        net = init_mlp(self.SPECS, seed=4)
+        _, cache = forward_batch(net, np.random.default_rng(1).normal(size=(6, 5)))
+        grads = backward_batch(net, cache, np.random.default_rng(2).normal(size=(6, 12)))
+        assert grads.flat.shape == net.flat.shape
+        for g, p in zip(grads.weight_grads + grads.bias_grads, net.weights + net.biases):
+            assert g.shape == p.shape and np.shares_memory(g, grads.flat)
+        assert RmspropState.init_like(net).cache.shape == net.flat.shape
+
+    def test_nonfinite_gradient_leaves_the_net_and_cache(self):
+        net = init_mlp(self.SPECS, seed=4)
+        before = net.flat.copy()
+        state = RmspropState.init_like(net)
+        grad = np.ones(net.flat.size)
+        grad[-1] = np.inf  # the last output bias
+        with pytest.raises(TrainingError):
+            rmsprop_step(net, Gradients(net.specs, grad, None), state, lr=0.1)
+        np.testing.assert_array_equal(net.flat, before)
+        assert not np.any(state.cache)
+
+    def test_save_writes_header_then_flat_le_bytes(self, tmp_path):
+        net = init_mlp(self.SPECS, seed=4)
+        path = tmp_path / "net.clvdqn"
+        save_mlp(net, path)
+        header = b"CLVDQN1\n3\n5 7 relu\n7 3 relu\n3 12 linear\n"
+        assert path.read_bytes() == header + net.flat.astype("<f8").tobytes()
+        loaded = load_mlp(path)
+        assert loaded.flat.flags.writeable and loaded.flat.flags.c_contiguous
+        np.testing.assert_array_equal(loaded.flat, net.flat)
 
 
 class TestSaveLoad:

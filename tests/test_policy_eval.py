@@ -127,8 +127,8 @@ class TestEstimateClv:
         net = init_mlp(network_spec("discrete_only"), seed=5)
         est = estimate_clv(net, np.array([1.0, 2, 3, 4, 5]), NormStats.identity())
         scaled = net.copy()
-        scaled.weights[-1] *= 3.0
-        scaled.biases[-1] *= 3.0
+        scaled.weights[-1][...] *= 3.0
+        scaled.biases[-1][...] *= 3.0
         est2 = estimate_clv(scaled, np.array([1.0, 2, 3, 4, 5]), NormStats.identity())
         np.testing.assert_allclose(est2.values, 3.0 * est.values, rtol=1e-12)
         assert est2.best_action == est.best_action
