@@ -12,7 +12,7 @@ and simulated donors alike. Action 0 is inaction.
 from __future__ import annotations
 
 import csv
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +46,9 @@ class CustomerTimeline:
         self.aconts = np.asarray(self.aconts, dtype=np.float64)
         if not (len(self.amounts) == len(self.actions) == len(self.aconts)):
             raise DataError(f"timeline arrays differ in length for {self.customer_id}")
-        if np.any(self.amounts < 0):
-            raise DataError(f"negative amount in timeline {self.customer_id}")
-        if np.any(self.actions < 0):
-            raise DataError(f"negative action in timeline {self.customer_id}")
+        for mask, message in _value_faults(self.amounts, self.actions, self.aconts):
+            if mask.any():
+                raise DataError(f"{message} in timeline {self.customer_id}")
 
     @property
     def periods(self) -> int:
@@ -205,19 +204,14 @@ def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
 # CSV interfaces
 
 
-def _timeline_fault(period, amount, action, acont, periods_seen):
-    """Why a parsed timeline row is invalid, or None."""
-    if not (math.isfinite(amount) and math.isfinite(acont)):
-        return "non-finite amount or acont"
-    if amount < 0:
-        return "negative amount"
-    if not 0 <= action < N_ACTIONS:
-        return f"action must be an integer in 0..{N_ACTIONS - 1}"
-    if period < 0:
-        return "negative period"
-    if period in periods_seen:
-        return f"duplicate period {period} for this customer"
-    return None
+def _value_faults(amounts, actions, aconts):
+    """(mask, message) for each rule on timeline values, in the order a row is checked."""
+    return (
+        (~(np.isfinite(amounts) & np.isfinite(aconts)), "non-finite amount or acont"),
+        (amounts < 0, "negative amount"),
+        ((actions < 0) | (actions >= N_ACTIONS),
+         f"action must be an integer in 0..{N_ACTIONS - 1}"),
+    )
 
 
 def _check_header(path, header, expected):
@@ -226,44 +220,119 @@ def _check_header(path, header, expected):
         raise DataError(f"{path}:1: expected header {','.join(expected)}, got {got}")
 
 
+# Python's float() and int() also read underscores, non-ASCII digits and
+# non-ASCII spaces, and np.loadtxt strips the separators \x1c-\x1f around a
+# number. A number in these files has none of them, so both readers, one
+# through float()/int() and one through np.loadtxt, read one grammar.
+_NOT_PLAIN = re.compile(r"[^\x00-\x1b\x20-\x5e\x60-\x7f]")
+
+
+def _check_plain(cells):
+    """ValueError if a cell holds a character that no number here has."""
+    bad = _NOT_PLAIN.search("".join(cells))
+    if bad:
+        raise ValueError(f"{bad.group()!r} in a number")
+
+
+def _numbers(cells, kind, blank=""):
+    """A column of CSV cells as a list of kind (int or float); an empty cell reads as blank.
+
+    Raises ValueError unless every cell is a number as kind() reads it, with
+    no underscore, non-ASCII or \\x1c-\\x1f character.
+    """
+    values = [kind(cell or blank) for cell in cells]
+    _check_plain(cells)
+    return values
+
+
+def _column(cells, kind, blank=""):
+    """(values, fault): the numbers of a column up to its first bad cell, and that
+    cell's (index, message), or None when every cell is a number."""
+    try:
+        return _numbers(cells, kind, blank), None
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                _numbers([cell], kind, blank)
+            except ValueError as exc:
+                return _numbers(cells[:i], kind, blank), (i, f"malformed row ({exc})")
+        raise
+
+
+def _int64(values):
+    """Python ints as int64; those beyond its range are clamped to +-2**62, keeping their sign."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -2**62), 2**62) for v in values], dtype=np.int64)
+
+
+def _line_numbers(path):
+    """The line on which each non-blank row after the header ends, as csv.reader counts lines."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        next(reader)
+        return [reader.line_num for row in reader if row]
+
+
 def read_timelines(path) -> list:
     """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction).
 
-    A wrong header, a malformed row, one with a _timeline_fault, or a customer
-    with fewer than 2 periods raises DataError("path:line: ...").
+    Blank lines are skipped; an empty amount, action or acont reads as 0. A
+    wrong header, a row without exactly 5 fields, a malformed number, a
+    negative period or amount, a non-finite amount or acont, an action outside
+    0..11, a repeated period of one customer, or a customer with fewer than 2
+    periods raises DataError("path:line: ..."), naming the first such row.
+    Timelines come in order of their customer's first row, each padded with
+    empty periods up to its last.
     """
-    per_customer, first_lines = {}, {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        _check_header(path, reader.fieldnames, TIMELINE_COLUMNS)
-        for row in reader:
-            line_no = reader.line_num  # DictReader skips blank lines, so count them here
-            try:
-                cid = row["customer_id"]
-                period = int(row["period"])
-                amount = float(row["amount"]) if row["amount"] else 0.0
-                action = int(row["action"]) if row["action"] else 0
-                acont = float(row["acont"]) if row["acont"] else 0.0
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
-            rows = per_customer.setdefault(cid, {})
-            first_lines.setdefault(cid, line_no)
-            fault = _timeline_fault(period, amount, action, acont, rows)
-            if fault:
-                raise DataError(f"{path}:{line_no}: {fault}")
-            rows[period] = (amount, action, acont)
-    timelines = []
-    for cid, rows in per_customer.items():
-        periods = max(rows) + 1
-        if periods < 2:
-            raise DataError(f"{path}:{first_lines[cid]}: timeline {cid} needs >= 2 periods")
-        amounts = np.zeros(periods)
-        actions = np.zeros(periods, dtype=np.int64)
-        aconts = np.zeros(periods)
-        for period, (amount, action, acont) in rows.items():
-            amounts[period], actions[period], aconts[period] = amount, action, acont
-        timelines.append(CustomerTimeline(cid, amounts, actions, aconts))
-    return timelines
+        reader = csv.reader(f)
+        _check_header(path, next(reader, None), TIMELINE_COLUMNS)
+        rows = list(filter(None, reader))
+    faults = []  # (row, message): the first fault of each check, in the order a row is checked
+    widths = list(map(len, rows))
+    if widths.count(5) < len(rows):
+        i = next(i for i, w in enumerate(widths) if w != 5)
+        faults.append((i, f"expected 5 columns, got {widths[i]}"))
+        rows = rows[:i]
+    cids, *cells = zip(*rows) if rows else [()] * 5
+    columns = []
+    for column, kind, blank in zip(cells, (int, float, int, float), ("", "0", "0", "0")):
+        values, fault = _column(column, kind, blank)
+        columns.append(values)
+        faults += [fault] if fault else []
+    n = min(map(len, columns))  # the rows before the first malformed number
+    period, action = _int64(columns[0][:n]), _int64(columns[2][:n])
+    amount = np.array(columns[1][:n], dtype=np.float64)
+    acont = np.array(columns[3][:n], dtype=np.float64)
+    index = {}
+    codes = np.array([index.setdefault(cid, len(index)) for cid in cids[:n]], dtype=np.int64)
+    order = np.lexsort((period, codes))  # stable: a repeat follows its first row
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[order[1:]] = ((codes[order[1:]] == codes[order[:-1]])
+                            & (period[order[1:]] == period[order[:-1]]))
+    for mask, message in (*_value_faults(amount, action, acont),
+                          (period < 0, "negative period"), (duplicate, None)):
+        if mask.any():
+            i = int(np.argmax(mask))
+            faults.append((i, message or f"duplicate period {period[i]} for this customer"))
+    if faults:
+        i, message = min(faults, key=lambda fault: fault[0])  # ties keep the checking order
+        raise DataError(f"{path}:{_line_numbers(path)[i]}: {message}")
+    lengths = np.zeros(len(index), dtype=np.int64)
+    np.maximum.at(lengths, codes, period + 1)
+    if (lengths < 2).any():
+        k = int(np.argmax(lengths < 2))
+        cid = list(index)[k]
+        line = _line_numbers(path)[int(np.argmax(codes == k))]
+        raise DataError(f"{path}:{line}: timeline {cid} needs >= 2 periods")
+    shape = (len(index), int(lengths.max(initial=0)))
+    grids = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    for grid, values in zip(grids, (amount, action, acont)):
+        grid[codes, period] = values
+    return [CustomerTimeline(cid, amounts[:w], actions[:w], aconts[:w])
+            for cid, amounts, actions, aconts, w in zip(index, *grids, lengths.tolist())]
 
 
 def write_timelines(timelines, path):
@@ -284,34 +353,63 @@ def write_timelines(timelines, path):
                 )
 
 
+def _formatted(column):
+    """repr() of each value of a float64 or int64 column, formatting each distinct value once.
+
+    Distinct means distinct bits, so -0.0 keeps its sign.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(column.dtype).tolist()
+    return np.array([repr(v) for v in values], dtype=object)[inverse].tolist()
+
+
 def write_transitions(data: Transitions, path):
-    """13-column transition CSV in the fixed r..reward order, UTF-8, '.' decimals."""
-    floats = np.column_stack([data.states, data.aconts, data.next_states, data.rewards]).tolist()
+    """13-column transition CSV in the fixed r..reward order.
+
+    UTF-8, CRLF line ends, floats written by repr() and the action as an
+    integer: the bytes csv.writer writes for these rows.
+    """
+    columns = [*data.states.T, data.actions, data.aconts, *data.next_states.T, data.rewards]
+    lines = [",".join(TRANSITION_COLUMNS), *map(",".join, zip(*map(_formatted, columns)))]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRANSITION_COLUMNS)
-        for row, action in zip(floats, data.actions.tolist()):
-            writer.writerow(row[:5] + [action] + row[5:])
+        f.write("\r\n".join(lines) + "\r\n")
+
+
+def _float_block(lines):
+    """The (n, 13) float64 block of transition CSV lines, ValueError if one is not 13 numbers."""
+    _check_plain(lines)
+    vals = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if vals.shape[1] != 13:
+        raise ValueError(f"expected 13 columns, got {vals.shape[1]}")
+    return vals
 
 
 def read_transitions(path) -> Transitions:
     """Reads a transition CSV, rejecting malformed rows with DataError("path:line: ...").
 
-    Every value must be finite, the action an integer in 0..N_ACTIONS-1 and
-    every state component non-negative.
+    Every row has 13 numbers; every value must be finite, the action an
+    integer in 0..N_ACTIONS-1 and every state component non-negative.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        _check_header(path, next(reader, None), TRANSITION_COLUMNS)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 13:
-                raise DataError(f"{path}:{line_no}: expected 13 columns, got {len(row)}")
+    with open(path, encoding="utf-8") as f:  # universal newlines: every line end reads as \n
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    _check_header(path, next(csv.reader(lines[:1]), None), TRANSITION_COLUMNS)
+    body = lines[1:]
+    try:
+        if "" in body:
+            raise ValueError("blank line")
+        vals = _float_block(body) if body else np.empty((0, 13))
+    except ValueError:
+        for line_no, line in enumerate(body, start=2):
+            fields = len(next(csv.reader([line]), []))
+            if fields != 13:
+                raise DataError(f"{path}:{line_no}: expected 13 columns, got {fields}") from None
             try:
-                rows.append([float(v) for v in row])
+                _float_block([line])
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
-    vals = np.array(rows, dtype=np.float64).reshape(-1, 13)
+        raise
     actions = vals[:, 5]
     state_cols = vals[:, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]]
     faults = (  # checked in this order, so a row's first fault is the one reported

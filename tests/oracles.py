@@ -5,9 +5,13 @@ central finite differences, continuous maximization from a dense grid scan,
 tabular Q* from value iteration on explicit dynamics, normalization from
 row-by-row loops over a batch of transitions, RFM-I states from each
 timeline's prefix, the simulator from a loop over customers in Python
-floats, and TD training from one parameter, gradient and RMSProp cache
-array per layer weight and bias.
+floats, TD training from one parameter, gradient and RMSProp cache
+array per layer weight and bias, and the CSV readers and writer from one
+loop per row through the csv module.
 """
+
+import csv
+import math
 
 import numpy as np
 
@@ -15,7 +19,9 @@ from clvdqn import policy_eval
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
 from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
-from clvdqn.rfmi import N_ACTIONS, NormStats, Transitions, apply_norm, compute_norm_stats
+from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, CustomerTimeline,
+                         DataError, NormStats, Transitions, _check_header, apply_norm,
+                         compute_norm_stats)
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
@@ -351,3 +357,103 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
 
     return AutonomousResult(net=learner.net, norm_stats=stats, history=history,
                             replay=replay, dropped_actions=dropped)
+
+
+def timeline_fault_row(period, amount, action, acont, periods_seen):
+    """Why a parsed timeline row is invalid, or None."""
+    if not (math.isfinite(amount) and math.isfinite(acont)):
+        return "non-finite amount or acont"
+    if amount < 0:
+        return "negative amount"
+    if not 0 <= action < N_ACTIONS:
+        return f"action must be an integer in 0..{N_ACTIONS - 1}"
+    if period < 0:
+        return "negative period"
+    if period in periods_seen:
+        return f"duplicate period {period} for this customer"
+    return None
+
+
+def read_timelines_rows(path) -> list:
+    """Row-by-row reference for rfmi.read_timelines, through csv.DictReader.
+
+    It reads a field Python's int() or float() reads, underscores and
+    non-ASCII digits included; it files a sixth field under DictReader's
+    restkey and reads a missing amount, action or acont as 0.
+    """
+    per_customer, first_lines = {}, {}
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        _check_header(path, reader.fieldnames, TIMELINE_COLUMNS)
+        for row in reader:
+            line_no = reader.line_num  # DictReader skips blank lines, so count them here
+            try:
+                cid = row["customer_id"]
+                period = int(row["period"])
+                amount = float(row["amount"]) if row["amount"] else 0.0
+                action = int(row["action"]) if row["action"] else 0
+                acont = float(row["acont"]) if row["acont"] else 0.0
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
+            rows = per_customer.setdefault(cid, {})
+            first_lines.setdefault(cid, line_no)
+            fault = timeline_fault_row(period, amount, action, acont, rows)
+            if fault:
+                raise DataError(f"{path}:{line_no}: {fault}")
+            rows[period] = (amount, action, acont)
+    timelines = []
+    for cid, rows in per_customer.items():
+        periods = max(rows) + 1
+        if periods < 2:
+            raise DataError(f"{path}:{first_lines[cid]}: timeline {cid} needs >= 2 periods")
+        amounts = np.zeros(periods)
+        actions = np.zeros(periods, dtype=np.int64)
+        aconts = np.zeros(periods)
+        for period, (amount, action, acont) in rows.items():
+            amounts[period], actions[period], aconts[period] = amount, action, acont
+        timelines.append(CustomerTimeline(cid, amounts, actions, aconts))
+    return timelines
+
+
+def write_transitions_rows(data, path):
+    """Row-by-row reference for rfmi.write_transitions, through csv.writer."""
+    floats = np.column_stack([data.states, data.aconts, data.next_states, data.rewards]).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(TRANSITION_COLUMNS)
+        for row, action in zip(floats, data.actions.tolist()):
+            writer.writerow(row[:5] + [action] + row[5:])
+
+
+def read_transitions_rows(path) -> Transitions:
+    """Row-by-row reference for rfmi.read_transitions, through csv.reader and float().
+
+    It reads a field Python's float() reads, underscores and non-ASCII digits
+    included.
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        _check_header(path, next(reader, None), TRANSITION_COLUMNS)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 13:
+                raise DataError(f"{path}:{line_no}: expected 13 columns, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
+    vals = np.array(rows, dtype=np.float64).reshape(-1, 13)
+    actions = vals[:, 5]
+    state_cols = vals[:, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]]
+    faults = (  # checked in this order, so a row's first fault is the one reported
+        (~np.isfinite(vals).all(axis=1), "non-finite value"),
+        ((actions != np.floor(actions)) | (actions < 0) | (actions >= N_ACTIONS),
+         f"action must be an integer in 0..{N_ACTIONS - 1}"),
+        ((state_cols < 0).any(axis=1), "negative state value"),
+    )
+    bad = [(int(np.argmax(mask)), message) for mask, message in faults if mask.any()]
+    if bad:
+        row, message = min(bad, key=lambda b: b[0])
+        raise DataError(f"{path}:{row + 2}: {message}")
+    return Transitions(vals[:, 0:5], actions.astype(np.int64), vals[:, 6],
+                       vals[:, 7:12], vals[:, 12])

@@ -65,11 +65,17 @@ class TestBuildTransitions:
         ("c0,-1,0.0,,", "negative period"),
         ("c0,0,0.0,,", "duplicate period 0"),
         ("c1,0,1.0,,", "timeline c1 needs >= 2 periods"),
+        ("c1,1,0.0,3,,EXTRA", "expected 5 columns, got 6"),
+        ("c1,1,0.0,3", "expected 5 columns, got 4"),
+        ("c0,1,0.0,99999999999999999999,", "action must be an integer in 0..11"),
+        ("c0,1_0,0.0,,", "malformed row ('_' in a number)"),
+        ("c0,1,1_0.5,,", "malformed row ('_' in a number)"),
+        ("c0,1,0.0,3,\u0665", "malformed row ('\u0665' in a number)"),
     ])
     def test_invalid_timeline_row_is_data_error(self, tmp_path, capsys, row, message):
         src = tmp_path / "bad.csv"
         src.write_text("customer_id,period,amount,action,acont\n"
-                       f"c0,0,10.0,3,5.0\n{row}\nc0,2,0.0,,\n")
+                       f"c0,0,10.0,3,5.0\n{row}\nc0,2,0.0,,\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         code = main(["build-transitions", str(src), str(out)])
         err = capsys.readouterr().err
@@ -149,7 +155,8 @@ class TestTrain:
         assert logged == silent
         assert messages == ["no epoch had a matched validation group; keeping the last trained net"]
         assert none == []
-        rows = list(csv.DictReader(hist.open()))
+        with hist.open() as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 2 and all(math.isnan(float(r["val_mean_reward"])) for r in rows)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -158,6 +165,8 @@ class TestTrain:
         ("m", "nan", "non-finite value"),
         ("reward", "inf", "non-finite value"),
         ("r", "-1.0", "negative state value"),
+        ("m", "1_0", "malformed row ('_' in a number)"),
+        ("reward", "\u0665", "malformed row ('\u0665' in a number)"),
     ])
     def test_invalid_transition_row_is_data_error(self, tmp_path, transitions_csv, capsys,
                                                   field, value, message):
@@ -166,7 +175,7 @@ class TestTrain:
         row[lines[0].split(",").index(field)] = value
         lines[2] = ",".join(row)
         src = tmp_path / "bad.csv"
-        src.write_text("\n".join(lines) + "\n")
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["train", str(src), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--epochs", "0"])
         err = capsys.readouterr().err

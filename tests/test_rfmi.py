@@ -1,10 +1,15 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clvdqn.rfmi import (
+    TIMELINE_COLUMNS,
+    TRANSITION_COLUMNS,
     CustomerTimeline,
     DataError,
     Transitions,
@@ -16,7 +21,14 @@ from clvdqn.rfmi import (
     write_timelines,
     write_transitions,
 )
-from oracles import apply_norm_rows, norm_stats_rows, timeline_states_rows
+from oracles import (
+    apply_norm_rows,
+    norm_stats_rows,
+    read_timelines_rows,
+    read_transitions_rows,
+    timeline_states_rows,
+    write_transitions_rows,
+)
 
 
 @st.composite
@@ -109,6 +121,17 @@ class TestBuildTransitions:
         assert (t.actions[1], t.aconts[1], t.rewards[1]) == (4, 6.0, 10.0)
         np.testing.assert_array_equal(t.states[1], [1, 0, 0, 1, 0])
         np.testing.assert_array_equal(t.next_states[1], [1, 1, 10, 1, 1])
+
+    @pytest.mark.parametrize("amounts, actions, aconts, message", [
+        ([1, np.nan, 0], [0, 0, 0], [0, 0, 0], "non-finite amount or acont"),
+        ([1, 0, 0], [0, 0, 0], [0, np.inf, 0], "non-finite amount or acont"),
+        ([1, -2, 0], [0, 0, 0], [0, 0, 0], "negative amount"),
+        ([1, 0, 0], [99, 0, 0], [0, 0, 0], "action must be an integer in 0..11"),
+        ([1, 0, 0], [0, -1, 0], [0, 0, 0], "action must be an integer in 0..11"),
+    ])
+    def test_invalid_timeline_values_rejected(self, amounts, actions, aconts, message):
+        with pytest.raises(DataError, match=f"^{message} in timeline x$"):
+            build_transitions([CustomerTimeline("x", amounts, actions, aconts)])
 
     def test_too_short(self):
         with pytest.raises(DataError, match="timeline c2 needs >= 2 periods"):
@@ -246,3 +269,250 @@ class TestCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(DataError):
             read_transitions(path)
+
+
+# ---------------------------------------------------------------------------
+# The columnar CSV readers and writer against the row-by-row references in
+# oracles.py. They differ only where the columnar readers reject more: a
+# timeline row without exactly 5 fields, and a number with an underscore or a
+# non-ASCII digit, which Python's int() and float() read.
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def csv_line(cells):
+    """One CSV record as csv.writer quotes it, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
+def write_lines(path, lines, eol):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("".join(line + eol for line in lines))
+
+
+def spelt(values):
+    """A number as repr() writes it, or in another spelling that float() reads."""
+    return values.flatmap(lambda v: st.sampled_from([repr(v), f" {v!r}", f"{v!r}\t", f"{v:e}"]))
+
+
+CUSTOMER_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\r\n\x00"), max_size=8)
+
+
+@st.composite
+def timeline_rows(draw):
+    """The rows of a valid timeline CSV: 1-5 customers of 2-20 periods each, some
+    periods missing, in a random order."""
+    rows = []
+    for cid in draw(st.lists(CUSTOMER_IDS, min_size=1, max_size=5, unique=True)):
+        last = draw(st.integers(1, 19))
+        for p in sorted(draw(st.sets(st.integers(0, last - 1))) | {last}):
+            rows.append([
+                cid,
+                draw(st.sampled_from([str(p), f" {p}", f"+{p}", f"0{p}"])),
+                draw(st.one_of(st.just(""), st.just("-0.0"), spelt(st.floats(0.0, 1e6)))),
+                draw(st.one_of(st.just(""), st.integers(0, 11).map(str))),
+                draw(st.one_of(st.just(""), spelt(st.floats(-1e6, 1e6)))),
+            ])
+    return [list(row) for row in draw(st.permutations(rows))]
+
+
+def with_blank_lines(draw, header, rows):
+    """The CSV lines of a header and rows, with up to 3 blank lines after the header."""
+    lines = [csv_line(header)] + [csv_line(row) for row in rows]
+    for k in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+        lines.insert(k, "")
+    return lines
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+TIMELINE_FAULTS = [  # (field, value) that both timeline readers reject alike
+    (1, "x"), (1, "1.5"), (1, ""), (1, "-1"), (2, "x"), (2, "nan"), (2, "-inf"), (2, "-2.5"),
+    (3, "12"), (3, "-1"), (3, "2.0"), (3, "99999999999999999999"), (4, "inf"), (4, "1.5x"),
+]
+
+NEW_TIMELINE_REJECTIONS = [  # (edit of a row, message) rejected now, read by the reference
+    (lambda row: row[:2] + ["1_0"] + row[3:], "malformed row ('_' in a number)"),
+    (lambda row: row[:4] + ["٣"], "malformed row ('٣' in a number)"),
+    (lambda row: row + ["EXTRA"], "expected 5 columns, got 6"),
+    (lambda row: row[:4], "expected 5 columns, got 4"),
+]
+
+
+class TestTimelineCsvMatchesRowReference:
+    @settings(deadline=None, max_examples=60)
+    @given(timeline_rows(), st.sampled_from(["\r\n", "\n"]), st.data())
+    def test_valid_files(self, csv_dir, rows, eol, data):
+        path = csv_dir / "valid.csv"
+        write_lines(path, with_blank_lines(data.draw, TIMELINE_COLUMNS, rows), eol)
+        got, want = read_timelines(path), read_timelines_rows(path)
+        assert [tl.customer_id for tl in got] == [tl.customer_id for tl in want]
+        for g, w in zip(got, want):
+            for name in ("amounts", "actions", "aconts"):
+                assert_bit_equal(getattr(g, name), getattr(w, name))
+
+    @settings(deadline=None, max_examples=80)
+    @given(timeline_rows(), st.sampled_from(["\r\n", "\n"]), st.data())
+    def test_one_fault_is_reported_alike(self, csv_dir, rows, eol, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(["field", "duplicate", "single period"]))
+        if kind == "field":
+            field, value = data.draw(st.sampled_from(TIMELINE_FAULTS))
+            rows[i][field] = value
+        elif kind == "duplicate":
+            rows.insert(data.draw(st.integers(i + 1, len(rows))), list(rows[i]))
+        else:  # a customer id longer than CUSTOMER_IDS draws
+            rows.insert(i, ["single-period customer", "0", "", "", ""])
+        path = csv_dir / "fault.csv"
+        write_lines(path, with_blank_lines(data.draw, TIMELINE_COLUMNS, rows), eol)
+        with pytest.raises(DataError) as want:
+            read_timelines_rows(path)
+        with pytest.raises(DataError) as got:
+            read_timelines(path)
+        assert str(got.value) == str(want.value)
+
+    @settings(deadline=None, max_examples=40)
+    @given(timeline_rows(), st.sampled_from(NEW_TIMELINE_REJECTIONS), st.data())
+    def test_new_rejections(self, csv_dir, rows, rejection, data):
+        edit, message = rejection
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = edit(rows[i])
+        path = csv_dir / "new.csv"
+        write_lines(path, [csv_line(TIMELINE_COLUMNS)] + [csv_line(row) for row in rows], "\n")
+        read_timelines_rows(path)
+        with pytest.raises(DataError) as got:
+            read_timelines(path)
+        assert str(got.value) == f"{path}:{i + 2}: {message}"
+
+
+def transitions_of(values, actions, states=None):
+    """Transitions of 0-30 rows: actions drawn from actions, states and next states
+    from states (values when not given), aconts and rewards from values."""
+    states = values if states is None else states
+    return st.integers(0, 30).flatmap(lambda n: st.builds(
+        Transitions,
+        arrays(np.float64, (n, 5), elements=states),
+        arrays(np.int64, n, elements=actions),
+        arrays(np.float64, n, elements=values),
+        arrays(np.float64, (n, 5), elements=states),
+        arrays(np.float64, n, elements=values),
+    ))
+
+
+VALID_TRANSITIONS = transitions_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(0, 11), st.floats(0.0, 1e300))
+
+
+def reference_lines(csv_dir, data):
+    """The lines of data as the row-by-row writer writes them."""
+    path = csv_dir / "reference.csv"
+    write_transitions_rows(data, path)
+    return path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+
+
+TRANSITION_FAULTS = [  # (column, value) that both transition readers reject alike
+    (0, "x"), (3, ""), (12, "1.5.5"), (6, "é"), (2, "nan"), (12, "-inf"), (0, "-1.0"),
+    (9, "-0.5"), (5, "2.5"), (5, "12"), (5, "-1"), (6, "inf"),
+]
+
+
+class TestTransitionCsvMatchesRowReference:
+    @settings(deadline=None, max_examples=60)
+    @given(transitions_of(st.floats(), st.integers(-2**63, 2**63 - 1)))
+    @example(rows(np.zeros((4, 5)), [0, 1, 2, 3], [0.0, -0.0, np.nan, -np.inf],
+                  np.full((4, 5), -0.0), [-0.0, 0.0, 1e-300, 0.1]))
+    def test_writer_bytes(self, csv_dir, data):
+        write_transitions(data, csv_dir / "columnar.csv")
+        write_transitions_rows(data, csv_dir / "rows.csv")
+        assert (csv_dir / "columnar.csv").read_bytes() == (csv_dir / "rows.csv").read_bytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(VALID_TRANSITIONS, st.sampled_from(["\r\n", "\n"]), st.data())
+    def test_valid_files(self, csv_dir, data, eol, draw):
+        written = reference_lines(csv_dir, data)
+        lines = list(written)
+        for _ in range(draw.draw(st.integers(0, 5)) if len(data) else 0):
+            row, col = draw.draw(st.integers(1, len(data))), draw.draw(st.integers(0, 12))
+            cells, cell = lines[row].split(","), written[row].split(",")[col]
+            cells[col] = draw.draw(st.sampled_from([f" {cell}", f'"{cell}"', f"{float(cell):e}"]))
+            lines[row] = ",".join(cells)
+        path = csv_dir / "valid.csv"
+        write_lines(path, lines, eol)
+        got, want = read_transitions(path), read_transitions_rows(path)
+        for name in ("states", "actions", "aconts", "next_states", "rewards"):
+            assert_bit_equal(getattr(got, name), getattr(want, name))
+
+    @settings(deadline=None, max_examples=80)
+    @given(VALID_TRANSITIONS.filter(len), st.sampled_from(["\r\n", "\n"]), st.data())
+    def test_one_fault_is_reported_alike(self, csv_dir, data, eol, draw):
+        lines = reference_lines(csv_dir, data)
+        row = draw.draw(st.integers(1, len(data)))
+        cells = lines[row].split(",")
+        kind = draw.draw(st.sampled_from(["field", "blank line", "missing", "extra"]))
+        if kind == "field":
+            col, value = draw.draw(st.sampled_from(TRANSITION_FAULTS))
+            cells[col] = value
+        elif kind == "missing":
+            del cells[draw.draw(st.integers(0, 12))]
+        elif kind == "extra":
+            cells.append("0.0")
+        lines[row] = "" if kind == "blank line" else ",".join(cells)
+        path = csv_dir / "fault.csv"
+        write_lines(path, lines, eol)
+        with pytest.raises(DataError) as want:
+            read_transitions_rows(path)
+        with pytest.raises(DataError) as got:
+            read_transitions(path)
+        # np.loadtxt words a malformed number otherwise than float(); the rest is alike
+        assert str(got.value).split(" (")[0] == str(want.value).split(" (")[0]
+
+    @settings(deadline=None, max_examples=40)
+    @given(VALID_TRANSITIONS.filter(len), st.sampled_from([("1_0", "_"), ("٣", "٣")]), st.data())
+    def test_new_rejections(self, csv_dir, data, rejection, draw):
+        value, char = rejection
+        lines = reference_lines(csv_dir, data)
+        row, col = draw.draw(st.integers(1, len(data))), draw.draw(st.integers(0, 12))
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        path = csv_dir / "new.csv"
+        write_lines(path, lines, "\r\n")
+        read_transitions_rows(path)
+        with pytest.raises(DataError) as got:
+            read_transitions(path)
+        assert str(got.value) == f"{path}:{row + 1}: malformed row ({char!r} in a number)"
+
+
+NUMBER_PIECES = [*"0123456789.eE+- \t\x0b\x1c_", "\u0663", "\u2003", "inf", "nan"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from(NUMBER_PIECES), min_size=1, max_size=8).map("".join))
+def test_both_readers_read_one_number_grammar(csv_dir, cell):
+    """A cell reads as the same acont in a timeline and in a transition, or neither reads it."""
+    timelines = csv_dir / "grammar_timelines.csv"
+    write_lines(timelines, [",".join(TIMELINE_COLUMNS), f"c,0,,1,{cell}", "c,1,,,"], "\n")
+    transitions = csv_dir / "grammar_transitions.csv"
+    write_lines(transitions, [",".join(TRANSITION_COLUMNS), f"0,0,0,0,0,1,{cell},0,0,0,0,0,0"],
+                "\n")
+
+    def acont(read, path, column):
+        try:
+            return column(read(path))
+        except DataError:
+            return None
+
+    got = (acont(read_timelines, timelines, lambda t: t[0].aconts[:1]),
+           acont(read_transitions, transitions, lambda t: t.aconts))
+    if got[0] is None or got[1] is None:
+        assert got[0] is None and got[1] is None
+    else:
+        assert_bit_equal(*got)
