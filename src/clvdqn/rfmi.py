@@ -267,14 +267,6 @@ def _int64(values):
         return np.array([min(max(v, -2**62), 2**62) for v in values], dtype=np.int64)
 
 
-def _line_numbers(path):
-    """The line on which each non-blank row after the header ends, as csv.reader counts lines."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)
-        return [reader.line_num for row in reader if row]
-
-
 def read_timelines(path) -> list:
     """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction).
 
@@ -289,7 +281,11 @@ def read_timelines(path) -> list:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         _check_header(path, next(reader, None), TIMELINE_COLUMNS)
-        rows = list(filter(None, reader))
+        rows, line_nums = [], []  # each non-blank row and the line it ends on: no re-read on a fault
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_nums.append(reader.line_num)
     faults = []  # (row, message): the first fault of each check, in the order a row is checked
     widths = list(map(len, rows))
     if widths.count(5) < len(rows):
@@ -319,20 +315,22 @@ def read_timelines(path) -> list:
             faults.append((i, message or f"duplicate period {period[i]} for this customer"))
     if faults:
         i, message = min(faults, key=lambda fault: fault[0])  # ties keep the checking order
-        raise DataError(f"{path}:{_line_numbers(path)[i]}: {message}")
+        raise DataError(f"{path}:{line_nums[i]}: {message}")
     lengths = np.zeros(len(index), dtype=np.int64)
     np.maximum.at(lengths, codes, period + 1)
     if (lengths < 2).any():
         k = int(np.argmax(lengths < 2))
         cid = list(index)[k]
-        line = _line_numbers(path)[int(np.argmax(codes == k))]
+        line = line_nums[int(np.argmax(codes == k))]
         raise DataError(f"{path}:{line}: timeline {cid} needs >= 2 periods")
-    shape = (len(index), int(lengths.max(initial=0)))
-    grids = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    for grid, values in zip(grids, (amount, action, acont)):
-        grid[codes, period] = values
-    return [CustomerTimeline(cid, amounts[:w], actions[:w], aconts[:w])
-            for cid, amounts, actions, aconts, w in zip(index, *grids, lengths.tolist())]
+    ends = np.cumsum(lengths)  # the timelines lie end to end in one buffer per column
+    place = ends[codes] - lengths[codes] + period
+    pieces = []
+    for values in (amount, action, acont):
+        buffer = np.zeros(int(lengths.sum()), dtype=values.dtype)
+        buffer[place] = values
+        pieces.append(np.split(buffer, ends[:-1]))
+    return [CustomerTimeline(cid, *arrays) for cid, *arrays in zip(index, *pieces)]
 
 
 def write_timelines(timelines, path):

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -82,6 +83,26 @@ class TestBuildTransitions:
         assert code == 2
         assert f"{src}:3: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("row, message", [
+        ("c0,1,-5.0,,", "negative amount"),
+        ("c1,0,1.0,,", "timeline c1 needs >= 2 periods"),
+    ])
+    def test_faulty_timeline_from_a_pipe_names_its_line(self, tmp_path, row, message):
+        # a pipe can be read only once, so the line of a fault must come from that one pass
+        out = tmp_path / "out.csv"
+        script = "import sys; from clvdqn.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "build-transitions", "/dev/stdin", str(out)],
+            input=f"customer_id,period,amount,action,acont\nc0,0,10.0,3,5.0\n{row}\nc0,2,0.0,,\n",
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(clvdqn.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert f"/dev/stdin:3: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_line_after_a_blank_line_keeps_its_number(self, tmp_path, capsys):
