@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,105 +35,63 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    mode: str = "discrete_only"
-    gamma: float = 0.9
-    lr0: float = 0.001
-    lr_decay_per_epoch: float = 0.99
-    batch_size: int = 200
-    epochs: int = 100
-    target_clone_period: int = 10000
-    seed: int = 0
-    validation_fraction: float = 0.25
-    # acont search interval of a mixed net, normalized units
-    bounds_lo: float = TrainConfig.bounds_lo
-    bounds_hi: float = TrainConfig.bounds_hi
-    # simulator
-    population: int = 500
-    episodes: int = 300
-    epsilon_floor: float = 0.05
-    epsilon_decay: float = 0.995
-    train_every: int = 5
-    steps_per_burst: int = 400
-    base_rate: float = 0.08
-    fatigue_coeff: float = 0.0005
-    recency_decay: float = 0.002
-    thankyou_boost: float = 0.35
-    thankyou_action: int = 7
-    amount_mean: float = 10.0
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma,
-            lr0=self.lr0,
-            lr_decay_per_epoch=self.lr_decay_per_epoch,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            target_clone_period=self.target_clone_period,
-            seed=self.seed,
-            mode=self.mode,
-            bounds_lo=self.bounds_lo,
-            bounds_hi=self.bounds_hi,
-        )
-
-    def donor_model(self) -> env_mod.DonorModel:
-        return env_mod.DonorModel(
-            base_rate=self.base_rate,
-            fatigue_coeff=self.fatigue_coeff,
-            recency_decay=self.recency_decay,
-            thankyou_boost=self.thankyou_boost,
-            thankyou_action=self.thankyou_action,
-            amount_mean=self.amount_mean,
-            seed=self.seed,
-        )
-
-    def agent_config(self) -> env_mod.AgentConfig:
-        return env_mod.AgentConfig(
-            epsilon_floor=self.epsilon_floor,
-            epsilon_decay=self.epsilon_decay,
-            episodes=self.episodes,
-            train_every=self.train_every,
-            steps_per_burst=self.steps_per_burst,
-            seed=self.seed,
-        )
-
-    def dump(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for fld in fields(self):
-                f.write(f"{fld.name}={getattr(self, fld.name)}\n")
+# The settings a config file or flag may set. Each names a field of TrainConfig,
+# DonorModel or AgentConfig, whose default it takes (seed goes to all three),
+# except the two below, which only the CLI reads.
+CONFIG_KEYS = (
+    "mode", "gamma", "lr0", "lr_decay_per_epoch", "batch_size", "epochs",
+    "target_clone_period", "seed", "validation_fraction", "bounds_lo", "bounds_hi",
+    "population", "episodes", "epsilon_floor", "epsilon_decay", "train_every",
+    "steps_per_burst", "base_rate", "fatigue_coeff", "recency_decay", "thankyou_boost",
+    "thankyou_action", "amount_mean",
+)
+CLI_DEFAULTS = {"validation_fraction": 0.25, "population": 500}
+CONFIGS = (TrainConfig, env_mod.DonorModel, env_mod.AgentConfig)
 
 
-def load_config(path) -> RunConfig:
-    cfg = RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{line_no}: expected key=value", EXIT_USAGE)
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in types:
-                raise CliError(f"{path}:{line_no}: unknown config key {key!r}", EXIT_USAGE)
-            current = getattr(RunConfig(), key)
-            try:
-                setattr(cfg, key, MODE_NAMES[value] if key == "mode" else type(current)(value))
-            except (KeyError, ValueError):
-                raise CliError(f"{path}:{line_no}: bad value for {key!r}", EXIT_USAGE) from None
-    return cfg
+def default_settings() -> dict:
+    """Every config key with its default value."""
+    defaults = {f.name: f.default for cls in CONFIGS for f in fields(cls)} | CLI_DEFAULTS
+    return {key: defaults[key] for key in CONFIG_KEYS}
 
 
-def _effective_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for name in (f.name for f in fields(RunConfig)):
+def make_config(cls, settings):
+    """A TrainConfig, DonorModel or AgentConfig from the settings that name its fields."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
+
+
+def load_config(path) -> dict:
+    """The settings of a flat key=value file, defaults filled in."""
+    settings = default_settings()
+    try:
+        lines = rfmi.open_text(path)
+    except rfmi.DataError as exc:  # not UTF-8
+        raise CliError(str(exc), EXIT_USAGE) from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{line_no}: expected key=value", EXIT_USAGE)
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in settings:
+            raise CliError(f"{path}:{line_no}: unknown config key {key!r}", EXIT_USAGE)
+        try:
+            settings[key] = MODE_NAMES[value] if key == "mode" else type(settings[key])(value)
+        except (KeyError, ValueError):
+            raise CliError(f"{path}:{line_no}: bad value for {key!r}", EXIT_USAGE) from None
+    return settings
+
+
+def _effective_config(args) -> dict:
+    settings = load_config(args.config) if getattr(args, "config", None) else default_settings()
+    for name in CONFIG_KEYS:
         flag = getattr(args, name, None)
         if flag is not None:
-            setattr(cfg, name, flag)
+            settings[name] = flag
     if getattr(args, "mode", None):
-        cfg.mode = MODE_NAMES[args.mode]
-    return cfg
+        settings["mode"] = MODE_NAMES[args.mode]
+    return settings
 
 
 def _load_checkpoint(path):
@@ -173,13 +131,13 @@ def cmd_train(args):
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
-    train_set, val_set = _split(transitions, cfg.validation_fraction, cfg.seed)
+    train_set, val_set = _split(transitions, cfg["validation_fraction"], cfg["seed"])
     if not train_set or not val_set:
         raise CliError("train/validation split produced an empty side", EXIT_DATA)
     stats = rfmi.compute_norm_stats(train_set)
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
-    tc = cfg.train_config()
+    tc = make_config(TrainConfig, cfg)
     net, history = qlearn.train(train_norm, val_norm, tc, stats)
     save_mlp(net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
@@ -194,7 +152,7 @@ def cmd_evaluate(args):
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
     net, tc, stats = _load_checkpoint(args.checkpoint)
     normed = rfmi.apply_norm(stats, transitions)
-    report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg.seed,
+    report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg["seed"],
                                   norm_stats=stats)
     text = policy_eval.report_text(report, timestamp=not args.no_timestamp)
     sys.stdout.write(text)
@@ -226,12 +184,12 @@ def cmd_clv(args):
 
 def cmd_simulate(args):
     cfg = _effective_config(args)
-    tc = cfg.train_config()
-    result = env_mod.run_autonomous(cfg.population, cfg.donor_model(), cfg.agent_config(), tc)
+    tc, model, agent = (make_config(cls, cfg) for cls in CONFIGS)
+    result = env_mod.run_autonomous(cfg["population"], model, agent, tc)
     env_mod.write_history_csv(result.history, args.history)
     save_mlp(result.net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, result.norm_stats)
-    print(f"simulated {cfg.episodes} episodes; wrote {args.history} and {args.checkpoint}")
+    print(f"simulated {cfg['episodes']} episodes; wrote {args.history} and {args.checkpoint}")
 
 
 def cmd_curves(args):

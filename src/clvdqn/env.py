@@ -18,7 +18,7 @@ import numpy as np
 
 from . import policy_eval
 from .action_space import is_mixed
-from .nn_core import init_mlp
+from .nn_core import ConfigError, init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
 from .rfmi import (N_ACTIONS, NormStats, Transitions, advance_states, apply_norm,
                    compute_norm_stats)
@@ -46,7 +46,15 @@ class DonorModel:
 
     def __post_init__(self):
         if len(self.action_effects) != N_ACTIONS:
-            raise ValueError(f"need {N_ACTIONS} action effects")
+            raise ConfigError(f"need {N_ACTIONS} action effects")
+        if not 0 <= self.thankyou_action < N_ACTIONS:
+            raise ConfigError(f"thankyou_action must be in 0..{N_ACTIONS - 1}, "
+                              f"got {self.thankyou_action}")
+        if not np.isfinite([self.base_rate, *self.action_effects, self.fatigue_coeff,
+                            self.recency_decay, self.thankyou_boost]).all():
+            raise ConfigError("the response rates, effects and coefficients must be finite")
+        if not 0 <= self.amount_mean < np.inf:
+            raise ConfigError(f"amount_mean must be finite and >= 0, got {self.amount_mean}")
 
 
 def response_probabilities(model: DonorModel, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -76,6 +84,13 @@ class AgentConfig:
     drop_min_observations: int = 200
     initial_policy: object = None  # policy(states) -> (n,) actions, used while untrained
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("episodes", 0), ("train_every", 1), ("steps_per_burst", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not np.isfinite([self.epsilon0, self.epsilon_floor, self.epsilon_decay]).all():
+            raise ConfigError("epsilon0, epsilon_floor and epsilon_decay must be finite")
 
     def epsilon(self, episode: int) -> float:
         return max(self.epsilon_floor, self.epsilon0 * self.epsilon_decay ** episode)
@@ -188,16 +203,16 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
     """Cold-start control loop: explore, log into replay, train in bursts.
 
     `population` is either a customer count (fresh donors) or an (n, 5) array
-    of starting raw states, whose gift sums start at frequency * monetary.
+    of starting raw states, whose gift sums start at frequency * monetary;
+    ConfigError if it holds no customer.
     Returns an AutonomousResult; the trained net consumes states normalized
     with result.norm_stats.
     """
     if isinstance(population, int):
-        states = np.zeros((population, 5))
-    else:
-        states = np.array(population, dtype=np.float64).reshape(-1, 5)
+        population = np.zeros((max(population, 0), 5))
+    states = np.array(population, dtype=np.float64).reshape(-1, 5)
     if not len(states):
-        raise ValueError("population must contain at least one customer")
+        raise ConfigError("population must contain at least one customer")
     gift_sums = states[:, 1] * states[:, 2]
     env_rng = np.random.default_rng(model.seed)
     agent_rng = np.random.default_rng(agent_cfg.seed)

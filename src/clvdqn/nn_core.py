@@ -19,7 +19,7 @@ ACTIVATIONS = ("relu", "linear")
 
 
 class ConfigError(ValueError):
-    """Inconsistent network specification."""
+    """Inconsistent settings: a network specification or a run configuration."""
 
 
 class TrainingError(RuntimeError):

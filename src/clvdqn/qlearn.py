@@ -29,7 +29,7 @@ from .nn_core import (
     init_mlp,
     rmsprop_step,
 )
-from .rfmi import N_ACTIONS, DataError, NormStats, Transitions
+from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, open_text
 
 log = logging.getLogger(__name__)
 
@@ -256,8 +256,8 @@ def _five_floats(text):
 
 def read_sidecar(path):
     """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed or
-    non-finite key."""
-    with open(path, encoding="utf-8") as f:
+    non-finite key, or the line that is not UTF-8."""
+    with open_text(path) as f:
         kv = dict(line.strip().split("=", 1) for line in f if "=" in line)
 
     def value(key, parse):

@@ -12,6 +12,7 @@ and simulated donors alike. Action 0 is inaction.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -34,25 +35,41 @@ class DataError(ValueError):
 
 
 @dataclass
-class CustomerTimeline:
-    customer_id: str
-    amounts: np.ndarray  # (periods,) donation per period, 0 = none
-    actions: np.ndarray  # (periods,) int, 0 = inaction
-    aconts: np.ndarray  # (periods,) continuous attribute, 0 for inaction
+class Timelines:
+    """Customer timelines as (customers, longest) grids; row k is customer k's timeline.
+
+    Period p of customer k is column p. The cells at and after a customer's
+    length are padding: no gift, inaction, acont 0.
+    """
+
+    customer_ids: list
+    lengths: np.ndarray  # (customers,) int64 periods of each timeline, >= 2
+    amounts: np.ndarray  # (customers, longest) donation per period, 0 = none
+    actions: np.ndarray  # (customers, longest) int64, 0 = inaction
+    aconts: np.ndarray  # (customers, longest) continuous attribute, 0 for inaction
 
     def __post_init__(self):
+        self.customer_ids = list(self.customer_ids)
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
         self.amounts = np.asarray(self.amounts, dtype=np.float64)
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.aconts = np.asarray(self.aconts, dtype=np.float64)
-        if not (len(self.amounts) == len(self.actions) == len(self.aconts)):
-            raise DataError(f"timeline arrays differ in length for {self.customer_id}")
-        for mask, message in _value_faults(self.amounts, self.actions, self.aconts):
-            if mask.any():
-                raise DataError(f"{message} in timeline {self.customer_id}")
+        grids = (self.amounts, self.actions, self.aconts)
+        n = len(self.customer_ids)
+        if (self.amounts.ndim != 2 or self.lengths.shape != (n,)
+                or {g.shape for g in grids} != {(n, self.amounts.shape[1])}
+                or (self.lengths > self.amounts.shape[1]).any()):
+            raise DataError("timeline grids must be (customers, periods), each length within")
+        faults = [*((mask.any(axis=1), f"{message} in timeline {{}}")
+                    for mask, message in _value_faults(*grids)),
+                  (self.lengths < 2, "timeline {} needs >= 2 periods")]
+        bad = [(int(np.argmax(rows)), message) for rows, message in faults if rows.any()]
+        if bad:
+            k, message = min(bad, key=lambda b: b[0])
+            raise DataError(message.format(self.customer_ids[k]))
 
-    @property
-    def periods(self) -> int:
-        return len(self.amounts)
+    def __len__(self) -> int:
+        return len(self.customer_ids)
 
 
 @dataclass
@@ -111,32 +128,23 @@ def advance_states(states: np.ndarray, gift_sums: np.ndarray, actions: np.ndarra
     ]), gift_sums
 
 
-def build_transitions(timelines) -> Transitions:
+def build_transitions(timelines: Timelines) -> Transitions:
     """One transition per period after the first of each timeline, customer by customer.
 
-    The reward co-occurs with the action. The timelines are padded to one
-    (customers, periods) grid with zero amounts and inaction, and the states
-    of every customer are stepped together with advance_states.
+    The reward co-occurs with the action. The states of every customer are
+    stepped together, one grid column at a time, with advance_states.
     """
-    for tl in timelines:
-        if tl.periods < 2:
-            raise DataError(f"timeline {tl.customer_id} needs >= 2 periods")
-    periods = np.array([tl.periods for tl in timelines], dtype=np.int64)
-    width = int(periods.max(initial=0))
-    amounts = np.zeros((len(timelines), width))
-    actions = np.zeros((len(timelines), width), dtype=np.int64)
-    aconts = np.zeros((len(timelines), width))
-    for i, tl in enumerate(timelines):
-        amounts[i, :tl.periods], actions[i, :tl.periods], aconts[i, :tl.periods] = (
-            tl.amounts, tl.actions, tl.aconts)
-    states = np.zeros((len(timelines), width, 5))
-    gift_sums = np.zeros(len(timelines))
+    n, width = timelines.amounts.shape
+    states = np.zeros((n, width, 5))
+    gift_sums = np.zeros(n)
     for p in range(width - 1):
         states[:, p + 1], gift_sums = advance_states(states[:, p], gift_sums,
-                                                     actions[:, p], amounts[:, p])
-    keep = np.arange(width - 1) < periods[:, None] - 1  # (customers, width - 1), row-major
-    return Transitions(states[:, :-1][keep], actions[:, :-1][keep], aconts[:, :-1][keep],
-                       states[:, 1:][keep], amounts[:, :-1][keep])
+                                                     timelines.actions[:, p],
+                                                     timelines.amounts[:, p])
+    keep = np.arange(width - 1) < timelines.lengths[:, None] - 1  # row-major: customer by customer
+    return Transitions(states[:, :-1][keep], timelines.actions[:, :-1][keep],
+                       timelines.aconts[:, :-1][keep], states[:, 1:][keep],
+                       timelines.amounts[:, :-1][keep])
 
 
 @dataclass
@@ -214,6 +222,23 @@ def _value_faults(amounts, actions, aconts):
     )
 
 
+def open_text(path, newline=None):
+    """A text stream over the whole of a UTF-8 file, read once: a pipe cannot be read twice.
+
+    newline is as for open(): None reads every line end as "\\n", "" keeps them.
+    DataError("path:line: not UTF-8") names the line of the first byte that does
+    not decode.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{path}:{line}: not UTF-8") from None
+
+
 def _check_header(path, header, expected):
     if header != list(expected):
         got = ",".join(header) if header else "an empty line"
@@ -260,25 +285,26 @@ def _column(cells, kind, blank=""):
 
 
 def _int64(values):
-    """Python ints as int64; those beyond its range are clamped to +-2**62, keeping their sign."""
+    """Python ints as int64, clamped to +-2**62 (keeping their sign) so a period + 1 fits."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.clip(np.array(values, dtype=np.int64), -2**62, 2**62)
     except OverflowError:
         return np.array([min(max(v, -2**62), 2**62) for v in values], dtype=np.int64)
 
 
-def read_timelines(path) -> list:
+def read_timelines(path) -> Timelines:
     """Timeline CSV: customer_id,period,amount,action,acont (empty action = inaction).
 
     Blank lines are skipped; an empty amount, action or acont reads as 0. A
-    wrong header, a row without exactly 5 fields, a malformed number, a
-    negative period or amount, a non-finite amount or acont, an action outside
-    0..11, a repeated period of one customer, or a customer with fewer than 2
-    periods raises DataError("path:line: ..."), naming the first such row.
-    Timelines come in order of their customer's first row, each padded with
-    empty periods up to its last.
+    file that is not UTF-8, a wrong header, a row without exactly 5 fields, a
+    malformed number, a negative period or amount, a non-finite amount or
+    acont, an action outside 0..11, a repeated period of one customer, a
+    customer with fewer than 2 periods, or a period too large for the grids
+    raises DataError("path:line: ..."), naming the first such row (the row of
+    the largest period for the last). Timelines come in order of their
+    customer's first row, each padded with empty periods up to its last.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         _check_header(path, next(reader, None), TIMELINE_COLUMNS)
         rows, line_nums = [], []  # each non-blank row and the line it ends on: no re-read on a fault
@@ -323,32 +349,15 @@ def read_timelines(path) -> list:
         cid = list(index)[k]
         line = line_nums[int(np.argmax(codes == k))]
         raise DataError(f"{path}:{line}: timeline {cid} needs >= 2 periods")
-    ends = np.cumsum(lengths)  # the timelines lie end to end in one buffer per column
-    place = ends[codes] - lengths[codes] + period
-    pieces = []
-    for values in (amount, action, acont):
-        buffer = np.zeros(int(lengths.sum()), dtype=values.dtype)
-        buffer[place] = values
-        pieces.append(np.split(buffer, ends[:-1]))
-    return [CustomerTimeline(cid, *arrays) for cid, *arrays in zip(index, *pieces)]
-
-
-def write_timelines(timelines, path):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TIMELINE_COLUMNS)
-        for tl in timelines:
-            for p in range(tl.periods):
-                action = tl.actions[p]
-                writer.writerow(
-                    [
-                        tl.customer_id,
-                        p,
-                        repr(float(tl.amounts[p])),
-                        int(action) if action != 0 else "",
-                        repr(float(tl.aconts[p])) if action != 0 else "",
-                    ]
-                )
+    try:
+        grids = [np.zeros((len(index), int(lengths.max(initial=0))), dtype=values.dtype)
+                 for values in (amount, action, acont)]
+    except (ValueError, MemoryError):
+        i = int(np.argmax(period))
+        raise DataError(f"{path}:{line_nums[i]}: period too large") from None
+    for grid, values in zip(grids, (amount, action, acont)):
+        grid[codes, period] = values
+    return Timelines(list(index), lengths, *grids)
 
 
 def _formatted(column):
@@ -388,7 +397,7 @@ def read_transitions(path) -> Transitions:
     Every row has 13 numbers; every value must be finite, the action an
     integer in 0..N_ACTIONS-1 and every state component non-negative.
     """
-    with open(path, encoding="utf-8") as f:  # universal newlines: every line end reads as \n
+    with open_text(path) as f:  # universal newlines: every line end reads as \n
         lines = f.read().split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -19,9 +19,8 @@ from clvdqn import policy_eval
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
 from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
-from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, CustomerTimeline,
-                         DataError, NormStats, Transitions, _check_header, apply_norm,
-                         compute_norm_stats)
+from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
+                         Timelines, Transitions, _check_header, apply_norm, compute_norm_stats)
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
@@ -374,7 +373,7 @@ def timeline_fault_row(period, amount, action, acont, periods_seen):
     return None
 
 
-def read_timelines_rows(path) -> list:
+def read_timelines_rows(path) -> Timelines:
     """Row-by-row reference for rfmi.read_timelines, through csv.DictReader.
 
     It reads a field Python's int() or float() reads, underscores and
@@ -401,18 +400,17 @@ def read_timelines_rows(path) -> list:
             if fault:
                 raise DataError(f"{path}:{line_no}: {fault}")
             rows[period] = (amount, action, acont)
-    timelines = []
+    lengths = []
     for cid, rows in per_customer.items():
-        periods = max(rows) + 1
-        if periods < 2:
+        lengths.append(max(rows) + 1)
+        if lengths[-1] < 2:
             raise DataError(f"{path}:{first_lines[cid]}: timeline {cid} needs >= 2 periods")
-        amounts = np.zeros(periods)
-        actions = np.zeros(periods, dtype=np.int64)
-        aconts = np.zeros(periods)
+    shape = (len(lengths), max(lengths, default=0))
+    amounts, actions, aconts = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    for k, rows in enumerate(per_customer.values()):
         for period, (amount, action, acont) in rows.items():
-            amounts[period], actions[period], aconts[period] = amount, action, acont
-        timelines.append(CustomerTimeline(cid, amounts, actions, aconts))
-    return timelines
+            amounts[k, period], actions[k, period], aconts[k, period] = amount, action, acont
+    return Timelines(list(per_customer), lengths, amounts, actions, aconts)
 
 
 def write_transitions_rows(data, path):

@@ -4,19 +4,21 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clvdqn
-from clvdqn.cli import RunConfig, load_config, main
+from clvdqn import cli
+from clvdqn.cli import CONFIGS, default_settings, load_config, main
 from clvdqn.nn_core import init_mlp, load_mlp, save_mlp
 from clvdqn.qlearn import TrainConfig, network_spec, write_sidecar
 from clvdqn.rfmi import NormStats, Transitions, write_transitions
 
 
-def write_timelines(path, n_customers=20, periods=6, seed=0):
+def write_timeline_csv(path, n_customers=20, periods=6, seed=0):
     rng = np.random.default_rng(seed)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -32,7 +34,7 @@ def write_timelines(path, n_customers=20, periods=6, seed=0):
 def transitions_csv(tmp_path):
     tl = tmp_path / "timelines.csv"
     out = tmp_path / "transitions.csv"
-    write_timelines(tl)
+    write_timeline_csv(tl)
     assert main(["build-transitions", str(tl), str(out)]) == 0
     return out
 
@@ -366,17 +368,66 @@ class TestSimulate:
         assert {"mode=mixed", "bounds_lo=3.0", "bounds_hi=4.0"} <= set(meta)
 
 
+NON_DEFAULTS = {  # key: (text in a config file, value it sets)
+    "mode": ("mixed", "mixed"), "gamma": ("0.8", 0.8), "lr0": ("0.002", 0.002),
+    "lr_decay_per_epoch": ("0.95", 0.95), "batch_size": ("50", 50), "epochs": ("2", 2),
+    "target_clone_period": ("7", 7), "seed": ("5", 5), "validation_fraction": ("0.3", 0.3),
+    "bounds_lo": ("-1.5", -1.5), "bounds_hi": ("1.25", 1.25), "population": ("42", 42),
+    "episodes": ("12", 12), "epsilon_floor": ("0.1", 0.1), "epsilon_decay": ("0.9", 0.9),
+    "train_every": ("3", 3), "steps_per_burst": ("20", 20), "base_rate": ("0.1", 0.1),
+    "fatigue_coeff": ("0.001", 0.001), "recency_decay": ("0.003", 0.003),
+    "thankyou_boost": ("0.4", 0.4), "thankyou_action": ("4", 4), "amount_mean": ("12.5", 12.5),
+}
+
+
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = RunConfig(gamma=0.8, epochs=7, mode="mixed", population=42)
+    def test_every_key_reaches_the_config_that_uses_it(self, tmp_path, transitions_csv,
+                                                       monkeypatch):
         path = tmp_path / "run.cfg"
-        cfg.dump(path)
-        assert load_config(path) == cfg
+        path.write_text("".join(f"{key}={text}\n" for key, (text, _) in NON_DEFAULTS.items()))
+        defaults = default_settings()
+        assert set(NON_DEFAULTS) == set(defaults) and len(defaults) == 23
+        assert all(value != defaults[key] for key, (_, value) in NON_DEFAULTS.items())
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def record(name, then=None):
+            def call(*args):
+                seen[name] = args
+                if then is None:
+                    raise Stop
+                return then(*args)
+            return call
+
+        monkeypatch.setattr(cli, "_split", record("split", cli._split))
+        monkeypatch.setattr(cli.qlearn, "train", record("train"))
+        monkeypatch.setattr(cli.env_mod, "run_autonomous", record("simulate"))
+        for argv in (["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
+                      "--history", str(tmp_path / "h")],
+                     ["simulate", "--checkpoint", str(tmp_path / "c"), "--history",
+                      str(tmp_path / "h")]):
+            with pytest.raises(Stop):
+                main(argv + ["--config", str(path)])
+        population, model, agent, train_config = seen["simulate"]
+        assert train_config == seen["train"][2]  # train and simulate make one TrainConfig
+        _, fraction, split_seed = seen["split"]
+        assert (population, fraction, split_seed) == (42, 0.3, 5)
+        used = {"population", "validation_fraction"}
+        for config, cls in zip((train_config, model, agent), CONFIGS):
+            assert type(config) is cls
+            for f in fields(config):
+                if f.name in NON_DEFAULTS:
+                    assert getattr(config, f.name) == NON_DEFAULTS[f.name][1], f.name
+                    used.add(f.name)
+        assert used == set(NON_DEFAULTS)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nepochs=3\n")
-        assert load_config(path).epochs == 3
+        assert load_config(path)["epochs"] == 3
 
     def test_unknown_key_is_usage_error(self, tmp_path, transitions_csv):
         path = tmp_path / "run.cfg"
@@ -410,7 +461,7 @@ class TestConfigFile:
     def test_mode_spellings(self, tmp_path, spelling, mode):
         path = tmp_path / "run.cfg"
         path.write_text(f"mode={spelling}\n")
-        assert load_config(path).mode == mode
+        assert load_config(path)["mode"] == mode
 
     def test_flag_overrides_config(self, tmp_path, transitions_csv):
         path = tmp_path / "run.cfg"
@@ -421,6 +472,85 @@ class TestConfigFile:
                      "--checkpoint", str(ckpt), "--history", str(hist), "--epochs", "1"])
         assert code == 0
         assert len(hist.read_text().splitlines()) == 2  # header + 1 epoch
+
+
+class TestFaultsExitWithoutTraceback:
+    @pytest.mark.parametrize("kind, eol", [
+        ("timelines", "\n"), ("timelines", "\r\n"), ("timelines", "\r"),
+        ("transitions", "\r\n"), ("sidecar", "\n"), ("config", "\n"),
+    ])
+    def test_non_utf8_file_names_its_line(self, tmp_path, capsys, transitions_csv, kind, eol):
+        # the Latin-1 byte \xe9 on line 3 of each file; a config file is a usage error
+        bad = tmp_path / "bad"
+        if kind == "timelines":
+            lines = ["customer_id,period,amount,action,acont", "c0,0,1.0,,", "c\xe9,0,1.0,,",
+                     "c\xe9,1,0.0,,", "c0,1,0.0,,"]
+            bad.write_bytes(eol.join(lines).encode("latin-1") + eol.encode())
+            argv, code = ["build-transitions", str(bad), str(tmp_path / "out.csv")], 2
+        elif kind in ("transitions", "sidecar"):
+            ckpt = zero_checkpoint(tmp_path)
+            if kind == "sidecar":
+                source = bad = Path(str(ckpt) + ".meta")
+                argv = ["clv", str(ckpt), "--state", "3,2,15,1,4"]
+            else:
+                source, argv = transitions_csv, ["evaluate", str(bad), str(ckpt)]
+            lines = source.read_bytes().split(eol.encode())
+            lines[2] += b"\xe9"
+            bad.write_bytes(eol.encode().join(lines))
+            code = 2
+        else:
+            bad.write_bytes(b"population=5\nepisodes=3\n# caf\xe9\n")
+            argv = ["simulate", "--history", str(tmp_path / "h"), "--checkpoint",
+                    str(tmp_path / "c"), "--config", str(bad)]
+            code = 1
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{bad}:3: not UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("periods, line", [((0, 10**20), 3), ((10**20, 0, 1), 2),
+                                               ((0, 1, 2**63 - 1), 4)],
+                             ids=["last-row", "first-row", "int64-max"])
+    def test_period_too_large_for_the_grid_names_its_line(self, tmp_path, capsys, periods,
+                                                          line):
+        src = tmp_path / "huge.csv"
+        src.write_text("customer_id,period,amount,action,acont\n"
+                       + "".join(f"c0,{p},0.0,,\n" for p in periods))
+        out = tmp_path / "out.csv"
+        assert main(["build-transitions", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}:{line}: period too large" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, flags, message", [
+        ("train_every=0", [], "train_every must be >= 1, got 0"),
+        ("train_every=1\nbatch_size=5\nsteps_per_burst=-1", [],
+         "steps_per_burst must be >= 0, got -1"),
+        ("", ["--population", "0"], "population must contain at least one customer"),
+        ("population=-3", [], "population must contain at least one customer"),
+        ("episodes=-2", [], "episodes must be >= 0, got -2"),
+        ("", ["--episodes", "-2"], "episodes must be >= 0, got -2"),
+        ("thankyou_action=40", [], "thankyou_action must be in 0..11, got 40"),
+        ("amount_mean=-1", [], "amount_mean must be finite and >= 0, got -1.0"),
+        ("base_rate=nan", [], "the response rates, effects and coefficients must be finite"),
+        ("epsilon_decay=inf", [], "epsilon0, epsilon_floor and epsilon_decay must be finite"),
+    ], ids=["train_every-0", "steps_per_burst-negative", "population-flag-0",
+            "population-negative", "episodes-negative", "episodes-flag-negative",
+            "thankyou_action-40", "amount_mean-negative", "base_rate-nan", "epsilon_decay-inf"])
+    def test_bad_simulator_setting_is_usage_error(self, tmp_path, capsys, settings, flags,
+                                                  message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"population=5\nepisodes=3\n{settings}\n")
+        hist = tmp_path / "sim.csv"
+        code = main(["simulate", "--history", str(hist), "--checkpoint", str(tmp_path / "c"),
+                     "--config", str(cfg)] + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not hist.exists()
 
 
 class TestUsageErrors:

@@ -23,8 +23,9 @@ from clvdqn.env import (
     run_autonomous,
     write_history_csv,
 )
+from clvdqn.nn_core import ConfigError
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
-from clvdqn.rfmi import (N_ACTIONS, CustomerTimeline, NormStats, Transitions, advance_states,
+from clvdqn.rfmi import (N_ACTIONS, NormStats, Timelines, Transitions, advance_states,
                          build_transitions)
 
 
@@ -182,6 +183,24 @@ class TestAgentConfig:
         for e in range(50):
             assert cfg.epsilon(e) == max(0.05, 0.9**e)
 
+    @pytest.mark.parametrize("cls, setting", [
+        (DonorModel, {"action_effects": (0.0,) * 11}), (DonorModel, {"thankyou_action": 12}),
+        (DonorModel, {"thankyou_action": -1}), (DonorModel, {"amount_mean": -0.5}),
+        (DonorModel, {"amount_mean": float("nan")}), (DonorModel, {"amount_mean": np.inf}),
+        (DonorModel, {"base_rate": np.nan}), (DonorModel, {"action_effects": (np.inf,) * 12}),
+        (DonorModel, {"thankyou_boost": -np.inf}), (AgentConfig, {"episodes": -1}),
+        (AgentConfig, {"train_every": 0}), (AgentConfig, {"steps_per_burst": -1}),
+        (AgentConfig, {"epsilon_floor": np.nan}),
+    ])
+    def test_bad_setting_is_config_error(self, cls, setting):
+        with pytest.raises(ConfigError):
+            cls(**setting)
+
+    @pytest.mark.parametrize("population", [0, -2, np.zeros((0, 5))])
+    def test_empty_population_is_config_error(self, population):
+        with pytest.raises(ConfigError, match="population must contain at least one customer"):
+            run_autonomous(population, DonorModel(), AgentConfig(episodes=1), TrainConfig())
+
 
 class TestRunAutonomous:
     def test_deterministic(self):
@@ -270,11 +289,12 @@ class TestRunAutonomous:
         def by_customer(column):  # the replay is episode-major
             return np.swapaxes(column.reshape(-1, n, *column.shape[1:]), 0, 1)
 
-        timelines = [CustomerTimeline(str(i), np.append(amounts, 0.0), np.append(actions, 0),
-                                      np.append(aconts, 0.0))
-                     for i, (amounts, actions, aconts) in enumerate(zip(
-                         by_customer(data.rewards), by_customer(data.actions),
-                         by_customer(data.aconts)))]
+        def grid(column):  # one trailing empty period per customer
+            return np.pad(by_customer(column), ((0, 0), (0, 1)))
+
+        periods = len(data) // n + 1
+        timelines = Timelines([str(i) for i in range(n)], np.full(n, periods),
+                              grid(data.rewards), grid(data.actions), grid(data.aconts))
         rebuilt = build_transitions(timelines)
         np.testing.assert_array_equal(rebuilt.states, by_customer(data.states).reshape(-1, 5))
         np.testing.assert_array_equal(rebuilt.next_states,

@@ -10,15 +10,14 @@ from hypothesis.extra.numpy import arrays
 from clvdqn.rfmi import (
     TIMELINE_COLUMNS,
     TRANSITION_COLUMNS,
-    CustomerTimeline,
     DataError,
+    Timelines,
     Transitions,
     apply_norm,
     build_transitions,
     compute_norm_stats,
     read_timelines,
     read_transitions,
-    write_timelines,
     write_transitions,
 )
 from oracles import (
@@ -48,21 +47,30 @@ def ragged_timelines(draw):
 
 
 def timeline(amounts, actions=None, aconts=None, cid="c1"):
+    """Timelines of one customer."""
     n = len(amounts)
-    return CustomerTimeline(
-        cid,
-        np.array(amounts, dtype=float),
-        np.array(actions if actions is not None else [0] * n),
-        np.array(aconts if aconts is not None else [0.0] * n),
-    )
+    return Timelines([cid], [n], [amounts], [actions if actions is not None else [0] * n],
+                     [aconts if aconts is not None else [0.0] * n])
+
+
+def joined(parts):
+    """One Timelines of one-customer Timelines, in order, each padded to the longest."""
+    width = max((tl.amounts.shape[1] for tl in parts), default=0)
+
+    def grid(name):
+        rows = [np.pad(getattr(tl, name)[0], (0, width - tl.amounts.shape[1])) for tl in parts]
+        return np.array(rows).reshape(len(parts), width)
+
+    return Timelines([tl.customer_ids[0] for tl in parts], [tl.lengths[0] for tl in parts],
+                     grid("amounts"), grid("actions"), grid("aconts"))
 
 
 def states_of(tl):
     """The states at indices 0..periods-1 of one timeline, as build_transitions makes
     them, after checking them against the row oracle."""
-    t = build_transitions([tl])
+    t = build_transitions(tl)
     states = np.vstack([t.states, t.next_states[-1:]])
-    assert states.tolist() == timeline_states_rows(tl.amounts, tl.actions)[:tl.periods]
+    assert states.tolist() == timeline_states_rows(tl.amounts[0], tl.actions[0])[:tl.lengths[0]]
     return states
 
 
@@ -103,10 +111,10 @@ class TestComputeState:
 
 class TestBuildTransitions:
     def test_count_is_periods_minus_one(self):
-        assert len(build_transitions([timeline([0] * 23)])) == 22
+        assert len(build_transitions(timeline([0] * 23))) == 22
 
     def test_all_empty_two_periods(self):
-        t = build_transitions([timeline([0, 0])])
+        t = build_transitions(timeline([0, 0]))
         assert len(t) == 1
         assert t.actions[0] == 0
         assert t.rewards[0] == 0
@@ -115,7 +123,7 @@ class TestBuildTransitions:
 
     def test_hand_walked_fixture(self):
         tl = timeline([0, 10, 0], actions=[0, 4, 0], aconts=[0, 6, 0])
-        t = build_transitions([tl])
+        t = build_transitions(tl)
         assert len(t) == 2
         assert (t.actions[0], t.aconts[0], t.rewards[0]) == (0, 0.0, 0.0)
         assert (t.actions[1], t.aconts[1], t.rewards[1]) == (4, 6.0, 10.0)
@@ -131,11 +139,11 @@ class TestBuildTransitions:
     ])
     def test_invalid_timeline_values_rejected(self, amounts, actions, aconts, message):
         with pytest.raises(DataError, match=f"^{message} in timeline x$"):
-            build_transitions([CustomerTimeline("x", amounts, actions, aconts)])
+            Timelines(["x"], [3], [amounts], [actions], [aconts])
 
     def test_too_short(self):
         with pytest.raises(DataError, match="timeline c2 needs >= 2 periods"):
-            build_transitions([timeline([0, 0]), timeline([0], cid="c2")])
+            Timelines(["c1", "c2"], [2, 1], np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_recency_reset_after_donation(self):
         states = states_of(timeline([0, 0, 8, 0, 0]))
@@ -143,19 +151,20 @@ class TestBuildTransitions:
         assert states[4, 0] == 2
 
     def test_no_timelines_no_rows(self):
-        assert len(build_transitions([])) == 0
+        assert len(build_transitions(joined([]))) == 0
 
     @settings(deadline=None)
     @given(ragged_timelines())
     def test_ragged_timelines_match_row_oracle(self, timelines):
-        got = build_transitions(timelines)
-        want = [timeline_states_rows(tl.amounts, tl.actions)[:tl.periods] for tl in timelines]
+        got = build_transitions(joined(timelines))
+        want = [timeline_states_rows(tl.amounts[0], tl.actions[0])[:tl.lengths[0]]
+                for tl in timelines]
         assert got.states.tolist() == [row for states in want for row in states[:-1]]
         assert got.next_states.tolist() == [row for states in want for row in states[1:]]
         for name, column in (("actions", got.actions), ("aconts", got.aconts),
                              ("amounts", got.rewards)):
             np.testing.assert_array_equal(
-                column, np.concatenate([getattr(tl, name)[:-1] for tl in timelines]))
+                column, np.concatenate([getattr(tl, name)[0, :-1] for tl in timelines]))
 
 
 def rows(states, actions, aconts, next_states, rewards=None):
@@ -179,7 +188,7 @@ def random_transitions(draw):
 
 class TestNormalize:
     def test_single_tuple_constant_dims_to_zero(self):
-        data = build_transitions([timeline([0, 0])])
+        data = build_transitions(timeline([0, 0]))
         arr = apply_norm(compute_norm_stats(data), data).states[0]
         # dims constant across state/next_state pool come out exactly 0
         assert arr[1] == 0 and arr[2] == 0 and arr[4] == 0
@@ -232,22 +241,28 @@ class TestNormalize:
 
 class TestCsv:
     def test_timeline_round_trip(self, tmp_path):
-        tls = [
+        tls = joined([
             timeline([0, 10, 0], actions=[0, 4, 0], aconts=[0, 6, 0], cid="a"),
             timeline([5, 0], actions=[1, 0], aconts=[2, 0], cid="b"),
-        ]
+        ])
         path = tmp_path / "timelines.csv"
-        write_timelines(tls, path)
-        back = {tl.customer_id: tl for tl in read_timelines(path)}
-        for tl in tls:
-            got = back[tl.customer_id]
-            np.testing.assert_array_equal(got.amounts, tl.amounts)
-            np.testing.assert_array_equal(got.actions, tl.actions)
-            np.testing.assert_array_equal(got.aconts, tl.aconts)
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(TIMELINE_COLUMNS)
+            for cid, length, *grids in zip(tls.customer_ids, tls.lengths, tls.amounts,
+                                           tls.actions, tls.aconts):
+                for p, (amount, action, acont) in enumerate(zip(*grids)):
+                    if p < length:
+                        writer.writerow([cid, p, repr(float(amount)), action or "",
+                                         repr(float(acont)) if action else ""])
+        back = read_timelines(path)
+        assert back.customer_ids == tls.customer_ids
+        for name in ("lengths", "amounts", "actions", "aconts"):
+            assert_bit_equal(getattr(back, name), getattr(tls, name))
 
     def test_transition_round_trip(self, tmp_path):
-        data = build_transitions([timeline([0, 10, 0, 3], actions=[2, 0, 4, 0],
-                                           aconts=[1, 0, 7, 0])])
+        data = build_transitions(timeline([0, 10, 0, 3], actions=[2, 0, 4, 0],
+                                          aconts=[1, 0, 7, 0]))
         path = tmp_path / "transitions.csv"
         write_transitions(data, path)
         back = read_transitions(path)
@@ -354,10 +369,9 @@ class TestTimelineCsvMatchesRowReference:
         path = csv_dir / "valid.csv"
         write_lines(path, with_blank_lines(data.draw, TIMELINE_COLUMNS, rows), eol)
         got, want = read_timelines(path), read_timelines_rows(path)
-        assert [tl.customer_id for tl in got] == [tl.customer_id for tl in want]
-        for g, w in zip(got, want):
-            for name in ("amounts", "actions", "aconts"):
-                assert_bit_equal(getattr(g, name), getattr(w, name))
+        assert got.customer_ids == want.customer_ids
+        for name in ("lengths", "amounts", "actions", "aconts"):
+            assert_bit_equal(getattr(got, name), getattr(want, name))
 
     @settings(deadline=None, max_examples=80)
     @given(timeline_rows(), st.sampled_from(["\r\n", "\n"]), st.data())
@@ -510,7 +524,7 @@ def test_both_readers_read_one_number_grammar(csv_dir, cell):
         except DataError:
             return None
 
-    got = (acont(read_timelines, timelines, lambda t: t[0].aconts[:1]),
+    got = (acont(read_timelines, timelines, lambda t: t.aconts[0, :1]),
            acont(read_transitions, transitions, lambda t: t.aconts))
     if got[0] is None or got[1] is None:
         assert got[0] is None and got[1] is None
