@@ -88,9 +88,7 @@ def _effective_config(args) -> dict:
     for name in CONFIG_KEYS:
         flag = getattr(args, name, None)
         if flag is not None:
-            settings[name] = flag
-    if getattr(args, "mode", None):
-        settings["mode"] = MODE_NAMES[args.mode]
+            settings[name] = MODE_NAMES[flag] if name == "mode" else flag
     return settings
 
 
@@ -128,16 +126,19 @@ def cmd_build_transitions(args):
 
 def cmd_train(args):
     cfg = _effective_config(args)
+    tc = make_config(TrainConfig, cfg)
+    fraction = cfg["validation_fraction"]
+    if not 0 < fraction < 1:  # NaN too
+        raise CliError(f"validation_fraction must be in (0,1), got {fraction}", EXIT_USAGE)
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
-    train_set, val_set = _split(transitions, cfg["validation_fraction"], cfg["seed"])
+    train_set, val_set = _split(transitions, fraction, cfg["seed"])
     if not train_set or not val_set:
         raise CliError("train/validation split produced an empty side", EXIT_DATA)
     stats = rfmi.compute_norm_stats(train_set)
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
-    tc = make_config(TrainConfig, cfg)
     net, history = qlearn.train(train_norm, val_norm, tc, stats)
     save_mlp(net, args.checkpoint)
     qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
@@ -236,16 +237,12 @@ def _add_config(p, makes_net=True):
         p.add_argument("--mode", choices=["discrete", "mixed"], default=None)
 
 
-def build_parser():
-    parser = _Parser(prog="clvdqn", description="RFM-I deep Q-learning for direct marketing")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-transitions", help="timeline CSV -> transition CSV")
+def _build_transitions_args(p):
     p.add_argument("timelines")
     p.add_argument("out")
-    p.set_defaults(func=cmd_build_transitions)
 
-    p = sub.add_parser("train", help="train a DQN on a transition CSV")
+
+def _train_args(p):
     p.add_argument("transitions")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history", required=True)
@@ -253,47 +250,68 @@ def build_parser():
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float, default=None)
     _add_config(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="matched-vs-deviated report for a checkpoint")
+
+def _evaluate_args(p):
     p.add_argument("transitions")
     p.add_argument("checkpoint")
     p.add_argument("--report-out")
     p.add_argument("--csv-out")
     p.add_argument("--no-timestamp", action="store_true")
     _add_config(p, makes_net=False)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("clv", help="per-action CLV for one raw state")
+
+def _clv_args(p):
     p.add_argument("checkpoint")
     p.add_argument("--state", required=True, help="r,f,m,ir,if")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_clv)
 
-    p = sub.add_parser("simulate", help="run the autonomous loop on the synthetic population")
+
+def _simulate_args(p):
     p.add_argument("--history", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--population", type=int, default=None)
     _add_config(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("curves", help="export Q-value curves over state sweeps")
+
+def _curves_args(p):
     p.add_argument("checkpoint")
     p.add_argument("--dims", required=True, help="e.g. recency or recency,frequency")
     p.add_argument("--range", required=True, help="lo:hi per dim, comma separated")
     p.add_argument("--resolution", type=int, default=50)
     p.add_argument("--reference", help="dim=value pairs for the unswept dims")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curves)
+
+
+COMMANDS = {  # name -> (help, the function that adds its arguments, handler)
+    "build-transitions": ("timeline CSV -> transition CSV", _build_transitions_args,
+                          cmd_build_transitions),
+    "train": ("train a DQN on a transition CSV", _train_args, cmd_train),
+    "evaluate": ("matched-vs-deviated report for a checkpoint", _evaluate_args, cmd_evaluate),
+    "clv": ("per-action CLV for one raw state", _clv_args, cmd_clv),
+    "simulate": ("run the autonomous loop on the synthetic population", _simulate_args, cmd_simulate),
+    "curves": ("export Q-value curves over state sweeps", _curves_args, cmd_curves),
+}
+
+
+def build_parser(command=None):
+    """The parser of `command` alone, or of every subcommand when `command` names none."""
+    parser = _Parser(prog="clvdqn", description="RFM-I deep Q-learning for direct marketing")
+    alone = command in COMMANDS  # then the metavar keeps every name in the usage line
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS) if alone else None)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        if name == command or not alone:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        args.func(args)
+        COMMANDS[args.command][2](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -177,7 +177,7 @@ def backward(net: Mlp, cache, output_grad) -> Gradients:
 
 def rmsprop_step(net: Mlp, grads: Gradients, state: RmspropState, lr: float):
     """In-place RMSProp update of every parameter at once. Returns (net, state)."""
-    if lr <= 0:
+    if not lr > 0:  # NaN too
         raise ConfigError(f"learning rate must be positive, got {lr}")
     g = grads.flat
     if not np.all(np.isfinite(g)):

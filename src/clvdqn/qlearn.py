@@ -61,8 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.gamma < 1:
             raise ConfigError(f"gamma must be in [0,1), got {self.gamma}")
-        if self.lr0 <= 0 or not 0 < self.lr_decay_per_epoch <= 1:
-            raise ConfigError("bad learning-rate settings")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not 0 < self.lr_decay_per_epoch <= 1:
+            raise ConfigError(f"lr_decay_per_epoch must be in (0,1], got {self.lr_decay_per_epoch}")
         if self.batch_size < 1 or self.epochs < 0 or self.target_clone_period < 1:
             raise ConfigError("bad batch/epoch/clone settings")
         if self.mode not in MODES:

@@ -553,7 +553,107 @@ class TestFaultsExitWithoutTraceback:
         assert not hist.exists()
 
 
+    @pytest.mark.parametrize("command, settings, flags, message", [
+        ("train", "lr0=nan", [], "lr0 must be finite and > 0, got nan"),
+        ("train", "lr0=inf", [], "lr0 must be finite and > 0, got inf"),
+        ("train", "lr0=0", [], "lr0 must be finite and > 0, got 0.0"),
+        ("simulate", "lr0=nan", [], "lr0 must be finite and > 0, got nan"),
+        ("simulate", "lr0=inf", [], "lr0 must be finite and > 0, got inf"),
+        ("train", "validation_fraction=nan", [], "validation_fraction must be in (0,1), got nan"),
+        ("train", "validation_fraction=0", [], "validation_fraction must be in (0,1), got 0.0"),
+        ("train", "validation_fraction=1", [], "validation_fraction must be in (0,1), got 1.0"),
+        ("train", "validation_fraction=1.5", [], "validation_fraction must be in (0,1), got 1.5"),
+        ("train", "validation_fraction=-0.5", [],
+         "validation_fraction must be in (0,1), got -0.5"),
+        ("train", "", ["--validation-fraction", "nan"],
+         "validation_fraction must be in (0,1), got nan"),
+        ("train", "", ["--validation-fraction", "1"], "validation_fraction must be in (0,1), got 1.0"),
+    ], ids=["train-lr0-nan", "train-lr0-inf", "train-lr0-0", "simulate-lr0-nan",
+            "simulate-lr0-inf", "fraction-nan", "fraction-0", "fraction-1", "fraction-1.5",
+            "fraction-negative", "fraction-flag-nan", "fraction-flag-1"])
+    def test_bad_learning_setting_is_usage_error(self, tmp_path, capsys, transitions_csv, command,
+                                                 settings, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{settings}\n")
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        outputs = ["--checkpoint", str(ckpt), "--history", str(hist), "--config", str(cfg)]
+        if command == "train":
+            argv = ["train", str(transitions_csv), "--epochs", "1"]
+        else:
+            argv = ["simulate", "--population", "5", "--episodes", "3"]
+        code = main(argv + outputs + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists() and not hist.exists()
+
+    def test_valid_fraction_that_empties_a_side_is_data_error(self, tmp_path, capsys,
+                                                            transitions_csv):
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("".join(transitions_csv.read_text().splitlines(keepends=True)[:2]))
+        code = main(["train", str(one_row), "--checkpoint", str(tmp_path / "c"), "--history",
+                     str(tmp_path / "h"), "--validation-fraction", "0.5"])
+        assert code == 2
+        assert "train/validation split produced an empty side" in capsys.readouterr().err
+
+
+# A complete argv of each subcommand: the shapes of the benchmark's plans, and curves.
+FULL_ARGV = {
+    "build-transitions": ["build-transitions", "t.csv", "o.csv"],
+    "train": ["train", "t.csv", "--checkpoint", "c", "--history", "h", "--epochs", "3",
+              "--batch-size", "200", "--mode", "discrete", "--seed", "0"],
+    "evaluate": ["evaluate", "t.csv", "c", "--report-out", "r.txt", "--csv-out", "r.csv",
+                 "--no-timestamp", "--seed", "0"],
+    "clv": ["clv", "c", "--state", "3,2,15,1,4"],
+    "simulate": ["simulate", "--config", "sim.cfg", "--history", "h", "--checkpoint", "c",
+                 "--seed", "301"],
+    "curves": ["curves", "c", "--dims", "recency", "--range", "0:1", "--out", "o"],
+}
+PARSE_CASES = (
+    [[], ["-h"], ["--help"], ["-h", "clv"], ["frobnicate"], ["frobnicate", "-h"], ["train", "x.csv"]]
+    + [[name, "-h"] for name in cli.COMMANDS]
+    + [argv + ["--bogus"] for argv in FULL_ARGV.values()]
+    + list(FULL_ARGV.values())
+)
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_one_subparser_parses_as_all_six_do(self, capsys, argv):
+        # help text differs between Python versions, so compare within this interpreter
+        def parse(parser):
+            try:
+                return None, parser.parse_args(argv), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, None, capsys.readouterr()
+
+        assert parse(cli.build_parser(*argv[:1])) == parse(cli.build_parser())
+
+    def test_a_subcommand_builds_its_subparser_alone(self, tmp_path, capsys, monkeypatch):
+        build_parser = cli.build_parser
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build_parser(*a))
+        assert main(["clv", str(zero_checkpoint(tmp_path)), "--state", "3,2,15,1,4"]) == 0
+        assert calls == [("clv",)]
+        helps = {name: help_text for name, (help_text, _, _) in cli.COMMANDS.items()}
+        listed = [name for name, h in helps.items() if h in build_parser("clv").format_help()]
+        assert listed == ["clv"]
+        assert all(h in build_parser().format_help() for h in helps.values())
+
+    def test_module_entry_point_reads_its_own_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = subprocess.run(
+            [sys.executable, "-m", "clvdqn.cli", "clv", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(clvdqn.__file__).parents[1]), "COLUMNS": "80"},
+        )
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["clv", "--help"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: clvdqn clv [-h] --state STATE")
+        assert proc.stdout == capsys.readouterr().out
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ class TestRmsprop:
         grads = Gradients(net.specs, np.array([np.nan, 0.0]), np.zeros(1))
         with pytest.raises(TrainingError):
             rmsprop_step(net, grads, state, lr=0.1)
+
+    def test_nan_learning_rate_rejected(self):
+        net = init_mlp([LayerSpec(1, 1, "linear")], seed=0)
+        before = net.flat.copy()
+        grads = Gradients(net.specs, np.array([1.0, 0.0]), np.zeros(1))
+        with pytest.raises(ConfigError, match="learning rate must be positive"):
+            rmsprop_step(net, grads, RmspropState.init_like(net), math.nan)
+        np.testing.assert_array_equal(net.flat, before)
 
 
 class TestFlatParameters:

@@ -343,6 +343,11 @@ class TestTrain:
         with pytest.raises(ConfigError, match="acont range"):
             train(toy_data(5), toy_data(5), cfg)
 
+    @pytest.mark.parametrize("lr0", [math.nan, math.inf, -math.inf, 0.0, -0.001])
+    def test_lr0_must_be_finite_and_positive(self, lr0):
+        with pytest.raises(ConfigError, match=f"lr0 must be finite and > 0, got {lr0}"):
+            TrainConfig(lr0=lr0)
+
     def test_history_csv(self, tmp_path):
         data = toy_data(5)
         cfg = TrainConfig(epochs=2, batch_size=30, seed=1)
