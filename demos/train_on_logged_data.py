@@ -36,7 +36,7 @@ stats = compute_norm_stats(train_set)
 
 cfg = TrainConfig(epochs=15, seed=0)
 net, history = train(apply_norm(stats, train_set), apply_norm(stats, val_set), cfg, stats)
-print(f"trained {cfg.epochs} epochs; final loss {history.records[-1].loss:.3f}")
+print(f"trained {cfg.epochs} epochs; final loss {history[-1].loss:.3f}")
 
 # 3. Offline evaluation on the held-out transitions.
 report = evaluate(apply_norm(stats, val_set), net, norm_stats=stats)

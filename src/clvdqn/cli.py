@@ -10,7 +10,6 @@ the mode and the acont bounds from the checkpoint. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from . import env as env_mod
 from . import policy_eval, qlearn, rfmi
-from .nn_core import ConfigError, load_mlp, save_mlp
-from .qlearn import TrainConfig, TrainingDiverged, network_spec
+from .nn_core import ConfigError
+from .qlearn import TrainConfig, TrainingDiverged
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,20 +91,6 @@ def _effective_config(args) -> dict:
     return settings
 
 
-def _load_checkpoint(path):
-    """(net, TrainConfig, NormStats) of a checkpoint; a malformed or inconsistent file is a
-    data error."""
-    try:
-        net = load_mlp(path)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_DATA) from None
-    tc, stats = qlearn.read_sidecar(path + ".meta")
-    if net.input_dim != network_spec(tc.mode)[0].input_dim:
-        raise CliError(f"{path}.meta: mode {tc.mode} does not match the {net.input_dim}-input "
-                       f"net in {path}", EXIT_DATA)
-    return net, tc, stats
-
-
 def _split(transitions, fraction, seed):
     mask = np.random.default_rng(seed).random(len(transitions)) < fraction
     return transitions[~mask], transitions[mask]
@@ -140,9 +125,8 @@ def cmd_train(args):
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
     net, history = qlearn.train(train_norm, val_norm, tc, stats)
-    save_mlp(net, args.checkpoint)
-    qlearn.write_sidecar(args.checkpoint + ".meta", tc, stats)
-    history.write_csv(args.history)
+    qlearn.save_checkpoint(args.checkpoint, net, tc, stats)
+    rfmi.write_records(args.history, qlearn.EpochRecord, history)
     print(f"wrote checkpoint {args.checkpoint} and history {args.history}")
 
 
@@ -151,7 +135,7 @@ def cmd_evaluate(args):
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
-    net, tc, stats = _load_checkpoint(args.checkpoint)
+    net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     normed = rfmi.apply_norm(stats, transitions)
     report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg["seed"],
                                   norm_stats=stats)
@@ -165,7 +149,7 @@ def cmd_evaluate(args):
 
 
 def cmd_clv(args):
-    net, tc, stats = _load_checkpoint(args.checkpoint)
+    net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     try:
         state = np.array([float(v) for v in args.state.split(",")])
     except ValueError:
@@ -173,28 +157,24 @@ def cmd_clv(args):
     if state.shape != (5,):
         raise CliError("--state needs 5 comma-separated values r,f,m,ir,if", EXIT_USAGE)
     est = policy_eval.estimate_clv(net, state, stats, tc.acont_range(stats))
-    rows = [["action", "clv", "acont"]] + [
-        [a, repr(float(v)), repr(float(c))] for a, (v, c) in enumerate(zip(est.values, est.aconts))
-    ]
+    table = (["action", "clv", "acont"], [np.arange(len(est.values)), est.values, est.aconts])
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows(rows)
+        rfmi.write_csv(args.out, *table)
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        sys.stdout.write(rfmi.csv_text(*table))
 
 
 def cmd_simulate(args):
     cfg = _effective_config(args)
     tc, model, agent = (make_config(cls, cfg) for cls in CONFIGS)
     result = env_mod.run_autonomous(cfg["population"], model, agent, tc)
-    env_mod.write_history_csv(result.history, args.history)
-    save_mlp(result.net, args.checkpoint)
-    qlearn.write_sidecar(args.checkpoint + ".meta", tc, result.norm_stats)
+    rfmi.write_records(args.history, env_mod.EpisodeRecord, result.history)
+    qlearn.save_checkpoint(args.checkpoint, result.net, tc, result.norm_stats)
     print(f"simulated {cfg['episodes']} episodes; wrote {args.history} and {args.checkpoint}")
 
 
 def cmd_curves(args):
-    net, _, stats = _load_checkpoint(args.checkpoint)
+    net, _, stats = qlearn.load_checkpoint(args.checkpoint)
     dims = tuple(args.dims.split(","))
     ranges = []
     for part in args.range.split(","):
@@ -204,10 +184,14 @@ def cmd_curves(args):
         except ValueError:
             raise CliError(f"bad --range value {args.range!r}", EXIT_USAGE) from None
     reference = {}
-    if args.reference:
-        for part in args.reference.split(","):
-            k, _, v = part.partition("=")
+    for part in args.reference.split(",") if args.reference else ():
+        k, _, v = part.partition("=")
+        try:
             reference[k] = float(v)
+        except ValueError:
+            raise CliError(f"bad --reference value {args.reference!r}", EXIT_USAGE) from None
+    if args.resolution < 1:
+        raise CliError(f"--resolution must be >= 1, got {args.resolution}", EXIT_USAGE)
     try:
         sweep = policy_eval.SweepSpec(dims=dims, ranges=tuple(ranges),
                                       resolution=args.resolution, reference=reference)
@@ -284,14 +268,15 @@ def _curves_args(p):
     p.add_argument("--out", required=True)
 
 
-COMMANDS = {  # name -> (help, the function that adds its arguments, handler)
+COMMANDS = {  # name -> (help, the function that adds its arguments, its handler's name)
     "build-transitions": ("timeline CSV -> transition CSV", _build_transitions_args,
-                          cmd_build_transitions),
-    "train": ("train a DQN on a transition CSV", _train_args, cmd_train),
-    "evaluate": ("matched-vs-deviated report for a checkpoint", _evaluate_args, cmd_evaluate),
-    "clv": ("per-action CLV for one raw state", _clv_args, cmd_clv),
-    "simulate": ("run the autonomous loop on the synthetic population", _simulate_args, cmd_simulate),
-    "curves": ("export Q-value curves over state sweeps", _curves_args, cmd_curves),
+                          "cmd_build_transitions"),
+    "train": ("train a DQN on a transition CSV", _train_args, "cmd_train"),
+    "evaluate": ("matched-vs-deviated report for a checkpoint", _evaluate_args, "cmd_evaluate"),
+    "clv": ("per-action CLV for one raw state", _clv_args, "cmd_clv"),
+    "simulate": ("run the autonomous loop on the synthetic population", _simulate_args,
+                 "cmd_simulate"),
+    "curves": ("export Q-value curves over state sweeps", _curves_args, "cmd_curves"),
 }
 
 
@@ -311,7 +296,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        COMMANDS[args.command][2](args)
+        globals()[COMMANDS[args.command][2]](args)  # looked up now: a patched cmd_* runs
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

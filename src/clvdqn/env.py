@@ -141,17 +141,6 @@ class AutonomousResult:
     dropped_actions: set
 
 
-def write_history_csv(history, path):
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["episode", "epsilon", "mean_reward", "response_rate", "replay_size"])
-        for r in history:
-            writer.writerow([r.episode, repr(r.epsilon), repr(r.mean_reward),
-                             repr(r.response_rate), r.replay_size])
-
-
 def _allowed_mask(cfg: AgentConfig, states: np.ndarray, dropped) -> np.ndarray:
     """(n, N_ACTIONS) bool: the actions each donor may receive."""
     allowed = np.ones((len(states), N_ACTIONS), dtype=bool)

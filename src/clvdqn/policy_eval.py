@@ -9,7 +9,6 @@ estimate (no importance weighting); the text report carries that caveat.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -18,7 +17,7 @@ import numpy as np
 
 from .action_space import action_values, is_mixed
 from .nn_core import ConfigError, Mlp, forward_batch
-from .rfmi import N_ACTIONS, STATE_DIMS, NormStats, Transitions
+from .rfmi import N_ACTIONS, STATE_DIMS, NormStats, Transitions, write_csv
 
 BIAS_CAVEAT = (
     "matched/deviated comparison is a biased off-policy estimate (no importance weighting)"
@@ -190,12 +189,9 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):
 
 
 def write_curves_csv(rows, sweep: SweepSpec, path):
-    header = list(sweep.dims) + [f"q{a}" for a in range(np.shape(rows)[1] - len(sweep.dims))]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    """The rows of export_value_curves, one column per swept dim and per action's Q."""
+    header = [*sweep.dims, *(f"q{a}" for a in range(rows.shape[1] - len(sweep.dims)))]
+    write_csv(path, header, rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -241,5 +237,5 @@ def report_csv_rows(report: EvaluationReport):
 
 
 def write_report_csv(report: EvaluationReport, path):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(report_csv_rows(report))
+    header, *rows = report_csv_rows(report)
+    write_csv(path, header, zip(*rows))

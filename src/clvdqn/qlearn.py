@@ -9,10 +9,9 @@ parameters with the best matched-group mean reward on the validation set.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +26,9 @@ from .nn_core import (
     backward_batch,
     forward_batch,
     init_mlp,
+    load_mlp,
     rmsprop_step,
+    save_mlp,
 )
 from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, open_text
 
@@ -86,10 +87,6 @@ def network_spec(mode: str):
     ]
 
 
-def clone_target(net: Mlp) -> Mlp:
-    return net.copy()
-
-
 def max_next_q(next_states, target_net, acont_range=None):
     """max_a' Q_target(s', a') for a batch of next states; a mixed net needs acont_range."""
     return action_values(target_net, next_states, acont_range)[1].max(axis=1)
@@ -140,7 +137,7 @@ class Learner:
 
     @classmethod
     def fresh(cls, net: Mlp, rng, step: int = 0) -> "Learner":
-        return cls(net, clone_target(net), RmspropState.init_like(net), rng, step)
+        return cls(net, net.copy(), RmspropState.init_like(net), rng, step)
 
 
 def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig, lr=None,
@@ -157,7 +154,7 @@ def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig
                             acont_range)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
-            learner.target = clone_target(learner.net)
+            learner.target = learner.net.copy()
     return losses
 
 
@@ -170,22 +167,9 @@ class EpochRecord:
     lr: float
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "loss", "val_response_rate", "val_mean_reward", "lr"])
-            for r in self.records:
-                writer.writerow([r.epoch, repr(r.loss), repr(r.val_response_rate),
-                                 repr(r.val_mean_reward), repr(r.lr)])
-
-
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
           norm_stats: NormStats = None, net: Mlp = None):
-    """Train a DQN on logged transitions. Returns (best net, TrainHistory).
+    """Train a DQN on logged transitions. Returns (best net, one EpochRecord per epoch).
 
     norm_stats are the stats both sets were normalized with; a mixed net
     needs them, for its acont range and to match validation aconts in raw
@@ -201,7 +185,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
         raise ConfigError("empty training set")
     if net is None:
         net = init_mlp(network_spec(cfg.mode), cfg.seed)
-    history = TrainHistory()
+    history = []
     if cfg.epochs == 0:
         return net, history
     acont_range = None if norm_stats is None else cfg.acont_range(norm_stats)
@@ -218,12 +202,11 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
                                       norm_stats=norm_stats)
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
-        history.records.append(EpochRecord(epoch, float(losses.mean()),
-                                           val_rate, val_reward, lr))
+        history.append(EpochRecord(epoch, float(losses.mean()), val_rate, val_reward, lr))
         score = val_reward if math.isfinite(val_reward) else -np.inf
         if score > best_reward:
             best_reward = score
-            best_net = clone_target(net)
+            best_net = net.copy()
         lr *= cfg.lr_decay_per_epoch
     if best_net is None:
         log.warning("no epoch had a matched validation group; keeping the last trained net")
@@ -232,7 +215,28 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint sidecar: TrainConfig (mode and bounds included) + NormStats in a key=value text file
+# Checkpoint: a weight file (nn_core.save_mlp) and its key=value sidecar beside it
+
+
+def save_checkpoint(path, net: Mlp, cfg: TrainConfig, norm_stats: NormStats):
+    """The net's weights at path; its TrainConfig (mode and bounds included) and NormStats
+    in the sidecar path.meta."""
+    save_mlp(net, path)
+    write_sidecar(f"{path}.meta", cfg, norm_stats)
+
+
+def load_checkpoint(path):
+    """(net, TrainConfig, NormStats) of a save_checkpoint pair; DataError names the file that
+    is malformed, or the sidecar whose mode does not fit the net."""
+    try:
+        net = load_mlp(path)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    cfg, stats = read_sidecar(f"{path}.meta")
+    if net.input_dim != network_spec(cfg.mode)[0].input_dim:
+        raise DataError(f"{path}.meta: mode {cfg.mode} does not match the {net.input_dim}-input "
+                        f"net in {path}")
+    return net, cfg, stats
 
 
 def write_sidecar(path, cfg: TrainConfig, norm_stats):

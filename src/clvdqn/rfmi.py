@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,9 +164,6 @@ class NormStats:
 
     def normalize_state(self, arr) -> np.ndarray:
         return (np.asarray(arr, dtype=np.float64) - self.state_mean) / self._safe(self.state_std)
-
-    def denormalize_state(self, arr) -> np.ndarray:
-        return np.asarray(arr, dtype=np.float64) * self._safe(self.state_std) + self.state_mean
 
     def normalize_acont(self, v: float) -> float:
         return (v - self.acont_mean) / (self.acont_std if self.acont_std > 0 else 1.0)
@@ -361,25 +358,41 @@ def read_timelines(path) -> Timelines:
 
 
 def _formatted(column):
-    """repr() of each value of a float64 or int64 column, formatting each distinct value once.
-
-    Distinct means distinct bits, so -0.0 keeps its sign.
-    """
+    """repr() of each value of a float64 or int64 column. A long one formats each distinct
+    value once (distinct bits, so -0.0 keeps its sign); np.unique costs more than that saves
+    on a short one, such as a clv table."""
+    if len(column) < 256:
+        return list(map(repr, column.tolist()))
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     values = bits.view(column.dtype).tolist()
     return np.array([repr(v) for v in values], dtype=object)[inverse].tolist()
 
 
-def write_transitions(data: Transitions, path):
-    """13-column transition CSV in the fixed r..reward order.
+def csv_text(header, columns) -> str:
+    """CSV text of a header and parallel columns: CRLF line ends, no quoting, the bytes
+    csv.writer writes. A float64 or int64 array's cells are repr() of its values; any other
+    column holds str cells, none with a comma, quote or line break."""
+    cells = [_formatted(c) if getattr(c, "dtype", None) in (np.float64, np.int64) else c
+             for c in columns]
+    return "\r\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\r\n"
 
-    UTF-8, CRLF line ends, floats written by repr() and the action as an
-    integer: the bytes csv.writer writes for these rows.
-    """
-    columns = [*data.states.T, data.actions, data.aconts, *data.next_states.T, data.rewards]
-    lines = [",".join(TRANSITION_COLUMNS), *map(",".join, zip(*map(_formatted, columns)))]
+
+def write_csv(path, header, columns):
+    """csv_text(header, columns) as a UTF-8 file."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+        f.write(csv_text(header, columns))
+
+
+def write_records(path, kind, records):
+    """One row per record of dataclass kind, one column per field, headed by the field names."""
+    names = [f.name for f in fields(kind)]
+    write_csv(path, names, [np.array([getattr(r, name) for r in records]) for name in names])
+
+
+def write_transitions(data: Transitions, path):
+    """13-column transition CSV in the fixed r..reward order, the action as an integer."""
+    write_csv(path, TRANSITION_COLUMNS, [*data.states.T, data.actions, data.aconts,
+                                         *data.next_states.T, data.rewards])
 
 
 def _float_block(lines):

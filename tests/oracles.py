@@ -413,14 +413,21 @@ def read_timelines_rows(path) -> Timelines:
     return Timelines(list(per_customer), lengths, amounts, actions, aconts)
 
 
-def write_transitions_rows(data, path):
-    """Row-by-row reference for rfmi.write_transitions, through csv.writer."""
-    floats = np.column_stack([data.states, data.aconts, data.next_states, data.rewards]).tolist()
+def write_csv_rows(path, header, rows):
+    """Row-by-row reference for rfmi.write_csv, through csv.writer: rows of Python floats,
+    ints and strs, each written as csv.writer writes it."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(TRANSITION_COLUMNS)
-        for row, action in zip(floats, data.actions.tolist()):
-            writer.writerow(row[:5] + [action] + row[5:])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def write_transitions_rows(data, path):
+    """Row-by-row reference for rfmi.write_transitions."""
+    floats = np.column_stack([data.states, data.aconts, data.next_states, data.rewards]).tolist()
+    write_csv_rows(path, TRANSITION_COLUMNS, (row[:5] + [action] + row[5:]
+                                              for row, action in zip(floats, data.actions.tolist())))
 
 
 def read_transitions_rows(path) -> Transitions:

@@ -17,7 +17,7 @@ from clvdqn.cli import main
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
 from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves, recommend_batch
-from clvdqn.qlearn import TrainConfig, clone_target, network_spec, td_step
+from clvdqn.qlearn import TrainConfig, network_spec, td_step
 from clvdqn.rfmi import Transitions
 from oracles import (
     finite_difference_grads,
@@ -96,7 +96,7 @@ class TestCriterion3ToyMdpConvergence:
         data = toy_data(100)
         cfg = TrainConfig(gamma=GAMMA, lr0=0.03, batch_size=100, target_clone_period=50, seed=0)
         net = init_mlp(network_spec("discrete_only"), cfg.seed)
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         rng = np.random.default_rng(cfg.seed)
         lr = cfg.lr0
@@ -105,7 +105,7 @@ class TestCriterion3ToyMdpConvergence:
             td_step(batch, net, target, opt, cfg, lr=lr)
             lr *= 0.9994
             if (step + 1) % cfg.target_clone_period == 0:
-                target = clone_target(net)
+                target = net.copy()
         max_err = 0.0
         policy_ok = True
         for s in range(3):

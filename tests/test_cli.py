@@ -13,8 +13,8 @@ import pytest
 import clvdqn
 from clvdqn import cli
 from clvdqn.cli import CONFIGS, default_settings, load_config, main
-from clvdqn.nn_core import init_mlp, load_mlp, save_mlp
-from clvdqn.qlearn import TrainConfig, network_spec, write_sidecar
+from clvdqn.nn_core import init_mlp
+from clvdqn.qlearn import TrainConfig, load_checkpoint, network_spec, save_checkpoint
 from clvdqn.rfmi import NormStats, Transitions, write_transitions
 
 
@@ -44,8 +44,7 @@ def zero_checkpoint(tmp_path, mode="discrete_only", **cfg):
     for w in net.weights:
         w[:] = 0.0
     path = tmp_path / "zero.ckpt"
-    save_mlp(net, path)
-    write_sidecar(str(path) + ".meta", TrainConfig(mode=mode, **cfg), NormStats.identity())
+    save_checkpoint(path, net, TrainConfig(mode=mode, **cfg), NormStats.identity())
     return path
 
 
@@ -141,7 +140,7 @@ class TestTrain:
         assert hist.read_text().splitlines() == [
             "epoch,loss,val_response_rate,val_mean_reward,lr"
         ]
-        load_mlp(ckpt)  # round-trips
+        load_checkpoint(ckpt)  # round-trips
 
     def test_deterministic_artifacts(self, tmp_path, transitions_csv):
         outs = []
@@ -346,6 +345,22 @@ class TestCurves:
         assert main(["curves", str(ckpt), "--dims", "bogus", "--range", "0:1",
                      "--out", str(tmp_path / "c.csv")]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--reference", "frequency=abc"], "bad --reference value 'frequency=abc'"),
+        (["--reference", "frequency"], "bad --reference value 'frequency'"),
+        (["--range", "0:x"], "bad --range value '0:x'"),
+        (["--resolution", "-1"], "--resolution must be >= 1, got -1"),
+        (["--resolution", "0"], "--resolution must be >= 1, got 0"),
+    ])
+    def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "c.csv"
+        argv = ["curves", str(zero_checkpoint(tmp_path)), "--dims", "recency", "--range", "0:1",
+                "--out", str(out)]
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_small_run(self, tmp_path):
@@ -355,7 +370,7 @@ class TestSimulate:
                      "--population", "5", "--episodes", "3", "--seed", "1"])
         assert code == 0
         assert len(hist.read_text().splitlines()) == 4
-        load_mlp(ckpt)
+        load_checkpoint(ckpt)
 
     def test_config_bounds_reach_the_checkpoint(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -640,6 +655,12 @@ class TestUsageErrors:
         listed = [name for name, h in helps.items() if h in build_parser("clv").format_help()]
         assert listed == ["clv"]
         assert all(h in build_parser().format_help() for h in helps.values())
+
+    def test_main_calls_the_handler_bound_when_it_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_clv", lambda args: calls.append(args.checkpoint))
+        assert main(["clv", "model.ckpt", "--state", "3,2,15,1,4"]) == 0
+        assert calls == ["model.ckpt"]
 
     def test_module_entry_point_reads_its_own_argv(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

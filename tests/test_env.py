@@ -16,17 +16,17 @@ import clvdqn.qlearn as qlearn_module
 from clvdqn.env import (
     AgentConfig,
     DonorModel,
+    EpisodeRecord,
     ReplayRing,
     _allowed_mask,
     _choose_actions,
     response_probabilities,
     run_autonomous,
-    write_history_csv,
 )
 from clvdqn.nn_core import ConfigError
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
 from clvdqn.rfmi import (N_ACTIONS, NormStats, Timelines, Transitions, advance_states,
-                         build_transitions)
+                         build_transitions, write_records)
 
 
 def small_train_cfg(seed=0):
@@ -304,7 +304,7 @@ class TestRunAutonomous:
         res = run_autonomous(5, DonorModel(seed=8), AgentConfig(seed=8, episodes=4),
                              small_train_cfg(8))
         path = tmp_path / "history.csv"
-        write_history_csv(res.history, path)
+        write_records(path, EpisodeRecord, res.history)
         lines = path.read_text().splitlines()
         assert lines[0] == "episode,epsilon,mean_reward,response_rate,replay_size"
         assert len(lines) == 5

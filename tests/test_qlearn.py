@@ -9,20 +9,22 @@ from clvdqn.action_space import AcontRange
 from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
+    EpochRecord,
     Learner,
     TrainConfig,
     TrainingDiverged,
     bellman_target,
-    clone_target,
+    load_checkpoint,
     network_spec,
     read_sidecar,
+    save_checkpoint,
     td_step,
     td_steps,
     train,
     write_sidecar,
 )
 from clvdqn.policy_eval import evaluate
-from clvdqn.rfmi import NormStats, Transitions, apply_norm, compute_norm_stats
+from clvdqn.rfmi import NormStats, Transitions, apply_norm, compute_norm_stats, write_records
 from oracles import td_steps_arrays, value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
@@ -133,7 +135,7 @@ class TestTdStep:
     def test_fixed_point_has_zero_loss(self):
         # zero net, zero rewards: every target is already met
         net = zero_net()
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         before = [w.copy() for w in net.weights]
         loss = td_step(make_batch(n=10), net, target, opt, TrainConfig())
@@ -145,7 +147,7 @@ class TestTdStep:
         # Q_0 = w*s_0 with s=[1,0,0,0,0], w=0, y=1: loss (y-Q)^2 = 1, dloss/dw = -2
         specs = (LayerSpec(5, 12, "linear"),)
         net = Mlp(specs=specs, weights=[np.zeros((12, 5))], biases=[np.zeros(12)])
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.0, lr0=0.001, batch_size=1)
         batch = make_batch(reward=1.0, action=0, s=np.eye(5)[0], s2=np.eye(5)[0])
@@ -157,7 +159,7 @@ class TestTdStep:
 
     def test_loss_eventually_monotone_on_fixed_tuple(self):
         net = init_mlp(network_spec("discrete_only"), seed=4)
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.9, lr0=0.001)
         batch = make_batch(reward=2.0, action=3, s=np.arange(5.0) / 5)
@@ -167,7 +169,7 @@ class TestTdStep:
 
     def test_off_action_gradient_isolation(self):
         net = init_mlp(network_spec("discrete_only"), seed=6)
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         before = net.weights[-1].copy()
         td_step(make_batch(reward=10.0, action=3, s=np.ones(5)), net, target, opt, TrainConfig())
@@ -183,14 +185,14 @@ class TestTdStep:
         cfg = TrainConfig(gamma=0.0, mode="mixed")
         batch = make_batch(reward=1.0, action=3)
         batch.aconts[:] = 0.5
-        td_step(batch, net, clone_target(net), RmspropState.init_like(net), cfg,
+        td_step(batch, net, net.copy(), RmspropState.init_like(net), cfg,
                 acont_range=cfg.acont_range())
         assert np.argwhere(net.weights[0] != 0.0).tolist() == [[3, 5]]
 
     def test_nonfinite_loss_raises(self):
         net = zero_net()
         net.biases[-1][0] = np.inf
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         with pytest.raises(TrainingDiverged):
             td_step(make_batch(reward=1.0), net, target, opt, TrainConfig())
@@ -216,7 +218,7 @@ class TestCloneTarget:
     def test_isolation(self):
         net = init_mlp(network_spec("discrete_only"), seed=1)
         probe = np.ones(5)
-        cloned = clone_target(net)
+        cloned = net.copy()
         expected, _ = forward(cloned, probe)
         net.weights[0][:] += 1.0
         after, _ = forward(cloned, probe)
@@ -224,7 +226,7 @@ class TestCloneTarget:
 
     def test_bit_identical_outputs(self):
         net = init_mlp(network_spec("discrete_only"), seed=2)
-        cloned = clone_target(net)
+        cloned = net.copy()
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.normal(size=5)
@@ -237,7 +239,7 @@ class TestCloneTarget:
 
         net = init_mlp(network_spec("discrete_only"), seed=3)
         save_mlp(net, tmp_path / "a")
-        save_mlp(clone_target(net), tmp_path / "b")
+        save_mlp(net.copy(), tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
@@ -248,7 +250,7 @@ class TestTrain:
         reference = init_mlp(network_spec("discrete_only"), 5)
         for a, b in zip(net.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
-        assert history.records == []
+        assert history == []
 
     def test_deterministic(self):
         cfg = TrainConfig(epochs=3, batch_size=50, seed=7)
@@ -257,15 +259,15 @@ class TestTrain:
         net2, h2 = train(data, data, cfg)
         for a, b in zip(net1.weights, net2.weights):
             np.testing.assert_array_equal(a, b)
-        assert h1.records == h2.records
+        assert h1 == h2
 
     def test_epoch_accounting_and_history_shape(self):
         data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
         cfg = TrainConfig(epochs=4, batch_size=50, seed=7, target_clone_period=5)
         _, history = train(data, data, cfg)
-        assert len(history.records) == 4
-        assert [r.epoch for r in history.records] == [0, 1, 2, 3]
-        lrs = [r.lr for r in history.records]
+        assert len(history) == 4
+        assert [r.epoch for r in history] == [0, 1, 2, 3]
+        lrs = [r.lr for r in history]
         assert lrs[1] == pytest.approx(lrs[0] * cfg.lr_decay_per_epoch)
 
     def test_no_matched_epoch_returns_last_trained_net(self):
@@ -276,7 +278,7 @@ class TestTrain:
         val.actions[:] = 1
         val.aconts[:] = 1e6
         net, history = train(data, val, cfg, NormStats.identity())
-        assert all(math.isnan(r.val_mean_reward) for r in history.records)
+        assert all(math.isnan(r.val_mean_reward) for r in history)
         # the same epochs, replayed by hand
         learner = Learner.fresh(init_mlp(network_spec("mixed"), 4), np.random.default_rng(4))
         lr = cfg.lr0
@@ -300,7 +302,7 @@ class TestTrain:
         with caplog.at_level("WARNING", logger="clvdqn.qlearn"):
             net, history = train(data, data, cfg, stats)
         assert caplog.records == []  # a matched group exists: nothing to report
-        best = max(r.val_mean_reward for r in history.records)
+        best = max(r.val_mean_reward for r in history)
         report = evaluate(data, net, cfg.acont_range(stats), baseline_seed=cfg.seed,
                           norm_stats=stats)
         assert report.matched.mean_reward == best
@@ -311,7 +313,7 @@ class TestTrain:
     def test_target_staleness_between_clones(self):
         # target-based y must not change while only the online net updates
         net = init_mlp(network_spec("discrete_only"), seed=8)
-        target = clone_target(net)
+        target = net.copy()
         opt = RmspropState.init_like(net)
         cfg = TrainConfig(gamma=0.9)
         batch = make_batch(reward=1.0, s=np.ones(5), s2=np.ones(5))
@@ -338,6 +340,24 @@ class TestTrain:
         assert (stats2.acont_mean, stats2.acont_std) == (6.5, 2.25)
         assert (cfg2.bounds_lo, cfg2.bounds_hi) == (-0.75, 3.5)
 
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_checkpoint_round_trip(self, tmp_path, mode):
+        cfg = TrainConfig(gamma=0.5, lr0=0.003, batch_size=7, epochs=2, seed=11, mode=mode,
+                          bounds_lo=-1.25, bounds_hi=0.5)
+        stats = NormStats(np.array([0.1, 2.0, -3.5, 1e300, 5e-324]),
+                          np.array([0.0, 0.5, 2.0, 1.0, 3.0]), -0.0, 0.0)
+        net = init_mlp(network_spec(mode), seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, cfg, stats)
+        net2, cfg2, stats2 = load_checkpoint(path)
+        assert net2.flat.tobytes() == net.flat.tobytes()
+        assert net2.specs == net.specs
+        assert cfg2 == cfg
+        assert stats2.state_mean.tobytes() == stats.state_mean.tobytes()
+        assert stats2.state_std.tobytes() == stats.state_std.tobytes()
+        assert (stats2.acont_mean, stats2.acont_std) == (0.0, 0.0)
+        assert math.copysign(1, stats2.acont_mean) == -1
+
     def test_mixed_net_needs_a_range(self):
         cfg = TrainConfig(epochs=1, batch_size=50, mode="mixed")
         with pytest.raises(ConfigError, match="acont range"):
@@ -353,7 +373,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=30, seed=1)
         _, history = train(data, data, cfg)
         path = tmp_path / "history.csv"
-        history.write_csv(path)
+        write_records(path, EpochRecord, history)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss,val_response_rate,val_mean_reward,lr"
         assert len(lines) == 3

@@ -16,8 +16,10 @@ from clvdqn.rfmi import (
     apply_norm,
     build_transitions,
     compute_norm_stats,
+    csv_text,
     read_timelines,
     read_transitions,
+    write_csv,
     write_transitions,
 )
 from oracles import (
@@ -26,6 +28,7 @@ from oracles import (
     read_timelines_rows,
     read_transitions_rows,
     timeline_states_rows,
+    write_csv_rows,
     write_transitions_rows,
 )
 
@@ -503,6 +506,42 @@ class TestTransitionCsvMatchesRowReference:
         with pytest.raises(DataError) as got:
             read_transitions(path)
         assert str(got.value) == f"{path}:{row + 1}: malformed row ({char!r} in a number)"
+
+
+# A str cell holds no comma, quote or line break. A row that is one empty cell
+# is the one csv.writer quotes, so a lone column's cells are never empty.
+CELL_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n')
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e300, -1e300]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns): float64, int64 and str columns of one length, zero rows allowed.
+    300 rows take the writer's path for long columns."""
+    n, width = draw(st.integers(0, 8) | st.just(300)), draw(st.integers(1, 4))
+    text = st.text(CELL_TEXT, min_size=1 if width == 1 else 0, max_size=6)
+    kinds = {
+        "float64": arrays(np.float64, n, elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+        "int64": arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)),
+        "str": st.lists(text, min_size=n, max_size=n),
+    }
+    columns = [draw(kinds[draw(st.sampled_from(list(kinds)))]) for _ in range(width)]
+    return draw(st.lists(text, min_size=width, max_size=width)), columns
+
+
+class TestCsvWriterMatchesRowReference:
+    @settings(deadline=None, max_examples=150)
+    @given(csv_tables())
+    @example((["x", "n", "s"], [np.array(SPECIAL_FLOATS), np.arange(-4, 5), [""] * 9]))
+    @example((["x"], [np.empty(0)]))
+    def test_writer_bytes(self, csv_dir, table):
+        header, columns = table
+        write_csv(csv_dir / "columnar.csv", header, columns)
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        write_csv_rows(csv_dir / "rows.csv", header, zip(*cells))
+        want = (csv_dir / "rows.csv").read_bytes()
+        assert (csv_dir / "columnar.csv").read_bytes() == want
+        assert csv_text(header, columns).encode("utf-8") == want
 
 
 NUMBER_PIECES = [*"0123456789.eE+- \t\x0b\x1c_", "\u0663", "\u2003", "inf", "nan"]
