@@ -195,6 +195,9 @@ def cmd_curves(args):
     try:
         sweep = policy_eval.SweepSpec(dims=dims, ranges=tuple(ranges),
                                       resolution=args.resolution, reference=reference)
+    except policy_eval.SweepError as exc:
+        flag = {"dims": "dims", "ranges": "range", "reference": "reference"}[exc.field]
+        raise CliError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}", EXIT_USAGE) from None
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     rows = policy_eval.export_value_curves(net, sweep, stats)

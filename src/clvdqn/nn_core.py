@@ -3,8 +3,10 @@
 Everything is float64 numpy. A net's parameters are one flat float64 vector
 in file order (w0, b0, w1, b1, ...; weights row-major), which its per-layer
 weights and biases view, and a weight file is its header plus that vector.
-Forward returns the cache backward needs instead of storing state. Only ReLU
-hidden layers and linear outputs are supported.
+Forward returns the cache backward needs instead of storing state: each
+layer's input and pre-activation. Backward can write into a caller's reused
+Gradients and skip the input gradient, which a training step never reads.
+Layers are ReLU or linear.
 """
 
 from __future__ import annotations
@@ -80,10 +82,15 @@ class Mlp:
 class Gradients:
     specs: tuple
     flat: np.ndarray  # parameter gradients summed over the batch, in Mlp.flat's layout
-    input_grads: np.ndarray
+    input_grads: np.ndarray = None
 
     def __post_init__(self):
         self.weight_grads, self.bias_grads = layer_views(self.specs, self.flat)
+
+    @classmethod
+    def like(cls, net: Mlp) -> "Gradients":
+        """Uninitialized gradients of net, for backward_batch to write into."""
+        return cls(net.specs, np.empty_like(net.flat))
 
 
 @dataclass
@@ -125,14 +132,15 @@ def forward_batch(net: Mlp, inputs: np.ndarray):
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigError(f"expected input shape (n, {net.input_dim}), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ConfigError("non-finite network input")
     layer_inputs = []
     pre_acts = []
     h = x
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         layer_inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b  # the same sums as h @ w.T + b, with one temporary fewer
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return h, {"inputs": layer_inputs, "pres": pre_acts}
@@ -144,11 +152,14 @@ def forward(net: Mlp, inputs):
     return y[0], cache
 
 
-def backward_batch(net: Mlp, cache, output_grads: np.ndarray) -> Gradients:
+def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = None,
+                   input_grads: bool = True) -> Gradients:
     """Backprop a (n, output_dim) upstream gradient through the cached batch.
 
-    Parameter gradients are summed over the batch into one flat vector;
-    input_grads stay per-row. ReLU subgradient at exactly 0 is 0.
+    Parameter gradients are summed over the batch into one flat vector, that
+    of out (a Gradients.like(net)) if given, else a new one; input_grads stay
+    per-row, or are None without input_grads, which skips layer 0's input
+    matmul. ReLU subgradient at exactly 0 is 0.
     """
     g = np.asarray(output_grads, dtype=np.float64)
     if g.ndim == 1:
@@ -157,14 +168,18 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray) -> Gradients:
         raise ConfigError(
             f"output grad shape {g.shape} != output shape {cache['pres'][-1].shape}"
         )
-    grads = Gradients(net.specs, np.empty_like(net.flat), None)
-    for i in range(len(net.specs) - 1, -1, -1):
+    grads = Gradients.like(net) if out is None else out
+    last = len(net.specs) - 1
+    for i in range(last, -1, -1):
         if net.specs[i].activation == "relu":
-            g = g * (cache["pres"][i] > 0.0)
+            mask = cache["pres"][i] > 0.0
+            # below the output layer g is this loop's own array, so mask it in place
+            g = g * mask if i == last else np.multiply(g, mask, out=g)
         np.matmul(g.T, cache["inputs"][i], out=grads.weight_grads[i])
-        np.sum(g, axis=0, out=grads.bias_grads[i])
-        g = g @ net.weights[i]
-    grads.input_grads = g
+        np.add.reduce(g, axis=0, out=grads.bias_grads[i])  # np.sum's reduction, called direct
+        if i or input_grads:
+            g = g @ net.weights[i]
+    grads.input_grads = g if input_grads else None
     return grads
 
 
@@ -180,7 +195,7 @@ def rmsprop_step(net: Mlp, grads: Gradients, state: RmspropState, lr: float):
     if not lr > 0:  # NaN too
         raise ConfigError(f"learning rate must be positive, got {lr}")
     g = grads.flat
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient in optimizer step")
     state.cache *= state.decay
     state.cache += (1.0 - state.decay) * g * g

@@ -147,19 +147,34 @@ def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, acont_range=None) -
 # Value-curve export (Q against swept raw state dimensions)
 
 
+class SweepError(ConfigError):
+    """A bad SweepSpec field; `field` names it: dims, ranges or reference."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
+
+
 @dataclass
 class SweepSpec:
-    dims: tuple  # 1 or 2 names from STATE_DIMS
-    ranges: tuple  # matching (lo, hi) pairs, raw units
+    dims: tuple  # 1 or 2 distinct names from STATE_DIMS
+    ranges: tuple  # matching (lo, hi) pairs, raw units, finite
     resolution: int = 50
-    reference: dict = field(default_factory=dict)  # fixed raw values for other dims
+    reference: dict = field(default_factory=dict)  # fixed finite raw values for other dims
 
     def __post_init__(self):
         if not 1 <= len(self.dims) <= 2 or len(self.dims) != len(self.ranges):
             raise ConfigError("sweep needs 1 or 2 dims with matching ranges")
-        for d in tuple(self.dims) + tuple(self.reference):
-            if d not in STATE_DIMS:
-                raise ConfigError(f"unknown state dimension {d!r}")
+        for name, dims in (("dims", self.dims), ("reference", self.reference)):
+            for d in dims:
+                if d not in STATE_DIMS:
+                    raise SweepError(name, f"unknown state dimension {d!r}")
+        if len(set(self.dims)) < len(self.dims):
+            raise SweepError("dims", f"state dimension {self.dims[0]!r} swept twice")
+        for name, values in (("ranges", self.ranges), ("reference", self.reference.values())):
+            for v in np.ravel(list(values)).tolist():
+                if not math.isfinite(v):
+                    raise SweepError(name, f"non-finite value {v!r}")
 
 
 def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):

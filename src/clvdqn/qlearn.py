@@ -16,9 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import AcontRange, action_values, is_mixed
+from .action_space import AcontRange, is_mixed, maximize_continuous_batch
 from .nn_core import (
     ConfigError,
+    Gradients,
     LayerSpec,
     Mlp,
     RmspropState,
@@ -89,7 +90,11 @@ def network_spec(mode: str):
 
 def max_next_q(next_states, target_net, acont_range=None):
     """max_a' Q_target(s', a') for a batch of next states; a mixed net needs acont_range."""
-    return action_values(target_net, next_states, acont_range)[1].max(axis=1)
+    if is_mixed(target_net):
+        qs = maximize_continuous_batch(target_net, next_states, acont_range)[1]
+    else:
+        qs, _ = forward_batch(target_net, next_states)
+    return qs.max(axis=1)
 
 
 def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,
@@ -99,10 +104,11 @@ def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,
 
 
 def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
-            lr=None, acont_range=None):
+            lr=None, acont_range=None, grads: Gradients = None):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
-    Only the output neuron of the taken action receives loss gradient.
+    Only the output neuron of the taken action receives loss gradient. The
+    gradients go into grads (a Gradients.like(net)) if given, else a new one.
     """
     if not batch:
         raise ConfigError("empty training batch")
@@ -113,14 +119,14 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cf
     if is_mixed(net):
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     q, cache = forward_batch(net, x)
-    taken = q[np.arange(n), batch.actions]
-    err = taken - y
-    loss = float(np.mean(err * err))
+    taken = (np.arange(n), batch.actions)
+    err = q[taken] - y
+    loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
     if not math.isfinite(loss):
         raise TrainingDiverged(-1, -1, loss)
     output_grads = np.zeros_like(q)
-    output_grads[np.arange(n), batch.actions] = 2.0 * err / n
-    grads = backward_batch(net, cache, output_grads)
+    output_grads[taken] = 2.0 * err / n
+    grads = backward_batch(net, cache, output_grads, grads, input_grads=False)
     rmsprop_step(net, grads, opt, lr)
     return loss
 
@@ -148,10 +154,11 @@ def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig
     multiple of cfg.target_clone_period. Returns the per-step losses.
     """
     losses = np.empty(n_steps)
+    grads = Gradients.like(learner.net)
     for i in range(n_steps):
         idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
-        losses[i] = td_step(data[idx], learner.net, learner.target, learner.opt, cfg, lr,
-                            acont_range)
+        losses[i] = td_step(data.take(idx), learner.net, learner.target, learner.opt, cfg, lr,
+                            acont_range, grads)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
             learner.target = learner.net.copy()

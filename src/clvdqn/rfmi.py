@@ -100,6 +100,12 @@ class Transitions:
         return Transitions(self.states[rows], self.actions[rows], self.aconts[rows],
                            self.next_states[rows], self.rewards[rows])
 
+    def take(self, rows: np.ndarray) -> "Transitions":
+        """self[rows] for an integer index array: the 2-D columns by ndarray.take, which
+        gathers rows faster than fancy indexing does."""
+        return Transitions(self.states.take(rows, axis=0), self.actions[rows], self.aconts[rows],
+                           self.next_states.take(rows, axis=0), self.rewards[rows])
+
     @classmethod
     def empty(cls, n: int) -> "Transitions":
         """n rows of uninitialized storage."""

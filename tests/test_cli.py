@@ -351,6 +351,13 @@ class TestCurves:
         (["--range", "0:x"], "bad --range value '0:x'"),
         (["--resolution", "-1"], "--resolution must be >= 1, got -1"),
         (["--resolution", "0"], "--resolution must be >= 1, got 0"),
+        (["--dims", "recency,recency", "--range", "0:1,5:6"],
+         "bad --dims value 'recency,recency': state dimension 'recency' swept twice"),
+        (["--range", "0:nan"], "bad --range value '0:nan': non-finite value nan"),
+        (["--range=-inf:1"], "bad --range value '-inf:1': non-finite value -inf"),
+        (["--reference", "frequency=inf"],
+         "bad --reference value 'frequency=inf': non-finite value inf"),
+        (["--reference", "bogus=1"], "bad --reference value 'bogus=1': unknown state dimension"),
     ])
     def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flags, message):
         out = tmp_path / "c.csv"

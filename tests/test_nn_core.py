@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clvdqn.nn_core import (
+    ACTIVATIONS,
     ConfigError,
     Gradients,
     LayerSpec,
@@ -155,6 +158,29 @@ class TestBackward:
                 acc += wg
         for got, expected in zip(batched.weight_grads, summed):
             np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1),
+           widths=st.lists(st.integers(1, 24), min_size=1, max_size=4),
+           activations=st.lists(st.sampled_from(ACTIVATIONS), min_size=4, max_size=4),
+           rows=st.integers(1, 300))
+    def test_param_grads_do_not_depend_on_input_grads(self, seed, widths, activations, rows):
+        # td_step skips layer 0's input matmul and reuses one Gradients buffer
+        rng = np.random.default_rng(seed)
+        specs = [LayerSpec(i, o, act) for i, o, act in zip(widths, widths[1:] + [12], activations)]
+        net = Mlp(specs, [rng.normal(size=(s.output_dim, s.input_dim)) for s in specs],
+                  [rng.normal(size=s.output_dim) for s in specs])
+        _, cache = forward_batch(net, rng.normal(size=(rows, widths[0])))
+        output_grads = rng.normal(size=(rows, 12))
+        upstream = output_grads.copy()
+        full = backward_batch(net, cache, output_grads)
+        out = Gradients.like(net)
+        out.flat[:] = np.nan
+        lean = backward_batch(net, cache, output_grads, out, input_grads=False)
+        assert lean is out and lean.input_grads is None
+        assert lean.flat.tobytes() == full.flat.tobytes()
+        assert full.input_grads.shape == (rows, widths[0])
+        assert output_grads.tobytes() == upstream.tobytes()
 
 
 class TestRmsprop:

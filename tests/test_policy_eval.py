@@ -4,6 +4,7 @@ import pytest
 from clvdqn.action_space import AcontRange
 from clvdqn.nn_core import ConfigError, forward, forward_batch, init_mlp
 from clvdqn.policy_eval import (
+    SweepError,
     SweepSpec,
     estimate_clv,
     evaluate,
@@ -200,6 +201,19 @@ class TestValueCurves:
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(dims=("bogus",), ranges=((0, 1),))
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"dims": ("recency", "recency"), "ranges": ((0, 1), (5, 6))}, "dims"),
+        ({"dims": ("recency",), "ranges": ((0, np.nan),)}, "ranges"),
+        ({"dims": ("recency",), "ranges": ((-np.inf, 1),)}, "ranges"),
+        ({"dims": ("recency",), "ranges": ((0, 1),), "reference": {"frequency": np.inf}},
+         "reference"),
+        ({"dims": ("recency",), "ranges": ((0, 1),), "reference": {"bogus": 1.0}}, "reference"),
+    ])
+    def test_bad_field_rejected_naming_it(self, kwargs, field):
+        with pytest.raises(SweepError) as info:
+            SweepSpec(**kwargs)
+        assert info.value.field == field
 
     def test_csv_export(self, tmp_path):
         sweep = SweepSpec(dims=("monetary",), ranges=((0, 1),), resolution=3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,15 +70,16 @@ class TestFlatTraining:
     @given(seed=st.integers(0, 2**32 - 1),
            mixed=st.booleans(),
            widths=st.lists(st.integers(1, 24), min_size=0, max_size=2),
+           output=st.sampled_from(["relu", "linear"]),
            n_steps=st.integers(1, 8),
-           batch_size=st.integers(1, 40),
+           batch_size=st.one_of(st.integers(1, 40), st.integers(41, 300)),
            clone_period=st.integers(1, 4),
            lr=st.floats(1e-4, 0.5))
-    def test_td_steps_match_per_array_reference(self, seed, mixed, widths, n_steps, batch_size,
-                                                clone_period, lr):
+    def test_td_steps_match_per_array_reference(self, seed, mixed, widths, output, n_steps,
+                                                batch_size, clone_period, lr):
         rng = np.random.default_rng(seed)
         dims = [6 if mixed else 5, *widths, 12]
-        specs = [LayerSpec(i, o, "relu" if k < len(widths) else "linear")
+        specs = [LayerSpec(i, o, "relu" if k < len(widths) else output)
                  for k, (i, o) in enumerate(zip(dims, dims[1:]))]
         net = Mlp(specs, [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
                   [rng.normal(size=o) for o in dims[1:]])
@@ -94,6 +96,24 @@ class TestFlatTraining:
         assert losses.tolist() == want_losses.tolist()
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert got.tolist() == want.tolist()
+
+    def test_td_steps_peak_memory_is_far_below_one_copy_of_the_data(self):
+        # td_steps gathers each batch column by column: no packed copy of the replay
+        rng = np.random.default_rng(0)
+        n = 50_000
+        data = Transitions(rng.normal(size=(n, 5)), rng.integers(0, 12, n), np.zeros(n),
+                           rng.normal(size=(n, 5)), rng.exponential(size=n))
+        learner = Learner.fresh(init_mlp(network_spec("discrete_only"), 0),
+                                np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            td_steps(learner, data, 5, TrainConfig(batch_size=200))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        packed = n * 12 * 8  # one (n, 12) float64 block: 4.8 MB
+        assert peak < 1_000_000 < packed
 
 
 class TestBellmanTarget:
