@@ -4,7 +4,8 @@ Subcommands: build-transitions, train, evaluate, clv, simulate, curves.
 Configuration is a flat key=value file; command-line flags win over config
 values. All randomness is controlled by --seed. evaluate, clv and curves take
 the mode and the acont bounds from the checkpoint. Exit codes: 0 success,
-1 usage error, 2 data error, 3 training divergence.
+1 usage error (nn_core.ConfigError, "error: ..."), 2 data error
+(rfmi.DataError or a missing file, "data error: ..."), 3 training divergence.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 MODE_NAMES = {"discrete": "discrete_only", "discrete_only": "discrete_only", "mixed": "mixed"}
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 # The settings a config file or flag may set. Each names a field of TrainConfig,
@@ -64,21 +59,21 @@ def load_config(path) -> dict:
     settings = default_settings()
     try:
         lines = rfmi.open_text(path)
-    except rfmi.DataError as exc:  # not UTF-8
-        raise CliError(str(exc), EXIT_USAGE) from None
+    except rfmi.DataError as exc:  # not UTF-8; a config file is a usage error
+        raise ConfigError(str(exc)) from None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{line_no}: expected key=value", EXIT_USAGE)
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in settings:
-            raise CliError(f"{path}:{line_no}: unknown config key {key!r}", EXIT_USAGE)
+            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
             settings[key] = MODE_NAMES[value] if key == "mode" else type(settings[key])(value)
         except (KeyError, ValueError):
-            raise CliError(f"{path}:{line_no}: bad value for {key!r}", EXIT_USAGE) from None
+            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}") from None
     return settings
 
 
@@ -103,7 +98,7 @@ def _split(transitions, fraction, seed):
 def cmd_build_transitions(args):
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
-        raise CliError(f"no timelines found in {args.timelines}", EXIT_DATA)
+        raise rfmi.DataError(f"no timelines found in {args.timelines}")
     transitions = rfmi.build_transitions(timelines)
     rfmi.write_transitions(transitions, args.out)
     print(f"wrote {len(transitions)} transitions to {args.out}")
@@ -114,13 +109,13 @@ def cmd_train(args):
     tc = make_config(TrainConfig, cfg)
     fraction = cfg["validation_fraction"]
     if not 0 < fraction < 1:  # NaN too
-        raise CliError(f"validation_fraction must be in (0,1), got {fraction}", EXIT_USAGE)
+        raise ConfigError(f"validation_fraction must be in (0,1), got {fraction}")
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
-        raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
+        raise rfmi.DataError(f"no transitions in {args.transitions}")
     train_set, val_set = _split(transitions, fraction, cfg["seed"])
     if not train_set or not val_set:
-        raise CliError("train/validation split produced an empty side", EXIT_DATA)
+        raise rfmi.DataError("train/validation split produced an empty side")
     stats = rfmi.compute_norm_stats(train_set)
     train_norm = rfmi.apply_norm(stats, train_set)
     val_norm = rfmi.apply_norm(stats, val_set)
@@ -134,7 +129,7 @@ def cmd_evaluate(args):
     cfg = _effective_config(args)
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
-        raise CliError(f"no transitions in {args.transitions}", EXIT_DATA)
+        raise rfmi.DataError(f"no transitions in {args.transitions}")
     net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     normed = rfmi.apply_norm(stats, transitions)
     report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg["seed"],
@@ -152,10 +147,12 @@ def cmd_clv(args):
     net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     try:
         state = np.array([float(v) for v in args.state.split(",")])
+        if not np.isfinite(state).all():
+            raise ValueError("non-finite value")
     except ValueError:
-        raise CliError(f"bad --state value {args.state!r}", EXIT_USAGE) from None
+        raise ConfigError(f"bad --state value {args.state!r}") from None
     if state.shape != (5,):
-        raise CliError("--state needs 5 comma-separated values r,f,m,ir,if", EXIT_USAGE)
+        raise ConfigError("--state needs 5 comma-separated values r,f,m,ir,if")
     est = policy_eval.estimate_clv(net, state, stats, tc.acont_range(stats))
     table = (["action", "clv", "acont"], [np.arange(len(est.values)), est.values, est.aconts])
     if args.out:
@@ -182,24 +179,22 @@ def cmd_curves(args):
         try:
             ranges.append((float(lo), float(hi)))
         except ValueError:
-            raise CliError(f"bad --range value {args.range!r}", EXIT_USAGE) from None
+            raise ConfigError(f"bad --range value {args.range!r}") from None
     reference = {}
     for part in args.reference.split(",") if args.reference else ():
         k, _, v = part.partition("=")
         try:
             reference[k] = float(v)
         except ValueError:
-            raise CliError(f"bad --reference value {args.reference!r}", EXIT_USAGE) from None
+            raise ConfigError(f"bad --reference value {args.reference!r}") from None
     if args.resolution < 1:
-        raise CliError(f"--resolution must be >= 1, got {args.resolution}", EXIT_USAGE)
+        raise ConfigError(f"--resolution must be >= 1, got {args.resolution}")
     try:
         sweep = policy_eval.SweepSpec(dims=dims, ranges=tuple(ranges),
                                       resolution=args.resolution, reference=reference)
     except policy_eval.SweepError as exc:
         flag = {"dims": "dims", "ranges": "range", "reference": "reference"}[exc.field]
-        raise CliError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}", EXIT_USAGE) from None
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from None
+        raise ConfigError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}") from None
     rows = policy_eval.export_value_curves(net, sweep, stats)
     policy_eval.write_curves_csv(rows, sweep, args.out)
     print(f"wrote {len(rows)} curve rows to {args.out}")
@@ -300,9 +295,6 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         globals()[COMMANDS[args.command][2]](args)  # looked up now: a patched cmd_* runs
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 PROB_FLOOR = 0.001
 PROB_CEIL = 0.999
+REPLAY_CAPACITY = 1_000_000  # rows; past it the oldest are overwritten
 
 
 @dataclass
@@ -77,7 +78,6 @@ class AgentConfig:
     episodes: int = 300
     train_every: int = 5  # episodes between training bursts
     steps_per_burst: int = 400  # gradient steps per burst
-    replay_capacity: int = 1_000_000
     # rule(states, action) -> (n,) bool over raw (n, 5) states; False forbids the action
     constraints: list = field(default_factory=list)
     drop_threshold: float = None  # mean-reward floor for pruning actions
@@ -158,13 +158,9 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
     bounds is None for a discrete net, whose aconts are all 0. Otherwise an
     acting explorer draws its acont uniformly from the normalized bounds, the
     interval the greedy maximizer searches, and denormalizes it with stats.
-    Draws from rng as a loop over customers would: every explore coin first,
-    then per customer in turn a random allowed action (explorers, and greedy
-    picks that are not allowed) and, for a mixed-mode explorer acting, its acont.
-    Only a mixed-mode explorer can draw an acont, so the drawing customers
-    split into runs that each end at one; a run draws its actions in one
-    integers call, bound by an array of counts (a scalar for a run of one),
-    which gives the scalar calls' stream.
+    Draws from rng one call per kind: every explore coin; then, in customer
+    order, a random allowed action for each explorer and each greedy pick that
+    is not allowed; then, in customer order, the acont of each acting explorer.
     """
     mixed = bounds is not None
     n = len(allowed)
@@ -174,16 +170,11 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
     draw = explore | ~(in_range & allowed[np.arange(n), np.clip(actions, 0, N_ACTIONS - 1)])
     aconts = np.where(mixed & (actions != 0) & ~draw, greedy_aconts, 0.0)
     ranked = np.argsort(~allowed, axis=1, kind="stable")  # allowed actions first, ascending
-    counts = allowed.sum(axis=1)
     drawing = np.flatnonzero(draw)
-    for run in np.split(drawing, np.flatnonzero(explore[drawing] & mixed) + 1):
-        if not run.size:
-            continue
-        high = counts[run] if run.size > 1 else counts[run[0]]  # a scalar bound costs 1/4
-        actions[run] = ranked[run, rng.integers(high)]
-        last = run[-1]
-        if explore[last] and mixed and actions[last] != 0:
-            aconts[last] = stats.denormalize_acont(rng.uniform(*bounds))
+    actions[drawing] = ranked[drawing, rng.integers(allowed[drawing].sum(axis=1))]
+    if mixed:
+        acting = np.flatnonzero(explore & (actions != 0))
+        aconts[acting] = stats.denormalize_acont(rng.uniform(*bounds, size=acting.size))
     return actions, aconts
 
 
@@ -208,7 +199,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
     net_seed = train_cfg.seed
     learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
                             np.random.default_rng(train_cfg.seed))
-    replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
+    replay = ReplayRing(min(REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
     bounds = (train_cfg.bounds_lo, train_cfg.bounds_hi) if is_mixed(learner.net) else None
     trained = False

@@ -19,6 +19,9 @@ MAGIC = b"CLVDQN1"
 
 ACTIVATIONS = ("relu", "linear")
 
+RMSPROP_DECAY = 0.9  # of the running mean of squared gradients
+RMSPROP_EPSILON = 1e-8  # added to its square root
+
 
 class ConfigError(ValueError):
     """Inconsistent settings: a network specification or a run configuration."""
@@ -96,12 +99,10 @@ class Gradients:
 @dataclass
 class RmspropState:
     cache: np.ndarray  # running mean of squared gradients, in Mlp.flat's layout
-    decay: float = 0.9
-    epsilon: float = 1e-8
 
     @classmethod
-    def init_like(cls, net: Mlp, decay: float = 0.9, epsilon: float = 1e-8) -> "RmspropState":
-        return cls(np.zeros_like(net.flat), decay, epsilon)
+    def init_like(cls, net: Mlp) -> "RmspropState":
+        return cls(np.zeros_like(net.flat))
 
 
 def validate_specs(specs) -> tuple:
@@ -197,9 +198,9 @@ def rmsprop_step(net: Mlp, grads: Gradients, state: RmspropState, lr: float):
     g = grads.flat
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient in optimizer step")
-    state.cache *= state.decay
-    state.cache += (1.0 - state.decay) * g * g
-    net.flat -= lr * g / (np.sqrt(state.cache) + state.epsilon)
+    state.cache *= RMSPROP_DECAY
+    state.cache += (1.0 - RMSPROP_DECAY) * g * g
+    net.flat -= lr * g / (np.sqrt(state.cache) + RMSPROP_EPSILON)
     return net, state
 
 

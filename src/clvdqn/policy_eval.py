@@ -83,8 +83,8 @@ def evaluate(transitions: Transitions, net: Mlp, acont_range=None, baseline_seed
     """Matched-vs-deviated report over logged transitions.
 
     A mixed net matches on the discrete action and on the continuous attribute
-    after rounding both sides to the nearest integer (in raw units when
-    norm_stats is given, otherwise as stored).
+    after rounding both sides to the nearest integer, in raw units under
+    norm_stats (identity stats, the stored units, when it is None).
     """
     if not transitions:
         raise ConfigError("cannot evaluate on empty transition list")
@@ -95,12 +95,8 @@ def evaluate(transitions: Transitions, net: Mlp, acont_range=None, baseline_seed
     rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, acont_range)
     matched_mask = rec_actions == logged_actions
     if is_mixed(net):
-        if norm_stats is not None:
-            logged_raw = norm_stats.denormalize_acont(logged_aconts)
-            rec_raw = norm_stats.denormalize_acont(rec_aconts)
-        else:
-            logged_raw, rec_raw = logged_aconts, rec_aconts
-        acont_match = np.round(logged_raw) == np.round(rec_raw)
+        raw = (NormStats.identity() if norm_stats is None else norm_stats).denormalize_acont
+        acont_match = np.round(raw(logged_aconts)) == np.round(raw(rec_aconts))
         matched_mask &= (rec_actions == 0) | acont_match  # inaction has no attribute
 
     rng = np.random.default_rng(baseline_seed)

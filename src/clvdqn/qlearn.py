@@ -45,6 +45,7 @@ class TrainingDiverged(TrainingError):
         super().__init__(f"non-finite loss {loss} at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
+        self.loss = loss
 
 
 @dataclass
@@ -175,7 +176,7 @@ class EpochRecord:
 
 
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
-          norm_stats: NormStats = None, net: Mlp = None):
+          norm_stats: NormStats = None):
     """Train a DQN on logged transitions. Returns (best net, one EpochRecord per epoch).
 
     norm_stats are the stats both sets were normalized with; a mixed net
@@ -190,8 +191,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     """
     if not train_set:
         raise ConfigError("empty training set")
-    if net is None:
-        net = init_mlp(network_spec(cfg.mode), cfg.seed)
+    net = init_mlp(network_spec(cfg.mode), cfg.seed)
     history = []
     if cfg.epochs == 0:
         return net, history
@@ -204,7 +204,7 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
         try:
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr, acont_range)
         except TrainingDiverged as exc:
-            raise TrainingDiverged(epoch, learner.step, float("nan")) from exc
+            raise TrainingDiverged(epoch, learner.step, exc.loss) from exc
         report = policy_eval.evaluate(validation_set, net, acont_range, baseline_seed=cfg.seed,
                                       norm_stats=norm_stats)
         val_rate = report.matched.response_rate

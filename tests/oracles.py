@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from clvdqn import policy_eval
-from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
+from clvdqn.env import REPLAY_CAPACITY, AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
 from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
@@ -157,8 +157,8 @@ def choose_actions_rows(allowed, greedy, greedy_aconts, eps, bounds, stats, rng)
     """Reference for env._choose_actions: one customer at a time, one scalar draw each.
 
     Every explore coin first; then per customer in turn a random allowed action
-    for an explorer, or for a greedy pick that is out of range or not allowed,
-    and, for a mixed-mode explorer acting, its acont.
+    for an explorer, or for a greedy pick that is out of range or not allowed;
+    then, for each mixed-mode explorer acting in turn, its acont.
     """
     mixed = bounds is not None
     n = len(allowed)
@@ -170,11 +170,12 @@ def choose_actions_rows(allowed, greedy, greedy_aconts, eps, bounds, stats, rng)
         pick = None if greedy is None else int(greedy[i])
         if explore[i] or pick not in choices:
             actions[i] = choices[rng.integers(len(choices))]
-            if explore[i] and mixed and actions[i] != 0:
-                aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
         else:
             actions[i] = pick
             aconts[i] = greedy_aconts[i] if mixed and pick != 0 else 0.0
+    for i in range(n):
+        if explore[i] and mixed and actions[i] != 0:
+            aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
     return actions, aconts
 
 
@@ -272,10 +273,11 @@ def advance_state_row(state, gift_sum, action, reward):
 def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     """Reference for env.run_autonomous: the population step as a loop over customers.
 
-    Each customer's allowed actions, epsilon-greedy choice, response and next
-    state are computed one at a time, drawing from the agent and environment
-    generators as it goes; the rule hooks are called on one-row state arrays.
-    The training bursts are the library's.
+    One customer at a time: each one's allowed actions and epsilon-greedy
+    choice, then each acting mixed-mode explorer's acont, then each response and
+    next state, drawing from the agent and environment generators as it goes;
+    the rule hooks are called on one-row state arrays. The training bursts are
+    the library's.
     """
     if isinstance(population, int):
         states = [[0.0] * 5 for _ in range(population)]
@@ -287,7 +289,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     net_seed = train_cfg.seed
     learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
                             np.random.default_rng(train_cfg.seed))
-    replay = ReplayRing(min(agent_cfg.replay_capacity, len(states) * agent_cfg.episodes))
+    replay = ReplayRing(min(REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
     mixed = train_cfg.mode == "mixed"
     trained = False
@@ -312,24 +314,28 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
         else:
             greedy_actions, greedy_aconts = None, None
         explore = agent_rng.random(n) < eps
-        rows = []
+        actions, aconts = [], []
         for i, state in enumerate(states):
             allowed = allowed_actions(state)
             if explore[i] or greedy_actions is None:
-                action = int(allowed[agent_rng.integers(len(allowed))])
-                acont = 0.0
-                if mixed and action != 0:  # drawn in normalized units, like the greedy maximum
-                    acont = float(stats.denormalize_acont(
-                        agent_rng.uniform(train_cfg.bounds_lo, train_cfg.bounds_hi)))
+                action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
             else:
                 action = int(greedy_actions[i])
                 acont = float(stats.denormalize_acont(greedy_aconts[i])) if mixed and action != 0 else 0.0
                 if action not in allowed:
                     action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
-            p = response_probability_row(model, state, action)
+            actions.append(action)
+            aconts.append(acont)
+        for i, action in enumerate(actions):  # drawn in normalized units, like the greedy maximum
+            if (explore[i] or greedy_actions is None) and mixed and action != 0:
+                aconts[i] = float(stats.denormalize_acont(
+                    agent_rng.uniform(train_cfg.bounds_lo, train_cfg.bounds_hi)))
+        rows = []
+        for i, state in enumerate(states):
+            p = response_probability_row(model, state, actions[i])
             reward = float(env_rng.exponential(model.amount_mean)) if env_rng.random() < p else 0.0
-            states[i], gift_sums[i] = advance_state_row(state, gift_sums[i], action, reward)
-            rows.append((state, action, acont, states[i], reward))
+            states[i], gift_sums[i] = advance_state_row(state, gift_sums[i], actions[i], reward)
+            rows.append((state, actions[i], aconts[i], states[i], reward))
         batch = Transitions(*(np.array(col) for col in zip(*rows)))
         replay.add(batch)
         history.append(EpisodeRecord(episode, eps, float(batch.rewards.mean()),

@@ -258,6 +258,12 @@ class TestClv:
         assert main(["clv", str(ckpt), "--state", "1,2,3"]) == 1
         assert main(["clv", str(ckpt), "--state", "1,2,x,0,0"]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_state_is_usage_error_naming_it(self, tmp_path, capsys, value):
+        state = f"1,2,{value},1,1"
+        assert main(["clv", str(zero_checkpoint(tmp_path)), "--state", state]) == 1
+        assert capsys.readouterr().err == f"error: bad --state value '{state}'\n"
+
     def test_negative_state_is_usage_error(self, tmp_path):
         ckpt = zero_checkpoint(tmp_path)
         assert main(["clv", str(ckpt), "--state", "1,-2,3,0,0"]) == 1
@@ -618,6 +624,41 @@ class TestFaultsExitWithoutTraceback:
                      str(tmp_path / "h"), "--validation-fraction", "0.5"])
         assert code == 2
         assert "train/validation split produced an empty side" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """main maps the library's errors: DataError exits 2 with "data error: ", ConfigError
+    exits 1 with "error: ", each as one line on stderr."""
+
+    CASES = {  # case: (exit code, the whole of stderr)
+        "no-timelines": (2, "data error: no timelines found in {src}"),
+        "train-no-transitions": (2, "data error: no transitions in {src}"),
+        "evaluate-no-transitions": (2, "data error: no transitions in {src}"),
+        "empty-side": (2, "data error: train/validation split produced an empty side"),
+        "unknown-config-key": (1, "error: {src}:1: unknown config key 'no_such_knob'"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_error_class_sets_code_and_prefix(self, tmp_path, capsys, transitions_csv, case):
+        code, message = self.CASES[case]
+        src = tmp_path / "input"
+        header = transitions_csv.read_text().splitlines(keepends=True)[0]
+        outputs = ["--checkpoint", str(tmp_path / "c"), "--history", str(tmp_path / "h")]
+        if case == "no-timelines":
+            src.write_text("customer_id,period,amount,action,acont\n")
+            argv = ["build-transitions", str(src), str(tmp_path / "out.csv")]
+        elif case == "evaluate-no-transitions":
+            src.write_text(header)
+            argv = ["evaluate", str(src), str(zero_checkpoint(tmp_path))]
+        elif case == "unknown-config-key":
+            src.write_text("no_such_knob=1\n")
+            argv = ["train", str(transitions_csv), "--config", str(src)] + outputs
+        else:
+            one_row = "".join(transitions_csv.read_text().splitlines(keepends=True)[:2])
+            src.write_text(one_row if case == "empty-side" else header)
+            argv = ["train", str(src), "--validation-fraction", "0.5"] + outputs
+        assert main(argv) == code
+        assert capsys.readouterr().err == message.format(src=src) + "\n"
 
 
 # A complete argv of each subcommand: the shapes of the benchmark's plans, and curves.

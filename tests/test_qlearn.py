@@ -281,6 +281,16 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         assert h1 == h2
 
+    def test_divergence_reports_the_loss_that_overflowed(self):
+        # rewards of 1e200 square to inf in the first step's loss
+        data = toy_data(20)
+        data.rewards[:] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
+            train(data, data, TrainConfig(epochs=2, batch_size=50, seed=7))
+        assert exc.value.loss == math.inf
+        assert (exc.value.epoch, exc.value.step) == (0, 0)
+        assert str(exc.value) == "non-finite loss inf at epoch 0, step 0"
+
     def test_epoch_accounting_and_history_shape(self):
         data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
         cfg = TrainConfig(epochs=4, batch_size=50, seed=7, target_clone_period=5)
