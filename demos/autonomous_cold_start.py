@@ -31,7 +31,7 @@ print(f"\nmean reward, first 10 episodes: {first:.3f}; last 10: {last:.3f}"
 
 # What does the learned policy recommend for the customers it ended up with?
 probe = result.replay.contents().states[-1000:]
-actions, _, _ = recommend_batch(result.net, result.norm_stats.normalize_state(probe))
+actions, _, _ = recommend_batch(result.net, probe, result.norm_stats)
 counts = np.bincount(actions, minlength=12)
 print("\nrecommended action distribution on the final probe set:")
 for a, n in enumerate(counts):

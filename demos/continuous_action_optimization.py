@@ -15,6 +15,7 @@ import numpy as np
 from clvdqn.action_space import AcontRange, maximize_continuous_batch
 from clvdqn.nn_core import LayerSpec, Mlp, forward
 from clvdqn.policy_eval import recommend_batch
+from clvdqn.rfmi import NormStats
 
 # Q[7](state, a) = 2 + relu(a) - 2*relu(a - 1): rises to 3.0 at a=1, falls after.
 specs = (LayerSpec(6, 2, "relu"), LayerSpec(2, 12, "linear"))
@@ -37,8 +38,9 @@ aconts, qs = maximize_continuous_batch(net, states, acont_range)
 print(f"action 7: best attribute {aconts[0, 7]:.3f} (true peak 1.0), "
       f"Q = {qs[0, 7]:.3f} (true max 3.0)")
 
-# recommend_batch compares the maximized Q of every action, including inaction.
-actions, best_aconts, best_qs = recommend_batch(net, states, acont_range)
+# recommend_batch compares the maximized Q of every action, including inaction. It takes
+# raw states and returns raw attributes; this net reads its inputs unscaled: identity stats.
+actions, best_aconts, best_qs = recommend_batch(net, states, NormStats.identity(), acont_range)
 print(f"best mixed action: {actions[0]} at attribute {best_aconts[0]:.3f}, "
       f"Q = {best_qs[0]:.3f}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from clvdqn.policy_eval import evaluate, report_text
 from clvdqn.qlearn import TrainConfig, train
-from clvdqn.rfmi import Timelines, apply_norm, build_transitions, compute_norm_stats
+from clvdqn.rfmi import Timelines, build_transitions, compute_norm_stats
 
 rng = np.random.default_rng(0)
 
@@ -29,16 +29,16 @@ timelines = Timelines([f"cust{c}" for c in range(200)], np.full(200, 12), amount
 transitions = build_transitions(timelines)
 print(f"built {len(transitions)} transitions from {len(timelines)} timelines")
 
-# 2. Split, normalize with training-set statistics only, train.
+# 2. Split, and train on raw transitions with the training set's statistics only.
 mask = rng.random(len(transitions)) < 0.25
 train_set, val_set = transitions[~mask], transitions[mask]
 stats = compute_norm_stats(train_set)
 
 cfg = TrainConfig(epochs=15, seed=0)
-net, history = train(apply_norm(stats, train_set), apply_norm(stats, val_set), cfg, stats)
+net, history = train(train_set, val_set, cfg, stats)
 print(f"trained {cfg.epochs} epochs; final loss {history[-1].loss:.3f}")
 
 # 3. Offline evaluation on the held-out transitions.
-report = evaluate(apply_norm(stats, val_set), net, norm_stats=stats)
+report = evaluate(val_set, net, stats)
 print()
 print(report_text(report, timestamp=False))

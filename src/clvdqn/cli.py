@@ -4,8 +4,8 @@ Subcommands: build-transitions, train, evaluate, clv, simulate, curves.
 Configuration is a flat key=value file; command-line flags win over config
 values. All randomness is controlled by --seed. evaluate, clv and curves take
 the mode and the acont bounds from the checkpoint. Exit codes: 0 success,
-1 usage error (nn_core.ConfigError, "error: ..."), 2 data error
-(rfmi.DataError or a missing file, "data error: ..."), 3 training divergence.
+1 usage error (nn_core.ConfigError, "error: ..."), 2 data error (rfmi.DataError
+or an unreadable or unwritable path, "data error: ..."), 3 training divergence.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def _effective_config(args) -> dict:
         flag = getattr(args, name, None)
         if flag is not None:
             settings[name] = MODE_NAMES[flag] if name == "mode" else flag
+    if settings["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
     return settings
 
 
@@ -117,9 +119,7 @@ def cmd_train(args):
     if not train_set or not val_set:
         raise rfmi.DataError("train/validation split produced an empty side")
     stats = rfmi.compute_norm_stats(train_set)
-    train_norm = rfmi.apply_norm(stats, train_set)
-    val_norm = rfmi.apply_norm(stats, val_set)
-    net, history = qlearn.train(train_norm, val_norm, tc, stats)
+    net, history = qlearn.train(train_set, val_set, tc, stats)
     qlearn.save_checkpoint(args.checkpoint, net, tc, stats)
     rfmi.write_records(args.history, qlearn.EpochRecord, history)
     print(f"wrote checkpoint {args.checkpoint} and history {args.history}")
@@ -131,9 +131,8 @@ def cmd_evaluate(args):
     if not transitions:
         raise rfmi.DataError(f"no transitions in {args.transitions}")
     net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
-    normed = rfmi.apply_norm(stats, transitions)
-    report = policy_eval.evaluate(normed, net, tc.acont_range(stats), baseline_seed=cfg["seed"],
-                                  norm_stats=stats)
+    report = policy_eval.evaluate(transitions, net, stats, tc.acont_range(stats),
+                                  baseline_seed=cfg["seed"])
     text = policy_eval.report_text(report, timestamp=not args.no_timestamp)
     sys.stdout.write(text)
     if args.report_out:
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (rfmi.DataError, FileNotFoundError) as exc:
+    except (rfmi.DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

@@ -211,8 +211,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         # Greedy recommendations for the whole population at once.
         if trained:
             greedy, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, stats.normalize_state(states), train_cfg.acont_range(stats))
-            greedy_aconts = stats.denormalize_acont(greedy_aconts)
+                learner.net, states, stats, train_cfg.acont_range(stats))
         elif agent_cfg.initial_policy is not None:
             greedy, greedy_aconts = agent_cfg.initial_policy(states), stats.denormalize_acont(0.0)
         else:

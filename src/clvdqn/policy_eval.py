@@ -70,33 +70,41 @@ class ClvEstimate:
         return float(self.values.max())
 
 
-def recommend_batch(net: Mlp, states, acont_range=None):
-    """(actions, aconts, qs) of the best action per normalized state; a mixed net needs acont_range."""
-    aconts, qs = action_values(net, states, acont_range)
+def _raw_action_values(net: Mlp, raw_states, norm_stats: NormStats, acont_range):
+    """action_values of raw states, with a mixed net's aconts in raw units and inaction's 0."""
+    if np.shape(raw_states)[-1:] != (5,):  # normalize_state would broadcast a narrower state
+        raise ConfigError(f"expected 5-dim raw states, got shape {np.shape(raw_states)}")
+    aconts, qs = action_values(net, norm_stats.normalize_state(raw_states), acont_range)
+    if is_mixed(net):
+        aconts = norm_stats.denormalize_acont(aconts)
+        aconts[:, 0] = 0.0
+    return aconts, qs
+
+
+def recommend_batch(net: Mlp, raw_states, norm_stats: NormStats, acont_range=None):
+    """(actions, raw aconts, qs) of the best action per raw state; a mixed net needs acont_range."""
+    aconts, qs = _raw_action_values(net, raw_states, norm_stats, acont_range)
     actions = np.argmax(qs, axis=1)
     rows = np.arange(len(actions))
     return actions, aconts[rows, actions], qs[rows, actions]
 
 
-def evaluate(transitions: Transitions, net: Mlp, acont_range=None, baseline_seed: int = 0,
-             norm_stats: NormStats = None) -> EvaluationReport:
-    """Matched-vs-deviated report over logged transitions.
+def evaluate(transitions: Transitions, net: Mlp, norm_stats: NormStats, acont_range=None,
+             baseline_seed: int = 0) -> EvaluationReport:
+    """Matched-vs-deviated report over raw logged transitions.
 
     A mixed net matches on the discrete action and on the continuous attribute
-    after rounding both sides to the nearest integer, in raw units under
-    norm_stats (identity stats, the stored units, when it is None).
+    after rounding both raw aconts to the nearest integer.
     """
     if not transitions:
         raise ConfigError("cannot evaluate on empty transition list")
     logged_actions = transitions.actions
-    logged_aconts = transitions.aconts
     rewards = transitions.rewards
 
-    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, acont_range)
+    rec_actions, rec_aconts, _ = recommend_batch(net, transitions.states, norm_stats, acont_range)
     matched_mask = rec_actions == logged_actions
     if is_mixed(net):
-        raw = (NormStats.identity() if norm_stats is None else norm_stats).denormalize_acont
-        acont_match = np.round(raw(logged_aconts)) == np.round(raw(rec_aconts))
+        acont_match = np.round(transitions.aconts) == np.round(rec_aconts)
         matched_mask &= (rec_actions == 0) | acont_match  # inaction has no attribute
 
     rng = np.random.default_rng(baseline_seed)
@@ -132,10 +140,7 @@ def estimate_clv(net: Mlp, raw_state, norm_stats: NormStats, acont_range=None) -
         raise ConfigError(f"expected a 5-dim raw state, got shape {raw_state.shape}")
     if np.any(raw_state < 0):
         raise ConfigError("state components must be non-negative")
-    aconts, qs = action_values(net, norm_stats.normalize_state(raw_state), acont_range)
-    if is_mixed(net):
-        aconts = norm_stats.denormalize_acont(aconts)
-        aconts[:, 0] = 0.0
+    aconts, qs = _raw_action_values(net, raw_state, norm_stats, acont_range)
     return ClvEstimate(values=qs[0], aconts=aconts[0])
 
 

@@ -31,7 +31,7 @@ from .nn_core import (
     rmsprop_step,
     save_mlp,
 )
-from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, open_text
+from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, apply_norm, open_text
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +72,11 @@ class TrainConfig:
             raise ConfigError("bad batch/epoch/clone settings")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        self.acont_range()  # ConfigError on degenerate bounds
+        AcontRange(self.bounds_lo, self.bounds_hi)  # ConfigError on degenerate bounds
 
-    def acont_range(self, stats: NormStats = None) -> AcontRange:
-        """The bounds, with inaction at raw acont 0 under stats (normalized 0 without)."""
-        inaction = 0.0 if stats is None else stats.normalize_acont(0.0)
-        return AcontRange(self.bounds_lo, self.bounds_hi, inaction)
+    def acont_range(self, stats: NormStats) -> AcontRange:
+        """The bounds, with inaction at raw acont 0 normalized under stats."""
+        return AcontRange(self.bounds_lo, self.bounds_hi, stats.normalize_acont(0.0))
 
 
 def network_spec(mode: str):
@@ -176,12 +175,11 @@ class EpochRecord:
 
 
 def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
-          norm_stats: NormStats = None):
-    """Train a DQN on logged transitions. Returns (best net, one EpochRecord per epoch).
+          norm_stats: NormStats):
+    """Train a DQN on raw logged transitions. Returns (best net, one EpochRecord per epoch).
 
-    norm_stats are the stats both sets were normalized with; a mixed net
-    needs them, for its acont range and to match validation aconts in raw
-    units as policy_eval.evaluate does.
+    The net learns on train_set normalized with norm_stats; validation runs
+    policy_eval.evaluate on the raw validation_set.
 
     The best net has the highest matched-group mean reward on the validation
     set; when no epoch has a matched group, it is the last trained net. An
@@ -195,7 +193,8 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     history = []
     if cfg.epochs == 0:
         return net, history
-    acont_range = None if norm_stats is None else cfg.acont_range(norm_stats)
+    acont_range = cfg.acont_range(norm_stats)
+    train_set = apply_norm(norm_stats, train_set)
     learner = Learner.fresh(net, np.random.default_rng(cfg.seed))
     steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     lr = cfg.lr0
@@ -205,8 +204,8 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr, acont_range)
         except TrainingDiverged as exc:
             raise TrainingDiverged(epoch, learner.step, exc.loss) from exc
-        report = policy_eval.evaluate(validation_set, net, acont_range, baseline_seed=cfg.seed,
-                                      norm_stats=norm_stats)
+        report = policy_eval.evaluate(validation_set, net, norm_stats, acont_range,
+                                      baseline_seed=cfg.seed)
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
         history.append(EpochRecord(epoch, float(losses.mean()), val_rate, val_reward, lr))

@@ -307,10 +307,10 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
         n = len(states)
         if trained:
             greedy_actions, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, stats.normalize_state(np.array(states)), train_cfg.acont_range(stats))
+                learner.net, np.array(states), stats, train_cfg.acont_range(stats))
         elif agent_cfg.initial_policy is not None:
             greedy_actions = [agent_cfg.initial_policy(np.array([s]))[0] for s in states]
-            greedy_aconts = np.zeros(n)
+            greedy_aconts = np.full(n, stats.denormalize_acont(0.0))
         else:
             greedy_actions, greedy_aconts = None, None
         explore = agent_rng.random(n) < eps
@@ -321,7 +321,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
                 action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
             else:
                 action = int(greedy_actions[i])
-                acont = float(stats.denormalize_acont(greedy_aconts[i])) if mixed and action != 0 else 0.0
+                acont = float(greedy_aconts[i]) if mixed and action != 0 else 0.0
                 if action not in allowed:
                     action, acont = int(allowed[agent_rng.integers(len(allowed))]), 0.0
             actions.append(action)

@@ -18,7 +18,7 @@ from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
 from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves, recommend_batch
 from clvdqn.qlearn import TrainConfig, network_spec, td_step
-from clvdqn.rfmi import Transitions
+from clvdqn.rfmi import NormStats, Transitions
 from oracles import (
     finite_difference_grads,
     grid_scan_max,
@@ -126,7 +126,7 @@ class TestCriterion4EvaluationOracle:
         net4.biases[-1][4] = 7.0  # always recommends action 4
         fixture = Transitions(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4), np.zeros((4, 5)),
                               [10.0, 0.0, 5.0, 0.0])
-        rep = evaluate(fixture, net4)
+        rep = evaluate(fixture, net4, NormStats.identity())
         fixture_ok = (
             rep.matched.n == 2 and rep.deviated.n == 2
             and rep.matched.response_rate == 0.5 and rep.matched.mean_reward == 5.0
@@ -146,7 +146,7 @@ class TestCriterion4EvaluationOracle:
         worst_resid = 0.0
         for policy_seed in range(10_000):
             net = init_mlp(network_spec("discrete_only"), seed=policy_seed)
-            report = evaluate(transitions, net)
+            report = evaluate(transitions, net, NormStats.identity())
             if report.matched.n + report.deviated.n != 1000:
                 identities_ok = False
                 break
@@ -197,7 +197,7 @@ class TestCriterion5SyntheticAutonomyLift:
         model = DonorModel(action_effects=effects, thankyou_boost=0.0, seed=1)
         res = run_autonomous(200, model, AgentConfig(seed=1), TrainConfig(seed=1))
         probe = res.replay.contents().states[-1000:]
-        actions, _, _ = recommend_batch(res.net, res.norm_stats.normalize_state(probe))
+        actions, _, _ = recommend_batch(res.net, probe, res.norm_stats)
         agreement = float(np.mean(actions == dominant))
         verdict("5b", agreement >= 0.90,
                 f"probe-set agreement with dominant action {agreement:.1%} (>= 90%)")
@@ -254,9 +254,7 @@ class TestCriterion7LoggedDatasetDirectional:
 
         net = load_mlp(ckpt)
         tc, stats = read_sidecar(str(ckpt) + ".meta")
-        normed = rfmi.apply_norm(stats, transitions)
-        report = evaluate(normed, net, tc.acont_range(stats),
-                          baseline_seed=tc.seed, norm_stats=stats)
+        report = evaluate(transitions, net, stats, tc.acont_range(stats), baseline_seed=tc.seed)
         ok = (report.matched.response_rate > report.deviated.response_rate
               and report.matched.response_rate > report.best_single_action_stats.response_rate)
         verdict(7, ok, f"matched rate {report.matched.response_rate:.3f} > deviated "

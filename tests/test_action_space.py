@@ -7,6 +7,7 @@ from clvdqn.action_space import AcontRange, action_values, maximize_continuous_b
 from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, forward, forward_batch, init_mlp
 from clvdqn.policy_eval import recommend_batch
 from clvdqn.qlearn import network_spec
+from clvdqn.rfmi import NormStats
 from oracles import grid_scan_max
 
 MIXED_RANGE = AcontRange(-2.0, 2.0)
@@ -56,7 +57,8 @@ def maximize(net, state, acont_range=MIXED_RANGE):
 
 def best(net, state, acont_range=None):
     """(action, acont, q) of recommend_batch for a single state."""
-    actions, aconts, qs = recommend_batch(net, np.asarray(state)[None, :], acont_range)
+    actions, aconts, qs = recommend_batch(net, np.asarray(state)[None, :], NormStats.identity(),
+                                          acont_range)
     return int(actions[0]), float(aconts[0]), float(qs[0])
 
 

@@ -244,6 +244,26 @@ class TestEvaluate:
         assert capsys.readouterr().out == first
 
 
+    def test_mixed_match_rounds_the_logged_acont_as_logged(self, tmp_path, capsys):
+        # acont_mean 1.5 and acont_std 9.2: the logged 12.5 normalized and back reads
+        # 12.500000000000002, which rounds to 13; 12.5 itself rounds to 12
+        net = init_mlp(network_spec("mixed"), seed=0)
+        for w in net.weights:
+            w[:] = 0.0
+        net.biases[-1][5] = 3.0  # action 5 at the flat net's lowest acont, raw 1.1*9.2+1.5
+        ckpt = tmp_path / "mixed.ckpt"
+        stats = NormStats(np.zeros(5), np.ones(5), 1.5, 9.2)
+        save_checkpoint(ckpt, net, TrainConfig(mode="mixed", bounds_lo=1.1, bounds_hi=1.2), stats)
+        assert round(stats.denormalize_acont(1.1)) == 12
+        logged = tmp_path / "logged.csv"
+        logged.write_text("r,f,m,ir,if,a,acont,r2,f2,m2,ir2,if2,reward\n"
+                          "1,1,10,1,1,5,12.5,0,2,10,0,2,4.0\n")
+        assert main(["evaluate", str(logged), str(ckpt), "--no-timestamp"]) == 0
+        out = capsys.readouterr().out
+        assert "matched               : rate=1.0000 mean_reward=4.0000 n=1" in out
+        assert "deviated              : n=0 (rates undefined)" in out
+
+
 class TestClv:
     def test_zero_checkpoint_gives_zero_values(self, tmp_path, capsys):
         ckpt = zero_checkpoint(tmp_path)
@@ -614,6 +634,46 @@ class TestFaultsExitWithoutTraceback:
         assert code == 1
         assert f"error: {message}" in err
         assert "Traceback" not in err
+        assert not ckpt.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("case", ["clv-checkpoint", "evaluate-checkpoint", "clv-out",
+                                      "train-history", "evaluate-report-out"])
+    def test_path_that_is_a_directory_is_data_error(self, tmp_path, capsys, transitions_csv,
+                                                    case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        ckpt = folder if case.endswith("-checkpoint") else zero_checkpoint(tmp_path)
+        argv = {
+            "clv-checkpoint": ["clv", str(ckpt), "--state", "3,2,15,1,4"],
+            "evaluate-checkpoint": ["evaluate", str(transitions_csv), str(ckpt)],
+            "clv-out": ["clv", str(ckpt), "--state", "3,2,15,1,4", "--out", str(folder)],
+            "train-history": ["train", str(transitions_csv), "--epochs", "1", "--checkpoint",
+                              str(tmp_path / "c.ckpt"), "--history", str(folder)],
+            "evaluate-report-out": ["evaluate", str(transitions_csv), str(ckpt),
+                                    "--report-out", str(folder)],
+        }[case]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(folder) in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, transitions_csv, command,
+                                          source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n" if source == "config" else "")
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        argv = {
+            "train": ["train", str(transitions_csv), "--epochs", "1", "--checkpoint", str(ckpt),
+                      "--history", str(hist)],
+            "evaluate": ["evaluate", str(transitions_csv), str(zero_checkpoint(tmp_path))],
+            "simulate": ["simulate", "--population", "5", "--episodes", "3", "--checkpoint",
+                         str(ckpt), "--history", str(hist)],
+        }[command] + ["--config", str(cfg)] + (["--seed", "-1"] if source == "flag" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not ckpt.exists() and not hist.exists()
 
     def test_valid_fraction_that_empties_a_side_is_data_error(self, tmp_path, capsys,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clvdqn.action_space import AcontRange
+from clvdqn.action_space import AcontRange, action_values
 from clvdqn.nn_core import ConfigError, forward, forward_batch, init_mlp
 from clvdqn.policy_eval import (
     SweepError,
@@ -40,19 +42,51 @@ def biased_net(action, bias=7.0):
 
 class TestRecommendBatch:
     def test_zero_net_recommends_inaction(self):
-        actions, _, _ = recommend_batch(zero_net(), np.zeros((4, 5)))
+        actions, _, _ = recommend_batch(zero_net(), np.zeros((4, 5)), NormStats.identity())
         assert actions.tolist() == [0, 0, 0, 0]
 
     def test_dominant_biased_neuron(self):
-        actions, _, _ = recommend_batch(biased_net(4), np.random.default_rng(0).normal(size=(6, 5)))
+        states = np.random.default_rng(0).normal(size=(6, 5))
+        actions, _, _ = recommend_batch(biased_net(4), states, NormStats.identity())
         assert actions.tolist() == [4] * 6
+
+
+class TestRawUnits:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans(),
+           zero_std=st.lists(st.booleans(), min_size=6, max_size=6), n=st.integers(1, 12))
+    def test_entry_points_match_the_hand_composition(self, seed, mixed, zero_std, n):
+        rng = np.random.default_rng(seed)
+        net = init_mlp(network_spec("mixed" if mixed else "discrete_only"), seed)
+        std = np.where(zero_std, 0.0, rng.uniform(0.1, 10.0, 6))
+        stats = NormStats(rng.normal(0.0, 5.0, 5), std[:5], float(rng.normal(0.0, 5.0)), std[5])
+        acont_range = AcontRange(-1.5, 1.0, stats.normalize_acont(0.0)) if mixed else None
+        raw = rng.uniform(0.0, 20.0, (n, 5))
+
+        def by_hand(states):
+            aconts, qs = action_values(net, stats.normalize_state(states), acont_range)
+            if mixed:
+                aconts = stats.denormalize_acont(aconts)
+                aconts[:, 0] = 0.0
+            return aconts, qs
+
+        aconts, qs = by_hand(raw)
+        actions, best_aconts, best_qs = recommend_batch(net, raw, stats, acont_range)
+        rows = np.arange(n)
+        assert actions.tolist() == np.argmax(qs, axis=1).tolist()
+        assert best_aconts.tobytes() == aconts[rows, actions].tobytes()
+        assert best_qs.tobytes() == qs[rows, actions].tobytes()
+        aconts, qs = by_hand(raw[0])
+        est = estimate_clv(net, raw[0], stats, acont_range)
+        assert est.aconts.tobytes() == aconts[0].tobytes()
+        assert est.values.tobytes() == qs[0].tobytes()
 
 
 class TestEvaluate:
     def test_total_match(self):
         # policy that recommends exactly the logged action for every transition
         transitions = logged([4, 4, 4], [10.0, 0.0, 3.0])
-        report = evaluate(transitions, biased_net(4))
+        report = evaluate(transitions, biased_net(4), NormStats.identity())
         assert report.matched.n == 3
         assert report.deviated.n == 0
         assert not report.deviated.defined
@@ -62,7 +96,7 @@ class TestEvaluate:
     def test_four_row_hand_fixture(self):
         # rewards 10,0,5,0; policy (always action 4) matches rows 1 and 2
         transitions = logged([4, 4, 2, 3], [10.0, 0.0, 5.0, 0.0])
-        report = evaluate(transitions, biased_net(4))
+        report = evaluate(transitions, biased_net(4), NormStats.identity())
         assert report.matched.n == 2 and report.deviated.n == 2
         assert report.matched.response_rate == 0.5
         assert report.matched.mean_reward == 5.0
@@ -75,7 +109,8 @@ class TestEvaluate:
                  for _ in range(200)]
         actions, rewards, states = (np.array(col) for col in zip(*draws))
         transitions = logged(actions, rewards, states)
-        report = evaluate(transitions, init_mlp(network_spec("discrete_only"), 3))
+        net = init_mlp(network_spec("discrete_only"), 3)
+        report = evaluate(transitions, net, NormStats.identity())
         assert report.matched.n + report.deviated.n == 200
         total = sum(rewards.tolist())
         acc = 0.0
@@ -88,13 +123,13 @@ class TestEvaluate:
     def test_random_baseline_deterministic(self):
         transitions = logged([i % 12 for i in range(50)], np.arange(50.0))
         net = init_mlp(network_spec("discrete_only"), 0)
-        a = evaluate(transitions, net, baseline_seed=9)
-        b = evaluate(transitions, net, baseline_seed=9)
+        a = evaluate(transitions, net, NormStats.identity(), baseline_seed=9)
+        b = evaluate(transitions, net, NormStats.identity(), baseline_seed=9)
         assert a.random_baseline == b.random_baseline
 
     def test_best_single_action_from_logged_data(self):
         transitions = logged([4] * 3 + [2] * 3 + [7] * 3, [10.0] * 3 + [1.0] * 3 + [4.0] * 3)
-        report = evaluate(transitions, zero_net())
+        report = evaluate(transitions, zero_net(), NormStats.identity())
         assert report.best_single_action == 4
         assert report.best_single_action_stats.mean_reward == 10.0
 
@@ -105,13 +140,17 @@ class TestEvaluate:
         acont_range = AcontRange(5.6, 6.4)  # flat in acont
         # row 0 logs acont 5.8 (matches), row 1 logs 9.0 (differs)
         transitions = logged([5, 5], [1.0, 1.0], aconts=[5.8, 9.0])
-        report = evaluate(transitions, net, acont_range)
+        report = evaluate(transitions, net, NormStats.identity(), acont_range)
         assert report.matched.n == 1
         assert report.deviated.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(Transitions.empty(0), zero_net())
+            evaluate(Transitions.empty(0), zero_net(), NormStats.identity())
+
+    def test_mixed_net_needs_a_range(self):
+        with pytest.raises(ConfigError, match="acont range"):
+            evaluate(logged([5], [1.0]), zero_net("mixed"), NormStats.identity())
 
 
 class TestEstimateClv:
@@ -228,7 +267,7 @@ class TestValueCurves:
 class TestReportFormats:
     def test_text_report_mentions_caveat_and_respects_timestamp_flag(self):
         transitions = logged([4, 3], [1.0, 0.0])
-        report = evaluate(transitions, biased_net(4))
+        report = evaluate(transitions, biased_net(4), NormStats.identity())
         text = report_text(report, timestamp=False)
         assert "biased off-policy" in text
         assert "matched" in text and "deviated" in text
@@ -237,7 +276,7 @@ class TestReportFormats:
 
     def test_csv_rows_shape(self):
         transitions = logged([4], [1.0])
-        report = evaluate(transitions, biased_net(4))
+        report = evaluate(transitions, biased_net(4), NormStats.identity())
         rows = report_csv_rows(report)
         assert rows[0] == ["group", "action", "n", "response_rate", "mean_reward"]
         assert len(rows) == 6

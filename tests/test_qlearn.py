@@ -25,7 +25,7 @@ from clvdqn.qlearn import (
     write_sidecar,
 )
 from clvdqn.policy_eval import evaluate
-from clvdqn.rfmi import NormStats, Transitions, apply_norm, compute_norm_stats, write_records
+from clvdqn.rfmi import NormStats, Transitions, compute_norm_stats, write_records
 from oracles import td_steps_arrays, value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
@@ -143,7 +143,8 @@ class TestBellmanTarget:
     def test_mixed_mode_uses_continuous_max(self):
         cfg = TrainConfig(gamma=0.9, mode="mixed", bounds_lo=-2.0, bounds_hi=2.0)
         net = init_mlp(network_spec("mixed"), seed=2)
-        y = bellman_target(make_batch(reward=1.0), net, cfg, cfg.acont_range())[0]
+        acont_range = cfg.acont_range(NormStats.identity())
+        y = bellman_target(make_batch(reward=1.0), net, cfg, acont_range)[0]
         # must bootstrap off at least the best fixed-acont scan
         grid = np.linspace(-2, 2, 101)
         x = np.concatenate([np.tile(np.zeros(5), (101, 1)), grid[:, None]], axis=1)
@@ -206,7 +207,7 @@ class TestTdStep:
         batch = make_batch(reward=1.0, action=3)
         batch.aconts[:] = 0.5
         td_step(batch, net, net.copy(), RmspropState.init_like(net), cfg,
-                acont_range=cfg.acont_range())
+                acont_range=cfg.acont_range(NormStats.identity()))
         assert np.argwhere(net.weights[0] != 0.0).tolist() == [[3, 5]]
 
     def test_nonfinite_loss_raises(self):
@@ -266,7 +267,7 @@ class TestCloneTarget:
 class TestTrain:
     def test_zero_epochs_is_noop(self):
         cfg = TrainConfig(epochs=0, seed=5)
-        net, history = train(toy_data(2), toy_data(1), cfg)
+        net, history = train(toy_data(2), toy_data(1), cfg, NormStats.identity())
         reference = init_mlp(network_spec("discrete_only"), 5)
         for a, b in zip(net.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
@@ -275,8 +276,8 @@ class TestTrain:
     def test_deterministic(self):
         cfg = TrainConfig(epochs=3, batch_size=50, seed=7)
         data = toy_data(20)
-        net1, h1 = train(data, data, cfg)
-        net2, h2 = train(data, data, cfg)
+        net1, h1 = train(data, data, cfg, NormStats.identity())
+        net2, h2 = train(data, data, cfg, NormStats.identity())
         for a, b in zip(net1.weights, net2.weights):
             np.testing.assert_array_equal(a, b)
         assert h1 == h2
@@ -286,7 +287,7 @@ class TestTrain:
         data = toy_data(20)
         data.rewards[:] = 1e200
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
-            train(data, data, TrainConfig(epochs=2, batch_size=50, seed=7))
+            train(data, data, TrainConfig(epochs=2, batch_size=50, seed=7), NormStats.identity())
         assert exc.value.loss == math.inf
         assert (exc.value.epoch, exc.value.step) == (0, 0)
         assert str(exc.value) == "non-finite loss inf at epoch 0, step 0"
@@ -294,7 +295,7 @@ class TestTrain:
     def test_epoch_accounting_and_history_shape(self):
         data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
         cfg = TrainConfig(epochs=4, batch_size=50, seed=7, target_clone_period=5)
-        _, history = train(data, data, cfg)
+        _, history = train(data, data, cfg, NormStats.identity())
         assert len(history) == 4
         assert [r.epoch for r in history] == [0, 1, 2, 3]
         lrs = [r.lr for r in history]
@@ -314,7 +315,7 @@ class TestTrain:
         lr = cfg.lr0
         for _ in range(cfg.epochs):
             td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg, lr,
-                     cfg.acont_range())
+                     cfg.acont_range(NormStats.identity()))
             lr *= cfg.lr_decay_per_epoch
         for a, b in zip(net.weights + net.biases, learner.net.weights + learner.net.biases):
             np.testing.assert_array_equal(a, b)
@@ -327,18 +328,13 @@ class TestTrain:
         raw = Transitions(rng.uniform(0, 5, (n, 5)), actions, aconts, rng.uniform(0, 5, (n, 5)),
                           rng.exponential(5.0, n) * (rng.random(n) < 0.5))
         stats = compute_norm_stats(raw)
-        data = apply_norm(stats, raw)
         cfg = TrainConfig(epochs=2, batch_size=50, seed=1, mode="mixed")
         with caplog.at_level("WARNING", logger="clvdqn.qlearn"):
-            net, history = train(data, data, cfg, stats)
+            net, history = train(raw, raw, cfg, stats)
         assert caplog.records == []  # a matched group exists: nothing to report
         best = max(r.val_mean_reward for r in history)
-        report = evaluate(data, net, cfg.acont_range(stats), baseline_seed=cfg.seed,
-                          norm_stats=stats)
+        report = evaluate(raw, net, stats, cfg.acont_range(stats), baseline_seed=cfg.seed)
         assert report.matched.mean_reward == best
-        # rounding the normalized aconts instead would match other rows
-        unscaled = evaluate(data, net, cfg.acont_range(stats), baseline_seed=cfg.seed)
-        assert unscaled.matched.mean_reward != best
 
     def test_target_staleness_between_clones(self):
         # target-based y must not change while only the online net updates
@@ -388,11 +384,6 @@ class TestTrain:
         assert (stats2.acont_mean, stats2.acont_std) == (0.0, 0.0)
         assert math.copysign(1, stats2.acont_mean) == -1
 
-    def test_mixed_net_needs_a_range(self):
-        cfg = TrainConfig(epochs=1, batch_size=50, mode="mixed")
-        with pytest.raises(ConfigError, match="acont range"):
-            train(toy_data(5), toy_data(5), cfg)
-
     @pytest.mark.parametrize("lr0", [math.nan, math.inf, -math.inf, 0.0, -0.001])
     def test_lr0_must_be_finite_and_positive(self, lr0):
         with pytest.raises(ConfigError, match=f"lr0 must be finite and > 0, got {lr0}"):
@@ -401,7 +392,7 @@ class TestTrain:
     def test_history_csv(self, tmp_path):
         data = toy_data(5)
         cfg = TrainConfig(epochs=2, batch_size=30, seed=1)
-        _, history = train(data, data, cfg)
+        _, history = train(data, data, cfg, NormStats.identity())
         path = tmp_path / "history.csv"
         write_records(path, EpochRecord, history)
         lines = path.read_text().splitlines()
