@@ -11,6 +11,7 @@ or an unreadable or unwritable path, "data error: ..."), 3 training divergence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -88,6 +89,14 @@ def _effective_config(args) -> dict:
     return settings
 
 
+def _check_outputs(*paths):
+    """Raise, before any work, the OSError that writing would raise for a path that is a
+    directory or whose directory is missing, so that a failed run writes no file."""
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            open(path, "rb").close()  # fails as opening it to write would, creating nothing
+
+
 def _split(transitions, fraction, seed):
     mask = np.random.default_rng(seed).random(len(transitions)) < fraction
     return transitions[~mask], transitions[mask]
@@ -112,6 +121,7 @@ def cmd_train(args):
     fraction = cfg["validation_fraction"]
     if not 0 < fraction < 1:  # NaN too
         raise ConfigError(f"validation_fraction must be in (0,1), got {fraction}")
+    _check_outputs(args.checkpoint, f"{args.checkpoint}.meta", args.history)
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise rfmi.DataError(f"no transitions in {args.transitions}")
@@ -163,6 +173,7 @@ def cmd_clv(args):
 def cmd_simulate(args):
     cfg = _effective_config(args)
     tc, model, agent = (make_config(cls, cfg) for cls in CONFIGS)
+    _check_outputs(args.history, args.checkpoint, f"{args.checkpoint}.meta")
     result = env_mod.run_autonomous(cfg["population"], model, agent, tc)
     rfmi.write_records(args.history, env_mod.EpisodeRecord, result.history)
     qlearn.save_checkpoint(args.checkpoint, result.net, tc, result.norm_stats)

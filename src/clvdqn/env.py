@@ -20,8 +20,7 @@ from . import policy_eval
 from .action_space import is_mixed
 from .nn_core import ConfigError, init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
-from .rfmi import (N_ACTIONS, NormStats, Transitions, advance_states, apply_norm,
-                   compute_norm_stats)
+from .rfmi import N_ACTIONS, NormStats, Transitions, advance_states, compute_norm_stats
 
 log = logging.getLogger(__name__)
 
@@ -152,17 +151,17 @@ def _allowed_mask(cfg: AgentConfig, states: np.ndarray, dropped) -> np.ndarray:
     return allowed
 
 
-def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
+def _choose_actions(allowed, greedy, greedy_aconts, eps, acont_range, stats, rng):
     """Epsilon-greedy (actions, raw aconts) for one episode; with greedy None everyone explores.
 
-    bounds is None for a discrete net, whose aconts are all 0. Otherwise an
-    acting explorer draws its acont uniformly from the normalized bounds, the
-    interval the greedy maximizer searches, and denormalizes it with stats.
+    acont_range is None for a discrete net, whose aconts are all 0. Otherwise an
+    acting explorer draws its acont uniformly from its [lo, hi], the interval
+    the greedy maximizer searches, and denormalizes it with stats.
     Draws from rng one call per kind: every explore coin; then, in customer
     order, a random allowed action for each explorer and each greedy pick that
     is not allowed; then, in customer order, the acont of each acting explorer.
     """
-    mixed = bounds is not None
+    mixed = acont_range is not None
     n = len(allowed)
     explore = (rng.random(n) < eps) | (greedy is None)
     actions = np.zeros(n, dtype=np.int64) if greedy is None else np.asarray(greedy).astype(np.int64)
@@ -174,7 +173,8 @@ def _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
     actions[drawing] = ranked[drawing, rng.integers(allowed[drawing].sum(axis=1))]
     if mixed:
         acting = np.flatnonzero(explore & (actions != 0))
-        aconts[acting] = stats.denormalize_acont(rng.uniform(*bounds, size=acting.size))
+        aconts[acting] = stats.denormalize_acont(
+            rng.uniform(acont_range.lo, acont_range.hi, size=acting.size))
     return actions, aconts
 
 
@@ -201,23 +201,23 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                             np.random.default_rng(train_cfg.seed))
     replay = ReplayRing(min(REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
     stats = NormStats.identity()
-    bounds = (train_cfg.bounds_lo, train_cfg.bounds_hi) if is_mixed(learner.net) else None
     trained = False
     dropped = set()
     history = []
 
     for episode in range(agent_cfg.episodes):
         eps = agent_cfg.epsilon(episode)
+        acont_range = train_cfg.acont_range(stats) if is_mixed(learner.net) else None
         # Greedy recommendations for the whole population at once.
         if trained:
-            greedy, greedy_aconts, _ = policy_eval.recommend_batch(
-                learner.net, states, stats, train_cfg.acont_range(stats))
+            greedy, greedy_aconts, _ = policy_eval.recommend_batch(learner.net, states, stats,
+                                                                   acont_range)
         elif agent_cfg.initial_policy is not None:
             greedy, greedy_aconts = agent_cfg.initial_policy(states), stats.denormalize_acont(0.0)
         else:
             greedy, greedy_aconts = None, 0.0
         actions, aconts = _choose_actions(_allowed_mask(agent_cfg, states, dropped), greedy,
-                                          greedy_aconts, eps, bounds, stats, agent_rng)
+                                          greedy_aconts, eps, acont_range, stats, agent_rng)
         # The environment draws in customer order: a response, then its amount.
         rewards = np.zeros(len(states))
         for i, p in enumerate(response_probabilities(model, states, actions).tolist()):
@@ -240,8 +240,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
             data = replay.contents()
             stats = compute_norm_stats(data)
             try:
-                td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
-                         acont_range=train_cfg.acont_range(stats))
+                td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)
                 trained = True
             except TrainingDiverged:
                 net_seed += 1

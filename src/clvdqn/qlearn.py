@@ -120,8 +120,9 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cf
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     q, cache = forward_batch(net, x)
     taken = (np.arange(n), batch.actions)
-    err = q[taken] - y
-    loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises just below
+        err = q[taken] - y
+        loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
     if not math.isfinite(loss):
         raise TrainingDiverged(-1, -1, loss)
     output_grads = np.zeros_like(q)
@@ -146,19 +147,18 @@ class Learner:
         return cls(net, net.copy(), RmspropState.init_like(net), rng, step)
 
 
-def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig, lr=None,
-             acont_range=None) -> np.ndarray:
-    """n_steps TD steps on batches drawn uniformly with replacement from data.
-
-    Clones the target net whenever the learner's global step count reaches a
-    multiple of cfg.target_clone_period. Returns the per-step losses.
-    """
+def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig,
+             norm_stats: NormStats, lr=None) -> np.ndarray:
+    """n_steps TD steps on batches drawn uniformly with replacement from raw data, each batch
+    normalized with norm_stats. Clones the target net whenever the learner's global step
+    count reaches a multiple of cfg.target_clone_period. Returns the per-step losses."""
+    acont_range = cfg.acont_range(norm_stats)
     losses = np.empty(n_steps)
     grads = Gradients.like(learner.net)
     for i in range(n_steps):
         idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
-        losses[i] = td_step(data.take(idx), learner.net, learner.target, learner.opt, cfg, lr,
-                            acont_range, grads)
+        losses[i] = td_step(apply_norm(norm_stats, data.take(idx)), learner.net, learner.target,
+                            learner.opt, cfg, lr, acont_range, grads)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
             learner.target = learner.net.copy()
@@ -178,8 +178,8 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
           norm_stats: NormStats):
     """Train a DQN on raw logged transitions. Returns (best net, one EpochRecord per epoch).
 
-    The net learns on train_set normalized with norm_stats; validation runs
-    policy_eval.evaluate on the raw validation_set.
+    td_steps normalizes each batch of train_set with norm_stats; validation
+    runs policy_eval.evaluate on the raw validation_set.
 
     The best net has the highest matched-group mean reward on the validation
     set; when no epoch has a matched group, it is the last trained net. An
@@ -194,14 +194,13 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     if cfg.epochs == 0:
         return net, history
     acont_range = cfg.acont_range(norm_stats)
-    train_set = apply_norm(norm_stats, train_set)
     learner = Learner.fresh(net, np.random.default_rng(cfg.seed))
     steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     lr = cfg.lr0
     best_net, best_reward = None, -np.inf
     for epoch in range(cfg.epochs):
         try:
-            losses = td_steps(learner, train_set, steps_per_epoch, cfg, lr, acont_range)
+            losses = td_steps(learner, train_set, steps_per_epoch, cfg, norm_stats, lr)
         except TrainingDiverged as exc:
             raise TrainingDiverged(epoch, learner.step, exc.loss) from exc
         report = policy_eval.evaluate(validation_set, net, norm_stats, acont_range,

@@ -60,12 +60,10 @@ class Timelines:
                 or {g.shape for g in grids} != {(n, self.amounts.shape[1])}
                 or (self.lengths > self.amounts.shape[1]).any()):
             raise DataError("timeline grids must be (customers, periods), each length within")
-        faults = [*((mask.any(axis=1), f"{message} in timeline {{}}")
-                    for mask, message in _value_faults(*grids)),
-                  (self.lengths < 2, "timeline {} needs >= 2 periods")]
-        bad = [(int(np.argmax(rows)), message) for rows, message in faults if rows.any()]
-        if bad:
-            k, message = min(bad, key=lambda b: b[0])
+        k, message = _first_fault([*((mask.any(axis=1), f"{message} in timeline {{}}")
+                                     for mask, message in _value_faults(*grids)),
+                                   (self.lengths < 2, "timeline {} needs >= 2 periods")])
+        if message:
             raise DataError(message.format(self.customer_ids[k]))
 
     def __len__(self) -> int:
@@ -215,6 +213,15 @@ def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
 # CSV interfaces
 
 
+def _first_fault(checks):
+    """(row, message) of the first row that fails a (bool mask, message) check, else (None,
+    None). checks come in the order a row is checked, so on a tie the earlier one wins; a
+    message may be a function of the row."""
+    faults = [(int(np.argmax(mask)), message) for mask, message in checks if mask.any()]
+    row, message = min(faults, key=lambda fault: fault[0], default=(None, None))
+    return row, message(row) if callable(message) else message
+
+
 def _value_faults(amounts, actions, aconts):
     """(mask, message) for each rule on timeline values, in the order a row is checked."""
     return (
@@ -275,7 +282,7 @@ def _numbers(cells, kind, blank=""):
 
 def _column(cells, kind, blank=""):
     """(values, fault): the numbers of a column up to its first bad cell, and that
-    cell's (index, message), or None when every cell is a number."""
+    cell's _first_fault check, or None when every cell is a number."""
     try:
         return _numbers(cells, kind, blank), None
     except ValueError:
@@ -283,7 +290,8 @@ def _column(cells, kind, blank=""):
             try:
                 _numbers([cell], kind, blank)
             except ValueError as exc:
-                return _numbers(cells[:i], kind, blank), (i, f"malformed row ({exc})")
+                return _numbers(cells[:i], kind, blank), (np.arange(i + 1) == i,
+                                                          f"malformed row ({exc})")
         raise
 
 
@@ -315,12 +323,10 @@ def read_timelines(path) -> Timelines:
             if row:
                 rows.append(row)
                 line_nums.append(reader.line_num)
-    faults = []  # (row, message): the first fault of each check, in the order a row is checked
-    widths = list(map(len, rows))
-    if widths.count(5) < len(rows):
-        i = next(i for i, w in enumerate(widths) if w != 5)
-        faults.append((i, f"expected 5 columns, got {widths[i]}"))
-        rows = rows[:i]
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong_width = widths != 5
+    faults = [(wrong_width, lambda i: f"expected 5 columns, got {widths[i]}")]
+    rows = rows[:int(np.argmax(wrong_width))] if wrong_width.any() else rows
     cids, *cells = zip(*rows) if rows else [()] * 5
     columns = []
     for column, kind, blank in zip(cells, (int, float, int, float), ("", "0", "0", "0")):
@@ -337,21 +343,17 @@ def read_timelines(path) -> Timelines:
     duplicate = np.zeros(n, dtype=bool)
     duplicate[order[1:]] = ((codes[order[1:]] == codes[order[:-1]])
                             & (period[order[1:]] == period[order[:-1]]))
-    for mask, message in (*_value_faults(amount, action, acont),
-                          (period < 0, "negative period"), (duplicate, None)):
-        if mask.any():
-            i = int(np.argmax(mask))
-            faults.append((i, message or f"duplicate period {period[i]} for this customer"))
-    if faults:
-        i, message = min(faults, key=lambda fault: fault[0])  # ties keep the checking order
+    faults += [*_value_faults(amount, action, acont), (period < 0, "negative period"),
+               (duplicate, lambda i: f"duplicate period {period[i]} for this customer")]
+    i, message = _first_fault(faults)
+    if message:
         raise DataError(f"{path}:{line_nums[i]}: {message}")
     lengths = np.zeros(len(index), dtype=np.int64)
     np.maximum.at(lengths, codes, period + 1)
-    if (lengths < 2).any():
-        k = int(np.argmax(lengths < 2))
-        cid = list(index)[k]
-        line = line_nums[int(np.argmax(codes == k))]
-        raise DataError(f"{path}:{line}: timeline {cid} needs >= 2 periods")
+    short = (lengths < 2)[codes]  # each row of a customer with fewer than 2 periods
+    i, message = _first_fault([(short, lambda i: f"timeline {cids[i]} needs >= 2 periods")])
+    if message:
+        raise DataError(f"{path}:{line_nums[i]}: {message}")
     try:
         grids = [np.zeros((len(index), int(lengths.max(initial=0))), dtype=values.dtype)
                  for values in (amount, action, acont)]
@@ -444,9 +446,8 @@ def read_transitions(path) -> Transitions:
          f"action must be an integer in 0..{N_ACTIONS - 1}"),
         ((state_cols < 0).any(axis=1), "negative state value"),
     )
-    bad = [(int(np.argmax(mask)), message) for mask, message in faults if mask.any()]
-    if bad:
-        row, message = min(bad, key=lambda b: b[0])
+    row, message = _first_fault(faults)
+    if message:
         raise DataError(f"{path}:{row + 2}: {message}")
     return Transitions(vals[:, 0:5], actions.astype(np.int64), vals[:, 6],
                        vals[:, 7:12], vals[:, 12])

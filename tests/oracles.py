@@ -20,7 +20,7 @@ from clvdqn.env import REPLAY_CAPACITY, AutonomousResult, EpisodeRecord, ReplayR
 from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
 from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
-                         Timelines, Transitions, _check_header, apply_norm, compute_norm_stats)
+                         Timelines, Transitions, _check_header, compute_norm_stats)
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
@@ -153,14 +153,14 @@ def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
     return np.array(losses), weights, biases
 
 
-def choose_actions_rows(allowed, greedy, greedy_aconts, eps, bounds, stats, rng):
+def choose_actions_rows(allowed, greedy, greedy_aconts, eps, acont_range, stats, rng):
     """Reference for env._choose_actions: one customer at a time, one scalar draw each.
 
     Every explore coin first; then per customer in turn a random allowed action
     for an explorer, or for a greedy pick that is out of range or not allowed;
     then, for each mixed-mode explorer acting in turn, its acont.
     """
-    mixed = bounds is not None
+    mixed = acont_range is not None
     n = len(allowed)
     explore = (rng.random(n) < eps) | (greedy is None)
     actions, aconts = np.zeros(n, dtype=np.int64), np.zeros(n)
@@ -175,7 +175,7 @@ def choose_actions_rows(allowed, greedy, greedy_aconts, eps, bounds, stats, rng)
             aconts[i] = greedy_aconts[i] if mixed and pick != 0 else 0.0
     for i in range(n):
         if explore[i] and mixed and actions[i] != 0:
-            aconts[i] = stats.denormalize_acont(rng.uniform(*bounds))
+            aconts[i] = stats.denormalize_acont(rng.uniform(acont_range.lo, acont_range.hi))
     return actions, aconts
 
 
@@ -345,8 +345,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
             data = replay.contents()
             stats = compute_norm_stats(data)
             try:
-                td_steps(learner, apply_norm(stats, data), agent_cfg.steps_per_burst, train_cfg,
-                         acont_range=train_cfg.acont_range(stats))
+                td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)
                 trained = True
             except TrainingDiverged:
                 net_seed += 1

@@ -220,6 +220,21 @@ class TestTrain:
         assert main(["train", str(src), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--epochs", "1"]) == 2
 
+    def test_divergence_prints_one_line(self, tmp_path, transitions_csv):
+        # rewards of 1e200 square to inf in the first step's loss
+        lines = transitions_csv.read_text().splitlines()
+        src = tmp_path / "diverging.csv"
+        src.write_text("\n".join([lines[0], *(row.rsplit(",", 1)[0] + ",1e200"
+                                              for row in lines[1:])]) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "clvdqn.cli", "train", str(src), "--epochs", "2",
+             "--checkpoint", str(tmp_path / "c.ckpt"), "--history", str(tmp_path / "h.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(clvdqn.__file__).parents[1])},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "training diverged: non-finite loss inf at epoch 0, step 0\n"
+
 
 class TestEvaluate:
     def test_report_and_csv(self, tmp_path, transitions_csv, capsys):
@@ -657,6 +672,30 @@ class TestFaultsExitWithoutTraceback:
         assert code == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(folder) in err
+
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    @pytest.mark.parametrize("fault", ["history-is-a-directory",
+                                       "checkpoint-in-a-missing-directory"])
+    def test_bad_output_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   transitions_csv, command, fault):
+        worked = []
+        monkeypatch.setattr(cli.qlearn, "train", lambda *a: worked.append("train"))
+        monkeypatch.setattr(cli.env_mod, "run_autonomous", lambda *a: worked.append("simulate"))
+        (tmp_path / "folder").mkdir()
+        if fault == "history-is-a-directory":
+            ckpt, hist = tmp_path / "c.ckpt", tmp_path / "folder"
+            bad, reason = hist, "[Errno 21] Is a directory"
+        else:
+            ckpt, hist = tmp_path / "missing" / "c.ckpt", tmp_path / "h.csv"
+            bad, reason = ckpt, "[Errno 2] No such file or directory"
+        outputs = ["--checkpoint", str(ckpt), "--history", str(hist)]
+        argv = (["train", str(transitions_csv), "--epochs", "1"] if command == "train"
+                else ["simulate", "--population", "5", "--episodes", "3"])
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv + outputs) == 2
+        assert capsys.readouterr().err == f"data error: {reason}: '{bad}'\n"
+        assert worked == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -13,6 +13,7 @@ from oracles import (
 )
 
 import clvdqn.qlearn as qlearn_module
+from clvdqn.action_space import AcontRange
 from clvdqn.env import (
     AgentConfig,
     DonorModel,
@@ -136,13 +137,13 @@ class TestPopulationStep:
         # greedy picks include out-of-range actions and ones the mask forbids
         greedy = rng.integers(-2, N_ACTIONS + 2, n) if has_greedy else None
         greedy_aconts = rng.normal(size=n)
-        bounds = (-1.5, 2.5) if mixed else None
+        acont_range = AcontRange(-1.5, 2.5) if mixed else None
         stats = NormStats(np.zeros(5), np.ones(5), 3.0, 2.0)
         got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-        actions, aconts = _choose_actions(allowed, greedy, greedy_aconts, eps, bounds, stats,
-                                          got_rng)
+        actions, aconts = _choose_actions(allowed, greedy, greedy_aconts, eps, acont_range,
+                                          stats, got_rng)
         want_actions, want_aconts = choose_actions_rows(allowed, greedy, greedy_aconts, eps,
-                                                        bounds, stats, want_rng)
+                                                        acont_range, stats, want_rng)
         assert actions.tolist() == want_actions.tolist()
         assert aconts.tolist() == want_aconts.tolist()
         assert got_rng.random() == want_rng.random()  # same stream position

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvdqn.action_space import AcontRange
 from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
@@ -26,7 +25,7 @@ from clvdqn.qlearn import (
 )
 from clvdqn.policy_eval import evaluate
 from clvdqn.rfmi import NormStats, Transitions, compute_norm_stats, write_records
-from oracles import td_steps_arrays, value_iteration
+from oracles import apply_norm_rows, td_steps_arrays, value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
 TOY_R = [[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]]
@@ -86,13 +85,46 @@ class TestFlatTraining:
         n = 30
         data = Transitions(rng.normal(size=(n, 5)), rng.integers(0, 12, n), rng.normal(size=n),
                            rng.normal(size=(n, 5)), rng.exponential(size=n))
-        acont_range = AcontRange(-1.5, 2.0, 0.25) if mixed else None
         cfg = TrainConfig(batch_size=batch_size, target_clone_period=clone_period,
-                          mode="mixed" if mixed else "discrete_only")
+                          mode="mixed" if mixed else "discrete_only", bounds_lo=-1.5,
+                          bounds_hi=2.0)
+        stats = NormStats.identity()  # data already normalized: identity leaves every bit
         want_losses, weights, biases = td_steps_arrays(net, data, n_steps, cfg, seed, lr,
-                                                       acont_range)
+                                                       cfg.acont_range(stats))
         learner = Learner.fresh(net, np.random.default_rng(seed))
-        losses = td_steps(learner, data, n_steps, cfg, lr, acont_range)
+        losses = td_steps(learner, data, n_steps, cfg, stats, lr)
+        assert losses.tolist() == want_losses.tolist()
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert got.tolist() == want.tolist()
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mixed=st.booleans(),
+           n_steps=st.integers(1, 6),
+           batch_size=st.integers(1, 60),
+           zero_stds=st.lists(st.booleans(), min_size=5, max_size=5),
+           acont_mean=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
+           acont_std=st.just(0.0) | st.floats(0.1, 10.0))
+    def test_td_steps_on_raw_data_match_reference_on_data_normalized_whole(
+            self, seed, mixed, n_steps, batch_size, zero_stds, acont_mean, acont_std):
+        # each drawn batch is normalized, which gives the bits of drawing from the whole set
+        # normalized once; a nonzero acont_mean moves inaction's input off 0
+        rng = np.random.default_rng(seed)
+        n = 40
+        raw = Transitions(rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n),
+                          rng.uniform(0, 30, n), rng.uniform(0, 50, (n, 5)),
+                          rng.exponential(5.0, n))
+        stats = NormStats(rng.uniform(0, 20, 5), np.where(zero_stds, 0.0, rng.uniform(0.5, 9, 5)),
+                          acont_mean, acont_std)
+        cfg = TrainConfig(batch_size=batch_size, target_clone_period=3,
+                          mode="mixed" if mixed else "discrete_only")
+        net = init_mlp(network_spec(cfg.mode), seed)
+        states, aconts, next_states = apply_norm_rows(stats, raw)
+        normalized = Transitions(states, raw.actions, aconts, next_states, raw.rewards)
+        want_losses, weights, biases = td_steps_arrays(net, normalized, n_steps, cfg, seed,
+                                                       cfg.lr0, cfg.acont_range(stats))
+        learner = Learner.fresh(net, np.random.default_rng(seed))
+        losses = td_steps(learner, raw, n_steps, cfg, stats)
         assert losses.tolist() == want_losses.tolist()
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert got.tolist() == want.tolist()
@@ -108,7 +140,7 @@ class TestFlatTraining:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            td_steps(learner, data, 5, TrainConfig(batch_size=200))
+            td_steps(learner, data, 5, TrainConfig(batch_size=200), NormStats.identity())
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -228,7 +260,7 @@ class TestReplaySampling:
         data = Transitions(np.zeros((10, 5)), np.zeros(10), np.zeros(10), np.zeros((10, 5)),
                            np.arange(10.0))
         learner = Learner.fresh(zero_net(), np.random.default_rng(0))
-        td_steps(learner, data, 1000, TrainConfig(batch_size=100))
+        td_steps(learner, data, 1000, TrainConfig(batch_size=100), NormStats.identity())
         counts = np.bincount(np.array(drawn, dtype=int), minlength=10)
         freqs = counts / 100_000
         assert np.abs(freqs - 0.1).max() < 0.03
@@ -286,7 +318,7 @@ class TestTrain:
         # rewards of 1e200 square to inf in the first step's loss
         data = toy_data(20)
         data.rewards[:] = 1e200
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
+        with pytest.raises(TrainingDiverged) as exc:  # td_step raises without a warning
             train(data, data, TrainConfig(epochs=2, batch_size=50, seed=7), NormStats.identity())
         assert exc.value.loss == math.inf
         assert (exc.value.epoch, exc.value.step) == (0, 0)
@@ -314,8 +346,8 @@ class TestTrain:
         learner = Learner.fresh(init_mlp(network_spec("mixed"), 4), np.random.default_rng(4))
         lr = cfg.lr0
         for _ in range(cfg.epochs):
-            td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg, lr,
-                     cfg.acont_range(NormStats.identity()))
+            td_steps(learner, data, math.ceil(len(data) / cfg.batch_size), cfg,
+                     NormStats.identity(), lr)
             lr *= cfg.lr_decay_per_epoch
         for a, b in zip(net.weights + net.biases, learner.net.weights + learner.net.biases):
             np.testing.assert_array_equal(a, b)

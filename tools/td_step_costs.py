@@ -5,15 +5,16 @@ Usage, from the root of a checkout:
     python3 tools/td_step_costs.py [--mode discrete_only|mixed] [--rows N] [--steps N]
                                    [--repeats N] [--seed N]
 
-Runs `qlearn.td_steps` on a random, already normalized replay of --rows
-transitions with batch 200 (the paper's), BLAS on one thread. Each repeat
-runs --steps steps twice: once untraced, for the whole step's cost, and once
-with timers wrapped around the names `qlearn` calls through its module
-globals (`bellman_target`, `forward_batch`, `backward_batch`,
-`rmsprop_step`, `td_step`), for the layer costs. The gather is the traced
-`td_steps` time that no `td_step` call covers: the replay draw, the batch
-gather and the loop. Prints one JSON object of per-step medians over the
-repeats, in microseconds, with the numpy/BLAS build and the Python version.
+Runs `qlearn.td_steps` on a random replay of --rows transitions, already in
+normalized units and passed with `NormStats.identity()`, with batch 200 (the
+paper's), BLAS on one thread. Each repeat runs --steps steps twice: once
+untraced, for the whole step's cost, and once with timers wrapped around the
+names `qlearn` calls through its module globals (`bellman_target`,
+`forward_batch`, `backward_batch`, `rmsprop_step`, `td_step`), for the layer
+costs. The gather is the traced `td_steps` time that no `td_step` call
+covers: the replay draw, the batch gather, the per-batch `apply_norm` and
+the loop. Prints one JSON object of per-step medians over the repeats, in
+microseconds, with the numpy/BLAS build and the Python version.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from clvdqn import qlearn  # noqa: E402
-from clvdqn.action_space import AcontRange  # noqa: E402
 from clvdqn.nn_core import init_mlp  # noqa: E402
-from clvdqn.rfmi import Transitions  # noqa: E402
+from clvdqn.rfmi import NormStats, Transitions  # noqa: E402
 
 LAYERS = ("gather", "bellman_target", "forward", "backward", "rmsprop", "td_step_rest")
 
@@ -88,17 +88,18 @@ class Timers:
         return timed
 
 
-def one_repeat(data, mode, steps, seed, acont_range):
+def one_repeat(data, mode, steps, seed):
     cfg = qlearn.TrainConfig(mode=mode, batch_size=200, target_clone_period=10_000, seed=seed)
     net = init_mlp(qlearn.network_spec(mode), seed)
     learner = qlearn.Learner.fresh(net, np.random.default_rng(seed))
-    qlearn.td_steps(learner, data, 20, cfg, acont_range=acont_range)  # warm-up
+    stats = NormStats.identity()
+    qlearn.td_steps(learner, data, 20, cfg, stats)  # warm-up
     start = time.perf_counter()
-    qlearn.td_steps(learner, data, steps, cfg, acont_range=acont_range)
+    qlearn.td_steps(learner, data, steps, cfg, stats)
     untraced = time.perf_counter() - start
     with Timers().installed() as timers:
         start = time.perf_counter()
-        qlearn.td_steps(learner, data, steps, cfg, acont_range=acont_range)
+        qlearn.td_steps(learner, data, steps, cfg, stats)
         traced = time.perf_counter() - start
     s = timers.seconds
     costs = {
@@ -131,8 +132,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     data = replay(args.rows, args.seed)
-    acont_range = AcontRange(-2.0, 2.0, 0.0) if args.mode == "mixed" else None
-    runs = [one_repeat(data, args.mode, args.steps, args.seed + r, acont_range)
+    runs = [one_repeat(data, args.mode, args.steps, args.seed + r)
             for r in range(args.repeats)]
     medians = {k: round(statistics.median(run[k] for run in runs), 1) for k in runs[0]}
     print(json.dumps({
