@@ -16,15 +16,16 @@ from clvdqn.rfmi import Timelines, build_transitions, compute_norm_stats
 rng = np.random.default_rng(0)
 
 # 1. Fake logged history: 200 customers observed for 12 periods, one row of
-#    each (customers, periods) grid per customer. Donations are more likely
-#    shortly after a mailing, which gives the learner a signal.
+#    each (customers, periods) array per customer; Timelines takes them
+#    raveled, customer by customer. Donations are more likely shortly after a
+#    mailing, which gives the learner a signal.
 amounts, actions = np.zeros((200, 12)), np.zeros((200, 12), dtype=np.int64)
 for c in range(200):
     actions[c] = rng.integers(0, 12, size=12)
     p = 0.10 + 0.15 * (actions[c] > 0)
     amounts[c] = np.where(rng.random(12) < p, rng.exponential(12.0, size=12), 0.0)
-timelines = Timelines([f"cust{c}" for c in range(200)], np.full(200, 12), amounts, actions,
-                      np.zeros((200, 12)))
+timelines = Timelines([f"cust{c}" for c in range(200)], np.full(200, 12), amounts.ravel(),
+                      actions.ravel(), np.zeros(200 * 12))
 
 transitions = build_transitions(timelines)
 print(f"built {len(transitions)} transitions from {len(timelines)} timelines")

@@ -137,6 +137,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = _effective_config(args)
+    _check_outputs(*(path for path in (args.report_out, args.csv_out) if path))
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise rfmi.DataError(f"no transitions in {args.transitions}")

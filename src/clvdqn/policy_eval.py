@@ -70,11 +70,20 @@ class ClvEstimate:
         return float(self.values.max())
 
 
+def _finite(qs):
+    """qs, or ConfigError if a Q-value overflowed: finite but huge weights can do that."""
+    if not np.isfinite(qs).all():
+        raise ConfigError("non-finite Q-value: the network overflows")
+    return qs
+
+
 def _raw_action_values(net: Mlp, raw_states, norm_stats: NormStats, acont_range):
     """action_values of raw states, with a mixed net's aconts in raw units and inaction's 0."""
     if np.shape(raw_states)[-1:] != (5,):  # normalize_state would broadcast a narrower state
         raise ConfigError(f"expected 5-dim raw states, got shape {np.shape(raw_states)}")
-    aconts, qs = action_values(net, norm_stats.normalize_state(raw_states), acont_range)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow once
+        aconts, qs = action_values(net, norm_stats.normalize_state(raw_states), acont_range)
+    _finite(qs)
     if is_mixed(net):
         aconts = norm_stats.denormalize_acont(aconts)
         aconts[:, 0] = 0.0
@@ -200,8 +209,9 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):
     if is_mixed(net):
         inaction = norm_stats.normalize_acont(0.0)
         states = np.concatenate([states, np.full((len(states), 1), inaction)], axis=1)
-    q, _ = forward_batch(net, states)
-    return np.concatenate([grid, q], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, _ = forward_batch(net, states)
+    return np.concatenate([grid, _finite(q)], axis=1)
 
 
 def write_curves_csv(rows, sweep: SweepSpec, path):

@@ -36,17 +36,17 @@ class DataError(ValueError):
 
 @dataclass
 class Timelines:
-    """Customer timelines as (customers, longest) grids; row k is customer k's timeline.
+    """Customer timelines as flat columns of one entry per customer-period.
 
-    Period p of customer k is column p. The cells at and after a customer's
-    length are padding: no gift, inaction, acont 0.
+    Customer k's periods 0..lengths[k]-1 sit together, the customers one after
+    another. A missing period is empty: no gift, inaction, acont 0.
     """
 
     customer_ids: list
     lengths: np.ndarray  # (customers,) int64 periods of each timeline, >= 2
-    amounts: np.ndarray  # (customers, longest) donation per period, 0 = none
-    actions: np.ndarray  # (customers, longest) int64, 0 = inaction
-    aconts: np.ndarray  # (customers, longest) continuous attribute, 0 for inaction
+    amounts: np.ndarray  # (lengths.sum(),) donation per period, 0 = none
+    actions: np.ndarray  # (lengths.sum(),) int64, 0 = inaction
+    aconts: np.ndarray  # (lengths.sum(),) continuous attribute, 0 for inaction
 
     def __post_init__(self):
         self.customer_ids = list(self.customer_ids)
@@ -54,14 +54,15 @@ class Timelines:
         self.amounts = np.asarray(self.amounts, dtype=np.float64)
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.aconts = np.asarray(self.aconts, dtype=np.float64)
-        grids = (self.amounts, self.actions, self.aconts)
+        columns = (self.amounts, self.actions, self.aconts)
         n = len(self.customer_ids)
-        if (self.amounts.ndim != 2 or self.lengths.shape != (n,)
-                or {g.shape for g in grids} != {(n, self.amounts.shape[1])}
-                or (self.lengths > self.amounts.shape[1]).any()):
-            raise DataError("timeline grids must be (customers, periods), each length within")
-        k, message = _first_fault([*((mask.any(axis=1), f"{message} in timeline {{}}")
-                                     for mask, message in _value_faults(*grids)),
+        if (self.lengths.shape != (n,) or (self.lengths < 0).any()
+                or {c.shape for c in columns} != {(self.lengths.sum(),)}):
+            raise DataError("timeline lengths must be >= 0, and each column hold their sum")
+        owner = np.repeat(np.arange(n), self.lengths)  # the customer of each period
+        k, message = _first_fault([*((np.bincount(owner[mask], minlength=n) > 0,
+                                      f"{message} in timeline {{}}")
+                                     for mask, message in _value_faults(*columns)),
                                    (self.lengths < 2, "timeline {} needs >= 2 periods")])
         if message:
             raise DataError(message.format(self.customer_ids[k]))
@@ -135,20 +136,21 @@ def advance_states(states: np.ndarray, gift_sums: np.ndarray, actions: np.ndarra
 def build_transitions(timelines: Timelines) -> Transitions:
     """One transition per period after the first of each timeline, customer by customer.
 
-    The reward co-occurs with the action. The states of every customer are
-    stepped together, one grid column at a time, with advance_states.
+    The reward co-occurs with the action. Period by period, advance_states
+    steps the customers whose timeline runs on.
     """
-    n, width = timelines.amounts.shape
-    states = np.zeros((n, width, 5))
-    gift_sums = np.zeros(n)
-    for p in range(width - 1):
-        states[:, p + 1], gift_sums = advance_states(states[:, p], gift_sums,
-                                                     timelines.actions[:, p],
-                                                     timelines.amounts[:, p])
-    keep = np.arange(width - 1) < timelines.lengths[:, None] - 1  # row-major: customer by customer
-    return Transitions(states[:, :-1][keep], timelines.actions[:, :-1][keep],
-                       timelines.aconts[:, :-1][keep], states[:, 1:][keep],
-                       timelines.amounts[:, :-1][keep])
+    lengths, amounts, actions = timelines.lengths, timelines.amounts, timelines.actions
+    ends = np.cumsum(lengths)
+    rows, last, gift_sums = ends - lengths, ends - 1, np.zeros(len(ends))  # per running customer
+    states = np.zeros((len(amounts), 5))  # each period's state at its start
+    while (running := rows < last).any():
+        rows, last, gift_sums = rows[running], last[running], gift_sums[running]
+        states[rows + 1], gift_sums = advance_states(states[rows], gift_sums, actions[rows],
+                                                     amounts[rows])
+        rows += 1
+    rows = np.delete(np.arange(len(states)), ends - 1)  # every period but each customer's last
+    return Transitions(states[rows], actions[rows], timelines.aconts[rows], states[rows + 1],
+                       amounts[rows])
 
 
 @dataclass
@@ -310,10 +312,10 @@ def read_timelines(path) -> Timelines:
     file that is not UTF-8, a wrong header, a row without exactly 5 fields, a
     malformed number, a negative period or amount, a non-finite amount or
     acont, an action outside 0..11, a repeated period of one customer, a
-    customer with fewer than 2 periods, or a period too large for the grids
+    customer with fewer than 2 periods, or a period too large for the columns
     raises DataError("path:line: ..."), naming the first such row (the row of
     the largest period for the last). Timelines come in order of their
-    customer's first row, each padded with empty periods up to its last.
+    customer's first row, each with an empty period where a row is missing.
     """
     with open_text(path, newline="") as f:
         reader = csv.reader(f)
@@ -354,15 +356,13 @@ def read_timelines(path) -> Timelines:
     i, message = _first_fault([(short, lambda i: f"timeline {cids[i]} needs >= 2 periods")])
     if message:
         raise DataError(f"{path}:{line_nums[i]}: {message}")
-    try:
-        grids = [np.zeros((len(index), int(lengths.max(initial=0))), dtype=values.dtype)
-                 for values in (amount, action, acont)]
+    try:  # a sum of Python ints, which cannot wrap as an int64 sum can
+        columns = np.zeros((3, sum(lengths.tolist())))  # actions too: 0..11 are exact floats
     except (ValueError, MemoryError):
         i = int(np.argmax(period))
         raise DataError(f"{path}:{line_nums[i]}: period too large") from None
-    for grid, values in zip(grids, (amount, action, acont)):
-        grid[codes, period] = values
-    return Timelines(list(index), lengths, *grids)
+    columns[:, (np.cumsum(lengths) - lengths)[codes] + period] = amount, action, acont
+    return Timelines(list(index), lengths, *columns)
 
 
 def _formatted(column):

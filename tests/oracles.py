@@ -410,11 +410,13 @@ def read_timelines_rows(path) -> Timelines:
         lengths.append(max(rows) + 1)
         if lengths[-1] < 2:
             raise DataError(f"{path}:{first_lines[cid]}: timeline {cid} needs >= 2 periods")
-    shape = (len(lengths), max(lengths, default=0))
-    amounts, actions, aconts = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    for k, rows in enumerate(per_customer.values()):
-        for period, (amount, action, acont) in rows.items():
-            amounts[k, period], actions[k, period], aconts[k, period] = amount, action, acont
+    amounts, actions, aconts = [], [], []
+    for length, rows in zip(lengths, per_customer.values()):
+        for period in range(length):
+            amount, action, acont = rows.get(period, (0.0, 0, 0.0))
+            amounts.append(amount)
+            actions.append(action)
+            aconts.append(acont)
     return Timelines(list(per_customer), lengths, amounts, actions, aconts)
 
 

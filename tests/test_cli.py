@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -714,6 +715,48 @@ class TestFaultsExitWithoutTraceback:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not ckpt.exists() and not hist.exists()
+
+    def test_evaluate_checks_both_output_paths_before_any_work(self, tmp_path, capsys,
+                                                              transitions_csv):
+        (tmp_path / "ev").mkdir()
+        (tmp_path / "outdir").mkdir()
+        report = tmp_path / "ev" / "r.txt"
+        capsys.readouterr()  # the fixture's output
+        code = main(["evaluate", str(transitions_csv), str(zero_checkpoint(tmp_path)),
+                     "--report-out", str(report), "--csv-out", str(tmp_path / "outdir")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == f"data error: [Errno 21] Is a directory: '{tmp_path / 'outdir'}'\n"
+        assert out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "clv", "curves"])
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_overflowing_network_is_usage_error(self, tmp_path, capsys, transitions_csv, mode,
+                                                command):
+        # finite weights of +-1e300 overflow the forward pass to inf and nan
+        net = init_mlp(network_spec(mode), seed=0)
+        for w in net.weights:
+            w[:] = np.copysign(1e300, w)
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, net, TrainConfig(mode=mode), NormStats.identity())
+        out_file = tmp_path / "out.csv"
+        argv = {
+            "evaluate": ["evaluate", str(transitions_csv), str(ckpt), "--report-out",
+                         str(tmp_path / "r.txt"), "--csv-out", str(out_file)],
+            "clv": ["clv", str(ckpt), "--state", "3,2,15,1,4", "--out", str(out_file)],
+            "curves": ["curves", str(ckpt), "--dims", "recency", "--range", "0:10",
+                       "--resolution", "5", "--out", str(out_file)],
+        }[command]
+        capsys.readouterr()  # the fixture's output
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: non-finite Q-value") and err.count("\n") == 1
+        assert out == "" and [str(w.message) for w in caught] == []
+        assert not out_file.exists() and not (tmp_path / "r.txt").exists()
 
     def test_valid_fraction_that_empties_a_side_is_data_error(self, tmp_path, capsys,
                                                             transitions_csv):

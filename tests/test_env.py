@@ -290,12 +290,12 @@ class TestRunAutonomous:
         def by_customer(column):  # the replay is episode-major
             return np.swapaxes(column.reshape(-1, n, *column.shape[1:]), 0, 1)
 
-        def grid(column):  # one trailing empty period per customer
-            return np.pad(by_customer(column), ((0, 0), (0, 1)))
+        def flat(values):  # customer by customer, one trailing empty period each
+            return np.pad(by_customer(values), ((0, 0), (0, 1))).ravel()
 
         periods = len(data) // n + 1
         timelines = Timelines([str(i) for i in range(n)], np.full(n, periods),
-                              grid(data.rewards), grid(data.actions), grid(data.aconts))
+                              flat(data.rewards), flat(data.actions), flat(data.aconts))
         rebuilt = build_transitions(timelines)
         np.testing.assert_array_equal(rebuilt.states, by_customer(data.states).reshape(-1, 5))
         np.testing.assert_array_equal(rebuilt.next_states,

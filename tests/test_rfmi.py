@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,20 +53,17 @@ def ragged_timelines(draw):
 def timeline(amounts, actions=None, aconts=None, cid="c1"):
     """Timelines of one customer."""
     n = len(amounts)
-    return Timelines([cid], [n], [amounts], [actions if actions is not None else [0] * n],
-                     [aconts if aconts is not None else [0.0] * n])
+    return Timelines([cid], [n], amounts, actions if actions is not None else [0] * n,
+                     aconts if aconts is not None else [0.0] * n)
 
 
 def joined(parts):
-    """One Timelines of one-customer Timelines, in order, each padded to the longest."""
-    width = max((tl.amounts.shape[1] for tl in parts), default=0)
-
-    def grid(name):
-        rows = [np.pad(getattr(tl, name)[0], (0, width - tl.amounts.shape[1])) for tl in parts]
-        return np.array(rows).reshape(len(parts), width)
+    """One Timelines of one-customer Timelines, in order."""
+    def column(name):
+        return np.concatenate([getattr(tl, name) for tl in parts]) if parts else []
 
     return Timelines([tl.customer_ids[0] for tl in parts], [tl.lengths[0] for tl in parts],
-                     grid("amounts"), grid("actions"), grid("aconts"))
+                     column("amounts"), column("actions"), column("aconts"))
 
 
 def states_of(tl):
@@ -73,7 +71,7 @@ def states_of(tl):
     them, after checking them against the row oracle."""
     t = build_transitions(tl)
     states = np.vstack([t.states, t.next_states[-1:]])
-    assert states.tolist() == timeline_states_rows(tl.amounts[0], tl.actions[0])[:tl.lengths[0]]
+    assert states.tolist() == timeline_states_rows(tl.amounts, tl.actions)[:tl.lengths[0]]
     return states
 
 
@@ -142,11 +140,18 @@ class TestBuildTransitions:
     ])
     def test_invalid_timeline_values_rejected(self, amounts, actions, aconts, message):
         with pytest.raises(DataError, match=f"^{message} in timeline x$"):
-            Timelines(["x"], [3], [amounts], [actions], [aconts])
+            Timelines(["x"], [3], amounts, actions, aconts)
 
     def test_too_short(self):
         with pytest.raises(DataError, match="timeline c2 needs >= 2 periods"):
-            Timelines(["c1", "c2"], [2, 1], np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+            Timelines(["c1", "c2"], [2, 1], np.zeros(3), np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("lengths, periods", [([4, -1], 3), ([2, 2], 3), ([2, 2], 5)],
+                             ids=["negative-length", "short-columns", "long-columns"])
+    def test_lengths_must_match_the_columns(self, lengths, periods):
+        with pytest.raises(DataError, match="lengths must be >= 0, and each column hold"):
+            Timelines(["c1", "c2"], lengths, np.zeros(periods), np.zeros(periods),
+                      np.zeros(periods))
 
     def test_recency_reset_after_donation(self):
         states = states_of(timeline([0, 0, 8, 0, 0]))
@@ -156,18 +161,43 @@ class TestBuildTransitions:
     def test_no_timelines_no_rows(self):
         assert len(build_transitions(joined([]))) == 0
 
+    def test_memory_follows_the_periods_not_customers_times_the_longest(self, tmp_path):
+        # 300 customers of 2 periods and one of 3,001: a (customers, longest) grid per
+        # column would take about 100 times the bytes of the 3,300 transitions
+        path = tmp_path / "sparse.csv"
+        lines = [",".join(TIMELINE_COLUMNS), "sparse,0,1.0,,", "sparse,3000,2.0,3,1.5"]
+        lines += [f"c{c},{p},{5.0 * p},{c % 12 or ''}," for c in range(300) for p in range(2)]
+        path.write_text("\n".join(lines) + "\n")
+
+        def traced_peak(call, *args):  # (result, peak bytes above those held before the call)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            timelines, read_peak = traced_peak(read_timelines, path)
+            data, build_peak = traced_peak(build_transitions, timelines)
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 3300
+        size = sum(column.nbytes for column in (data.states, data.actions, data.aconts,
+                                                data.next_states, data.rewards))
+        assert read_peak < 4 * size
+        assert build_peak < 4 * size
+
     @settings(deadline=None)
     @given(ragged_timelines())
     def test_ragged_timelines_match_row_oracle(self, timelines):
         got = build_transitions(joined(timelines))
-        want = [timeline_states_rows(tl.amounts[0], tl.actions[0])[:tl.lengths[0]]
-                for tl in timelines]
+        want = [timeline_states_rows(tl.amounts, tl.actions)[:tl.lengths[0]] for tl in timelines]
         assert got.states.tolist() == [row for states in want for row in states[:-1]]
         assert got.next_states.tolist() == [row for states in want for row in states[1:]]
         for name, column in (("actions", got.actions), ("aconts", got.aconts),
                              ("amounts", got.rewards)):
             np.testing.assert_array_equal(
-                column, np.concatenate([getattr(tl, name)[0, :-1] for tl in timelines]))
+                column, np.concatenate([getattr(tl, name)[:-1] for tl in timelines]))
 
 
 def rows(states, actions, aconts, next_states, rewards=None):
@@ -252,12 +282,12 @@ class TestCsv:
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(TIMELINE_COLUMNS)
-            for cid, length, *grids in zip(tls.customer_ids, tls.lengths, tls.amounts,
-                                           tls.actions, tls.aconts):
-                for p, (amount, action, acont) in enumerate(zip(*grids)):
-                    if p < length:
-                        writer.writerow([cid, p, repr(float(amount)), action or "",
-                                         repr(float(acont)) if action else ""])
+            periods = zip(tls.amounts, tls.actions, tls.aconts)
+            for cid, length in zip(tls.customer_ids, tls.lengths):
+                for p in range(length):
+                    amount, action, acont = next(periods)
+                    writer.writerow([cid, p, repr(float(amount)), action or "",
+                                     repr(float(acont)) if action else ""])
         back = read_timelines(path)
         assert back.customer_ids == tls.customer_ids
         for name in ("lengths", "amounts", "actions", "aconts"):
@@ -563,7 +593,7 @@ def test_both_readers_read_one_number_grammar(csv_dir, cell):
         except DataError:
             return None
 
-    got = (acont(read_timelines, timelines, lambda t: t.aconts[0, :1]),
+    got = (acont(read_timelines, timelines, lambda t: t.aconts[:1]),
            acont(read_transitions, transitions, lambda t: t.aconts))
     if got[0] is None or got[1] is None:
         assert got[0] is None and got[1] is None
