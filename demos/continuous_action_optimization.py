@@ -13,21 +13,22 @@ Run: python3 demos/continuous_action_optimization.py
 import numpy as np
 
 from clvdqn.action_space import AcontRange, maximize_continuous_batch
-from clvdqn.nn_core import LayerSpec, Mlp, forward
+from clvdqn.nn_core import LayerSpec, Mlp, forward_batch, n_params
 from clvdqn.policy_eval import recommend_batch
 from clvdqn.rfmi import NormStats
 
 # Q[7](state, a) = 2 + relu(a) - 2*relu(a - 1): rises to 3.0 at a=1, falls after.
+# A net wraps one flat parameter vector; its per-layer weights and biases are views into it.
 specs = (LayerSpec(6, 2, "relu"), LayerSpec(2, 12, "linear"))
-w1 = np.zeros((2, 6))
+net = Mlp(specs, np.zeros(n_params(specs)))
+(w1, w2), (b1, b2) = net.weights, net.biases
 w1[0, 5] = 1.0
 w1[1, 5] = 1.0
-w2 = np.zeros((12, 2))
+b1[1] = -1.0
 w2[7, 0] = 1.0
 w2[7, 1] = -2.0
-b2 = np.full(12, 1.0)  # every other action sits flat at 1.0
+b2[:] = 1.0  # every other action sits flat at 1.0
 b2[7] = 2.0
-net = Mlp(specs=specs, weights=[w1, w2], biases=[np.array([0.0, -1.0]), b2])
 
 # The attribute's search interval, and the input that stands for inaction.
 acont_range = AcontRange(-2.0, 2.0, inaction=0.0)
@@ -46,5 +47,5 @@ print(f"best mixed action: {actions[0]} at attribute {best_aconts[0]:.3f}, "
 
 # The attribute matters: evaluate the same action at a few fixed settings.
 for a in (-2.0, 0.0, 1.0, 2.0):
-    y, _ = forward(net, np.concatenate([states[0], [a]]))
-    print(f"  Q[7] at attribute {a:+.1f} = {y[7]:.3f}")
+    y, _ = forward_batch(net, np.concatenate([states[0], [a]])[None, :])
+    print(f"  Q[7] at attribute {a:+.1f} = {y[0, 7]:.3f}")

@@ -4,8 +4,9 @@ Subcommands: build-transitions, train, evaluate, clv, simulate, curves.
 Configuration is a flat key=value file; command-line flags win over config
 values. All randomness is controlled by --seed. evaluate, clv and curves take
 the mode and the acont bounds from the checkpoint. Exit codes: 0 success,
-1 usage error (nn_core.ConfigError, "error: ..."), 2 data error (rfmi.DataError
-or an unreadable or unwritable path, "data error: ..."), 3 training divergence.
+1 usage error (nn_core.ConfigError or out of memory, "error: ..."), 2 data error
+(rfmi.DataError or an unreadable or unwritable path, "data error: ..."), 3 training
+divergence (nn_core.TrainingDiverged, "training diverged: ...").
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ CONFIG_KEYS = (
 )
 CLI_DEFAULTS = {"validation_fraction": 0.25, "population": 500}
 CONFIGS = (TrainConfig, env_mod.DonorModel, env_mod.AgentConfig)
+MAX_DIM = int(np.iinfo(np.intp).max)  # the largest numpy array dimension
 
 
 def default_settings() -> dict:
@@ -86,6 +88,9 @@ def _effective_config(args) -> dict:
             settings[name] = MODE_NAMES[flag] if name == "mode" else flag
     if settings["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
+    for name, value in settings.items():  # each int but the seed counts or sizes something
+        if type(value) is int and name != "seed" and value > MAX_DIM:
+            raise ConfigError(f"{name} must be at most {MAX_DIM}, got {value}")
     return settings
 
 
@@ -206,6 +211,8 @@ def cmd_curves(args):
     except policy_eval.SweepError as exc:
         flag = {"dims": "dims", "ranges": "range", "reference": "reference"}[exc.field]
         raise ConfigError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}") from None
+    if args.resolution ** len(dims) > MAX_DIM:
+        raise ConfigError(f"--resolution {args.resolution} makes over {MAX_DIM} grid points")
     rows = policy_eval.export_value_curves(net, sweep, stats)
     policy_eval.write_curves_csv(rows, sweep, args.out)
     print(f"wrote {len(rows)} curve rows to {args.out}")
@@ -312,8 +319,8 @@ def main(argv=None) -> int:
     except (rfmi.DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

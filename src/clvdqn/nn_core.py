@@ -27,8 +27,13 @@ class ConfigError(ValueError):
     """Inconsistent settings: a network specification or a run configuration."""
 
 
-class TrainingError(RuntimeError):
-    """Non-finite values encountered during an optimizer step."""
+class TrainingDiverged(RuntimeError):
+    """A non-finite loss, or with loss None a gradient, at an epoch and step (-1 if unknown)."""
+
+    def __init__(self, epoch, step, loss=None):
+        what = "gradient" if loss is None else f"loss {loss}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.epoch, self.step, self.loss = epoch, step, loss
 
 
 @dataclass(frozen=True)
@@ -62,23 +67,17 @@ def layer_views(specs, flat: np.ndarray):
 class Mlp:
     """Layer specs plus one flat parameter vector; weights[i] is (output_dim, input_dim)."""
 
-    def __init__(self, specs, weights, biases):
-        """Copies the per-layer weights and biases into one new flat vector."""
-        self._wrap(validate_specs(specs), np.zeros(n_params(specs)))
-        for view, values in zip(self.weights + self.biases, [*weights, *biases], strict=True):
-            if np.shape(values) != view.shape:
-                raise ConfigError(f"parameter shape {np.shape(values)} != {view.shape}")
-            view[...] = values
-
-    def _wrap(self, specs, flat):
-        """Makes flat itself (not a copy) the parameters of this net."""
-        self.specs, self.flat = tuple(specs), flat
+    def __init__(self, specs, flat: np.ndarray):
+        """Makes flat itself (not a copy) the parameters of this net: n_params(specs) floats."""
+        self.specs = validate_specs(specs)
+        if flat.shape != (n_params(self.specs),):
+            raise ConfigError(f"parameter vector shape {flat.shape} != ({n_params(self.specs)},)")
+        self.flat = flat
         self.weights, self.biases = layer_views(self.specs, flat)
         self.input_dim, self.output_dim = self.specs[0].input_dim, self.specs[-1].output_dim
-        return self
 
     def copy(self) -> "Mlp":
-        return Mlp.__new__(Mlp)._wrap(self.specs, self.flat.copy())
+        return Mlp(self.specs, self.flat.copy())
 
 
 @dataclass
@@ -96,15 +95,6 @@ class Gradients:
         return cls(net.specs, np.empty_like(net.flat))
 
 
-@dataclass
-class RmspropState:
-    cache: np.ndarray  # running mean of squared gradients, in Mlp.flat's layout
-
-    @classmethod
-    def init_like(cls, net: Mlp) -> "RmspropState":
-        return cls(np.zeros_like(net.flat))
-
-
 def validate_specs(specs) -> tuple:
     specs = tuple(specs)
     if not specs:
@@ -119,10 +109,9 @@ def validate_specs(specs) -> tuple:
 
 def init_mlp(specs, seed: int) -> Mlp:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    specs = validate_specs(specs)
+    net = Mlp(specs, np.zeros(n_params(specs)))
     rng = np.random.default_rng(seed)
-    net = Mlp.__new__(Mlp)._wrap(specs, np.zeros(n_params(specs)))
-    for spec, w in zip(specs, net.weights):
+    for spec, w in zip(net.specs, net.weights):
         scale = 1.0 / np.sqrt(spec.input_dim)
         w[...] = rng.uniform(-scale, scale, size=w.shape)
     return net
@@ -145,12 +134,6 @@ def forward_batch(net: Mlp, inputs: np.ndarray):
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return h, {"inputs": layer_inputs, "pres": pre_acts}
-
-
-def forward(net: Mlp, inputs):
-    """Single-vector forward. Returns (output vector, cache)."""
-    y, cache = forward_batch(net, np.asarray(inputs, dtype=np.float64)[None, :])
-    return y[0], cache
 
 
 def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = None,
@@ -184,24 +167,20 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = N
     return grads
 
 
-def backward(net: Mlp, cache, output_grad) -> Gradients:
-    """Single-vector backprop; input_grads is a flat vector."""
-    grads = backward_batch(net, cache, np.asarray(output_grad, dtype=np.float64)[None, :])
-    grads.input_grads = grads.input_grads[0]
-    return grads
-
-
-def rmsprop_step(net: Mlp, grads: Gradients, state: RmspropState, lr: float):
-    """In-place RMSProp update of every parameter at once. Returns (net, state)."""
+def rmsprop_step(net: Mlp, grads: Gradients, cache: np.ndarray, lr: float):
+    """In-place RMSProp update of every parameter and of cache, np.zeros_like(net.flat) at
+    first; a gradient whose square or step is not finite raises TrainingDiverged instead."""
     if not lr > 0:  # NaN too
         raise ConfigError(f"learning rate must be positive, got {lr}")
     g = grads.flat
-    if not np.isfinite(g).all():
-        raise TrainingError("non-finite gradient in optimizer step")
-    state.cache *= RMSPROP_DECAY
-    state.cache += (1.0 - RMSPROP_DECAY) * g * g
-    net.flat -= lr * g / (np.sqrt(state.cache) + RMSPROP_EPSILON)
-    return net, state
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_cache = cache * RMSPROP_DECAY
+        new_cache += (1.0 - RMSPROP_DECAY) * g * g
+        step = lr * g / (np.sqrt(new_cache) + RMSPROP_EPSILON)
+    if not (np.isfinite(new_cache).all() and np.isfinite(step).all()):
+        raise TrainingDiverged(-1, -1)
+    cache[...] = new_cache
+    net.flat -= step
 
 
 def save_mlp(net: Mlp, path):
@@ -234,7 +213,7 @@ def load_mlp(path) -> Mlp:
     expected = 8 * n_params(specs)
     if len(raw) != expected:
         raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
-    net = Mlp.__new__(Mlp)._wrap(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    net = Mlp(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         for kind, values in (("weights", w), ("biases", b)):
             if not np.all(np.isfinite(values)):

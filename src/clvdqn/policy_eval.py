@@ -197,11 +197,7 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):
     for dim, val in sweep.reference.items():
         base[STATE_DIMS.index(dim)] = val
     axes = [np.linspace(lo, hi, sweep.resolution) for lo, hi in sweep.ranges]
-    if len(sweep.dims) == 1:
-        grid = axes[0][:, None]
-    else:
-        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
-        grid = np.column_stack([a.ravel(), b.ravel()])
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
     raw_states = np.tile(base, (len(grid), 1))
     for j, dim in enumerate(sweep.dims):
         raw_states[:, STATE_DIMS.index(dim)] = grid[:, j]
@@ -230,36 +226,32 @@ def _fmt(stats: GroupStats):
     return f"rate={stats.response_rate:.4f} mean_reward={stats.mean_reward:.4f} n={stats.n}"
 
 
-def report_text(report: EvaluationReport, timestamp: bool = True) -> str:
-    lines = []
-    if timestamp:
-        lines.append(datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
-    lines.append(f"# caveat: {BIAS_CAVEAT}")
-    lines.append(f"matched               : {_fmt(report.matched)}")
-    lines.append(f"deviated              : {_fmt(report.deviated)}")
-    lines.append(f"random baseline       : {_fmt(report.random_baseline)}")
-    lines.append(
-        f"best single action ({report.best_single_action:>2}): "
-        f"{_fmt(report.best_single_action_stats)}"
+def _groups(report: EvaluationReport):
+    """(name, action or "", stats) of each group, in report order."""
+    return (
+        ("matched", "", report.matched),
+        ("deviated", "", report.deviated),
+        ("random_baseline", "", report.random_baseline),
+        ("best_single_action", report.best_single_action, report.best_single_action_stats),
+        ("dataset_mean", "", report.dataset_mean),
     )
-    lines.append(f"dataset mean          : {_fmt(report.dataset_mean)}")
+
+
+def report_text(report: EvaluationReport, timestamp: bool = True) -> str:
+    lines = [datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")] if timestamp else []
+    lines.append(f"# caveat: {BIAS_CAVEAT}")
+    for name, action, stats in _groups(report):
+        label = name.replace("_", " ") + ("" if action == "" else f" ({action:>2})")
+        lines.append(f"{label:<22}: {_fmt(stats)}")
     return "\n".join(lines) + "\n"
 
 
 def report_csv_rows(report: EvaluationReport):
-    def row(name, stats, action=""):
-        rate = repr(stats.response_rate) if stats.defined else ""
-        mean = repr(stats.mean_reward) if stats.defined else ""
-        return [name, str(action), str(stats.n), rate, mean]
-
-    return [
-        ["group", "action", "n", "response_rate", "mean_reward"],
-        row("matched", report.matched),
-        row("deviated", report.deviated),
-        row("random_baseline", report.random_baseline),
-        row("best_single_action", report.best_single_action_stats, report.best_single_action),
-        row("dataset_mean", report.dataset_mean),
-    ]
+    rows = [["group", "action", "n", "response_rate", "mean_reward"]]
+    for name, action, stats in _groups(report):
+        rates = [repr(stats.response_rate), repr(stats.mean_reward)] if stats.defined else ["", ""]
+        rows.append([name, str(action), str(stats.n), *rates])
+    return rows
 
 
 def write_report_csv(report: EvaluationReport, path):

@@ -22,8 +22,7 @@ from .nn_core import (
     Gradients,
     LayerSpec,
     Mlp,
-    RmspropState,
-    TrainingError,
+    TrainingDiverged,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -38,14 +37,6 @@ log = logging.getLogger(__name__)
 HIDDEN = (40, 15)
 
 MODES = ("discrete_only", "mixed")
-
-
-class TrainingDiverged(TrainingError):
-    def __init__(self, epoch, step, loss):
-        super().__init__(f"non-finite loss {loss} at epoch {epoch}, step {step}")
-        self.epoch = epoch
-        self.step = step
-        self.loss = loss
 
 
 @dataclass
@@ -103,7 +94,7 @@ def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,
     return batch.rewards + cfg.gamma * max_next_q(batch.next_states, target_net, acont_range)
 
 
-def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cfg: TrainConfig,
+def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: np.ndarray, cfg: TrainConfig,
             lr=None, acont_range=None, grads: Gradients = None):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
@@ -120,14 +111,14 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: RmspropState, cf
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     q, cache = forward_batch(net, x)
     taken = (np.arange(n), batch.actions)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises just below
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         err = q[taken] - y
         loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
-    if not math.isfinite(loss):
-        raise TrainingDiverged(-1, -1, loss)
-    output_grads = np.zeros_like(q)
-    output_grads[taken] = 2.0 * err / n
-    grads = backward_batch(net, cache, output_grads, grads, input_grads=False)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(-1, -1, loss)
+        output_grads = np.zeros_like(q)
+        output_grads[taken] = 2.0 * err / n
+        grads = backward_batch(net, cache, output_grads, grads, input_grads=False)
     rmsprop_step(net, grads, opt, lr)
     return loss
 
@@ -138,13 +129,13 @@ class Learner:
 
     net: Mlp
     target: Mlp  # clone of net, refreshed every cfg.target_clone_period steps
-    opt: RmspropState
+    opt: np.ndarray  # the RMSProp cache, in Mlp.flat's layout
     rng: np.random.Generator  # uniform replay draws
     step: int = 0  # gradient steps completed
 
     @classmethod
     def fresh(cls, net: Mlp, rng, step: int = 0) -> "Learner":
-        return cls(net, net.copy(), RmspropState.init_like(net), rng, step)
+        return cls(net, net.copy(), np.zeros_like(net.flat), rng, step)
 
 
 def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig,

@@ -157,7 +157,7 @@ def build_transitions(timelines: Timelines) -> Transitions:
 class NormStats:
     """Affine normalization: 5 state dims plus the continuous action attribute.
 
-    Zero-variance dimensions keep std 0 in storage and divide by 1 when applied.
+    Zero-variance dimensions keep std 0 in storage and divide by 1, set at construction.
     """
 
     state_mean: np.ndarray
@@ -165,17 +165,20 @@ class NormStats:
     acont_mean: float
     acont_std: float
 
-    def _safe(self, std):
-        return np.where(np.asarray(std) > 0, std, 1.0)
+    def __post_init__(self):
+        self._state_div = np.where(np.asarray(self.state_std) > 0, self.state_std, 1.0)
+        self._acont_div = self.acont_std if self.acont_std > 0 else 1.0
 
     def normalize_state(self, arr) -> np.ndarray:
-        return (np.asarray(arr, dtype=np.float64) - self.state_mean) / self._safe(self.state_std)
+        out = np.asarray(arr, dtype=np.float64) - self.state_mean
+        out /= self._state_div  # in place, with the bits of a division into a new array
+        return out
 
     def normalize_acont(self, v: float) -> float:
-        return (v - self.acont_mean) / (self.acont_std if self.acont_std > 0 else 1.0)
+        return (v - self.acont_mean) / self._acont_div
 
     def denormalize_acont(self, v: float) -> float:
-        return v * (self.acont_std if self.acont_std > 0 else 1.0) + self.acont_mean
+        return v * self._acont_div + self.acont_mean
 
     @classmethod
     def identity(cls) -> "NormStats":

@@ -17,10 +17,18 @@ import numpy as np
 
 from clvdqn import policy_eval
 from clvdqn.env import REPLAY_CAPACITY, AutonomousResult, EpisodeRecord, ReplayRing
-from clvdqn.nn_core import Mlp, TrainingError, forward, forward_batch, init_mlp
-from clvdqn.qlearn import Learner, TrainingDiverged, max_next_q, network_spec, td_steps
+from clvdqn.nn_core import Mlp, TrainingDiverged, forward_batch, init_mlp, n_params
+from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
                          Timelines, Transitions, _check_header, compute_norm_stats)
+
+
+def layered_net(specs, weights, biases) -> Mlp:
+    """A net of specs holding copies of per-layer weights and biases, written into its views."""
+    net = Mlp(specs, np.zeros(n_params(specs)))
+    for view, values in zip(net.weights + net.biases, [*weights, *biases], strict=True):
+        view[...] = values
+    return net
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
@@ -29,8 +37,8 @@ def finite_difference_grads(net, x, output_grad, h=1e-5):
     g = np.asarray(output_grad, dtype=np.float64)
 
     def objective():
-        y, _ = forward(net, x)
-        return float(g @ y)
+        y, _ = forward_batch(net, x[None, :])
+        return float(g @ y[0])
 
     weight_grads, bias_grads = [], []
     for arrs, grads in ((net.weights, weight_grads), (net.biases, bias_grads)):
@@ -102,7 +110,7 @@ def rmsprop_arrays(params, grads, caches, lr, decay=0.9, epsilon=1e-8):
     array updated in place, weights of every layer first, then biases."""
     for p, g, cache in zip(params, grads, caches):
         if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient in optimizer step")
+            raise TrainingDiverged(-1, -1)
         cache *= decay
         cache += (1.0 - decay) * g * g
         p -= lr * g / (np.sqrt(cache) + epsilon)
@@ -121,7 +129,7 @@ def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
     weights = [np.array(w) for w in net.weights]
     biases = [np.array(b) for b in net.biases]
     caches = [np.zeros_like(p) for p in weights + biases]
-    target = Mlp(specs, weights, biases)
+    target = layered_net(specs, weights, biases)
     rng = np.random.default_rng(seed)
     losses = []
     for step in range(1, n_steps + 1):
@@ -149,7 +157,7 @@ def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
             g = g @ weights[i]
         rmsprop_arrays(weights + biases, weight_grads + bias_grads, caches, lr)
         if step % cfg.target_clone_period == 0:
-            target = Mlp(specs, weights, biases)
+            target = layered_net(specs, weights, biases)
     return np.array(losses), weights, biases
 
 

@@ -15,7 +15,7 @@ import pytest
 from clvdqn.action_space import AcontRange, maximize_continuous_batch
 from clvdqn.cli import main
 from clvdqn.env import AgentConfig, DonorModel, run_autonomous
-from clvdqn.nn_core import LayerSpec, RmspropState, backward, forward, init_mlp, rmsprop_step
+from clvdqn.nn_core import LayerSpec, backward_batch, forward_batch, init_mlp, rmsprop_step
 from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves, recommend_batch
 from clvdqn.qlearn import TrainConfig, network_spec, td_step
 from clvdqn.rfmi import NormStats, Transitions
@@ -56,12 +56,12 @@ class TestCriterion1GradientCorrectness:
             net = init_mlp(specs, seed=trial)
             x = rng.normal(size=n_in)
             gy = rng.normal(size=12)
-            _, cache = forward(net, x)
-            grads = backward(net, cache, gy)
+            _, cache = forward_batch(net, x[None, :])
+            grads = backward_batch(net, cache, gy[None, :])
             fd_w, fd_b, fd_x = finite_difference_grads(net, x, gy)
             for analytic, fd in zip(grads.weight_grads + grads.bias_grads, fd_w + fd_b):
                 worst = max(worst, max_mixed_error(analytic, fd))
-            worst = max(worst, max_mixed_error(grads.input_grads, fd_x))
+            worst = max(worst, max_mixed_error(grads.input_grads[0], fd_x))
         elapsed = time.time() - t0
         verdict(1, worst < 1e-4 and elapsed < 10.0,
                 f"20 nets, max rel gradient error {worst:.2e} (< 1e-4), {elapsed:.1f}s (< 10s)")
@@ -97,7 +97,7 @@ class TestCriterion3ToyMdpConvergence:
         cfg = TrainConfig(gamma=GAMMA, lr0=0.03, batch_size=100, target_clone_period=50, seed=0)
         net = init_mlp(network_spec("discrete_only"), cfg.seed)
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         rng = np.random.default_rng(cfg.seed)
         lr = cfg.lr0
         for step in range(10_000):
@@ -109,7 +109,8 @@ class TestCriterion3ToyMdpConvergence:
         max_err = 0.0
         policy_ok = True
         for s in range(3):
-            q, _ = forward(net, onehot_state(s))
+            q, _ = forward_batch(net, onehot_state(s)[None, :])
+            q = q[0]
             max_err = max(max_err, float(np.abs(q[:2] - qstar[s]).max()))
             policy_ok &= int(np.argmax(q[:2])) == int(np.argmax(qstar[s]))
         elapsed = time.time() - t0

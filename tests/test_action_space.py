@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvdqn.action_space import AcontRange, action_values, maximize_continuous_batch
-from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, forward, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, LayerSpec, forward_batch, init_mlp
 from clvdqn.policy_eval import recommend_batch
 from clvdqn.qlearn import network_spec
 from clvdqn.rfmi import NormStats
-from oracles import grid_scan_max
+from oracles import grid_scan_max, layered_net
 
 MIXED_RANGE = AcontRange(-2.0, 2.0)
 BOUNDS = (MIXED_RANGE.lo, MIXED_RANGE.hi)
@@ -33,7 +33,7 @@ def tent_net(base=0.0, neuron=7, others_bias=0.0):
     w2[neuron, 1] = -2.0
     b2 = np.full(12, others_bias)
     b2[neuron] = base
-    return Mlp(specs=specs, weights=[w1, w2], biases=[b1, b2])
+    return layered_net(specs, [w1, w2], [b1, b2])
 
 
 def spike_net(center, half_width, neuron=5):
@@ -46,7 +46,7 @@ def spike_net(center, half_width, neuron=5):
     w2[neuron] = np.array([1.0, -2.0, 1.0]) / half_width
     b2 = np.zeros(12)
     b2[neuron] = 1.0
-    return Mlp(specs=specs, weights=[w1, w2], biases=[b1, b2])
+    return layered_net(specs, [w1, w2], [b1, b2])
 
 
 def maximize(net, state, acont_range=MIXED_RANGE):
@@ -66,9 +66,8 @@ def random_relu_net(rng, widths, n_out):
     dims = [6, *widths, n_out]
     specs = tuple(LayerSpec(i, o, "relu" if k < len(widths) else "linear")
                   for k, (i, o) in enumerate(zip(dims, dims[1:])))
-    return Mlp(specs=specs,
-               weights=[rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
-               biases=[rng.normal(size=o) for o in dims[1:]])
+    return layered_net(specs, [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
+                       [rng.normal(size=o) for o in dims[1:]])
 
 
 class TestBestDiscrete:
@@ -88,7 +87,8 @@ class TestBestDiscrete:
         rng = np.random.default_rng(3)
         for _ in range(20):
             state = rng.normal(size=5)
-            q, _ = forward(net, state)
+            q, _ = forward_batch(net, state[None, :])
+            q = q[0]
             action, _, best_q = best(net, state)
             assert action == int(np.argmax(q))
             assert best_q == q[action]
@@ -166,8 +166,8 @@ class TestMaximizeContinuous:
         for a in range(1, n_out):
             assert acont_range.lo <= aconts[a] <= acont_range.hi
             assert qs[a] >= grid_q[:, a].max() - 1e-12
-            q, _ = forward(net, np.concatenate([state, [aconts[a]]]))
-            assert q[a] == qs[a]
+            q, _ = forward_batch(net, np.concatenate([state, [aconts[a]]])[None, :])
+            assert q[0, a] == qs[a]
 
 
 class TestBestMixed:
@@ -188,8 +188,8 @@ class TestBestMixed:
             state = np.random.default_rng(200 + seed).normal(size=5)
             action, _, q = best(net, state, MIXED_RANGE)
             oracle_q = np.empty(12)
-            q0, _ = forward(net, np.concatenate([state, [0.0]]))
-            oracle_q[0] = q0[0]
+            q0, _ = forward_batch(net, np.concatenate([state, [0.0]])[None, :])
+            oracle_q[0] = q0[0, 0]
             for a in range(1, 12):
                 _, oracle_q[a] = grid_scan_max(net, state, a, BOUNDS)
             assert q >= oracle_q.max() - 1e-3
@@ -199,8 +199,8 @@ class TestBestMixed:
         net = init_mlp(network_spec("mixed"), seed=8)
         state = np.random.default_rng(8).normal(size=5)
         action, acont, best_q = best(net, state, MIXED_RANGE)
-        q, _ = forward(net, np.concatenate([state, [acont]]))
-        assert q[action] == best_q
+        q, _ = forward_batch(net, np.concatenate([state, [acont]])[None, :])
+        assert q[0, action] == best_q
 
     def test_bias_shift_leaves_argmax(self):
         net = init_mlp(network_spec("mixed"), seed=9)

@@ -236,6 +236,28 @@ class TestTrain:
         assert proc.returncode == 3
         assert proc.stderr == "training diverged: non-finite loss inf at epoch 0, step 0\n"
 
+    def test_gradient_divergence_prints_one_line(self, tmp_path, capsys, monkeypatch,
+                                                 transitions_csv):
+        # hidden unit 0 sits at 1e308 with no outgoing weight: the loss stays finite while
+        # the second layer's weight gradient overflows
+        def overflowing(specs, seed):
+            net = init_mlp(specs, seed)
+            net.biases[0][0] = 1e308
+            net.weights[1][:, 0] = 0.0
+            return net
+
+        monkeypatch.setattr(cli.qlearn, "init_mlp", overflowing)
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        capsys.readouterr()  # the fixture's output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", str(transitions_csv), "--epochs", "2", "--checkpoint",
+                         str(ckpt), "--history", str(hist)])
+        assert code == 3
+        assert capsys.readouterr() == ("", "training diverged: non-finite gradient at epoch 0, "
+                                           "step 0\n")
+        assert not ckpt.exists() and not hist.exists()
+
 
 class TestEvaluate:
     def test_report_and_csv(self, tmp_path, transitions_csv, capsys):
@@ -715,6 +737,60 @@ class TestFaultsExitWithoutTraceback:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not ckpt.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("command, settings, flags, key", [
+        ("train", "", ["--batch-size", str(10**19)], "batch_size"),
+        ("train", f"batch_size={10**19}", [], "batch_size"),
+        ("simulate", f"train_every=1\nbatch_size=5\nsteps_per_burst={10**19}", [],
+         "steps_per_burst"),
+        ("simulate", "", ["--population", str(10**19)], "population"),
+        ("curves", "", ["--resolution", str(10**19)], "--resolution"),
+        ("curves-2d", "", ["--resolution", str(10**19)], "--resolution"),
+    ], ids=["train-batch-size-flag", "train-batch-size", "steps_per_burst",
+            "population-flag", "curves-resolution", "curves-2d-resolution"])
+    def test_size_beyond_a_numpy_dimension_is_usage_error(self, tmp_path, capsys,
+                                                          transitions_csv, command, settings,
+                                                          flags, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{settings}\n")
+        ckpt, out = tmp_path / "c.ckpt", tmp_path / "out.csv"
+        argv = {
+            "train": ["train", str(transitions_csv), "--epochs", "1", "--checkpoint", str(ckpt),
+                      "--history", str(out), "--config", str(cfg)],
+            "simulate": ["simulate", "--population", "5", "--episodes", "3", "--checkpoint",
+                         str(ckpt), "--history", str(out), "--config", str(cfg)],
+            "curves": ["curves", str(zero_checkpoint(tmp_path)), "--dims", "recency",
+                       "--range", "0:1", "--out", str(out)],
+            "curves-2d": ["curves", str(zero_checkpoint(tmp_path)), "--dims",
+                          "recency,frequency", "--range", "0:1,0:1", "--out", str(out)],
+        }[command] + flags
+        capsys.readouterr()  # the fixture's output
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not ckpt.exists() and not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with shape "
+                                         "(1000000000000, 1) and data type float64", ""])
+    @pytest.mark.parametrize("command", ["train", "curves"])
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, transitions_csv,
+                                          command, message):
+        def allocate(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.qlearn, "train", allocate)
+        monkeypatch.setattr(cli.policy_eval, "export_value_curves", allocate)
+        ckpt, out = tmp_path / "c.ckpt", tmp_path / "out.csv"
+        argv = {
+            "train": ["train", str(transitions_csv), "--checkpoint", str(ckpt), "--history",
+                      str(out)],
+            "curves": ["curves", str(zero_checkpoint(tmp_path)), "--dims", "recency,frequency",
+                       "--range", "0:1,0:1", "--resolution", "1000000", "--out", str(out)],
+        }[command]
+        capsys.readouterr()  # the fixture's output
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message or 'out of memory'}\n")
+        assert not out.exists() and not ckpt.exists()
 
     def test_evaluate_checks_both_output_paths_before_any_work(self, tmp_path, capsys,
                                                               transitions_csv):

@@ -263,6 +263,26 @@ class TestRunAutonomous:
         assert any("diverged" in r.message for r in caplog.records)
         assert len(res.history) == 15  # exploration continued
 
+    def test_gradient_divergence_reinitializes(self, monkeypatch, caplog):
+        # the first step's gradient turns non-finite; rmsprop_step's own check raises
+        steps = []
+        real = qlearn_module.rmsprop_step
+
+        def overflowing(net, grads, cache, lr):
+            steps.append(net)
+            if len(steps) == 1:
+                grads.flat[0] = np.inf
+            return real(net, grads, cache, lr)
+
+        monkeypatch.setattr(qlearn_module, "rmsprop_step", overflowing)
+        with caplog.at_level("WARNING"):
+            res = run_autonomous(20, DonorModel(seed=6), AgentConfig(seed=6, episodes=15),
+                                 small_train_cfg(6))
+        assert [r.message for r in caplog.records] == [
+            "training diverged; re-initializing network with seed 7"]
+        assert steps[1] is not steps[0] and res.net is steps[-1]
+        assert len(res.history) == 15
+
     def test_initial_policy_hook(self):
         cfg = AgentConfig(seed=7, episodes=6, epsilon0=0.0, epsilon_floor=0.0,
                           train_every=10**9,

@@ -11,18 +11,17 @@ from clvdqn.nn_core import (
     Gradients,
     LayerSpec,
     Mlp,
-    RmspropState,
-    TrainingError,
-    backward,
+    TrainingDiverged,
     backward_batch,
-    forward,
     forward_batch,
     init_mlp,
     load_mlp,
+    n_params,
     rmsprop_step,
     save_mlp,
 )
-from oracles import finite_difference_grads, max_mixed_error
+from clvdqn.qlearn import Learner
+from oracles import finite_difference_grads, layered_net, max_mixed_error
 
 
 def zero_net(specs):
@@ -67,14 +66,14 @@ class TestInit:
 class TestForward:
     def test_zero_net_maps_to_zero(self):
         net = zero_net([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")])
-        y, _ = forward(net, [1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(y, [0.0, 0.0])
+        y, _ = forward_batch(net, [[1.0, -2.0, 3.0]])
+        np.testing.assert_array_equal(y[0], [0.0, 0.0])
 
     def test_relu_clamps_negative(self):
         net = zero_net([LayerSpec(1, 1, "relu")])
         net.weights[0][:] = [[-2.0]]
-        y, _ = forward(net, [3.0])
-        assert y[0] == 0.0
+        y, _ = forward_batch(net, [[3.0]])
+        assert y[0, 0] == 0.0
 
     def test_two_layer_absolute_value(self):
         # relu(x) + relu(-x) = |x|
@@ -82,14 +81,14 @@ class TestForward:
         net.weights[0][:] = [[1.0], [-1.0]]
         net.weights[1][:] = [[1.0, 1.0]]
         for x, expected in [(-2.0, 2.0), (3.5, 3.5), (0.0, 0.0)]:
-            y, _ = forward(net, [x])
-            assert y[0] == expected
+            y, _ = forward_batch(net, [[x]])
+            assert y[0, 0] == expected
 
     def test_deterministic(self):
         net = init_mlp([LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "linear")], seed=1)
         x = np.random.default_rng(0).normal(size=4)
-        y1, _ = forward(net, x)
-        y2, _ = forward(net, x)
+        y1, _ = forward_batch(net, x[None, :])
+        y2, _ = forward_batch(net, x[None, :])
         np.testing.assert_array_equal(y1, y2)
 
     def test_relu_identity_against_manual_composition(self):
@@ -97,25 +96,25 @@ class TestForward:
         x = np.array([0.3, -1.2, 0.8])
         h = np.maximum(net.weights[0] @ x + net.biases[0], 0.0)
         expected = net.weights[1] @ h + net.biases[1]
-        y, _ = forward(net, x)
-        np.testing.assert_allclose(y, expected, rtol=1e-12)
+        y, _ = forward_batch(net, x[None, :])
+        np.testing.assert_allclose(y[0], expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         net = init_mlp([LayerSpec(3, 2, "linear")], seed=0)
         with pytest.raises(ConfigError):
-            forward(net, [1.0, 2.0])
+            forward_batch(net, [[1.0, 2.0]])
 
     def test_nonfinite_input_rejected(self):
         net = init_mlp([LayerSpec(2, 2, "linear")], seed=0)
         with pytest.raises(ConfigError):
-            forward(net, [1.0, np.nan])
+            forward_batch(net, [[1.0, np.nan]])
 
 
 class TestBackward:
     def test_zero_output_grad(self):
         net = init_mlp([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")], seed=5)
-        _, cache = forward(net, [1.0, 2.0, 3.0])
-        grads = backward(net, cache, [0.0, 0.0])
+        _, cache = forward_batch(net, [[1.0, 2.0, 3.0]])
+        grads = backward_batch(net, cache, [[0.0, 0.0]])
         for g in grads.weight_grads + grads.bias_grads:
             assert not np.any(g)
         assert not np.any(grads.input_grads)
@@ -124,11 +123,11 @@ class TestBackward:
         net = zero_net([LayerSpec(2, 1, "linear")])
         net.weights[0][:] = [[0.5, -1.5]]
         x = np.array([2.0, 3.0])
-        _, cache = forward(net, x)
-        grads = backward(net, cache, [1.0])
+        _, cache = forward_batch(net, x[None, :])
+        grads = backward_batch(net, cache, [[1.0]])
         np.testing.assert_array_equal(grads.weight_grads[0], [[2.0, 3.0]])
         np.testing.assert_array_equal(grads.bias_grads[0], [1.0])
-        np.testing.assert_array_equal(grads.input_grads, [0.5, -1.5])
+        np.testing.assert_array_equal(grads.input_grads[0], [0.5, -1.5])
 
     def test_gradients_match_finite_differences(self):
         specs = [LayerSpec(5, 30, "relu"), LayerSpec(30, 12, "linear")]
@@ -136,12 +135,12 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.normal(size=5)
         gy = rng.normal(size=12)
-        _, cache = forward(net, x)
-        grads = backward(net, cache, gy)
+        _, cache = forward_batch(net, x[None, :])
+        grads = backward_batch(net, cache, gy[None, :])
         fd_w, fd_b, fd_x = finite_difference_grads(net, x, gy)
         for analytic, fd in zip(grads.weight_grads + grads.bias_grads, fd_w + fd_b):
             assert max_mixed_error(analytic, fd) < 1e-4
-        assert max_mixed_error(grads.input_grads, fd_x) < 1e-4
+        assert max_mixed_error(grads.input_grads[0], fd_x) < 1e-4
 
     def test_batch_param_grads_sum_over_rows(self):
         net = init_mlp([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")], seed=2)
@@ -152,8 +151,8 @@ class TestBackward:
         batched = backward_batch(net, cache, gys)
         summed = [np.zeros_like(w) for w in net.weights]
         for x, gy in zip(xs, gys):
-            _, c = forward(net, x)
-            g = backward(net, c, gy)
+            _, c = forward_batch(net, x[None, :])
+            g = backward_batch(net, c, gy[None, :])
             for acc, wg in zip(summed, g.weight_grads):
                 acc += wg
         for got, expected in zip(batched.weight_grads, summed):
@@ -168,8 +167,8 @@ class TestBackward:
         # td_step skips layer 0's input matmul and reuses one Gradients buffer
         rng = np.random.default_rng(seed)
         specs = [LayerSpec(i, o, act) for i, o, act in zip(widths, widths[1:] + [12], activations)]
-        net = Mlp(specs, [rng.normal(size=(s.output_dim, s.input_dim)) for s in specs],
-                  [rng.normal(size=s.output_dim) for s in specs])
+        net = layered_net(specs, [rng.normal(size=(s.output_dim, s.input_dim)) for s in specs],
+                          [rng.normal(size=s.output_dim) for s in specs])
         _, cache = forward_batch(net, rng.normal(size=(rows, widths[0])))
         output_grads = rng.normal(size=(rows, 12))
         upstream = output_grads.copy()
@@ -187,62 +186,62 @@ class TestRmsprop:
     def test_zero_gradient_leaves_params(self):
         net = init_mlp([LayerSpec(2, 2, "linear")], seed=0)
         before = [w.copy() for w in net.weights]
-        state = RmspropState.init_like(net)
-        state.cache[:net.weights[0].size] = 1.0  # layer 0 weights lead the flat layout
+        cache = np.zeros_like(net.flat)
+        cache[:net.weights[0].size] = 1.0  # layer 0 weights lead the flat layout
         grads = Gradients(net.specs, np.zeros(net.flat.size), np.zeros(2))
-        rmsprop_step(net, grads, state, lr=0.1)
+        rmsprop_step(net, grads, cache, lr=0.1)
         for w, b4 in zip(net.weights, before):
             np.testing.assert_array_equal(w, b4)
-        assert state.cache[0] == pytest.approx(0.9)  # decayed toward 0
+        assert cache[0] == pytest.approx(0.9)  # decayed toward 0
 
     def test_single_param_update_rule(self):
         net = zero_net([LayerSpec(1, 1, "linear")])
         net.weights[0][:] = 1.0
-        state = RmspropState.init_like(net)
+        cache = np.zeros_like(net.flat)
         grads = Gradients(net.specs, np.array([2.0, 0.0]), np.zeros(1))  # weight, bias
-        rmsprop_step(net, grads, state, lr=0.001)
-        assert state.cache[0] == pytest.approx(0.4)
+        rmsprop_step(net, grads, cache, lr=0.001)
+        assert cache[0] == pytest.approx(0.4)
         assert net.weights[0][0, 0] == pytest.approx(1 - 0.001 * 2 / (np.sqrt(0.4) + 1e-8))
 
     def test_constant_gradient_step_approaches_lr(self):
         net = zero_net([LayerSpec(1, 1, "linear")])
-        state = RmspropState.init_like(net)
+        cache = np.zeros_like(net.flat)
         grads = Gradients(net.specs, np.array([3.0, 0.0]), np.zeros(1))
         lr = 0.01
         prev = net.weights[0][0, 0]
         for _ in range(200):
-            rmsprop_step(net, grads, state, lr)
+            rmsprop_step(net, grads, cache, lr)
         step = prev - 200 * lr  # would hold if every step had magnitude lr
         assert net.weights[0][0, 0] == pytest.approx(step, abs=0.2)
         last = net.weights[0][0, 0]
-        rmsprop_step(net, grads, state, lr)
+        rmsprop_step(net, grads, cache, lr)
         assert last - net.weights[0][0, 0] == pytest.approx(lr, rel=1e-3)
 
     def test_cache_stays_nonnegative(self):
         net = init_mlp([LayerSpec(3, 3, "relu"), LayerSpec(3, 1, "linear")], seed=9)
-        state = RmspropState.init_like(net)
+        rms_cache = np.zeros_like(net.flat)
         rng = np.random.default_rng(9)
         for _ in range(50):
             x = rng.normal(size=3)
-            _, cache = forward(net, x)
-            grads = backward(net, cache, rng.normal(size=1))
-            rmsprop_step(net, grads, state, lr=0.01)
-        assert state.cache.shape == (net.flat.size,)
-        assert np.all(state.cache >= 0)
+            _, cache = forward_batch(net, x[None, :])
+            grads = backward_batch(net, cache, rng.normal(size=(1, 1)))
+            rmsprop_step(net, grads, rms_cache, lr=0.01)
+        assert rms_cache.shape == (net.flat.size,)
+        assert np.all(rms_cache >= 0)
 
     def test_nonfinite_gradient_raises(self):
         net = init_mlp([LayerSpec(1, 1, "linear")], seed=0)
-        state = RmspropState.init_like(net)
+        cache = np.zeros_like(net.flat)
         grads = Gradients(net.specs, np.array([np.nan, 0.0]), np.zeros(1))
-        with pytest.raises(TrainingError):
-            rmsprop_step(net, grads, state, lr=0.1)
+        with pytest.raises(TrainingDiverged):
+            rmsprop_step(net, grads, cache, lr=0.1)
 
     def test_nan_learning_rate_rejected(self):
         net = init_mlp([LayerSpec(1, 1, "linear")], seed=0)
         before = net.flat.copy()
         grads = Gradients(net.specs, np.array([1.0, 0.0]), np.zeros(1))
         with pytest.raises(ConfigError, match="learning rate must be positive"):
-            rmsprop_step(net, grads, RmspropState.init_like(net), math.nan)
+            rmsprop_step(net, grads, np.zeros_like(net.flat), math.nan)
         np.testing.assert_array_equal(net.flat, before)
 
 
@@ -267,20 +266,25 @@ class TestFlatParameters:
         with pytest.raises(TypeError):
             net.biases[-1] += 1.0
 
-    def test_constructor_copies_its_inputs(self):
-        rng = np.random.default_rng(0)
-        weights = [rng.normal(size=(s.output_dim, s.input_dim)) for s in self.SPECS]
-        biases = [rng.normal(size=s.output_dim) for s in self.SPECS]
-        net = Mlp(self.SPECS, weights, biases)
-        for got, given_ in zip(net.weights + net.biases, weights + biases):
-            np.testing.assert_array_equal(got, given_)
-            assert not np.shares_memory(got, given_)
-        weights[0][:] = 0.0
-        assert np.any(net.weights[0] != 0.0)
+    def test_constructor_wraps_its_flat_vector(self):
+        flat = np.random.default_rng(0).normal(size=n_params(self.SPECS))
+        given_ = flat.copy()
+        net = Mlp(self.SPECS, flat)
+        assert net.flat is flat and net.specs == tuple(self.SPECS)
+        assert (net.input_dim, net.output_dim) == (5, 12)
+        expected = np.concatenate([a.ravel() for pair in zip(net.weights, net.biases)
+                                   for a in pair])
+        np.testing.assert_array_equal(expected, given_)
+        net.weights[1][...] = 0.0
+        assert not flat[5 * 7 + 7:5 * 7 + 7 + 7 * 3].any()
 
-    def test_constructor_rejects_wrong_shapes(self):
+    def test_constructor_rejects_a_wrong_size_or_specs(self):
         with pytest.raises(ConfigError):
-            Mlp([LayerSpec(2, 3, "linear")], [np.zeros((2, 3))], [np.zeros(3)])
+            Mlp([LayerSpec(2, 3, "linear")], np.zeros(8))
+        with pytest.raises(ConfigError):
+            Mlp([LayerSpec(2, 3, "linear")], np.zeros((1, 9)))
+        with pytest.raises(ConfigError):
+            Mlp([LayerSpec(2, 3, "linear"), LayerSpec(2, 1, "linear")], np.zeros(12))
 
     def test_copy_shares_no_memory(self):
         net = init_mlp(self.SPECS, seed=4)
@@ -301,18 +305,19 @@ class TestFlatParameters:
         assert grads.flat.shape == net.flat.shape
         for g, p in zip(grads.weight_grads + grads.bias_grads, net.weights + net.biases):
             assert g.shape == p.shape and np.shares_memory(g, grads.flat)
-        assert RmspropState.init_like(net).cache.shape == net.flat.shape
+        assert Learner.fresh(net, rng=None).opt.shape == net.flat.shape
 
-    def test_nonfinite_gradient_leaves_the_net_and_cache(self):
+    @pytest.mark.parametrize("value", [np.inf, 1e200], ids=["inf", "square-overflows"])
+    def test_nonfinite_gradient_leaves_the_net_and_cache(self, value):
         net = init_mlp(self.SPECS, seed=4)
         before = net.flat.copy()
-        state = RmspropState.init_like(net)
+        cache = np.zeros_like(net.flat)
         grad = np.ones(net.flat.size)
-        grad[-1] = np.inf  # the last output bias
-        with pytest.raises(TrainingError):
-            rmsprop_step(net, Gradients(net.specs, grad, None), state, lr=0.1)
+        grad[-1] = value  # the last output bias
+        with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+            rmsprop_step(net, Gradients(net.specs, grad, None), cache, lr=0.1)
         np.testing.assert_array_equal(net.flat, before)
-        assert not np.any(state.cache)
+        assert not np.any(cache)
 
     def test_save_writes_header_then_flat_le_bytes(self, tmp_path):
         net = init_mlp(self.SPECS, seed=4)

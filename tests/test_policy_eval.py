@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvdqn.action_space import AcontRange, action_values
-from clvdqn.nn_core import ConfigError, forward, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, forward_batch, init_mlp
 from clvdqn.policy_eval import (
     SweepError,
     SweepSpec,
@@ -18,6 +18,7 @@ from clvdqn.policy_eval import (
 )
 from clvdqn.qlearn import network_spec
 from clvdqn.rfmi import NormStats, Transitions
+from oracles import layered_net
 
 
 def zero_net(mode="discrete_only"):
@@ -177,8 +178,8 @@ class TestEstimateClv:
         net = init_mlp(network_spec("discrete_only"), seed=6)
         stats = NormStats(np.array([2.0] * 5), np.array([4.0] * 5), 0.0, 1.0)
         est = estimate_clv(net, np.full(5, 6.0), stats)
-        direct, _ = forward(net, np.full(5, 1.0))  # (6-2)/4 = 1
-        np.testing.assert_array_equal(est.values, direct)
+        direct, _ = forward_batch(net, np.full((1, 5), 1.0))  # (6-2)/4 = 1
+        np.testing.assert_array_equal(est.values, direct[0])
 
     def test_discrete_aconts_are_zero_whatever_the_acont_stats(self):
         stats = NormStats(np.zeros(5), np.ones(5), 10.0, 2.0)
@@ -211,7 +212,7 @@ class TestValueCurves:
 
     def test_tent_fixture_interior_peak(self):
         # net with Q[2] peaked at recency=1 via two hidden units
-        from clvdqn.nn_core import LayerSpec, Mlp
+        from clvdqn.nn_core import LayerSpec
 
         specs = (LayerSpec(5, 2, "relu"), LayerSpec(2, 12, "linear"))
         w1 = np.zeros((2, 5))
@@ -221,7 +222,7 @@ class TestValueCurves:
         w2 = np.zeros((12, 2))
         w2[2, 0] = 1.0
         w2[2, 1] = -2.0
-        net = Mlp(specs=specs, weights=[w1, w2], biases=[b1, np.zeros(12)])
+        net = layered_net(specs, [w1, w2], [b1, np.zeros(12)])
         sweep = SweepSpec(dims=("recency",), ranges=((0.0, 2.0),), resolution=201)
         rows = export_value_curves(net, sweep, NormStats.identity())
         peak_idx = int(np.argmax(rows[:, 1 + 2]))

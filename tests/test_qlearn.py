@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvdqn.nn_core import ConfigError, LayerSpec, Mlp, RmspropState, forward, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, LayerSpec, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
     EpochRecord,
@@ -25,7 +25,7 @@ from clvdqn.qlearn import (
 )
 from clvdqn.policy_eval import evaluate
 from clvdqn.rfmi import NormStats, Transitions, compute_norm_stats, write_records
-from oracles import apply_norm_rows, td_steps_arrays, value_iteration
+from oracles import apply_norm_rows, layered_net, td_steps_arrays, value_iteration
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
 TOY_R = [[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]]
@@ -80,8 +80,8 @@ class TestFlatTraining:
         dims = [6 if mixed else 5, *widths, 12]
         specs = [LayerSpec(i, o, "relu" if k < len(widths) else output)
                  for k, (i, o) in enumerate(zip(dims, dims[1:]))]
-        net = Mlp(specs, [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
-                  [rng.normal(size=o) for o in dims[1:]])
+        net = layered_net(specs, [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
+                          [rng.normal(size=o) for o in dims[1:]])
         n = 30
         data = Transitions(rng.normal(size=(n, 5)), rng.integers(0, 12, n), rng.normal(size=n),
                            rng.normal(size=(n, 5)), rng.exponential(size=n))
@@ -165,7 +165,7 @@ class TestBellmanTarget:
         w = np.zeros((12, 5))
         w[:2, :3] = qstar.T  # Q[a] = qstar[s][a] for one-hot s, a in {0,1}
         w[2:, :3] = -100.0  # park unused neurons far below
-        net = Mlp(specs=specs, weights=[w], biases=[np.zeros(12)])
+        net = layered_net(specs, [w], [np.zeros(12)])
         cfg = TrainConfig(gamma=GAMMA)
         for s in range(3):
             for a in range(2):
@@ -189,7 +189,7 @@ class TestTdStep:
         # zero net, zero rewards: every target is already met
         net = zero_net()
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         before = [w.copy() for w in net.weights]
         loss = td_step(make_batch(n=10), net, target, opt, TrainConfig())
         assert loss == 0.0
@@ -199,9 +199,9 @@ class TestTdStep:
     def test_hand_differentiated_gradient(self):
         # Q_0 = w*s_0 with s=[1,0,0,0,0], w=0, y=1: loss (y-Q)^2 = 1, dloss/dw = -2
         specs = (LayerSpec(5, 12, "linear"),)
-        net = Mlp(specs=specs, weights=[np.zeros((12, 5))], biases=[np.zeros(12)])
+        net = layered_net(specs, [np.zeros((12, 5))], [np.zeros(12)])
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         cfg = TrainConfig(gamma=0.0, lr0=0.001, batch_size=1)
         batch = make_batch(reward=1.0, action=0, s=np.eye(5)[0], s2=np.eye(5)[0])
         loss = td_step(batch, net, target, opt, cfg)
@@ -213,7 +213,7 @@ class TestTdStep:
     def test_loss_eventually_monotone_on_fixed_tuple(self):
         net = init_mlp(network_spec("discrete_only"), seed=4)
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         cfg = TrainConfig(gamma=0.9, lr0=0.001)
         batch = make_batch(reward=2.0, action=3, s=np.arange(5.0) / 5)
         losses = [td_step(batch, net, target, opt, cfg) for _ in range(40)]
@@ -223,7 +223,7 @@ class TestTdStep:
     def test_off_action_gradient_isolation(self):
         net = init_mlp(network_spec("discrete_only"), seed=6)
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         before = net.weights[-1].copy()
         td_step(make_batch(reward=10.0, action=3, s=np.ones(5)), net, target, opt, TrainConfig())
         changed = np.any(net.weights[-1] != before, axis=1)
@@ -234,11 +234,11 @@ class TestTdStep:
         # a 6-input net reads the logged acont as its last input: with a zero state
         # and acont 0.5, only output 3's acont weight (and bias) gets gradient
         specs = (LayerSpec(6, 12, "linear"),)
-        net = Mlp(specs=specs, weights=[np.zeros((12, 6))], biases=[np.zeros(12)])
+        net = layered_net(specs, [np.zeros((12, 6))], [np.zeros(12)])
         cfg = TrainConfig(gamma=0.0, mode="mixed")
         batch = make_batch(reward=1.0, action=3)
         batch.aconts[:] = 0.5
-        td_step(batch, net, net.copy(), RmspropState.init_like(net), cfg,
+        td_step(batch, net, net.copy(), np.zeros_like(net.flat), cfg,
                 acont_range=cfg.acont_range(NormStats.identity()))
         assert np.argwhere(net.weights[0] != 0.0).tolist() == [[3, 5]]
 
@@ -246,9 +246,23 @@ class TestTdStep:
         net = zero_net()
         net.biases[-1][0] = np.inf
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         with pytest.raises(TrainingDiverged):
             td_step(make_batch(reward=1.0), net, target, opt, TrainConfig())
+
+    def test_nonfinite_gradient_with_a_finite_loss_raises(self):
+        # hidden unit 0 sits at 1e308 with no outgoing weight: Q and the loss stay finite,
+        # while the output layer's weight gradient, 1e308 times the output gradient, overflows
+        specs = (LayerSpec(5, 2, "relu"), LayerSpec(2, 12, "linear"))
+        net = layered_net(specs, [np.zeros((2, 5)), np.zeros((12, 2))],
+                          [np.array([1e308, 0.0]), np.zeros(12)])
+        before, opt = net.flat.copy(), np.zeros_like(net.flat)
+        with pytest.raises(TrainingDiverged) as exc:  # td_step raises without a warning
+            td_step(make_batch(reward=10.0, action=3), net, net.copy(), opt,
+                    TrainConfig(gamma=0.0, batch_size=1))
+        assert exc.value.loss is None
+        assert str(exc.value) == "non-finite gradient at epoch -1, step -1"
+        assert net.flat.tobytes() == before.tobytes() and not opt.any()
 
 
 class TestReplaySampling:
@@ -272,9 +286,9 @@ class TestCloneTarget:
         net = init_mlp(network_spec("discrete_only"), seed=1)
         probe = np.ones(5)
         cloned = net.copy()
-        expected, _ = forward(cloned, probe)
+        expected, _ = forward_batch(cloned, probe[None, :])
         net.weights[0][:] += 1.0
-        after, _ = forward(cloned, probe)
+        after, _ = forward_batch(cloned, probe[None, :])
         np.testing.assert_array_equal(expected, after)
 
     def test_bit_identical_outputs(self):
@@ -283,8 +297,8 @@ class TestCloneTarget:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.normal(size=5)
-            ya, _ = forward(net, x)
-            yb, _ = forward(cloned, x)
+            ya, _ = forward_batch(net, x[None, :])
+            yb, _ = forward_batch(cloned, x[None, :])
             np.testing.assert_array_equal(ya, yb)
 
     def test_serialized_clone_identical(self, tmp_path):
@@ -372,7 +386,7 @@ class TestTrain:
         # target-based y must not change while only the online net updates
         net = init_mlp(network_spec("discrete_only"), seed=8)
         target = net.copy()
-        opt = RmspropState.init_like(net)
+        opt = np.zeros_like(net.flat)
         cfg = TrainConfig(gamma=0.9)
         batch = make_batch(reward=1.0, s=np.ones(5), s2=np.ones(5))
         y0 = bellman_target(batch, target, cfg)

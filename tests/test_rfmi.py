@@ -12,6 +12,7 @@ from clvdqn.rfmi import (
     TIMELINE_COLUMNS,
     TRANSITION_COLUMNS,
     DataError,
+    NormStats,
     Timelines,
     Transitions,
     apply_norm,
@@ -254,6 +255,25 @@ class TestNormalize:
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             compute_norm_stats(Transitions.empty(0))
+
+    @pytest.mark.parametrize("acont_std", [0.0, 9.2])
+    def test_zero_stds_divide_by_one_bit_for_bit(self, acont_std):
+        # one zero state std, and a zero acont std, against Python float arithmetic
+        rng = np.random.default_rng(3)
+        data = rows(rng.uniform(0, 10, (200, 5)), rng.integers(12, size=200),
+                    rng.normal(0, 9, 200), rng.uniform(0, 10, (200, 5)), rng.uniform(0, 5, 200))
+        stats = NormStats(rng.normal(size=5), np.array([2.5, 0.0, 0.3, 7.0, 1.1]), 1.7, acont_std)
+        normed = apply_norm(stats, data)
+        states, aconts, next_states = apply_norm_rows(stats, data)
+        assert normed.states.tobytes() == states.tobytes()
+        assert normed.aconts.tobytes() == aconts.tobytes()
+        assert normed.next_states.tobytes() == next_states.tobytes()
+        div = acont_std or 1.0
+        assert stats.normalize_acont(data.aconts).tobytes() == aconts.tobytes()
+        assert [stats.normalize_acont(a) for a in data.aconts.tolist()] == aconts.tolist()
+        back = np.array([a * div + 1.7 for a in aconts.tolist()])
+        assert stats.denormalize_acont(aconts).tobytes() == back.tobytes()
+        assert [stats.denormalize_acont(a) for a in aconts.tolist()] == back.tolist()
 
     @settings(deadline=None)
     @given(random_transitions())
