@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, forward_batch
+from .nn_core import ConfigError, Mlp, NetworkOverflow, forward_batch
 from .rfmi import STATE_DIMS
 
 CHUNK_ROWS = 2048  # network rows per block of states in the kink search; bounds memory only
@@ -124,5 +124,5 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
         q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
         qs[:, a] = q[:, a]
     if not np.all(np.isfinite(qs)):
-        raise ConfigError("non-finite Q-value while maximizing over the continuous action")
+        raise NetworkOverflow("non-finite Q-value while maximizing over the continuous action")
     return aconts, qs

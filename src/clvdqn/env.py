@@ -12,15 +12,16 @@ timelines gives back the same states bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import policy_eval
 from .action_space import is_mixed
-from .nn_core import ConfigError, init_mlp
+from .nn_core import ConfigError, NetworkOverflow, init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
-from .rfmi import N_ACTIONS, NormStats, Transitions, advance_states, compute_norm_stats
+from .rfmi import (N_ACTIONS, TRANSITION_COLUMNS, NormStats, Transitions, advance_states,
+                   compute_norm_stats)
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +109,7 @@ class ReplayRing:
     """Fixed-size FIFO replay memory; once full, each new row overwrites the oldest."""
 
     def __init__(self, capacity: int):
-        self._rows = Transitions.empty(capacity)
+        self._rows = Transitions(np.empty((capacity, len(TRANSITION_COLUMNS))))
         self._added = 0  # rows ever added; row k lives in slot k % capacity
 
     def __len__(self):
@@ -116,11 +117,9 @@ class ReplayRing:
 
     def add(self, batch: Transitions):
         capacity = len(self._rows)
-        keep = batch[max(len(batch) - capacity, 0):]
+        keep = batch.table[max(len(batch) - capacity, 0):]
         first = self._added + len(batch) - len(keep)
-        slots = np.arange(first, first + len(keep)) % capacity
-        for f in fields(Transitions):
-            getattr(self._rows, f.name)[slots] = getattr(keep, f.name)
+        self._rows.table[np.arange(first, first + len(keep)) % capacity] = keep
         self._added += len(batch)
 
     def contents(self) -> Transitions:
@@ -209,13 +208,16 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         eps = agent_cfg.epsilon(episode)
         acont_range = train_cfg.acont_range(stats) if is_mixed(learner.net) else None
         # Greedy recommendations for the whole population at once.
+        greedy, greedy_aconts = None, 0.0
         if trained:
-            greedy, greedy_aconts, _ = policy_eval.recommend_batch(learner.net, states, stats,
-                                                                   acont_range)
-        elif agent_cfg.initial_policy is not None:
+            try:
+                greedy, greedy_aconts, _ = policy_eval.recommend_batch(learner.net, states, stats,
+                                                                       acont_range)
+            except NetworkOverflow:  # the last burst left weights whose Q-values overflow
+                net_seed += 1
+                learner, trained = _reinitialized(learner, train_cfg.mode, net_seed), False
+        if not trained and agent_cfg.initial_policy is not None:
             greedy, greedy_aconts = agent_cfg.initial_policy(states), stats.denormalize_acont(0.0)
-        else:
-            greedy, greedy_aconts = None, 0.0
         actions, aconts = _choose_actions(_allowed_mask(agent_cfg, states, dropped), greedy,
                                           greedy_aconts, eps, acont_range, stats, agent_rng)
         # The environment draws in customer order: a response, then its amount.
@@ -224,7 +226,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
             if env_rng.random() < p:
                 rewards[i] = env_rng.exponential(model.amount_mean)
         next_states, gift_sums = advance_states(states, gift_sums, actions, rewards)
-        replay.add(Transitions(states, actions, aconts, next_states, rewards))
+        replay.add(Transitions(np.column_stack([states, actions, aconts, next_states, rewards])))
         states = next_states
         history.append(
             EpisodeRecord(
@@ -244,10 +246,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                 trained = True
             except TrainingDiverged:
                 net_seed += 1
-                log.warning("training diverged; re-initializing network with seed %d", net_seed)
-                learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
-                                        learner.rng, learner.step)
-                trained = False
+                learner, trained = _reinitialized(learner, train_cfg.mode, net_seed), False
             if agent_cfg.drop_threshold is not None:
                 dropped |= _underperforming_actions(data, agent_cfg)
 
@@ -255,10 +254,16 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                             replay=replay, dropped_actions=dropped)
 
 
+def _reinitialized(learner: Learner, mode: str, net_seed: int) -> Learner:
+    """A fresh net from net_seed in place of a diverged one; the rng and step count go on."""
+    log.warning("training diverged; re-initializing network with seed %d", net_seed)
+    return Learner.fresh(init_mlp(network_spec(mode), net_seed), learner.rng, learner.step)
+
+
 def _underperforming_actions(data: Transitions, cfg: AgentConfig) -> set:
     dropped = set()
     for action in range(1, N_ACTIONS):  # inaction must remain available
-        mask = data.actions == action
+        mask = data.table[:, 5] == action
         if mask.sum() >= cfg.drop_min_observations and data.rewards[mask].mean() < cfg.drop_threshold:
             dropped.add(action)
     return dropped

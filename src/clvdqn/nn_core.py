@@ -27,12 +27,16 @@ class ConfigError(ValueError):
     """Inconsistent settings: a network specification or a run configuration."""
 
 
-class TrainingDiverged(RuntimeError):
-    """A non-finite loss, or with loss None a gradient, at an epoch and step (-1 if unknown)."""
+class NetworkOverflow(ConfigError):
+    """Non-finite Q-values from finite inputs: finite but huge weights can do that."""
 
-    def __init__(self, epoch, step, loss=None):
-        what = "gradient" if loss is None else f"loss {loss}"
-        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+
+class TrainingDiverged(RuntimeError):
+    """A non-finite loss, or else `what` (a gradient, a Q-value), at an epoch and step or -1."""
+
+    def __init__(self, epoch, step, loss=None, what="gradient"):
+        self.what = what if loss is None else f"loss {loss}"
+        super().__init__(f"non-finite {self.what} at epoch {epoch}, step {step}")
         self.epoch, self.step, self.loss = epoch, step, loss
 
 
@@ -118,8 +122,8 @@ def init_mlp(specs, seed: int) -> Mlp:
 
 
 def forward_batch(net: Mlp, inputs: np.ndarray):
-    """Run a (n, input_dim) batch. Returns (outputs, cache) for backward_batch."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """Run a (n, input_dim) batch, copied if strided. Returns (outputs, cache) for backward."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigError(f"expected input shape (n, {net.input_dim}), got {x.shape}")
     if not np.isfinite(x).all():

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .action_space import action_values, is_mixed
-from .nn_core import ConfigError, Mlp, forward_batch
+from .nn_core import ConfigError, Mlp, NetworkOverflow, forward_batch
 from .rfmi import N_ACTIONS, STATE_DIMS, NormStats, Transitions, write_csv
 
 BIAS_CAVEAT = (
@@ -71,9 +71,9 @@ class ClvEstimate:
 
 
 def _finite(qs):
-    """qs, or ConfigError if a Q-value overflowed: finite but huge weights can do that."""
+    """qs, or NetworkOverflow if a Q-value overflowed."""
     if not np.isfinite(qs).all():
-        raise ConfigError("non-finite Q-value: the network overflows")
+        raise NetworkOverflow("non-finite Q-value: the network overflows")
     return qs
 
 

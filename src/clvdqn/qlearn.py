@@ -22,6 +22,7 @@ from .nn_core import (
     Gradients,
     LayerSpec,
     Mlp,
+    NetworkOverflow,
     TrainingDiverged,
     backward_batch,
     forward_batch,
@@ -100,18 +101,22 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: np.ndarray, cfg:
 
     Only the output neuron of the taken action receives loss gradient. The
     gradients go into grads (a Gradients.like(net)) if given, else a new one.
+    A non-finite loss, gradient or target Q-value raises TrainingDiverged.
     """
     if not batch:
         raise ConfigError("empty training batch")
     lr = cfg.lr0 if lr is None else lr
     n = len(batch)
-    y = bellman_target(batch, target_net, cfg, acont_range)
     x = batch.states
     if is_mixed(net):
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
-    q, cache = forward_batch(net, x)
     taken = (np.arange(n), batch.actions)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        try:
+            y = bellman_target(batch, target_net, cfg, acont_range)
+        except NetworkOverflow:
+            raise TrainingDiverged(-1, -1, what="target Q-value") from None
+        q, cache = forward_batch(net, x)
         err = q[taken] - y
         loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
         if not math.isfinite(loss):
@@ -148,7 +153,7 @@ def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig
     grads = Gradients.like(learner.net)
     for i in range(n_steps):
         idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
-        losses[i] = td_step(apply_norm(norm_stats, data.take(idx)), learner.net, learner.target,
+        losses[i] = td_step(apply_norm(norm_stats, data[idx]), learner.net, learner.target,
                             learner.opt, cfg, lr, acont_range, grads)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
@@ -172,11 +177,11 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     td_steps normalizes each batch of train_set with norm_stats; validation
     runs policy_eval.evaluate on the raw validation_set.
 
-    The best net has the highest matched-group mean reward on the validation
-    set; when no epoch has a matched group, it is the last trained net. An
-    epoch is ceil(N / batch_size) uniform replay draws, so each sample is
-    expected once per epoch; the learning rate decays per epoch and the target
-    net is cloned on a fixed gradient-step schedule.
+    The best net has the highest matched-group mean reward on the validation set; when no
+    epoch has a matched group, it is the last trained net. An epoch is ceil(N / batch_size)
+    uniform replay draws, so each sample is expected once per epoch; the learning rate decays
+    per epoch and the target net is cloned on a fixed gradient-step schedule. A non-finite
+    Q-value in the epoch's validation raises TrainingDiverged, as one in a step does.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -192,10 +197,12 @@ def train(train_set: Transitions, validation_set: Transitions, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         try:
             losses = td_steps(learner, train_set, steps_per_epoch, cfg, norm_stats, lr)
+            report = policy_eval.evaluate(validation_set, net, norm_stats, acont_range,
+                                          baseline_seed=cfg.seed)
         except TrainingDiverged as exc:
-            raise TrainingDiverged(epoch, learner.step, exc.loss) from exc
-        report = policy_eval.evaluate(validation_set, net, norm_stats, acont_range,
-                                      baseline_seed=cfg.seed)
+            raise TrainingDiverged(epoch, learner.step, exc.loss, exc.what) from exc
+        except NetworkOverflow as exc:
+            raise TrainingDiverged(epoch, learner.step, what="validation Q-value") from exc
         val_rate = report.matched.response_rate
         val_reward = report.matched.mean_reward
         history.append(EpochRecord(epoch, float(losses.mean()), val_rate, val_reward, lr))

@@ -73,43 +73,38 @@ class Timelines:
 
 @dataclass
 class Transitions:
-    """A batch of transitions as parallel columns; row i of every field is one transition.
+    """A batch of transitions as one (n, 13) float64 table whose columns are TRANSITION_COLUMNS.
 
-    `len()` is the row count. Indexing with a slice, boolean mask or index
-    array selects rows and returns another Transitions.
+    Row i is one transition; `len()` is the row count. Indexing with a slice, boolean
+    mask or index array selects rows and returns another Transitions. The action column
+    holds exact integers, 0 = inaction. The named columns below are views of the table,
+    except actions: a read-only int64 copy, so a write meant for the table raises.
     """
 
-    states: np.ndarray  # (n, 5) state at the start of the period
-    actions: np.ndarray  # (n,) int64, 0 = inaction
-    aconts: np.ndarray  # (n,) continuous attribute
-    next_states: np.ndarray  # (n, 5)
-    rewards: np.ndarray  # (n,) currency units
+    table: np.ndarray
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        self.aconts = np.asarray(self.aconts, dtype=np.float64)
-        self.next_states = np.asarray(self.next_states, dtype=np.float64)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        self.table = np.asarray(self.table, dtype=np.float64)
+        if self.table.ndim != 2 or self.table.shape[1] != len(TRANSITION_COLUMNS):
+            raise DataError(f"a transition table has shape (n, {len(TRANSITION_COLUMNS)}), "
+                            f"not {self.table.shape}")
+
+    states = property(lambda self: self.table[:, 0:5])  # (n, 5) state at the start of the period
+    aconts = property(lambda self: self.table[:, 6])  # (n,) continuous attribute
+    next_states = property(lambda self: self.table[:, 7:12])  # (n, 5)
+    rewards = property(lambda self: self.table[:, 12])  # (n,) currency units
+
+    @property
+    def actions(self) -> np.ndarray:  # (n,)
+        actions = self.table[:, 5].astype(np.int64)
+        actions.flags.writeable = False
+        return actions
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return len(self.table)
 
     def __getitem__(self, rows) -> "Transitions":
-        return Transitions(self.states[rows], self.actions[rows], self.aconts[rows],
-                           self.next_states[rows], self.rewards[rows])
-
-    def take(self, rows: np.ndarray) -> "Transitions":
-        """self[rows] for an integer index array: the 2-D columns by ndarray.take, which
-        gathers rows faster than fancy indexing does."""
-        return Transitions(self.states.take(rows, axis=0), self.actions[rows], self.aconts[rows],
-                           self.next_states.take(rows, axis=0), self.rewards[rows])
-
-    @classmethod
-    def empty(cls, n: int) -> "Transitions":
-        """n rows of uninitialized storage."""
-        return cls(np.empty((n, 5)), np.empty(n, dtype=np.int64), np.empty(n),
-                   np.empty((n, 5)), np.empty(n))
+        return Transitions(self.table[rows])
 
 
 def advance_states(states: np.ndarray, gift_sums: np.ndarray, actions: np.ndarray,
@@ -149,15 +144,16 @@ def build_transitions(timelines: Timelines) -> Transitions:
                                                      amounts[rows])
         rows += 1
     rows = np.delete(np.arange(len(states)), ends - 1)  # every period but each customer's last
-    return Transitions(states[rows], actions[rows], timelines.aconts[rows], states[rows + 1],
-                       amounts[rows])
+    return Transitions(np.column_stack([states[rows], actions[rows], timelines.aconts[rows],
+                                        states[rows + 1], amounts[rows]]))
 
 
 @dataclass
 class NormStats:
     """Affine normalization: 5 state dims plus the continuous action attribute.
 
-    Zero-variance dimensions keep std 0 in storage and divide by 1, set at construction.
+    Zero-variance dimensions keep std 0 in storage and divide by 1. Each TRANSITION_COLUMNS
+    column's shift and divisor are set at construction: 0 and 1 for the action and reward.
     """
 
     state_mean: np.ndarray
@@ -166,12 +162,15 @@ class NormStats:
     acont_std: float
 
     def __post_init__(self):
-        self._state_div = np.where(np.asarray(self.state_std) > 0, self.state_std, 1.0)
+        state_div = np.where(np.asarray(self.state_std) > 0, self.state_std, 1.0)
         self._acont_div = self.acont_std if self.acont_std > 0 else 1.0
+        self._shift = np.concatenate([self.state_mean, [0.0, self.acont_mean],
+                                      self.state_mean, [0.0]])
+        self._div = np.concatenate([state_div, [1.0, self._acont_div], state_div, [1.0]])
 
     def normalize_state(self, arr) -> np.ndarray:
         out = np.asarray(arr, dtype=np.float64) - self.state_mean
-        out /= self._state_div  # in place, with the bits of a division into a new array
+        out /= self._div[:5]  # in place, with the bits of a division into a new array
         return out
 
     def normalize_acont(self, v: float) -> float:
@@ -190,28 +189,14 @@ def compute_norm_stats(data: Transitions) -> NormStats:
     if not data:
         raise DataError("cannot compute normalization stats from empty input")
     states = np.concatenate([data.states, data.next_states])
-    aconts = data.aconts[data.actions != 0]
-    if aconts.size:
-        acont_mean, acont_std = float(aconts.mean()), float(aconts.std())
-    else:
-        acont_mean, acont_std = 0.0, 0.0
-    return NormStats(
-        state_mean=states.mean(axis=0),
-        state_std=states.std(axis=0),
-        acont_mean=acont_mean,
-        acont_std=acont_std,
-    )
+    acted = data.aconts[data.table[:, 5] != 0]  # the float action column, not an int64 copy
+    moments = (float(acted.mean()), float(acted.std())) if acted.size else (0.0, 0.0)
+    return NormStats(states.mean(axis=0), states.std(axis=0), *moments)
 
 
 def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
-    """Normalized states and aconts; actions and rewards (currency units) are shared, not copied."""
-    return Transitions(
-        stats.normalize_state(data.states),
-        data.actions,
-        stats.normalize_acont(data.aconts),
-        stats.normalize_state(data.next_states),
-        data.rewards,
-    )
+    """Normalized states and aconts in a new table; actions and rewards keep their values."""
+    return Transitions((data.table - stats._shift) / stats._div)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +387,7 @@ def write_records(path, kind, records):
 
 def write_transitions(data: Transitions, path):
     """13-column transition CSV in the fixed r..reward order, the action as an integer."""
-    write_csv(path, TRANSITION_COLUMNS, [*data.states.T, data.actions, data.aconts,
-                                         *data.next_states.T, data.rewards])
+    write_csv(path, TRANSITION_COLUMNS, [*data.table.T[:5], data.actions, *data.table.T[6:]])
 
 
 def _float_block(lines):
@@ -452,5 +436,4 @@ def read_transitions(path) -> Transitions:
     row, message = _first_fault(faults)
     if message:
         raise DataError(f"{path}:{row + 2}: {message}")
-    return Transitions(vals[:, 0:5], actions.astype(np.int64), vals[:, 6],
-                       vals[:, 7:12], vals[:, 12])
+    return Transitions(vals)

@@ -23,6 +23,12 @@ from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataEr
                          Timelines, Transitions, _check_header, compute_norm_stats)
 
 
+def transitions_from(states, actions, aconts, next_states, rewards) -> Transitions:
+    """A Transitions of parallel columns: (n, 5) states, n actions, n aconts, (n, 5) next
+    states and n rewards, stacked into its table in TRANSITION_COLUMNS order."""
+    return Transitions(np.column_stack([states, actions, aconts, next_states, rewards]))
+
+
 def layered_net(specs, weights, biases) -> Mlp:
     """A net of specs holding copies of per-layer weights and biases, written into its views."""
     net = Mlp(specs, np.zeros(n_params(specs)))
@@ -344,7 +350,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
             reward = float(env_rng.exponential(model.amount_mean)) if env_rng.random() < p else 0.0
             states[i], gift_sums[i] = advance_state_row(state, gift_sums[i], actions[i], reward)
             rows.append((state, actions[i], aconts[i], states[i], reward))
-        batch = Transitions(*(np.array(col) for col in zip(*rows)))
+        batch = transitions_from(*(np.array(col) for col in zip(*rows)))
         replay.add(batch)
         history.append(EpisodeRecord(episode, eps, float(batch.rewards.mean()),
                                      float(np.mean(batch.rewards > 0)), len(replay)))
@@ -475,5 +481,4 @@ def read_transitions_rows(path) -> Transitions:
     if bad:
         row, message = min(bad, key=lambda b: b[0])
         raise DataError(f"{path}:{row + 2}: {message}")
-    return Transitions(vals[:, 0:5], actions.astype(np.int64), vals[:, 6],
-                       vals[:, 7:12], vals[:, 12])
+    return transitions_from(vals[:, 0:5], actions, vals[:, 6], vals[:, 7:12], vals[:, 12])

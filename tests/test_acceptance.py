@@ -18,11 +18,12 @@ from clvdqn.env import AgentConfig, DonorModel, run_autonomous
 from clvdqn.nn_core import LayerSpec, backward_batch, forward_batch, init_mlp, rmsprop_step
 from clvdqn.policy_eval import SweepSpec, evaluate, export_value_curves, recommend_batch
 from clvdqn.qlearn import TrainConfig, network_spec, td_step
-from clvdqn.rfmi import NormStats, Transitions
+from clvdqn.rfmi import NormStats
 from oracles import (
     finite_difference_grads,
     grid_scan_max,
     max_mixed_error,
+    transitions_from,
     value_iteration,
 )
 from test_action_space import tent_net
@@ -125,8 +126,8 @@ class TestCriterion4EvaluationOracle:
         for w in net4.weights:
             w[:] = 0.0
         net4.biases[-1][4] = 7.0  # always recommends action 4
-        fixture = Transitions(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4), np.zeros((4, 5)),
-                              [10.0, 0.0, 5.0, 0.0])
+        fixture = transitions_from(np.zeros((4, 5)), [4, 4, 2, 3], np.zeros(4),
+                                   np.zeros((4, 5)), [10.0, 0.0, 5.0, 0.0])
         rep = evaluate(fixture, net4, NormStats.identity())
         fixture_ok = (
             rep.matched.n == 2 and rep.deviated.n == 2
@@ -141,7 +142,7 @@ class TestCriterion4EvaluationOracle:
             for _ in range(1000)
         ]
         states, actions, next_states, rewards = (np.array(col) for col in zip(*rows))
-        transitions = Transitions(states, actions, np.zeros(1000), next_states, rewards)
+        transitions = transitions_from(states, actions, np.zeros(1000), next_states, rewards)
         total_reward = sum(rewards.tolist())
         identities_ok = True
         worst_resid = 0.0

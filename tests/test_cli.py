@@ -16,7 +16,8 @@ from clvdqn import cli
 from clvdqn.cli import CONFIGS, default_settings, load_config, main
 from clvdqn.nn_core import init_mlp
 from clvdqn.qlearn import TrainConfig, load_checkpoint, network_spec, save_checkpoint
-from clvdqn.rfmi import NormStats, Transitions, write_transitions
+from clvdqn.rfmi import NormStats, write_transitions
+from oracles import transitions_from
 
 
 def write_timeline_csv(path, n_customers=20, periods=6, seed=0):
@@ -160,9 +161,10 @@ class TestTrain:
         # every row acted, at raw acont -1e6 or +1e6: no recommendation rounds to either
         rng = np.random.default_rng(0)
         n = 120
-        data = Transitions(rng.uniform(0, 5, (n, 5)), rng.integers(1, 12, n),
-                           np.where(rng.random(n) < 0.5, -1e6, 1e6), rng.uniform(0, 5, (n, 5)),
-                           rng.exponential(5.0, n) * (rng.random(n) < 0.5))
+        data = transitions_from(rng.uniform(0, 5, (n, 5)), rng.integers(1, 12, n),
+                                np.where(rng.random(n) < 0.5, -1e6, 1e6),
+                                rng.uniform(0, 5, (n, 5)),
+                                rng.exponential(5.0, n) * (rng.random(n) < 0.5))
         src = tmp_path / "mixed.csv"
         write_transitions(data, src)
         ckpt, hist = tmp_path / "model.ckpt", tmp_path / "history.csv"
@@ -256,6 +258,28 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr() == ("", "training diverged: non-finite gradient at epoch 0, "
                                            "step 0\n")
+        assert not ckpt.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("mode", ["discrete", "mixed"])
+    @pytest.mark.parametrize("flags, where", [
+        (["--epochs", "2"], "validation Q-value"),  # 75 rows: one step per epoch
+        (["--epochs", "3", "--batch-size", "20"], "loss nan"),
+    ], ids=["one-step-per-epoch", "several-steps-per-epoch"])
+    def test_overflowing_learning_rate_diverges_in_one_line(self, tmp_path, capsys, mode,
+                                                            transitions_csv, flags, where):
+        # the first step's weights of about 1e200 overflow the next Q-value: the epoch's
+        # validation or the next step's
+        config = tmp_path / "c.cfg"
+        config.write_text("lr0=1e200\n")
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        capsys.readouterr()  # the fixture's output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", str(transitions_csv), *flags, "--mode", mode, "--config",
+                         str(config), "--checkpoint", str(ckpt), "--history", str(hist)])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"training diverged: non-finite {where} at epoch 0, "
+                                           "step 1\n")
         assert not ckpt.exists() and not hist.exists()
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     response_probability_row,
     run_autonomous_rows,
     timeline_states_rows,
+    transitions_from,
 )
 
 import clvdqn.qlearn as qlearn_module
@@ -151,7 +153,8 @@ class TestPopulationStep:
 
 def rows_with_rewards(rewards):
     n = len(rewards)
-    return Transitions(np.zeros((n, 5)), np.zeros(n), np.zeros(n), np.zeros((n, 5)), rewards)
+    return transitions_from(np.zeros((n, 5)), np.zeros(n), np.zeros(n), np.zeros((n, 5)),
+                            rewards)
 
 
 class TestReplayRing:
@@ -262,6 +265,24 @@ class TestRunAutonomous:
                                  small_train_cfg(6))
         assert any("diverged" in r.message for r in caplog.records)
         assert len(res.history) == 15  # exploration continued
+
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("steps_per_burst, reinits", [(400, 6), (1, 5)])
+    def test_overflowing_learning_rate_reinitializes_without_a_warning(self, mode, caplog,
+                                                                       steps_per_burst, reinits):
+        # each burst's first step makes weights of about 1e200, whose Q-values overflow: in
+        # the burst's next Bellman target, or else in the next episode's greedy recommendation
+        # (which the last of six bursts never meets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with caplog.at_level("WARNING"):
+                res = run_autonomous(50, DonorModel(),
+                                     AgentConfig(episodes=30, steps_per_burst=steps_per_burst),
+                                     TrainConfig(lr0=1e200, mode=mode))
+        assert [r.message for r in caplog.records] == [
+            f"training diverged; re-initializing network with seed {seed}"
+            for seed in range(1, reinits + 1)]
+        assert len(res.history) == 30
 
     def test_gradient_divergence_reinitializes(self, monkeypatch, caplog):
         # the first step's gradient turns non-finite; rmsprop_step's own check raises

@@ -17,8 +17,8 @@ from clvdqn.policy_eval import (
     write_curves_csv,
 )
 from clvdqn.qlearn import network_spec
-from clvdqn.rfmi import NormStats, Transitions
-from oracles import layered_net
+from clvdqn.rfmi import NormStats
+from oracles import layered_net, transitions_from
 
 
 def zero_net(mode="discrete_only"):
@@ -32,7 +32,8 @@ def logged(actions, rewards, states=None, aconts=None):
     """Logged transitions whose next state equals the state."""
     n = len(actions)
     states = np.zeros((n, 5)) if states is None else states
-    return Transitions(states, actions, np.zeros(n) if aconts is None else aconts, states, rewards)
+    return transitions_from(states, actions, np.zeros(n) if aconts is None else aconts, states,
+                            rewards)
 
 
 def biased_net(action, bias=7.0):
@@ -147,7 +148,8 @@ class TestEvaluate:
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(Transitions.empty(0), zero_net(), NormStats.identity())
+            evaluate(transitions_from(np.empty((0, 5)), [], [], np.empty((0, 5)), []), zero_net(),
+                     NormStats.identity())
 
     def test_mixed_net_needs_a_range(self):
         with pytest.raises(ConfigError, match="acont range"):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from clvdqn.qlearn import (
     write_sidecar,
 )
 from clvdqn.policy_eval import evaluate
-from clvdqn.rfmi import NormStats, Transitions, compute_norm_stats, write_records
-from oracles import apply_norm_rows, layered_net, td_steps_arrays, value_iteration
+from clvdqn.rfmi import (NormStats, Transitions, compute_norm_stats, read_transitions,
+                         write_records, write_transitions)
+from oracles import (apply_norm_rows, layered_net, td_steps_arrays, transitions_from,
+                     value_iteration)
 
 # 3-state 2-action deterministic MDP shared with the acceptance suite
 TOY_R = [[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]]
@@ -41,7 +44,7 @@ def onehot_state(s):
 
 def toy_data(copies=100):
     rows = [(s, a) for s in range(3) for a in range(2) for _ in range(copies)]
-    return Transitions(
+    return transitions_from(
         np.array([onehot_state(s) for s, _ in rows]),
         np.array([a for _, a in rows]),
         np.zeros(len(rows)),
@@ -53,8 +56,8 @@ def toy_data(copies=100):
 def make_batch(reward=0.0, action=0, s=None, s2=None, n=1):
     s = s if s is not None else np.zeros(5)
     s2 = s2 if s2 is not None else np.zeros(5)
-    return Transitions(np.tile(s, (n, 1)), np.full(n, action), np.zeros(n),
-                       np.tile(s2, (n, 1)), np.full(n, reward))
+    return transitions_from(np.tile(s, (n, 1)), np.full(n, action), np.zeros(n),
+                            np.tile(s2, (n, 1)), np.full(n, reward))
 
 
 def zero_net(mode="discrete_only"):
@@ -83,8 +86,9 @@ class TestFlatTraining:
         net = layered_net(specs, [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])],
                           [rng.normal(size=o) for o in dims[1:]])
         n = 30
-        data = Transitions(rng.normal(size=(n, 5)), rng.integers(0, 12, n), rng.normal(size=n),
-                           rng.normal(size=(n, 5)), rng.exponential(size=n))
+        data = transitions_from(rng.normal(size=(n, 5)), rng.integers(0, 12, n),
+                                rng.normal(size=n), rng.normal(size=(n, 5)),
+                                rng.exponential(size=n))
         cfg = TrainConfig(batch_size=batch_size, target_clone_period=clone_period,
                           mode="mixed" if mixed else "discrete_only", bounds_lo=-1.5,
                           bounds_hi=2.0)
@@ -111,16 +115,16 @@ class TestFlatTraining:
         # normalized once; a nonzero acont_mean moves inaction's input off 0
         rng = np.random.default_rng(seed)
         n = 40
-        raw = Transitions(rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n),
-                          rng.uniform(0, 30, n), rng.uniform(0, 50, (n, 5)),
-                          rng.exponential(5.0, n))
+        raw = transitions_from(rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n),
+                               rng.uniform(0, 30, n), rng.uniform(0, 50, (n, 5)),
+                               rng.exponential(5.0, n))
         stats = NormStats(rng.uniform(0, 20, 5), np.where(zero_stds, 0.0, rng.uniform(0.5, 9, 5)),
                           acont_mean, acont_std)
         cfg = TrainConfig(batch_size=batch_size, target_clone_period=3,
                           mode="mixed" if mixed else "discrete_only")
         net = init_mlp(network_spec(cfg.mode), seed)
         states, aconts, next_states = apply_norm_rows(stats, raw)
-        normalized = Transitions(states, raw.actions, aconts, next_states, raw.rewards)
+        normalized = transitions_from(states, raw.actions, aconts, next_states, raw.rewards)
         want_losses, weights, biases = td_steps_arrays(net, normalized, n_steps, cfg, seed,
                                                        cfg.lr0, cfg.acont_range(stats))
         learner = Learner.fresh(net, np.random.default_rng(seed))
@@ -129,12 +133,32 @@ class TestFlatTraining:
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_td_steps_on_column_views_match_a_contiguous_copy(self, tmp_path, mode):
+        # read_transitions' own table against a column-major copy: the named columns are
+        # strided views of the first and contiguous columns of the second
+        rng = np.random.default_rng(2)
+        n = 60
+        path = tmp_path / "transitions.csv"
+        write_transitions(transitions_from(rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n),
+                                           rng.uniform(0, 30, n), rng.uniform(0, 50, (n, 5)),
+                                           rng.exponential(5.0, n)), path)
+        read = read_transitions(path)
+        stats = compute_norm_stats(read)
+        cfg = TrainConfig(batch_size=20, target_clone_period=3, mode=mode)
+        runs = []
+        for table in (read.table, np.asfortranarray(read.table)):
+            learner = Learner.fresh(init_mlp(network_spec(mode), 0), np.random.default_rng(0))
+            losses = td_steps(learner, Transitions(table), 6, cfg, stats)
+            runs.append((losses.tobytes(), learner.net.flat.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_td_steps_peak_memory_is_far_below_one_copy_of_the_data(self):
-        # td_steps gathers each batch column by column: no packed copy of the replay
+        # td_steps gathers each batch's rows alone: no copy of the replay
         rng = np.random.default_rng(0)
         n = 50_000
-        data = Transitions(rng.normal(size=(n, 5)), rng.integers(0, 12, n), np.zeros(n),
-                           rng.normal(size=(n, 5)), rng.exponential(size=n))
+        data = transitions_from(rng.normal(size=(n, 5)), rng.integers(0, 12, n), np.zeros(n),
+                                rng.normal(size=(n, 5)), rng.exponential(size=n))
         learner = Learner.fresh(init_mlp(network_spec("discrete_only"), 0),
                                 np.random.default_rng(0))
         tracemalloc.start()
@@ -271,8 +295,8 @@ class TestReplaySampling:
         drawn = []
         monkeypatch.setattr(qlearn_module, "td_step",
                             lambda batch, *args: drawn.extend(batch.rewards) or 0.0)
-        data = Transitions(np.zeros((10, 5)), np.zeros(10), np.zeros(10), np.zeros((10, 5)),
-                           np.arange(10.0))
+        data = transitions_from(np.zeros((10, 5)), np.zeros(10), np.zeros(10),
+                                np.zeros((10, 5)), np.arange(10.0))
         learner = Learner.fresh(zero_net(), np.random.default_rng(0))
         td_steps(learner, data, 1000, TrainConfig(batch_size=100), NormStats.identity())
         counts = np.bincount(np.array(drawn, dtype=int), minlength=10)
@@ -338,6 +362,18 @@ class TestTrain:
         assert (exc.value.epoch, exc.value.step) == (0, 0)
         assert str(exc.value) == "non-finite loss inf at epoch 0, step 0"
 
+    @pytest.mark.parametrize("mode, what", [("discrete_only", "loss nan"),
+                                            ("mixed", "target Q-value")])
+    def test_overflowing_target_diverges_without_a_warning(self, mode, what):
+        # the first step's weights of about 1e200, cloned into the target, overflow its Q-values
+        cfg = TrainConfig(epochs=2, batch_size=50, seed=7, lr0=1e200, target_clone_period=1,
+                          mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                train(toy_data(20), toy_data(20), cfg, NormStats.identity())
+        assert str(exc.value) == f"non-finite {what} at epoch 0, step 1"
+
     def test_epoch_accounting_and_history_shape(self):
         data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
         cfg = TrainConfig(epochs=4, batch_size=50, seed=7, target_clone_period=5)
@@ -352,7 +388,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=50, seed=4, mode="mixed")
         data = toy_data(20)
         val = toy_data(5)
-        val.actions[:] = 1
+        val.table[:, 5] = 1
         val.aconts[:] = 1e6
         net, history = train(data, val, cfg, NormStats.identity())
         assert all(math.isnan(r.val_mean_reward) for r in history)
@@ -371,8 +407,9 @@ class TestTrain:
         n = 400
         actions = rng.integers(0, 3, n)
         aconts = np.where(actions != 0, rng.integers(0, 8, n), 0).astype(float)
-        raw = Transitions(rng.uniform(0, 5, (n, 5)), actions, aconts, rng.uniform(0, 5, (n, 5)),
-                          rng.exponential(5.0, n) * (rng.random(n) < 0.5))
+        raw = transitions_from(rng.uniform(0, 5, (n, 5)), actions, aconts,
+                               rng.uniform(0, 5, (n, 5)),
+                               rng.exponential(5.0, n) * (rng.random(n) < 0.5))
         stats = compute_norm_stats(raw)
         cfg = TrainConfig(epochs=2, batch_size=50, seed=1, mode="mixed")
         with caplog.at_level("WARNING", logger="clvdqn.qlearn"):

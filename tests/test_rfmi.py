@@ -30,6 +30,7 @@ from oracles import (
     read_timelines_rows,
     read_transitions_rows,
     timeline_states_rows,
+    transitions_from,
     write_csv_rows,
     write_transitions_rows,
 )
@@ -203,8 +204,8 @@ class TestBuildTransitions:
 
 def rows(states, actions, aconts, next_states, rewards=None):
     n = len(actions)
-    return Transitions(states, actions, aconts, next_states,
-                       np.zeros(n) if rewards is None else rewards)
+    return transitions_from(states, actions, aconts, next_states,
+                            np.zeros(n) if rewards is None else rewards)
 
 
 @st.composite
@@ -218,6 +219,20 @@ def random_transitions(draw):
         draw(arrays(np.float64, (n, 5), elements=values)),
         draw(arrays(np.float64, n, elements=values)),
     )
+
+
+class TestTransitions:
+    @pytest.mark.parametrize("shape", [(13,), (4, 12), (4, 14), (0, 5), (2, 13, 1)])
+    def test_table_must_be_n_by_13(self, shape):
+        with pytest.raises(DataError, match=r"shape \(n, 13\), not"):
+            Transitions(np.zeros(shape))
+
+    def test_actions_are_a_read_only_int64_copy_of_the_table(self):
+        data = rows(np.zeros((3, 5)), [0, 4, 11], np.zeros(3), np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="read-only"):
+            data.actions[:] = 7
+        assert data.actions.dtype == np.int64 and data.actions.tolist() == [0, 4, 11]
+        assert data.table[:, 5].tolist() == [0.0, 4.0, 11.0]
 
 
 class TestNormalize:
@@ -254,20 +269,25 @@ class TestNormalize:
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            compute_norm_stats(Transitions.empty(0))
+            compute_norm_stats(transitions_from(np.empty((0, 5)), [], [], np.empty((0, 5)),
+                                                []))
 
     @pytest.mark.parametrize("acont_std", [0.0, 9.2])
     def test_zero_stds_divide_by_one_bit_for_bit(self, acont_std):
-        # one zero state std, and a zero acont std, against Python float arithmetic
+        # one zero state std, and a zero acont std, against Python float arithmetic; the
+        # action and reward columns keep their bits, a -0.0 reward included
         rng = np.random.default_rng(3)
         data = rows(rng.uniform(0, 10, (200, 5)), rng.integers(12, size=200),
                     rng.normal(0, 9, 200), rng.uniform(0, 10, (200, 5)), rng.uniform(0, 5, 200))
+        data.rewards[::3] = -0.0
         stats = NormStats(rng.normal(size=5), np.array([2.5, 0.0, 0.3, 7.0, 1.1]), 1.7, acont_std)
         normed = apply_norm(stats, data)
         states, aconts, next_states = apply_norm_rows(stats, data)
         assert normed.states.tobytes() == states.tobytes()
         assert normed.aconts.tobytes() == aconts.tobytes()
         assert normed.next_states.tobytes() == next_states.tobytes()
+        want = np.column_stack([states, data.actions, aconts, next_states, data.rewards])
+        assert normed.table.tobytes() == want.tobytes()
         div = acont_std or 1.0
         assert stats.normalize_acont(data.aconts).tobytes() == aconts.tobytes()
         assert [stats.normalize_acont(a) for a in data.aconts.tolist()] == aconts.tolist()
@@ -465,7 +485,7 @@ def transitions_of(values, actions, states=None):
     from states (values when not given), aconts and rewards from values."""
     states = values if states is None else states
     return st.integers(0, 30).flatmap(lambda n: st.builds(
-        Transitions,
+        transitions_from,
         arrays(np.float64, (n, 5), elements=states),
         arrays(np.int64, n, elements=actions),
         arrays(np.float64, n, elements=values),
@@ -493,7 +513,7 @@ TRANSITION_FAULTS = [  # (column, value) that both transition readers reject ali
 
 class TestTransitionCsvMatchesRowReference:
     @settings(deadline=None, max_examples=60)
-    @given(transitions_of(st.floats(), st.integers(-2**63, 2**63 - 1)))
+    @given(transitions_of(st.floats(), st.integers(-2**53, 2**53)))  # exact in a float64 column
     @example(rows(np.zeros((4, 5)), [0, 1, 2, 3], [0.0, -0.0, np.nan, -np.inf],
                   np.full((4, 5), -0.0), [-0.0, 0.0, 1e-300, 0.1]))
     def test_writer_bytes(self, csv_dir, data):

@@ -12,8 +12,8 @@ untraced, for the whole step's cost, and once with timers wrapped around the
 names `qlearn` calls through its module globals (`bellman_target`,
 `forward_batch`, `backward_batch`, `rmsprop_step`, `td_step`), for the layer
 costs. The gather is the traced `td_steps` time that no `td_step` call
-covers: the replay draw, the batch gather, the per-batch `apply_norm` and
-the loop. Prints one JSON object of per-step medians over the repeats, in
+covers: the replay draw, the one-table row gather `data[idx]`, the per-batch
+`apply_norm` and the loop. Prints one JSON object of per-step medians over the repeats, in
 microseconds, with the numpy/BLAS build and the Python version.
 """
 
@@ -48,8 +48,9 @@ LAYERS = ("gather", "bellman_target", "forward", "backward", "rmsprop", "td_step
 
 def replay(rows: int, seed: int) -> Transitions:
     rng = np.random.default_rng(seed)
-    return Transitions(rng.normal(size=(rows, 5)), rng.integers(0, 12, rows), rng.normal(size=rows),
-                       rng.normal(size=(rows, 5)), rng.exponential(size=rows))
+    return Transitions(np.column_stack([rng.normal(size=(rows, 5)), rng.integers(0, 12, rows),
+                                        rng.normal(size=rows), rng.normal(size=(rows, 5)),
+                                        rng.exponential(size=rows)]))
 
 
 class Timers:
