@@ -30,8 +30,8 @@ class AcontRange:
     inaction: float = 0.0  # the normalized raw acont 0; inaction is never maximized
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
-            raise ConfigError(f"degenerate bounds ({self.lo}, {self.hi})")
+        if not (self.lo < self.hi and np.isfinite(float(self.hi) - float(self.lo))):
+            raise ConfigError(f"degenerate bounds ({self.lo}, {self.hi}): need 0 < hi - lo < inf")
 
 
 def is_mixed(net: Mlp) -> bool:
@@ -43,16 +43,23 @@ def is_mixed(net: Mlp) -> bool:
     return net.input_dim == width + 1
 
 
+def _finite_qs(qs):
+    """qs, or NetworkOverflow if a Q-value is not finite: finite inputs, so the net overflows."""
+    if not np.isfinite(qs).all():
+        raise NetworkOverflow("non-finite Q-value: the network overflows")
+    return qs
+
+
 def action_values(net: Mlp, states, acont_range: AcontRange = None):
     """(aconts, qs), both (n, net.output_dim), for a batch of normalized states.
 
     A discrete net's qs are its outputs and its aconts are 0. A mixed net needs
-    acont_range; see maximize_continuous_batch.
+    acont_range; see maximize_continuous_batch. A non-finite Q raises NetworkOverflow.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if not is_mixed(net):
         qs, _ = forward_batch(net, states)
-        return np.zeros_like(qs), qs
+        return np.zeros_like(qs), _finite_qs(qs)
     return maximize_continuous_batch(net, states, acont_range)
 
 
@@ -105,7 +112,7 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
     acont_range.inaction, not maximized; every other column holds the maximum
     of that output over [acont_range.lo, acont_range.hi], at the lowest acont
     reaching it. Each column's q comes from one forward_batch over the n
-    chosen inputs.
+    chosen inputs. A non-finite Q-value raises NetworkOverflow.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if net.input_dim != states.shape[1] + 1:
@@ -123,6 +130,4 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
     for a in range(net.output_dim):
         q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
         qs[:, a] = q[:, a]
-    if not np.all(np.isfinite(qs)):
-        raise NetworkOverflow("non-finite Q-value while maximizing over the continuous action")
-    return aconts, qs
+    return aconts, _finite_qs(qs)

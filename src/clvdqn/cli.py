@@ -43,7 +43,9 @@ CONFIG_KEYS = (
 )
 CLI_DEFAULTS = {"validation_fraction": 0.25, "population": 500}
 CONFIGS = (TrainConfig, env_mod.DonorModel, env_mod.AgentConfig)
-MAX_DIM = int(np.iinfo(np.intp).max)  # the largest numpy array dimension
+# numpy refuses an array of more bytes than the largest intp before allocating; no array here
+# holds over 1024 bytes per batch row, customer or grid point, so numpy refuses no size up to this
+MAX_SIZE = int(np.iinfo(np.intp).max) // 1024
 
 
 def default_settings() -> dict:
@@ -89,8 +91,8 @@ def _effective_config(args) -> dict:
     if settings["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
     for name, value in settings.items():  # each int but the seed counts or sizes something
-        if type(value) is int and name != "seed" and value > MAX_DIM:
-            raise ConfigError(f"{name} must be at most {MAX_DIM}, got {value}")
+        if type(value) is int and name != "seed" and value > MAX_SIZE:
+            raise ConfigError(f"{name} must be at most {MAX_SIZE}, got {value}")
     return settings
 
 
@@ -211,8 +213,8 @@ def cmd_curves(args):
     except policy_eval.SweepError as exc:
         flag = {"dims": "dims", "ranges": "range", "reference": "reference"}[exc.field]
         raise ConfigError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}") from None
-    if args.resolution ** len(dims) > MAX_DIM:
-        raise ConfigError(f"--resolution {args.resolution} makes over {MAX_DIM} grid points")
+    if args.resolution ** len(dims) > MAX_SIZE:
+        raise ConfigError(f"--resolution {args.resolution} makes over {MAX_SIZE} grid points")
     rows = policy_eval.export_value_curves(net, sweep, stats)
     policy_eval.write_curves_csv(rows, sweep, args.out)
     print(f"wrote {len(rows)} curve rows to {args.out}")

@@ -261,9 +261,9 @@ def _reinitialized(learner: Learner, mode: str, net_seed: int) -> Learner:
 
 
 def _underperforming_actions(data: Transitions, cfg: AgentConfig) -> set:
-    dropped = set()
+    dropped, actions = set(), data.actions
     for action in range(1, N_ACTIONS):  # inaction must remain available
-        mask = data.table[:, 5] == action
+        mask = actions == action
         if mask.sum() >= cfg.drop_min_observations and data.rewards[mask].mean() < cfg.drop_threshold:
             dropped.add(action)
     return dropped

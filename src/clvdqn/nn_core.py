@@ -150,8 +150,6 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = N
     matmul. ReLU subgradient at exactly 0 is 0.
     """
     g = np.asarray(output_grads, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.shape != cache["pres"][-1].shape:
         raise ConfigError(
             f"output grad shape {g.shape} != output shape {cache['pres'][-1].shape}"

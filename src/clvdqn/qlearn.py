@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import AcontRange, is_mixed, maximize_continuous_batch
+from .action_space import AcontRange, action_values, is_mixed
 from .nn_core import (
     ConfigError,
     Gradients,
@@ -82,11 +82,7 @@ def network_spec(mode: str):
 
 def max_next_q(next_states, target_net, acont_range=None):
     """max_a' Q_target(s', a') for a batch of next states; a mixed net needs acont_range."""
-    if is_mixed(target_net):
-        qs = maximize_continuous_batch(target_net, next_states, acont_range)[1]
-    else:
-        qs, _ = forward_batch(target_net, next_states)
-    return qs.max(axis=1)
+    return action_values(target_net, next_states, acont_range)[1].max(axis=1)
 
 
 def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,

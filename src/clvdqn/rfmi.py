@@ -185,13 +185,21 @@ class NormStats:
 
 
 def compute_norm_stats(data: Transitions) -> NormStats:
-    """Population moments over states and next states; acont over acted rows only."""
+    """Population moments over states and next states; acont over acted rows only. DataError
+    names the first dim whose mean or std is not finite, as of values too large to square."""
     if not data:
         raise DataError("cannot compute normalization stats from empty input")
     states = np.concatenate([data.states, data.next_states])
     acted = data.aconts[data.table[:, 5] != 0]  # the float action column, not an int64 copy
-    moments = (float(acted.mean()), float(acted.std())) if acted.size else (0.0, 0.0)
-    return NormStats(states.mean(axis=0), states.std(axis=0), *moments)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
+        moments = (float(acted.mean()), float(acted.std())) if acted.size else (0.0, 0.0)
+        stats = NormStats(states.mean(axis=0), states.std(axis=0), *moments)
+    finite = np.isfinite([[*stats.state_mean, stats.acont_mean],
+                          [*stats.state_std, stats.acont_std]]).all(axis=0)
+    if not finite.all():
+        name = (*STATE_DIMS, "acont")[np.argmin(finite)]
+        raise DataError(f"{name} is too large to normalize: its mean or std is not finite")
+    return stats
 
 
 def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
@@ -285,6 +293,27 @@ def _column(cells, kind, blank=""):
         raise
 
 
+def _parse_rows(reader, kinds, skip_blank):
+    """(columns, line_nums, faults) of a csv.reader's rows, blank ones too unless skip_blank; row
+    i ends on line line_nums[i]. Each (kind, blank) of kinds reads a column as _column does, or
+    keeps a str column's cells, up to the first faulty row. faults check field counts and cells."""
+    rows, line_nums = [], []
+    for row in reader:
+        if row or not skip_blank:
+            rows.append(row)
+            line_nums.append(reader.line_num)
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong_width = widths != len(kinds)
+    faults = [(wrong_width, lambda i: f"expected {len(kinds)} columns, got {widths[i]}")]
+    rows = rows[:int(np.argmax(wrong_width))] if wrong_width.any() else rows
+    columns = []
+    for cells, (kind, blank) in zip(zip(*rows) if rows else [()] * len(kinds), kinds):
+        values, fault = (cells, None) if kind is str else _column(cells, kind, blank)
+        columns.append(values)
+        faults += [fault] if fault else []
+    return columns, line_nums, faults
+
+
 def _int64(values):
     """Python ints as int64, clamped to +-2**62 (keeping their sign) so a period + 1 fits."""
     try:
@@ -308,22 +337,9 @@ def read_timelines(path) -> Timelines:
     with open_text(path, newline="") as f:
         reader = csv.reader(f)
         _check_header(path, next(reader, None), TIMELINE_COLUMNS)
-        rows, line_nums = [], []  # each non-blank row and the line it ends on: no re-read on a fault
-        for row in reader:
-            if row:
-                rows.append(row)
-                line_nums.append(reader.line_num)
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    wrong_width = widths != 5
-    faults = [(wrong_width, lambda i: f"expected 5 columns, got {widths[i]}")]
-    rows = rows[:int(np.argmax(wrong_width))] if wrong_width.any() else rows
-    cids, *cells = zip(*rows) if rows else [()] * 5
-    columns = []
-    for column, kind, blank in zip(cells, (int, float, int, float), ("", "0", "0", "0")):
-        values, fault = _column(column, kind, blank)
-        columns.append(values)
-        faults += [fault] if fault else []
-    n = min(map(len, columns))  # the rows before the first malformed number
+        kinds = ((str, ""), (int, ""), (float, "0"), (int, "0"), (float, "0"))
+        (cids, *columns), line_nums, faults = _parse_rows(reader, kinds, skip_blank=True)
+    n = min(map(len, columns))  # the rows before the first faulty one
     period, action = _int64(columns[0][:n]), _int64(columns[2][:n])
     amount = np.array(columns[1][:n], dtype=np.float64)
     acont = np.array(columns[3][:n], dtype=np.float64)
@@ -390,41 +406,34 @@ def write_transitions(data: Transitions, path):
     write_csv(path, TRANSITION_COLUMNS, [*data.table.T[:5], data.actions, *data.table.T[6:]])
 
 
-def _float_block(lines):
-    """The (n, 13) float64 block of transition CSV lines, ValueError if one is not 13 numbers."""
-    _check_plain(lines)
-    vals = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    if vals.shape[1] != 13:
-        raise ValueError(f"expected 13 columns, got {vals.shape[1]}")
-    return vals
-
-
 def read_transitions(path) -> Transitions:
     """Reads a transition CSV, rejecting malformed rows with DataError("path:line: ...").
 
     Every row has 13 numbers; every value must be finite, the action an
-    integer in 0..N_ACTIONS-1 and every state component non-negative.
+    integer in 0..N_ACTIONS-1 and every state component non-negative. Only a
+    file that np.loadtxt refuses is read row by row, as read_timelines reads it.
     """
     with open_text(path) as f:  # universal newlines: every line end reads as \n
         lines = f.read().split("\n")
     if lines[-1] == "":
         lines.pop()
-    _check_header(path, next(csv.reader(lines[:1]), None), TRANSITION_COLUMNS)
-    body = lines[1:]
+    reader = csv.reader(lines)
+    _check_header(path, next(reader, None), TRANSITION_COLUMNS)
+    body, line_nums = lines[1:], range(2, len(lines) + 1)  # the line of each row
     try:
-        if "" in body:
+        if "" in body:  # np.loadtxt would skip it
             raise ValueError("blank line")
-        vals = _float_block(body) if body else np.empty((0, 13))
+        _check_plain(body)
+        vals = (np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                if body else np.empty((0, 13)))
+        if vals.shape[1] != 13:
+            raise ValueError(f"expected 13 columns, got {vals.shape[1]}")
     except ValueError:
-        for line_no, line in enumerate(body, start=2):
-            fields = len(next(csv.reader([line]), []))
-            if fields != 13:
-                raise DataError(f"{path}:{line_no}: expected 13 columns, got {fields}") from None
-            try:
-                _float_block([line])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: malformed row ({exc})") from None
-        raise
+        columns, line_nums, faults = _parse_rows(reader, ((float, ""),) * 13, skip_blank=False)
+        i, message = _first_fault(faults)
+        if message:
+            raise DataError(f"{path}:{line_nums[i]}: {message}") from None
+        vals = np.column_stack(columns)  # np.loadtxt refused numbers that float() reads
     actions = vals[:, 5]
     state_cols = vals[:, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]]
     faults = (  # checked in this order, so a row's first fault is the one reported
@@ -435,5 +444,5 @@ def read_transitions(path) -> Transitions:
     )
     row, message = _first_fault(faults)
     if message:
-        raise DataError(f"{path}:{row + 2}: {message}")
+        raise DataError(f"{path}:{line_nums[row]}: {message}")
     return Transitions(vals)

@@ -241,7 +241,8 @@ class TestActionValues:
         with pytest.raises(ConfigError, match="acont range"):
             action_values(zero_net("mixed"), np.zeros((1, 5)))
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0), (0.0, np.inf), (np.nan, 1.0)])
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0), (0.0, np.inf), (np.nan, 1.0),
+                                        (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
     def test_degenerate_range_rejected(self, lo, hi):
         with pytest.raises(ConfigError, match="degenerate bounds"):
             AcontRange(lo, hi)

@@ -368,9 +368,11 @@ class TestClv:
         (".meta", lambda b: b.replace(b"bounds_lo=", b"#"), "missing key 'bounds_lo'"),
         (".meta", lambda b: b.replace(b"bounds_hi=", b"#"), "missing key 'bounds_hi'"),
         (".meta", lambda b: b.replace(b"bounds_lo=-2.0", b"bounds_lo=2.0"), "degenerate bounds"),
+        (".meta", lambda b: b.replace(b"bounds_lo=-2.0", b"bounds_lo=-1e308")
+         .replace(b"bounds_hi=2.0", b"bounds_hi=1e308"), "degenerate bounds"),
     ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed", "nan-bias", "inf-weight",
             "nan-state-std", "nan-acont-std", "inf-lr0", "mode-mismatch", "no-bounds-lo",
-            "no-bounds-hi", "empty-bounds"])
+            "no-bounds-hi", "empty-bounds", "overflowing-bounds"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
         ckpt = zero_checkpoint(tmp_path)
         damaged = Path(str(ckpt) + suffix)
@@ -770,8 +772,15 @@ class TestFaultsExitWithoutTraceback:
         ("simulate", "", ["--population", str(10**19)], "population"),
         ("curves", "", ["--resolution", str(10**19)], "--resolution"),
         ("curves-2d", "", ["--resolution", str(10**19)], "--resolution"),
+        # sizes that fit a numpy dimension but not cli.MAX_SIZE: numpy refuses 16 EB of int64
+        # draws and a 40 EB state grid before it allocates
+        ("train", "", ["--batch-size", str(2 * 10**18)], "batch_size"),
+        ("simulate", "", ["--population", str(10**18)], "population"),
+        ("curves-2d", "", ["--resolution", str(10**8)], "--resolution"),
     ], ids=["train-batch-size-flag", "train-batch-size", "steps_per_burst",
-            "population-flag", "curves-resolution", "curves-2d-resolution"])
+            "population-flag", "curves-resolution", "curves-2d-resolution",
+            "train-batch-size-too-many-bytes", "population-too-many-bytes",
+            "curves-2d-too-many-bytes"])
     def test_size_beyond_a_numpy_dimension_is_usage_error(self, tmp_path, capsys,
                                                           transitions_csv, command, settings,
                                                           flags, key):
@@ -789,10 +798,67 @@ class TestFaultsExitWithoutTraceback:
                           "recency,frequency", "--range", "0:1,0:1", "--out", str(out)],
         }[command] + flags
         capsys.readouterr()  # the fixture's output
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and err.count("\n") == 1
         assert not ckpt.exists() and not out.exists()
+
+    @pytest.mark.parametrize("mode", ["discrete", "mixed"])
+    @pytest.mark.parametrize("command, settings, column, code, message", [
+        ("train", "", 2, 2, "data error: monetary is too large to normalize: its mean or std is "
+                            "not finite"),
+        ("train", "", 6, 2, "data error: acont is too large to normalize: its mean or std is "
+                            "not finite"),
+        ("train", "bounds_lo=-1e308\nbounds_hi=1e308", None, 1,
+         "error: degenerate bounds (-1e+308, 1e+308): need 0 < hi - lo < inf"),
+        ("simulate", "bounds_lo=-1e308\nbounds_hi=1e308", None, 1,
+         "error: degenerate bounds (-1e+308, 1e+308): need 0 < hi - lo < inf"),
+    ], ids=["huge-monetary", "huge-acont", "train-overflowing-bounds",
+            "simulate-overflowing-bounds"])
+    def test_value_too_large_to_use_ends_in_one_line(self, tmp_path, capsys, transitions_csv,
+                                                     mode, command, settings, column, code,
+                                                     message):
+        # column: the transitions column that gets 1e200 on the first row acting on a donor
+        if column is not None:
+            lines = transitions_csv.read_text().splitlines()
+            row = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[5] != "0")
+            cells = lines[row].split(",")
+            cells[column] = "1e200"
+            lines[row] = ",".join(cells)
+            transitions_csv.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{settings}\n")
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        argv = {
+            "train": ["train", str(transitions_csv), "--epochs", "1"],
+            "simulate": ["simulate", "--population", "5", "--episodes", "3"],
+        }[command] + ["--mode", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                      "--history", str(hist)]
+        capsys.readouterr()  # the fixture's output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not ckpt.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("bound", ["1e100", "1e200"])
+    def test_explored_aconts_too_large_to_normalize_are_data_error(self, tmp_path, capsys,
+                                                                  bound):
+        # each burst's acont std scales the next explored aconts, until their squares overflow
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bounds_lo=-{bound}\nbounds_hi={bound}\nsteps_per_burst=5\n"
+                       "batch_size=20\n")
+        ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--mode", "mixed", "--population", "20", "--episodes", "12",
+                         "--config", str(cfg), "--checkpoint", str(ckpt), "--history", str(hist)])
+        assert code == 2
+        assert capsys.readouterr().err == ("data error: acont is too large to normalize: its "
+                                           "mean or std is not finite\n")
+        assert not ckpt.exists() and not hist.exists()
 
     @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with shape "
                                          "(1000000000000, 1) and data type float64", ""])

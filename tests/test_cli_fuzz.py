@@ -126,14 +126,24 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     base.mkdir()
     files = inputs(base)
     rng = np.random.default_rng(SEED)
-    cases = []  # the explicit ones first: an overflowing net, an oversized setting, and a
-    for mode in ("discrete_only", "mixed"):  # learning rate whose first step overflows
+    # The explicit cases first: an overflowing net; oversized settings, a learning rate whose
+    # first step overflows and bounds whose span overflows; and an m of 1e200, whose square
+    # overflows the normalization std.
+    cases = []
+    for mode in ("discrete_only", "mixed"):
         save_checkpoint(base / "huge.ckpt", overflowing_weights(mode), TrainConfig(mode=mode),
                         NormStats.identity())
         for argv in COMMANDS["weights"]:
             cases.append((mode, "weights", (base / "huge.ckpt").read_bytes(), argv))
-        for config in (b"batch_size=%d\n" % 10**19, b"lr0=1e308\n"):
+        for config in (b"batch_size=%d\n" % 10**19, b"batch_size=%d\n" % (2 * 10**18),
+                       b"population=%d\n" % 10**18, b"lr0=1e308\n",
+                       b"bounds_lo=-1e308\nbounds_hi=1e308\n"):
             cases.append((mode, "config", config, COMMANDS["config"][0]))
+        lines = files[mode]["transitions"].split(b"\r\n")
+        cells = lines[1].split(b",")
+        lines[1] = b",".join([*cells[:2], b"1e200", *cells[3:]])
+        for argv in COMMANDS["transitions"]:
+            cases.append((mode, "transitions", b"\r\n".join(lines), argv))
     for _ in range(CASES):
         mode = ("discrete_only", "mixed")[int(rng.integers(2))]
         kind = list(COMMANDS)[int(rng.integers(len(COMMANDS)))]

@@ -362,9 +362,8 @@ class TestTrain:
         assert (exc.value.epoch, exc.value.step) == (0, 0)
         assert str(exc.value) == "non-finite loss inf at epoch 0, step 0"
 
-    @pytest.mark.parametrize("mode, what", [("discrete_only", "loss nan"),
-                                            ("mixed", "target Q-value")])
-    def test_overflowing_target_diverges_without_a_warning(self, mode, what):
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_overflowing_target_diverges_without_a_warning(self, mode):
         # the first step's weights of about 1e200, cloned into the target, overflow its Q-values
         cfg = TrainConfig(epochs=2, batch_size=50, seed=7, lr0=1e200, target_clone_period=1,
                           mode=mode)
@@ -372,7 +371,7 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
                 train(toy_data(20), toy_data(20), cfg, NormStats.identity())
-        assert str(exc.value) == f"non-finite {what} at epoch 0, step 1"
+        assert str(exc.value) == "non-finite target Q-value at epoch 0, step 1"
 
     def test_epoch_accounting_and_history_shape(self):
         data = toy_data(20)  # 120 rows -> ceil(120/50) = 3 steps per epoch
