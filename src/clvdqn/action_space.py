@@ -53,13 +53,14 @@ def _finite_qs(qs):
 def action_values(net: Mlp, states, acont_range: AcontRange = None):
     """(aconts, qs), both (n, net.output_dim), for a batch of normalized states.
 
-    A discrete net's qs are its outputs and its aconts are 0. A mixed net needs
-    acont_range; see maximize_continuous_batch. A non-finite Q raises NetworkOverflow.
+    A discrete net's qs are its outputs and its aconts a read-only broadcast 0, which
+    allocates nothing. A mixed net needs acont_range; see maximize_continuous_batch.
+    A non-finite Q raises NetworkOverflow.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if not is_mixed(net):
         qs, _ = forward_batch(net, states)
-        return np.zeros_like(qs), _finite_qs(qs)
+        return np.broadcast_to(0.0, qs.shape), _finite_qs(qs)
     return maximize_continuous_batch(net, states, acont_range)
 
 

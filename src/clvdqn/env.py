@@ -21,7 +21,7 @@ from .action_space import is_mixed
 from .nn_core import ConfigError, NetworkOverflow, init_mlp
 from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
 from .rfmi import (N_ACTIONS, TRANSITION_COLUMNS, NormStats, Transitions, advance_states,
-                   compute_norm_stats)
+                   merge_moments, stats_from_moments, table_moments)
 
 log = logging.getLogger(__name__)
 
@@ -106,11 +106,16 @@ class EpisodeRecord:
 
 
 class ReplayRing:
-    """Fixed-size FIFO replay memory; once full, each new row overwrites the oldest."""
+    """Fixed-size FIFO replay memory; once full, each new row overwrites the oldest.
+
+    Beside the rows it keeps the rfmi.table_moments of each add's stored rows,
+    so that norm_stats merges those and reads no row.
+    """
 
     def __init__(self, capacity: int):
         self._rows = Transitions(np.empty((capacity, len(TRANSITION_COLUMNS))))
         self._added = 0  # rows ever added; row k lives in slot k % capacity
+        self._blocks = []  # (first row, moments) of each add's stored rows, oldest first
 
     def __len__(self):
         return min(self._added, len(self._rows))
@@ -121,6 +126,19 @@ class ReplayRing:
         first = self._added + len(batch) - len(keep)
         self._rows.table[np.arange(first, first + len(keep)) % capacity] = keep
         self._added += len(batch)
+        if len(keep):
+            self._blocks.append((first, table_moments(Transitions(keep))))
+        oldest = self._added - len(self)
+        while len(self._blocks) > 1 and self._blocks[1][0] <= oldest:
+            del self._blocks[0]  # every row of the oldest block is overwritten
+        if self._blocks and self._blocks[0][0] < oldest:  # some of its rows are
+            end = self._blocks[1][0] if len(self._blocks) > 1 else self._added
+            survivors = self._rows[np.arange(oldest, end) % capacity]
+            self._blocks[0] = (oldest, table_moments(survivors))
+
+    def norm_stats(self) -> NormStats:
+        """rfmi.stats_from_moments of every stored row, from the blocks' merged moments."""
+        return stats_from_moments(merge_moments([moments for _, moments in self._blocks]))
 
     def contents(self) -> Transitions:
         """Every stored row, oldest first. Before the ring wraps this is a view
@@ -240,7 +258,7 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
 
         if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
             data = replay.contents()
-            stats = compute_norm_stats(data)
+            stats = replay.norm_stats()
             try:
                 td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)
                 trained = True

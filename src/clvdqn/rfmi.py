@@ -184,22 +184,66 @@ class NormStats:
         return cls(np.zeros(5), np.ones(5), 0.0, 1.0)
 
 
-def compute_norm_stats(data: Transitions) -> NormStats:
-    """Population moments over states and next states; acont over acted rows only. DataError
-    names the first dim whose mean or std is not finite, as of values too large to square."""
-    if not data:
-        raise DataError("cannot compute normalization stats from empty input")
+def _moments(x: np.ndarray) -> np.ndarray:
+    """(3, dims) count, mean and M2 (sum of squared deviations) of the rows of x, with the sums
+    of np.mean and np.std, so that sqrt(M2 / count) has np.std's bits; all 0 for no row."""
+    if not len(x):
+        return np.zeros((3, x.shape[1]))
+    mean = np.add.reduce(x, axis=0) / len(x)
+    dev = x - mean
+    return np.stack([np.full(x.shape[1], float(len(x))), mean,
+                     np.add.reduce(np.square(dev, out=dev), axis=0)])  # in place, as np.std
+
+
+def table_moments(data: Transitions) -> np.ndarray:
+    """(3, 6) count, mean and M2 of what NormStats normalizes: the 5 state dims, pooled over
+    states and next states, then the acont of acted rows. A moment may be non-finite."""
     states = np.concatenate([data.states, data.next_states])
     acted = data.aconts[data.table[:, 5] != 0]  # the float action column, not an int64 copy
+    with np.errstate(over="ignore", invalid="ignore"):  # stats_from_moments raises on it
+        return np.hstack([_moments(states), _moments(acted[:, None])])
+
+
+def merge_moments(records) -> np.ndarray:
+    """The (3, 6) moments of the union of tables, from a sequence of their table_moments.
+
+    Merges pairs, level by level of a tree, with the update of Chan, Golub and
+    LeVeque (1979): for a and b, n = na + nb, mean = mean_a + d nb / n and
+    M2 = M2a + M2b + d^2 na nb / n, where d = mean_b - mean_a.
+    """
+    m = np.reshape(records, (-1, 3, 6))
+    with np.errstate(over="ignore", invalid="ignore"):  # stats_from_moments raises on it
+        while len(m) > 1:
+            pairs = len(m) // 2 * 2
+            a, b = m[:pairs].reshape(-1, 2, 3, 6).transpose(1, 2, 0, 3)  # each (3, pairs / 2, 6)
+            (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+            n, d = na + nb, mean_b - mean_a
+            w = nb / np.maximum(n, 1.0)  # 0 where both counts are 0: an acont with no acted row
+            merged = np.stack([n, mean_a + d * w, m2_a + m2_b + d * (d * (na * w))], axis=1)
+            m = np.concatenate([merged, m[pairs:]])
+    return m[0] if len(m) else np.zeros((3, 6))
+
+
+def stats_from_moments(moments: np.ndarray) -> NormStats:
+    """NormStats of (3, 6) moments: std = sqrt(M2 / count), and an acont with no acted row
+    gets mean and std 0. DataError names the first dim whose mean or std is not finite, as
+    of values too large to square."""
+    n, mean, m2 = moments
+    if not n[0]:
+        raise DataError("cannot compute normalization stats from empty input")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
-        moments = (float(acted.mean()), float(acted.std())) if acted.size else (0.0, 0.0)
-        stats = NormStats(states.mean(axis=0), states.std(axis=0), *moments)
-    finite = np.isfinite([[*stats.state_mean, stats.acont_mean],
-                          [*stats.state_std, stats.acont_std]]).all(axis=0)
+        std = np.sqrt(m2 / np.maximum(n, 1.0))
+    finite = np.isfinite([mean, std]).all(axis=0)
     if not finite.all():
         name = (*STATE_DIMS, "acont")[np.argmin(finite)]
         raise DataError(f"{name} is too large to normalize: its mean or std is not finite")
-    return stats
+    return NormStats(mean[:5], std[:5], float(mean[5]), float(std[5]))
+
+
+def compute_norm_stats(data: Transitions) -> NormStats:
+    """Population moments over states and next states, and acont over acted rows only, of
+    one table: stats_from_moments(table_moments(data)), with its DataError."""
+    return stats_from_moments(table_moments(data))
 
 
 def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
@@ -293,15 +337,28 @@ def _column(cells, kind, blank=""):
         raise
 
 
-def _parse_rows(reader, kinds, skip_blank):
-    """(columns, line_nums, faults) of a csv.reader's rows, blank ones too unless skip_blank; row
-    i ends on line line_nums[i]. Each (kind, blank) of kinds reads a column as _column does, or
-    keeps a str column's cells, up to the first faulty row. faults check field counts and cells."""
+def _csv_rows(path, lines):
+    """(line, row) of each csv row of lines (a text stream or list of lines), line being the
+    row's last. A row the csv module refuses, such as one with a field over its size limit,
+    raises DataError("path:line: ...")."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _parse_rows(numbered, kinds, skip_blank):
+    """(columns, line_nums, faults) of _csv_rows' (line, row) pairs, blank rows too unless
+    skip_blank; row i ends on line line_nums[i]. Each (kind, blank) of kinds reads a column as
+    _column does, or keeps a str column's cells, up to the first faulty row. faults check field
+    counts and cells."""
     rows, line_nums = [], []
-    for row in reader:
+    for line_num, row in numbered:
         if row or not skip_blank:
             rows.append(row)
-            line_nums.append(reader.line_num)
+            line_nums.append(line_num)
     widths = np.fromiter(map(len, rows), np.int64, len(rows))
     wrong_width = widths != len(kinds)
     faults = [(wrong_width, lambda i: f"expected {len(kinds)} columns, got {widths[i]}")]
@@ -335,10 +392,10 @@ def read_timelines(path) -> Timelines:
     customer's first row, each with an empty period where a row is missing.
     """
     with open_text(path, newline="") as f:
-        reader = csv.reader(f)
-        _check_header(path, next(reader, None), TIMELINE_COLUMNS)
+        rows = _csv_rows(path, f)
+        _check_header(path, next(rows, (1, None))[1], TIMELINE_COLUMNS)
         kinds = ((str, ""), (int, ""), (float, "0"), (int, "0"), (float, "0"))
-        (cids, *columns), line_nums, faults = _parse_rows(reader, kinds, skip_blank=True)
+        (cids, *columns), line_nums, faults = _parse_rows(rows, kinds, skip_blank=True)
     n = min(map(len, columns))  # the rows before the first faulty one
     period, action = _int64(columns[0][:n]), _int64(columns[2][:n])
     amount = np.array(columns[1][:n], dtype=np.float64)
@@ -417,8 +474,8 @@ def read_transitions(path) -> Transitions:
         lines = f.read().split("\n")
     if lines[-1] == "":
         lines.pop()
-    reader = csv.reader(lines)
-    _check_header(path, next(reader, None), TRANSITION_COLUMNS)
+    rows = _csv_rows(path, lines)
+    _check_header(path, next(rows, (1, None))[1], TRANSITION_COLUMNS)
     body, line_nums = lines[1:], range(2, len(lines) + 1)  # the line of each row
     try:
         if "" in body:  # np.loadtxt would skip it
@@ -429,7 +486,7 @@ def read_transitions(path) -> Transitions:
         if vals.shape[1] != 13:
             raise ValueError(f"expected 13 columns, got {vals.shape[1]}")
     except ValueError:
-        columns, line_nums, faults = _parse_rows(reader, ((float, ""),) * 13, skip_blank=False)
+        columns, line_nums, faults = _parse_rows(rows, ((float, ""),) * 13, skip_blank=False)
         i, message = _first_fault(faults)
         if message:
             raise DataError(f"{path}:{line_nums[i]}: {message}") from None

@@ -20,7 +20,7 @@ from clvdqn.env import REPLAY_CAPACITY, AutonomousResult, EpisodeRecord, ReplayR
 from clvdqn.nn_core import Mlp, TrainingDiverged, forward_batch, init_mlp, n_params
 from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
-                         Timelines, Transitions, _check_header, compute_norm_stats)
+                         Timelines, Transitions, _check_header)
 
 
 def transitions_from(states, actions, aconts, next_states, rewards) -> Transitions:
@@ -291,7 +291,8 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     choice, then each acting mixed-mode explorer's acont, then each response and
     next state, drawing from the agent and environment generators as it goes;
     the rule hooks are called on one-row state arrays. The training bursts are
-    the library's.
+    the library's, and so are their norm stats: the replay ring's merge of its
+    per-episode moments.
     """
     if isinstance(population, int):
         states = [[0.0] * 5 for _ in range(population)]
@@ -357,7 +358,7 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
 
         if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
             data = replay.contents()
-            stats = compute_norm_stats(data)
+            stats = replay.norm_stats()
             try:
                 td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)
                 trained = True

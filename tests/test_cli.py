@@ -75,6 +75,8 @@ class TestBuildTransitions:
         ("c0,1_0,0.0,,", "malformed row ('_' in a number)"),
         ("c0,1,1_0.5,,", "malformed row ('_' in a number)"),
         ("c0,1,0.0,3,\u0665", "malformed row ('\u0665' in a number)"),
+        pytest.param(f"c0,1,{'1' * 200_000},,", "field larger than field limit (131072)",
+                     id="field-over-the-csv-limit"),
     ])
     def test_invalid_timeline_row_is_data_error(self, tmp_path, capsys, row, message):
         src = tmp_path / "bad.csv"
@@ -192,6 +194,8 @@ class TestTrain:
         ("r", "-1.0", "negative state value"),
         ("m", "1_0", "malformed row ('_' in a number)"),
         ("reward", "\u0665", "malformed row ('\u0665' in a number)"),
+        pytest.param("reward", "1" * 140_000 + "x", "field larger than field limit (131072)",
+                     id="field-over-the-csv-limit"),
     ])
     def test_invalid_transition_row_is_data_error(self, tmp_path, transitions_csv, capsys,
                                                   field, value, message):

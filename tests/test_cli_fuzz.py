@@ -127,8 +127,8 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     files = inputs(base)
     rng = np.random.default_rng(SEED)
     # The explicit cases first: an overflowing net; oversized settings, a learning rate whose
-    # first step overflows and bounds whose span overflows; and an m of 1e200, whose square
-    # overflows the normalization std.
+    # first step overflows and bounds whose span overflows; an m of 1e200, whose square
+    # overflows the normalization std; and a cell over the csv module's field size limit.
     cases = []
     for mode in ("discrete_only", "mixed"):
         save_checkpoint(base / "huge.ckpt", overflowing_weights(mode), TrainConfig(mode=mode),
@@ -144,6 +144,11 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
         lines[1] = b",".join([*cells[:2], b"1e200", *cells[3:]])
         for argv in COMMANDS["transitions"]:
             cases.append((mode, "transitions", b"\r\n".join(lines), argv))
+        lines[1] = b",".join([*cells[:12], b"1" * 140_000 + b"x"])
+        cases.append((mode, "transitions", b"\r\n".join(lines), COMMANDS["transitions"][0]))
+        lines = files[mode]["timelines"].split(b"\r\n")
+        lines[2] = b",".join([*lines[2].split(b",")[:2], b"1" * 200_000, b"", b"0.0"])
+        cases.append((mode, "timelines", b"\r\n".join(lines), COMMANDS["timelines"][0]))
     for _ in range(CASES):
         mode = ("discrete_only", "mixed")[int(rng.integers(2))]
         kind = list(COMMANDS)[int(rng.integers(len(COMMANDS)))]

@@ -29,7 +29,7 @@ from clvdqn.env import (
 from clvdqn.nn_core import ConfigError
 from clvdqn.qlearn import TrainConfig, TrainingDiverged
 from clvdqn.rfmi import (N_ACTIONS, NormStats, Timelines, Transitions, advance_states,
-                         build_transitions, write_records)
+                         build_transitions, compute_norm_stats, write_records)
 
 
 def small_train_cfg(seed=0):
@@ -179,6 +179,35 @@ class TestReplayRing:
             assert len(replay) == min(len(added), 7)
             np.testing.assert_array_equal(replay.contents().rewards, added[-7:])
             np.testing.assert_array_equal(replay.contents().states, np.zeros((len(replay), 5)))
+
+    def test_merged_moments_match_the_stored_rows(self):
+        # After each add of test_fifo_eviction's sizes, with random rows: the merge of the
+        # blocks' moments holds np.mean and np.std of the stored rows to a relative 1e-9,
+        # across a partly overwritten block, wrap-arounds and a batch larger than the ring.
+        # Only blocks 0, 2 and 6 act on a donor, so after adds 3 to 5 the ring holds no acted
+        # row, in two blocks after add 4; state dim 3 is 0 throughout.
+        rng = np.random.default_rng(7)
+        replay = ReplayRing(7)
+        for k, size in enumerate((3, 5, 2, 9, 4, 7, 1)):
+            states, next_states = rng.uniform(0.0, 10.0, (2, size, 5)) * [1, 1, 1, 0, 1]
+            actions = rng.integers(1, N_ACTIONS, size) * (k in (0, 2, 6))
+            replay.add(transitions_from(states, actions, rng.normal(2.0, 4.0, size), next_states,
+                                        rng.random(size)))
+            data, stats = replay.contents(), replay.norm_stats()
+            pooled = np.concatenate([data.states, data.next_states])
+            np.testing.assert_allclose(stats.state_mean, pooled.mean(axis=0), rtol=1e-9)
+            np.testing.assert_allclose(stats.state_std, pooled.std(axis=0), rtol=1e-9)
+            assert stats.state_mean[3] == 0.0 and stats.state_std[3] == 0.0
+            acted = data.aconts[data.actions != 0]
+            if k in (3, 4, 5):
+                assert acted.size == 0 and (stats.acont_mean, stats.acont_std) == (0.0, 0.0)
+            else:
+                np.testing.assert_allclose([stats.acont_mean, stats.acont_std],
+                                           [acted.mean(), acted.std()], rtol=1e-9)
+            if k == 3:  # one block, the batch's last 7 rows: compute_norm_stats' bits
+                want = compute_norm_stats(data)
+                assert (stats.state_mean.tolist(), stats.state_std.tolist()) == (
+                    want.state_mean.tolist(), want.state_std.tolist())
 
 
 class TestAgentConfig:

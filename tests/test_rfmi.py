@@ -20,8 +20,11 @@ from clvdqn.rfmi import (
     build_transitions,
     compute_norm_stats,
     csv_text,
+    merge_moments,
     read_timelines,
     read_transitions,
+    stats_from_moments,
+    table_moments,
     write_csv,
     write_transitions,
 )
@@ -283,6 +286,27 @@ class TestNormalize:
             with pytest.raises(DataError) as exc:
                 compute_norm_stats(data)
         assert str(exc.value) == f"{dim} is too large to normalize: its mean or std is not finite"
+
+    def test_merged_block_moments_match_the_whole_table(self):
+        # 13 uneven blocks, 3 of them with no acted row: levels of 13 and 7 blocks leave one
+        # to carry over. A merge of one block keeps compute_norm_stats' bits.
+        rng = np.random.default_rng(5)
+        data = rows(rng.uniform(0, 50, (3000, 5)), rng.integers(12, size=3000),
+                    rng.normal(30, 9, 3000), rng.uniform(0, 50, (3000, 5)), rng.uniform(0, 5, 3000))
+        blocks = np.split(np.arange(3000), np.sort(rng.choice(np.arange(1, 3000), 12, False)))
+        for b in (0, 4, 12):
+            data.table[blocks[b], 5] = 0.0
+        merged = stats_from_moments(merge_moments([table_moments(data[b]) for b in blocks]))
+        want = compute_norm_stats(data)
+        for got, expected in ((merged.state_mean, want.state_mean),
+                              (merged.state_std, want.state_std),
+                              ([merged.acont_mean, merged.acont_std],
+                               [want.acont_mean, want.acont_std])):
+            np.testing.assert_allclose(got, expected, rtol=1e-9)
+        one = stats_from_moments(merge_moments([table_moments(data)]))
+        assert [one.state_mean.tolist(), one.state_std.tolist(), one.acont_mean,
+                one.acont_std] == [want.state_mean.tolist(), want.state_std.tolist(),
+                                   want.acont_mean, want.acont_std]
 
     @pytest.mark.parametrize("acont_std", [0.0, 9.2])
     def test_zero_stds_divide_by_one_bit_for_bit(self, acont_std):
