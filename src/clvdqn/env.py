@@ -121,10 +121,9 @@ class ReplayRing:
         return min(self._added, len(self._rows))
 
     def add(self, batch: Transitions):
-        capacity = len(self._rows)
-        keep = batch.table[max(len(batch) - capacity, 0):]
+        keep = batch.table[max(len(batch) - len(self._rows), 0):]
         first = self._added + len(batch) - len(keep)
-        self._rows.table[np.arange(first, first + len(keep)) % capacity] = keep
+        self._rows.table[np.arange(first, first + len(keep)) % len(self._rows)] = keep
         self._added += len(batch)
         if len(keep):
             self._blocks.append((first, table_moments(Transitions(keep))))
@@ -133,19 +132,20 @@ class ReplayRing:
             del self._blocks[0]  # every row of the oldest block is overwritten
         if self._blocks and self._blocks[0][0] < oldest:  # some of its rows are
             end = self._blocks[1][0] if len(self._blocks) > 1 else self._added
-            survivors = self._rows[np.arange(oldest, end) % capacity]
-            self._blocks[0] = (oldest, table_moments(survivors))
+            self._blocks[0] = (oldest, table_moments(self[np.arange(end - oldest)]))
 
     def norm_stats(self) -> NormStats:
         """rfmi.stats_from_moments of every stored row, from the blocks' merged moments."""
         return stats_from_moments(merge_moments([moments for _, moments in self._blocks]))
 
+    def __getitem__(self, positions) -> Transitions:
+        """A copy of the stored rows at oldest-first positions (an int array): 0 is the oldest."""
+        return Transitions(self._rows.table.take(self._added - len(self) + positions, axis=0,
+                                                 mode="wrap"))  # wrap: slot = row % capacity
+
     def contents(self) -> Transitions:
-        """Every stored row, oldest first. Before the ring wraps this is a view
-        of its storage, valid until the next add."""
-        if self._added <= len(self._rows):
-            return self._rows[:self._added]
-        return self._rows[np.arange(self._added - len(self), self._added) % len(self._rows)]
+        """A copy of every stored row, oldest first."""
+        return self[np.arange(len(self))]
 
 
 @dataclass
@@ -199,14 +199,14 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
                    train_cfg: TrainConfig):
     """Cold-start control loop: explore, log into replay, train in bursts.
 
-    `population` is either a customer count (fresh donors) or an (n, 5) array
-    of starting raw states, whose gift sums start at frequency * monetary;
-    ConfigError if it holds no customer.
+    `population` is either a customer count (any 0-d integer: fresh donors) or
+    an (n, 5) array of starting raw states, whose gift sums start at frequency *
+    monetary; ConfigError if it holds no customer.
     Returns an AutonomousResult; the trained net consumes states normalized
     with result.norm_stats.
     """
-    if isinstance(population, int):
-        population = np.zeros((max(population, 0), 5))
+    if np.ndim(population) == 0 and isinstance(np.asarray(population).item(), int):
+        population = np.zeros((max(int(population), 0), 5))
     states = np.array(population, dtype=np.float64).reshape(-1, 5)
     if not len(states):
         raise ConfigError("population must contain at least one customer")
@@ -257,16 +257,15 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
         )
 
         if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
-            data = replay.contents()
             stats = replay.norm_stats()
             try:
-                td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)
+                td_steps(learner, replay, agent_cfg.steps_per_burst, train_cfg, stats)
                 trained = True
             except TrainingDiverged:
                 net_seed += 1
                 learner, trained = _reinitialized(learner, train_cfg.mode, net_seed), False
             if agent_cfg.drop_threshold is not None:
-                dropped |= _underperforming_actions(data, agent_cfg)
+                dropped |= _underperforming_actions(replay.contents(), agent_cfg)
 
     return AutonomousResult(net=learner.net, norm_stats=stats, history=history,
                             replay=replay, dropped_actions=dropped)

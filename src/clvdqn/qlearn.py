@@ -139,11 +139,12 @@ class Learner:
         return cls(net, net.copy(), np.zeros_like(net.flat), rng, step)
 
 
-def td_steps(learner: Learner, data: Transitions, n_steps: int, cfg: TrainConfig,
-             norm_stats: NormStats, lr=None) -> np.ndarray:
-    """n_steps TD steps on batches drawn uniformly with replacement from raw data, each batch
-    normalized with norm_stats. Clones the target net whenever the learner's global step
-    count reaches a multiple of cfg.target_clone_period. Returns the per-step losses."""
+def td_steps(learner: Learner, data, n_steps: int, cfg: TrainConfig, norm_stats: NormStats,
+             lr=None) -> np.ndarray:
+    """n_steps TD steps on batches drawn uniformly with replacement from raw data (anything with
+    len() whose int-array index gives Transitions: a Transitions or an env.ReplayRing), each
+    normalized with norm_stats. Clones the target net whenever the learner's global step count
+    reaches a multiple of cfg.target_clone_period. Returns the per-step losses."""
     acont_range = cfg.acont_range(norm_stats)
     losses = np.empty(n_steps)
     grads = Gradients.like(learner.net)

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from clvdqn import policy_eval
-from clvdqn.env import REPLAY_CAPACITY, AutonomousResult, EpisodeRecord, ReplayRing
+from clvdqn import env, policy_eval
+from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import Mlp, TrainingDiverged, forward_batch, init_mlp, n_params
 from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
@@ -292,10 +292,11 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     next state, drawing from the agent and environment generators as it goes;
     the rule hooks are called on one-row state arrays. The training bursts are
     the library's, and so are their norm stats: the replay ring's merge of its
-    per-episode moments.
+    per-episode moments. Each burst draws from its own copy of the newest
+    len(replay) rows, cut from the episode tables it added, not from the ring.
     """
-    if isinstance(population, int):
-        states = [[0.0] * 5 for _ in range(population)]
+    if np.ndim(population) == 0 and isinstance(np.asarray(population).item(), int):
+        states = [[0.0] * 5 for _ in range(int(population))]
     else:
         states = [list(map(float, row)) for row in np.asarray(population).reshape(-1, 5)]
     gift_sums = [frequency * monetary for _, frequency, monetary, _, _ in states]
@@ -304,7 +305,8 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     net_seed = train_cfg.seed
     learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
                             np.random.default_rng(train_cfg.seed))
-    replay = ReplayRing(min(REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
+    replay = ReplayRing(min(env.REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
+    tables = []  # every episode's table, oldest first
     stats = NormStats.identity()
     mixed = train_cfg.mode == "mixed"
     trained = False
@@ -353,11 +355,12 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
             rows.append((state, actions[i], aconts[i], states[i], reward))
         batch = transitions_from(*(np.array(col) for col in zip(*rows)))
         replay.add(batch)
+        tables.append(batch.table)
         history.append(EpisodeRecord(episode, eps, float(batch.rewards.mean()),
                                      float(np.mean(batch.rewards > 0)), len(replay)))
 
         if (episode + 1) % agent_cfg.train_every == 0 and len(replay) >= train_cfg.batch_size:
-            data = replay.contents()
+            data = Transitions(np.concatenate(tables)[-len(replay):])
             stats = replay.norm_stats()
             try:
                 td_steps(learner, data, agent_cfg.steps_per_burst, train_cfg, stats)

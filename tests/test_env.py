@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from oracles import (
     transitions_from,
 )
 
+import clvdqn.env as env_module
 import clvdqn.qlearn as qlearn_module
 from clvdqn.action_space import AcontRange
 from clvdqn.env import (
@@ -340,6 +342,20 @@ class TestRunAutonomous:
         res = run_autonomous(10, DonorModel(seed=7), cfg, small_train_cfg(7))
         assert set(res.replay.contents().actions) == {9}
 
+    def test_bursts_on_a_wrapped_ring_copy_no_replay(self, monkeypatch):
+        # 200 donors x 150 episodes wrap a 20,000-row ring 1.5 times; its 30 bursts draw their
+        # batches from the ring in place, so the run never holds a second copy of the ring
+        monkeypatch.setattr(env_module, "REPLAY_CAPACITY", 20_000)
+        agent = AgentConfig(seed=4, episodes=150, steps_per_burst=5)
+        tracemalloc.start()
+        try:
+            res = run_autonomous(200, DonorModel(seed=4), agent, small_train_cfg(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.replay) == 20_000
+        assert peak < 2 * res.replay.contents().table.nbytes
+
     def test_explorers_draw_acont_from_the_bounds(self):
         # untrained, so the stats stay the identity and the bounds are raw units too
         agent = AgentConfig(seed=9, episodes=40, train_every=10**9)
@@ -397,15 +413,21 @@ ROW_CASES = {
                         "initial_policy": lambda states: np.full(len(states), 5)},
     "start-states": {"population": np.array([[0, 0, 0, 0, 0], [3, 4, 12.5, 1, 6],
                                              [1, 1, 7.25, 9, 0], [20, 3, 2.0, 2, 30]] * 6)},
+    "numpy-count": {"population": np.int64(25)},
+    # 375 rows into a 110-row ring: every burst meets a wrapped ring that holds the tail of
+    # a partly overwritten episode, and the drop rule reads that ring's contents
+    "wrapped-ring": {"replay_capacity": 110, "drop_threshold": 1.0, "drop_min_observations": 10},
 }
 
 
 class TestRowReference:
     @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
     @pytest.mark.parametrize("case", list(ROW_CASES))
-    def test_matches_row_reference(self, mode, case):
+    def test_matches_row_reference(self, mode, case, monkeypatch):
         kwargs = dict(ROW_CASES[case])
         population = kwargs.pop("population", 25)
+        if "replay_capacity" in kwargs:
+            monkeypatch.setattr(env_module, "REPLAY_CAPACITY", kwargs.pop("replay_capacity"))
         agent = AgentConfig(seed=11, episodes=15, epsilon_decay=0.8, train_every=5,
                             steps_per_burst=20, **kwargs)
         train = TrainConfig(seed=11, batch_size=50, target_clone_period=25, mode=mode)
@@ -418,7 +440,9 @@ class TestRowReference:
                                           getattr(want.replay.contents(), f.name))
         for a, b in zip(got.net.weights + got.net.biases, want.net.weights + want.net.biases):
             np.testing.assert_array_equal(a, b)
-        if case == "drop-threshold":
+        if case in ("drop-threshold", "wrapped-ring"):
             assert got.dropped_actions
+        if case == "wrapped-ring":
+            assert len(got.replay) == 110
         if case == "greedy-fallback":
             assert set(got.replay.contents().actions) <= {0, 3, 7}
