@@ -5,8 +5,10 @@ for discrete actions only, 6 (the state, then the continuous attribute acont)
 for the mixed space. With ReLU hidden layers each output of a mixed net is
 piecewise linear in acont for a fixed state, so its maximum over the bounds
 lies at a bound or at a kink, where some hidden pre-activation changes sign.
-maximize_continuous_batch enumerates those points and evaluates them all.
+maximize_continuous_batch enumerates those points as one flat list of (state,
+acont) candidates per block of BLOCK_STATES states and evaluates them all.
 Ties always break toward the lowest acont, then the lowest action index.
+Every Q-value returned comes from net_qs, which raises NetworkOverflow if one is not finite.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .nn_core import ConfigError, Mlp, NetworkOverflow, forward_batch
 from .rfmi import STATE_DIMS
 
-CHUNK_ROWS = 2048  # network rows per block of states in the kink search; bounds memory only
+BLOCK_STATES = 4  # states per block of the kink search; bounds memory only
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,13 @@ def is_mixed(net: Mlp) -> bool:
     return net.input_dim == width + 1
 
 
-def _finite_qs(qs):
-    """qs, or NetworkOverflow if a Q-value is not finite: finite inputs, so the net overflows."""
+def net_qs(net: Mlp, inputs):
+    """The net's outputs for a (n, input_dim) batch: states, then acont for a mixed net.
+
+    A non-finite output raises NetworkOverflow: the inputs are finite, so the net overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs, _ = forward_batch(net, inputs)
     if not np.isfinite(qs).all():
         raise NetworkOverflow("non-finite Q-value: the network overflows")
     return qs
@@ -59,51 +66,42 @@ def action_values(net: Mlp, states, acont_range: AcontRange = None):
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if not is_mixed(net):
-        qs, _ = forward_batch(net, states)
-        return np.broadcast_to(0.0, qs.shape), _finite_qs(qs)
+        qs = net_qs(net, states)
+        return np.broadcast_to(0.0, qs.shape), qs
     return maximize_continuous_batch(net, states, acont_range)
-
-
-def _max_points(net: Mlp) -> int:
-    """Bound on _argmax_aconts' points per state: each hidden unit can cross 0 once per segment."""
-    m = 2
-    for spec in net.specs[:-1]:
-        m += (m - 1) * spec.output_dim
-    return m
-
-
-def _paired(states, aconts):
-    """Network inputs pairing row i of states with each acont in row i of aconts."""
-    return np.column_stack([np.repeat(states, aconts.shape[1], axis=0), aconts.reshape(-1)])
 
 
 def _argmax_aconts(net: Mlp, states, lo: float, hi: float):
     """(n, output_dim) lowest acont in [lo, hi] at which each output peaks.
 
-    Hidden layers are taken in order. Between consecutive points found so far
-    every earlier layer is affine in acont, so this layer's pre-activations are
-    too, and each sign change gives a kink by linear interpolation. (A linear
-    hidden layer adds points that are not kinks: more candidates, same maximum.
-    An output ReLU only clips a segment's affine value, which keeps its maximum
-    at a segment end.) Rows are padded with `hi` past their `count` points.
+    The candidates are flat (owner, acont) arrays sorted by owner, then acont,
+    starting at each state's two bounds. Hidden layers are taken in order.
+    Between consecutive candidates of one owner every earlier layer is affine
+    in acont, so this layer's pre-activations are too, and each sign change
+    gives a kink by linear interpolation; an overflowing layer's NaN kinks are
+    dropped. (A linear hidden layer adds points that are not kinks: more
+    candidates, same maximum. An output ReLU only clips a segment's affine
+    value, which keeps its maximum at a segment end.)
     """
-    n = len(states)
-    points = np.tile([lo, hi], (n, 1))
-    count = np.full(n, 2)
+    owner = np.repeat(np.arange(len(states)), 2)
+    points = np.tile([lo, hi], len(states))
     for k in range(len(net.specs) - 1):
-        _, cache = forward_batch(net, _paired(states, points))
-        z = cache["pres"][k].reshape(n, points.shape[1], -1)
-        z0, z1 = z[:, :-1], z[:, 1:]
-        t0, t1 = points[:, :-1, None], points[:, 1:, None]
-        cross = np.sign(z0) * np.sign(z1) < 0
-        frac = np.divide(z0, z0 - z1, out=np.zeros_like(z0), where=cross)
-        kinks = np.where(cross, np.clip(t0 + (t1 - t0) * frac, t0, t1), hi)
-        count += cross.sum(axis=(1, 2))
-        points = np.sort(np.concatenate([points, kinks.reshape(n, -1)], axis=1), axis=1)
-        points = points[:, :count.max()]
-    q, _ = forward_batch(net, _paired(states, points))
-    first_max = np.argmax(q.reshape(n, points.shape[1], -1), axis=1)
-    return np.take_along_axis(points, first_max, axis=1)
+        _, cache = forward_batch(net, np.column_stack([states[owner], points]))
+        z0, z1 = cache["pres"][k][:-1], cache["pres"][k][1:]
+        cross = (np.sign(z0) * np.sign(z1) < 0) & (owner[:-1] == owner[1:])[:, None]
+        seg, unit = np.nonzero(cross)
+        z0, z1, t0, t1 = z0[seg, unit], z1[seg, unit], points[seg], points[seg + 1]
+        kinks = np.clip(t0 + (t1 - t0) * (z0 / (z0 - z1)), t0, t1)
+        kept = ~np.isnan(kinks)
+        owner = np.concatenate([owner, owner[seg[kept]]])
+        points = np.concatenate([points, kinks[kept]])
+        order = np.lexsort((points, owner))
+        owner, points = owner[order], points[order]
+    q, _ = forward_batch(net, np.column_stack([states[owner], points]))
+    starts = np.searchsorted(owner, np.arange(len(states)))  # each state's first candidate
+    peaks = np.maximum.reduceat(q, starts)
+    hit = (q == peaks[owner]) | np.isnan(q)  # a NaN peak sits at its first NaN, as in np.argmax
+    return points[np.minimum.reduceat(np.where(hit, np.arange(len(q))[:, None], len(q)), starts)]
 
 
 def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
@@ -112,8 +110,8 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
     Returns (aconts, qs), both (n, net.output_dim). Column 0 is inaction at
     acont_range.inaction, not maximized; every other column holds the maximum
     of that output over [acont_range.lo, acont_range.hi], at the lowest acont
-    reaching it. Each column's q comes from one forward_batch over the n
-    chosen inputs. A non-finite Q-value raises NetworkOverflow.
+    reaching it. Each column's q comes from one net_qs over the n chosen
+    inputs. A non-finite Q-value raises NetworkOverflow.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if net.input_dim != states.shape[1] + 1:
@@ -122,13 +120,12 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
     if acont_range is None:
         raise ConfigError("a mixed-mode net needs an acont range to maximize over")
     aconts = np.empty((len(states), net.output_dim))
-    block = max(1, CHUNK_ROWS // _max_points(net))
-    for i in range(0, len(states), block):
-        aconts[i:i + block] = _argmax_aconts(net, states[i:i + block],
-                                             acont_range.lo, acont_range.hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NetworkOverflow
+        for i in range(0, len(states), BLOCK_STATES):
+            aconts[i:i + BLOCK_STATES] = _argmax_aconts(net, states[i:i + BLOCK_STATES],
+                                                        acont_range.lo, acont_range.hi)
     aconts[:, 0] = acont_range.inaction
     qs = np.empty_like(aconts)
     for a in range(net.output_dim):
-        q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
-        qs[:, a] = q[:, a]
-    return aconts, _finite_qs(qs)
+        qs[:, a] = net_qs(net, np.column_stack([states, aconts[:, a]]))[:, a]
+    return aconts, qs

@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .action_space import _finite_qs, action_values, is_mixed
-from .nn_core import ConfigError, Mlp, forward_batch
+from .action_space import action_values, is_mixed, net_qs
+from .nn_core import ConfigError, Mlp
 from .rfmi import N_ACTIONS, STATE_DIMS, NormStats, Transitions, write_csv
 
 BIAS_CAVEAT = (
@@ -74,7 +74,7 @@ def _raw_action_values(net: Mlp, raw_states, norm_stats: NormStats, acont_range)
     """action_values of raw states, with a mixed net's aconts in raw units and inaction's 0."""
     if np.shape(raw_states)[-1:] != (5,):  # normalize_state would broadcast a narrower state
         raise ConfigError(f"expected 5-dim raw states, got shape {np.shape(raw_states)}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NetworkOverflow
+    with np.errstate(over="ignore"):  # forward_batch rejects a state too large to normalize
         aconts, qs = action_values(net, norm_stats.normalize_state(raw_states), acont_range)
     if is_mixed(net):
         aconts = norm_stats.denormalize_acont(aconts)
@@ -197,9 +197,7 @@ def export_value_curves(net: Mlp, sweep: SweepSpec, norm_stats: NormStats):
     if is_mixed(net):
         inaction = norm_stats.normalize_acont(0.0)
         states = np.concatenate([states, np.full((len(states), 1), inaction)], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, _ = forward_batch(net, states)
-    return np.concatenate([grid, _finite_qs(q)], axis=1)
+    return np.concatenate([grid, net_qs(net, states)], axis=1)
 
 
 def write_curves_csv(rows, sweep: SweepSpec, path):

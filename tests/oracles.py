@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's analytic paths: gradients come from
-central finite differences, continuous maximization from a dense grid scan,
+central finite differences, continuous maximization from a dense grid scan
+and from a kink search padded to a worst-case candidate count per state,
 tabular Q* from value iteration on explicit dynamics, normalization from
 row-by-row loops over a batch of transitions, RFM-I states from each
 timeline's prefix, the simulator from a loop over customers in Python
@@ -17,7 +18,7 @@ import numpy as np
 
 from clvdqn import env, policy_eval
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
-from clvdqn.nn_core import Mlp, TrainingDiverged, forward_batch, init_mlp, n_params
+from clvdqn.nn_core import Mlp, NetworkOverflow, TrainingDiverged, forward_batch, init_mlp, n_params
 from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
                          Timelines, Transitions, _check_header)
@@ -91,6 +92,63 @@ def grid_scan_max(net, state, action, bounds, n_points=2001):
     q, _ = forward_batch(net, x)
     idx = int(np.argmax(q[:, action]))
     return float(grid[idx]), float(q[idx, action])
+
+
+def _max_points(net):
+    """Bound on padded_kink_points' points per state: each hidden unit can cross 0 once per
+    segment."""
+    m = 2
+    for spec in net.specs[:-1]:
+        m += (m - 1) * spec.output_dim
+    return m
+
+
+def _paired(states, aconts):
+    """Network inputs pairing row i of states with each acont in row i of aconts."""
+    return np.column_stack([np.repeat(states, aconts.shape[1], axis=0), aconts.reshape(-1)])
+
+
+def padded_kink_points(net, states, lo, hi):
+    """(n, m) sorted candidate aconts of each state: its bounds and the kinks of every hidden
+    layer, found by linear interpolation between the points before, padded with hi."""
+    n = len(states)
+    points = np.tile([lo, hi], (n, 1))
+    count = np.full(n, 2)
+    for k in range(len(net.specs) - 1):
+        _, cache = forward_batch(net, _paired(states, points))
+        z = cache["pres"][k].reshape(n, points.shape[1], -1)
+        z0, z1 = z[:, :-1], z[:, 1:]
+        t0, t1 = points[:, :-1, None], points[:, 1:, None]
+        cross = np.sign(z0) * np.sign(z1) < 0
+        frac = np.divide(z0, z0 - z1, out=np.zeros_like(z0), where=cross)
+        kinks = np.where(cross, np.clip(t0 + (t1 - t0) * frac, t0, t1), hi)
+        count += cross.sum(axis=(1, 2))
+        points = np.sort(np.concatenate([points, kinks.reshape(n, -1)], axis=1), axis=1)
+        points = points[:, :count.max()]
+    return points
+
+
+def padded_maximize_continuous_batch(net, states, acont_range):
+    """maximize_continuous_batch from padded_kink_points: blocks of states holding at most
+    2,048 worst-case points, the first maximum of each output over a block's padded table,
+    and each column's q read back by one forward over the n chosen inputs."""
+    n = len(states)
+    aconts = np.empty((n, net.output_dim))
+    block = max(1, 2048 // _max_points(net))
+    for i in range(0, n, block):
+        part = states[i:i + block]
+        points = padded_kink_points(net, part, acont_range.lo, acont_range.hi)
+        q, _ = forward_batch(net, _paired(part, points))
+        first_max = np.argmax(q.reshape(len(part), points.shape[1], -1), axis=1)
+        aconts[i:i + block] = np.take_along_axis(points, first_max, axis=1)
+    aconts[:, 0] = acont_range.inaction
+    qs = np.empty_like(aconts)
+    for a in range(net.output_dim):
+        q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
+        qs[:, a] = q[:, a]
+    if not np.isfinite(qs).all():
+        raise NetworkOverflow("non-finite Q-value: the network overflows")
+    return aconts, qs
 
 
 def value_iteration(rewards, transitions, gamma, tol=1e-10, max_iter=100000):

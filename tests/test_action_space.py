@@ -1,14 +1,18 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvdqn.action_space import AcontRange, action_values, maximize_continuous_batch
-from clvdqn.nn_core import ConfigError, LayerSpec, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, LayerSpec, NetworkOverflow, forward_batch, init_mlp
 from clvdqn.policy_eval import recommend_batch
 from clvdqn.qlearn import network_spec
 from clvdqn.rfmi import NormStats
-from oracles import grid_scan_max, layered_net
+from oracles import (grid_scan_max, layered_net, padded_kink_points,
+                     padded_maximize_continuous_batch)
 
 MIXED_RANGE = AcontRange(-2.0, 2.0)
 BOUNDS = (MIXED_RANGE.lo, MIXED_RANGE.hi)
@@ -142,32 +146,79 @@ class TestMaximizeContinuous:
         assert aconts[5] == pytest.approx(center, abs=1e-12)
         assert qs[5] == pytest.approx(2.0, abs=1e-9)
 
-    def test_non_finite_q_rejected(self):
-        net = zero_net("mixed")
-        net.biases[-1][2] = np.inf
-        with pytest.raises(ConfigError):
-            maximize(net, np.zeros(5))
+    @pytest.mark.parametrize("overflow", ["infinite_output_bias", "huge_weights"])
+    def test_non_finite_q_rejected(self, overflow):
+        if overflow == "infinite_output_bias":
+            net = zero_net("mixed")
+            net.biases[-1][2] = np.inf
+            states = np.zeros((1, 5))
+        else:  # finite weights of +-1e300 overflow the kink search and the forward pass
+            net = init_mlp(network_spec("mixed"), seed=0)
+            for w in net.weights:
+                w[:] = np.copysign(1e300, w)
+            states = np.random.default_rng(0).normal(size=(20, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetworkOverflow, match="non-finite Q-value"):
+                maximize_continuous_batch(net, states, MIXED_RANGE)
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            widths=st.lists(st.integers(1, 8), min_size=1, max_size=2),
            n_out=st.integers(2, 5),
+           n_states=st.integers(1, 20),
            lo=st.floats(-5.0, 5.0),
            width=st.floats(0.01, 5.0))
-    def test_exact_on_random_relu_nets(self, seed, widths, n_out, lo, width):
+    def test_exact_on_random_relu_nets(self, seed, widths, n_out, n_states, lo, width):
         rng = np.random.default_rng(seed)
         net = random_relu_net(rng, widths, n_out)
         acont_range = AcontRange(lo, lo + width)
-        state = rng.normal(size=5)
-        aconts, qs = maximize(net, state, acont_range)
-        assert aconts.shape == qs.shape == (n_out,)
+        states = rng.normal(size=(n_states, 5))
+        aconts, qs = maximize_continuous_batch(net, states, acont_range)
+        assert aconts.shape == qs.shape == (n_states, n_out)
+        for a in range(n_out):  # the bits of one forward over the batch's chosen inputs
+            q, _ = forward_batch(net, np.column_stack([states, aconts[:, a]]))
+            np.testing.assert_array_equal(qs[:, a], q[:, a])
         grid = np.linspace(acont_range.lo, acont_range.hi, 20001)
-        grid_q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(grid), 1)), grid]))
-        for a in range(1, n_out):
-            assert acont_range.lo <= aconts[a] <= acont_range.hi
-            assert qs[a] >= grid_q[:, a].max() - 1e-12
-            q, _ = forward_batch(net, np.concatenate([state, [aconts[a]]])[None, :])
-            assert q[0, a] == qs[a]
+        for state, state_aconts, state_qs in zip(states, aconts, qs):
+            grid_q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(grid), 1)),
+                                                            grid]))
+            assert np.all((acont_range.lo <= state_aconts[1:])
+                          & (state_aconts[1:] <= acont_range.hi))
+            assert np.all(state_qs[1:] >= grid_q[:, 1:].max(axis=0) - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_padded_oracle(self, seed):
+        # 200 states: 50 blocks of the flat candidate list, 67 of the padded table
+        net = init_mlp(network_spec("mixed"), seed=seed)
+        states = np.random.default_rng(300 + seed).normal(size=(200, 5))
+        aconts, qs = maximize_continuous_batch(net, states, MIXED_RANGE)
+        want_aconts, want_qs = padded_maximize_continuous_batch(net, states, MIXED_RANGE)
+        np.testing.assert_allclose(qs, want_qs, rtol=1e-12, atol=0)
+        unique = np.zeros(qs.shape, dtype=bool)
+        for i, state in enumerate(states):
+            points = padded_kink_points(net, state[None, :], *BOUNDS)[0]
+            q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(points), 1)), points]))
+            far = np.abs(points[:, None] - want_aconts[i]) > 1e-9  # (points, actions)
+            runner_up = np.where(far, q, -np.inf).max(axis=0)
+            unique[i] = want_qs[i] - runner_up > 1e-12 * np.abs(want_qs[i])
+        unique[:, 0] = False  # inaction is not maximized
+        assert unique[:, 1:].mean() > 0.9  # the check below is not vacuous
+        np.testing.assert_allclose(aconts[unique], want_aconts[unique], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(aconts[:, 0], MIXED_RANGE.inaction)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # on these 3,000 states the padded search peaks at 6.8 MB, one unblocked list at 180+ MB
+        net = init_mlp(network_spec("mixed"), seed=12)
+        states = np.random.default_rng(12).normal(size=(3000, 5))
+        maximize_continuous_batch(net, states[:10], MIXED_RANGE)  # first-call allocations
+        tracemalloc.start()
+        try:
+            maximize_continuous_batch(net, states, MIXED_RANGE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 6.8e6
 
 
 class TestBestMixed:

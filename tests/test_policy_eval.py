@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,14 @@ class TestRecommendBatch:
         states = np.random.default_rng(0).normal(size=(6, 5))
         actions, _, _ = recommend_batch(biased_net(4), states, NormStats.identity())
         assert actions.tolist() == [4] * 6
+
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_state_too_large_to_normalize_is_a_non_finite_input(self, mode):
+        stats = NormStats(np.zeros(5), np.full(5, 1e-10), 0.0, 1.0)  # 1e308 / 1e-10 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="non-finite network input"):
+                recommend_batch(zero_net(mode), [[1e308, 1, 1, 1, 1]], stats, AcontRange(-2, 2))
 
 
 class TestRawUnits:
