@@ -27,7 +27,9 @@ log = logging.getLogger(__name__)
 
 PROB_FLOOR = 0.001
 PROB_CEIL = 0.999
-REPLAY_CAPACITY = 1_000_000  # rows; past it the oldest are overwritten
+# Replay rows, rounded down to whole episodes and at least one; past it each new episode
+# overwrites the oldest.
+REPLAY_CAPACITY = 1_000_000
 
 
 @dataclass
@@ -106,42 +108,40 @@ class EpisodeRecord:
 
 
 class ReplayRing:
-    """Fixed-size FIFO replay memory; once full, each new row overwrites the oldest.
+    """FIFO replay memory of whole episodes; once full, each new episode overwrites the oldest.
 
-    Beside the rows it keeps the rfmi.table_moments of each add's stored rows,
-    so that norm_stats merges those and reads no row.
+    Beside each episode's rows it keeps their rfmi.table_moments in the same
+    slot, so that norm_stats merges those and reads no row.
     """
 
-    def __init__(self, capacity: int):
-        self._rows = Transitions(np.empty((capacity, len(TRANSITION_COLUMNS))))
-        self._added = 0  # rows ever added; row k lives in slot k % capacity
-        self._blocks = []  # (first row, moments) of each add's stored rows, oldest first
+    def __init__(self, episodes: int, population: int):
+        self._rows = Transitions(np.empty((episodes * population, len(TRANSITION_COLUMNS))))
+        self._moments = np.empty((episodes, 3, 6))
+        self._population = population
+        self._added = 0  # episodes ever added; episode k lives in slot k % episodes
 
     def __len__(self):
-        return min(self._added, len(self._rows))
+        return min(self._added, len(self._moments)) * self._population
 
-    def add(self, batch: Transitions):
-        keep = batch.table[max(len(batch) - len(self._rows), 0):]
-        first = self._added + len(batch) - len(keep)
-        self._rows.table[np.arange(first, first + len(keep)) % len(self._rows)] = keep
-        self._added += len(batch)
-        if len(keep):
-            self._blocks.append((first, table_moments(Transitions(keep))))
-        oldest = self._added - len(self)
-        while len(self._blocks) > 1 and self._blocks[1][0] <= oldest:
-            del self._blocks[0]  # every row of the oldest block is overwritten
-        if self._blocks and self._blocks[0][0] < oldest:  # some of its rows are
-            end = self._blocks[1][0] if len(self._blocks) > 1 else self._added
-            self._blocks[0] = (oldest, table_moments(self[np.arange(end - oldest)]))
+    def add(self, episode: Transitions):
+        """Store one episode of population rows over the oldest; ValueError for any other
+        size, as of a one-row batch, which numpy would broadcast."""
+        if len(episode) != self._population:
+            raise ValueError(f"an episode holds {self._population} rows, got {len(episode)}")
+        slot = self._added % len(self._moments)
+        self._rows.table[slot * self._population:(slot + 1) * self._population] = episode.table
+        self._moments[slot] = table_moments(episode)
+        self._added += 1
 
     def norm_stats(self) -> NormStats:
-        """rfmi.stats_from_moments of every stored row, from the blocks' merged moments."""
-        return stats_from_moments(merge_moments([moments for _, moments in self._blocks]))
+        """rfmi.stats_from_moments of every stored row, from the episodes' merged moments."""
+        return stats_from_moments(merge_moments(self._moments[:self._added]))
 
     def __getitem__(self, positions) -> Transitions:
         """A copy of the stored rows at oldest-first positions (an int array): 0 is the oldest."""
-        return Transitions(self._rows.table.take(self._added - len(self) + positions, axis=0,
-                                                 mode="wrap"))  # wrap: slot = row % capacity
+        oldest = self._added * self._population - len(self)  # the oldest stored row's number
+        return Transitions(self._rows.table.take(oldest + positions, axis=0,
+                                                 mode="wrap"))  # wrap: row k is in slot k % rows
 
     def contents(self) -> Transitions:
         """A copy of every stored row, oldest first."""
@@ -216,7 +216,8 @@ def run_autonomous(population, model: DonorModel, agent_cfg: AgentConfig,
     net_seed = train_cfg.seed
     learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
                             np.random.default_rng(train_cfg.seed))
-    replay = ReplayRing(min(REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
+    replay = ReplayRing(min(agent_cfg.episodes, max(REPLAY_CAPACITY // len(states), 1)),
+                        len(states))
     stats = NormStats.identity()
     trained = False
     dropped = set()

@@ -261,8 +261,8 @@ def _five_floats(text):
 
 
 def read_sidecar(path):
-    """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed or
-    non-finite key, or the line that is not UTF-8."""
+    """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed (an
+    integer outside int64 included) or non-finite key, or the line that is not UTF-8."""
     with open_text(path) as f:
         kv = dict(line.strip().split("=", 1) for line in f if "=" in line)
 
@@ -271,9 +271,11 @@ def read_sidecar(path):
             raise DataError(f"{path}: missing key {key!r}")
         try:
             parsed = parse(kv[key])
+            if isinstance(parsed, int) and not -2**63 <= parsed < 2**63:
+                raise ValueError("outside int64")
         except ValueError:
             raise DataError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
-        if not isinstance(parsed, str) and not np.all(np.isfinite(parsed)):
+        if not isinstance(parsed, (str, int)) and not np.all(np.isfinite(parsed)):
             raise DataError(f"{path}: non-finite value for {key!r}: {kv[key]!r}")
         return parsed
 

@@ -207,21 +207,15 @@ def table_moments(data: Transitions) -> np.ndarray:
 def merge_moments(records) -> np.ndarray:
     """The (3, 6) moments of the union of tables, from a sequence of their table_moments.
 
-    Merges pairs, level by level of a tree, with the update of Chan, Golub and
-    LeVeque (1979): for a and b, n = na + nb, mean = mean_a + d nb / n and
-    M2 = M2a + M2b + d^2 na nb / n, where d = mean_b - mean_a.
+    Merges them in one step (Chan, Golub and LeVeque 1979): n = sum n_i,
+    mean = sum (n_i / n) mean_i and M2 = sum [M2_i + n_i (mean_i - mean)^2].
+    One record has weight 1, so it keeps its bits.
     """
-    m = np.reshape(records, (-1, 3, 6))
+    n_i, mean_i, m2_i = np.reshape(records, (-1, 3, 6)).transpose(1, 0, 2)  # each (records, 6)
+    n = n_i.sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # stats_from_moments raises on it
-        while len(m) > 1:
-            pairs = len(m) // 2 * 2
-            a, b = m[:pairs].reshape(-1, 2, 3, 6).transpose(1, 2, 0, 3)  # each (3, pairs / 2, 6)
-            (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
-            n, d = na + nb, mean_b - mean_a
-            w = nb / np.maximum(n, 1.0)  # 0 where both counts are 0: an acont with no acted row
-            merged = np.stack([n, mean_a + d * w, m2_a + m2_b + d * (d * (na * w))], axis=1)
-            m = np.concatenate([merged, m[pairs:]])
-    return m[0] if len(m) else np.zeros((3, 6))
+        mean = (n_i / np.maximum(n, 1.0) * mean_i).sum(axis=0)  # 0 for an acont never acted on
+        return np.stack([n, mean, (m2_i + n_i * np.square(mean_i - mean)).sum(axis=0)])
 
 
 def stats_from_moments(moments: np.ndarray) -> NormStats:

@@ -363,7 +363,8 @@ def run_autonomous_rows(population, model, agent_cfg, train_cfg):
     net_seed = train_cfg.seed
     learner = Learner.fresh(init_mlp(network_spec(train_cfg.mode), net_seed),
                             np.random.default_rng(train_cfg.seed))
-    replay = ReplayRing(min(env.REPLAY_CAPACITY, len(states) * agent_cfg.episodes))
+    replay = ReplayRing(min(agent_cfg.episodes, max(env.REPLAY_CAPACITY // len(states), 1)),
+                        len(states))
     tables = []  # every episode's table, oldest first
     stats = NormStats.identity()
     mixed = train_cfg.mode == "mixed"

@@ -374,9 +374,11 @@ class TestClv:
         (".meta", lambda b: b.replace(b"bounds_lo=-2.0", b"bounds_lo=2.0"), "degenerate bounds"),
         (".meta", lambda b: b.replace(b"bounds_lo=-2.0", b"bounds_lo=-1e308")
          .replace(b"bounds_hi=2.0", b"bounds_hi=1e308"), "degenerate bounds"),
+        (".meta", lambda b: b.replace(b"\nepochs=100\n", b"\nepochs=%d\n" % 2**64),
+         "bad value for 'epochs': '18446744073709551616'"),
     ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed", "nan-bias", "inf-weight",
             "nan-state-std", "nan-acont-std", "inf-lr0", "mode-mismatch", "no-bounds-lo",
-            "no-bounds-hi", "empty-bounds", "overflowing-bounds"])
+            "no-bounds-hi", "empty-bounds", "overflowing-bounds", "int64-overflowing-epochs"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
         ckpt = zero_checkpoint(tmp_path)
         damaged = Path(str(ckpt) + suffix)

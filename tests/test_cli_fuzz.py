@@ -126,15 +126,19 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     base.mkdir()
     files = inputs(base)
     rng = np.random.default_rng(SEED)
-    # The explicit cases first: an overflowing net; oversized settings, a learning rate whose
-    # first step overflows and bounds whose span overflows; an m of 1e200, whose square
-    # overflows the normalization std; and a cell over the csv module's field size limit.
+    # The explicit cases first: an overflowing net; a sidecar integer outside int64;
+    # oversized settings, a learning rate whose first step overflows and bounds whose span
+    # overflows; an m of 1e200, whose square overflows the normalization std; and a cell over
+    # the csv module's field size limit.
     cases = []
     for mode in ("discrete_only", "mixed"):
         save_checkpoint(base / "huge.ckpt", overflowing_weights(mode), TrainConfig(mode=mode),
                         NormStats.identity())
+        meta = files[mode]["meta"].replace(b"\nepochs=100\n", b"\nepochs=%d\n" % 2**64)
+        assert meta != files[mode]["meta"]
         for argv in COMMANDS["weights"]:
             cases.append((mode, "weights", (base / "huge.ckpt").read_bytes(), argv))
+            cases.append((mode, "meta", meta, argv))
         for config in (b"batch_size=%d\n" % 10**19, b"batch_size=%d\n" % (2 * 10**18),
                        b"population=%d\n" % 10**18, b"lr0=1e308\n",
                        b"bounds_lo=-1e308\nbounds_hi=1e308\n"):

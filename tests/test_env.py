@@ -160,56 +160,54 @@ def rows_with_rewards(rewards):
 
 
 class TestReplayRing:
-    def test_size_tracks_episodes_then_caps(self):
-        replay = ReplayRing(25)
-        for e in range(4):
-            replay.add(rows_with_rewards(np.full(10, float(e))))
-        assert len(replay) == 25
-        rewards = replay.contents().rewards
-        assert len(rewards) == 25
-        assert rewards[0] == 1.0  # oldest rows evicted first
-
-    def test_fifo_eviction(self):
-        # past capacity the ring holds the newest rows, oldest first, across
-        # wrap-arounds and a batch larger than the ring itself
-        replay = ReplayRing(7)
-        added = np.empty(0)
-        for size in (3, 5, 2, 9, 4, 7, 1):
-            batch = np.arange(len(added), len(added) + size, dtype=float)
-            replay.add(rows_with_rewards(batch))
-            added = np.concatenate([added, batch])
-            assert len(replay) == min(len(added), 7)
-            np.testing.assert_array_equal(replay.contents().rewards, added[-7:])
-            np.testing.assert_array_equal(replay.contents().states, np.zeros((len(replay), 5)))
+    def test_fifo_by_episode(self):
+        # 8 episodes of 4 rows into 3 slots wrap the ring twice; it holds the newest whole
+        # episodes, oldest first
+        replay = ReplayRing(3, 4)
+        for e in range(8):
+            replay.add(rows_with_rewards(np.arange(4 * e, 4 * e + 4, dtype=float)))
+            held = min(e + 1, 3)
+            assert len(replay) == 4 * held
+            np.testing.assert_array_equal(replay.contents().rewards,
+                                          np.arange(4 * (e + 1 - held), 4 * (e + 1)))
+            np.testing.assert_array_equal(replay.contents().states, np.zeros((4 * held, 5)))
 
     def test_merged_moments_match_the_stored_rows(self):
-        # After each add of test_fifo_eviction's sizes, with random rows: the merge of the
-        # blocks' moments holds np.mean and np.std of the stored rows to a relative 1e-9,
-        # across a partly overwritten block, wrap-arounds and a batch larger than the ring.
-        # Only blocks 0, 2 and 6 act on a donor, so after adds 3 to 5 the ring holds no acted
-        # row, in two blocks after add 4; state dim 3 is 0 throughout.
+        # After each of 8 adds of random 6-row episodes into 3 slots: the merge of the
+        # episodes' moments holds np.mean and np.std of the stored rows to a relative 1e-9.
+        # Only episodes 0, 1, 6 and 7 act on a donor, so after adds 4 and 5 the ring holds no
+        # acted row; state dim 3 is 0 throughout.
         rng = np.random.default_rng(7)
-        replay = ReplayRing(7)
-        for k, size in enumerate((3, 5, 2, 9, 4, 7, 1)):
-            states, next_states = rng.uniform(0.0, 10.0, (2, size, 5)) * [1, 1, 1, 0, 1]
-            actions = rng.integers(1, N_ACTIONS, size) * (k in (0, 2, 6))
-            replay.add(transitions_from(states, actions, rng.normal(2.0, 4.0, size), next_states,
-                                        rng.random(size)))
+        replay = ReplayRing(3, 6)
+        for k in range(8):
+            states, next_states = rng.uniform(0.0, 10.0, (2, 6, 5)) * [1, 1, 1, 0, 1]
+            actions = rng.integers(1, N_ACTIONS, 6) * (k in (0, 1, 6, 7))
+            replay.add(transitions_from(states, actions, rng.normal(2.0, 4.0, 6), next_states,
+                                        rng.random(6)))
             data, stats = replay.contents(), replay.norm_stats()
             pooled = np.concatenate([data.states, data.next_states])
             np.testing.assert_allclose(stats.state_mean, pooled.mean(axis=0), rtol=1e-9)
             np.testing.assert_allclose(stats.state_std, pooled.std(axis=0), rtol=1e-9)
             assert stats.state_mean[3] == 0.0 and stats.state_std[3] == 0.0
             acted = data.aconts[data.actions != 0]
-            if k in (3, 4, 5):
+            if k in (4, 5):
                 assert acted.size == 0 and (stats.acont_mean, stats.acont_std) == (0.0, 0.0)
             else:
                 np.testing.assert_allclose([stats.acont_mean, stats.acont_std],
                                            [acted.mean(), acted.std()], rtol=1e-9)
-            if k == 3:  # one block, the batch's last 7 rows: compute_norm_stats' bits
+            if k == 0:  # one episode: compute_norm_stats' bits
                 want = compute_norm_stats(data)
-                assert (stats.state_mean.tolist(), stats.state_std.tolist()) == (
-                    want.state_mean.tolist(), want.state_std.tolist())
+                assert (stats.state_mean.tolist(), stats.state_std.tolist(), stats.acont_mean,
+                        stats.acont_std) == (want.state_mean.tolist(), want.state_std.tolist(),
+                                             want.acont_mean, want.acont_std)
+
+    @pytest.mark.parametrize("rows", [0, 1, 4, 6])
+    def test_add_of_another_size_is_value_error(self, rows):
+        # a one-row batch would broadcast over the slot
+        replay = ReplayRing(3, 5)
+        with pytest.raises(ValueError, match=f"an episode holds 5 rows, got {rows}"):
+            replay.add(rows_with_rewards(np.ones(rows)))
+        assert len(replay) == 0
 
 
 class TestAgentConfig:
@@ -356,6 +354,22 @@ class TestRunAutonomous:
         assert len(res.replay) == 20_000
         assert peak < 2 * res.replay.contents().table.nbytes
 
+    def test_population_above_the_capacity_keeps_every_donor(self, monkeypatch):
+        # 25 donors over a 20-row capacity: the ring holds one whole episode, and the burst's
+        # norm stats are those of all 25 rows
+        monkeypatch.setattr(env_module, "REPLAY_CAPACITY", 20)
+        population = np.column_stack([np.arange(25.0), np.ones(25), np.arange(1.0, 26.0),
+                                      np.zeros(25), np.arange(25) % 3])
+        agent = AgentConfig(seed=5, episodes=1, train_every=1, steps_per_burst=2)
+        res = run_autonomous(population, DonorModel(seed=5), agent,
+                             TrainConfig(seed=5, batch_size=10))
+        data = res.replay.contents()
+        assert len(res.replay) == res.history[0].replay_size == 25
+        np.testing.assert_array_equal(data.states, population)
+        want = compute_norm_stats(data)
+        assert (res.norm_stats.state_mean.tolist(), res.norm_stats.state_std.tolist()) == (
+            want.state_mean.tolist(), want.state_std.tolist())
+
     def test_explorers_draw_acont_from_the_bounds(self):
         # untrained, so the stats stay the identity and the bounds are raw units too
         agent = AgentConfig(seed=9, episodes=40, train_every=10**9)
@@ -414,8 +428,8 @@ ROW_CASES = {
     "start-states": {"population": np.array([[0, 0, 0, 0, 0], [3, 4, 12.5, 1, 6],
                                              [1, 1, 7.25, 9, 0], [20, 3, 2.0, 2, 30]] * 6)},
     "numpy-count": {"population": np.int64(25)},
-    # 375 rows into a 110-row ring: every burst meets a wrapped ring that holds the tail of
-    # a partly overwritten episode, and the drop rule reads that ring's contents
+    # 15 episodes of 25 rows under a 110-row capacity: a ring of 4 whole episodes, which
+    # every burst (one per 5 episodes) meets wrapped, and the drop rule reads its contents
     "wrapped-ring": {"replay_capacity": 110, "drop_threshold": 1.0, "drop_min_observations": 10},
 }
 
@@ -443,6 +457,6 @@ class TestRowReference:
         if case in ("drop-threshold", "wrapped-ring"):
             assert got.dropped_actions
         if case == "wrapped-ring":
-            assert len(got.replay) == 110
+            assert len(got.replay) == 100
         if case == "greedy-fallback":
             assert set(got.replay.contents().actions) <= {0, 3, 7}

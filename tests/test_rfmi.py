@@ -288,8 +288,8 @@ class TestNormalize:
         assert str(exc.value) == f"{dim} is too large to normalize: its mean or std is not finite"
 
     def test_merged_block_moments_match_the_whole_table(self):
-        # 13 uneven blocks, 3 of them with no acted row: levels of 13 and 7 blocks leave one
-        # to carry over. A merge of one block keeps compute_norm_stats' bits.
+        # 13 uneven blocks, 3 of them with no acted row. A merge of one block keeps
+        # compute_norm_stats' bits.
         rng = np.random.default_rng(5)
         data = rows(rng.uniform(0, 50, (3000, 5)), rng.integers(12, size=3000),
                     rng.normal(30, 9, 3000), rng.uniform(0, 50, (3000, 5)), rng.uniform(0, 5, 3000))
