@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, NetworkOverflow, forward_batch
+from .nn_core import ConfigError, Mlp, NetworkOverflow, batch_inputs, forward_batch
 from .rfmi import STATE_DIMS
 
 BLOCK_STATES = 4  # states per block of the kink search; bounds memory only
+SCORE_ROWS = 512  # rows per block of net_qs; bounds memory only
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,20 @@ def is_mixed(net: Mlp) -> bool:
 def net_qs(net: Mlp, inputs):
     """The net's outputs for a (n, input_dim) batch: states, then acont for a mixed net.
 
-    A non-finite output raises NetworkOverflow: the inputs are finite, so the net overflows.
+    A batch of 2 * SCORE_ROWS rows or more is checked whole, then forwarded in
+    consecutive blocks of SCORE_ROWS rows, the last taking the remainder, so
+    no forward keeps a cache for more than 2 * SCORE_ROWS - 1 rows. A
+    non-finite output raises NetworkOverflow: the inputs are finite, so the net overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        qs, _ = forward_batch(net, inputs)
+        if len(inputs) < 2 * SCORE_ROWS:
+            qs, _ = forward_batch(net, inputs)
+        else:
+            x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
+            qs = np.empty((len(x), net.output_dim))
+            cuts = [*range(0, len(x) - SCORE_ROWS + 1, SCORE_ROWS), len(x)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                qs[lo:hi], _ = forward_batch(net, x[lo:hi])
     if not np.isfinite(qs).all():
         raise NetworkOverflow("non-finite Q-value: the network overflows")
     return qs

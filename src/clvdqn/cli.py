@@ -201,6 +201,8 @@ def cmd_curves(args):
     reference = {}
     for part in args.reference.split(",") if args.reference else ():
         k, _, v = part.partition("=")
+        if k in reference:
+            raise ConfigError(f"bad --reference value {args.reference!r}: {k!r} given twice")
         try:
             reference[k] = float(v)
         except ValueError:

@@ -121,13 +121,20 @@ def init_mlp(specs, seed: int) -> Mlp:
     return net
 
 
-def forward_batch(net: Mlp, inputs: np.ndarray):
-    """Run a (n, input_dim) batch, copied if strided. Returns (outputs, cache) for backward."""
+def batch_inputs(net: Mlp, inputs) -> np.ndarray:
+    """inputs as a contiguous float64 (n, input_dim) array, copied if strided; ConfigError
+    naming its shape if it has another shape or holds a NaN or an infinity."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigError(f"expected input shape (n, {net.input_dim}), got {x.shape}")
     if not np.isfinite(x).all():
-        raise ConfigError("non-finite network input")
+        raise ConfigError(f"non-finite network input in a batch of shape {x.shape}")
+    return x
+
+
+def forward_batch(net: Mlp, inputs: np.ndarray):
+    """Run a (n, input_dim) batch (see batch_inputs). Returns (outputs, cache) for backward."""
+    x = batch_inputs(net, inputs)
     layer_inputs = []
     pre_acts = []
     h = x

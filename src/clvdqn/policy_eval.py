@@ -173,6 +173,9 @@ class SweepSpec:
                     raise SweepError(name, f"unknown state dimension {d!r}")
         if len(set(self.dims)) < len(self.dims):
             raise SweepError("dims", f"state dimension {self.dims[0]!r} swept twice")
+        for d in self.dims:
+            if d in self.reference:
+                raise SweepError("reference", f"state dimension {d!r} is swept, not fixed")
         for name, values in (("ranges", self.ranges), ("reference", self.reference.values())):
             for v in np.ravel(list(values)).tolist():
                 if not math.isfinite(v):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvdqn.action_space import AcontRange, action_values, maximize_continuous_batch
+from clvdqn.action_space import (SCORE_ROWS, AcontRange, action_values,
+                                 maximize_continuous_batch, net_qs)
 from clvdqn.nn_core import ConfigError, LayerSpec, NetworkOverflow, forward_batch, init_mlp
 from clvdqn.policy_eval import recommend_batch
 from clvdqn.qlearn import network_spec
@@ -263,6 +264,41 @@ class TestBestMixed:
         assert after[0] == before[0]
         assert after[1] == before[1]
         assert after[2] == pytest.approx(before[2] + 3.25, rel=1e-12)
+
+
+class TestNetQs:
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 1543, 20_000])
+    def test_blocks_match_one_forward(self, mode, n):
+        net = init_mlp(network_spec(mode), seed=n)
+        inputs = np.random.default_rng(n).normal(size=(n, net.input_dim))
+        want, _ = forward_batch(net, inputs)
+        np.testing.assert_allclose(net_qs(net, inputs), want, rtol=1e-12, atol=0)
+
+    def test_overflow_in_the_last_block_is_caught(self):
+        n = 3 * SCORE_ROWS + 7  # blocks of 512, 512 and 519 rows
+        net = init_mlp(network_spec("discrete_only"), seed=0)
+        for w in net.weights:
+            w[...] = np.abs(w) + 1.0  # every product of a 1e308 input is at least 1e308
+        inputs = np.zeros((n, 5))
+        inputs[-1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetworkOverflow, match="non-finite Q-value"):
+                net_qs(net, inputs)
+
+    @pytest.mark.parametrize("bad", ["width", "non_finite"])
+    def test_bad_input_error_names_the_whole_shape(self, bad):
+        net = init_mlp(network_spec("discrete_only"), seed=0)
+        inputs = np.zeros((2 * SCORE_ROWS + 100, 4 if bad == "width" else 5))
+        if bad == "non_finite":
+            inputs[-1, 0] = np.nan  # in the last block
+        with pytest.raises(ConfigError) as want:
+            forward_batch(net, inputs)
+        assert str(inputs.shape) in str(want.value)
+        with pytest.raises(ConfigError) as got:
+            net_qs(net, inputs)
+        assert str(got.value) == str(want.value)
 
 
 class TestActionValues:

@@ -454,6 +454,10 @@ class TestCurves:
         (["--reference", "frequency=inf"],
          "bad --reference value 'frequency=inf': non-finite value inf"),
         (["--reference", "bogus=1"], "bad --reference value 'bogus=1': unknown state dimension"),
+        (["--reference", "recency=5"],
+         "bad --reference value 'recency=5': state dimension 'recency' is swept, not fixed"),
+        (["--reference", "monetary=5,monetary=7"],
+         "bad --reference value 'monetary=5,monetary=7': 'monetary' given twice"),
     ])
     def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flags, message):
         out = tmp_path / "c.csv"

@@ -77,8 +77,9 @@ def mode_artifacts(work: Path, mode: str) -> list:
     run(["clv", ckpt, "--state", "3,2,15,1,4", "--out", work / "clv.csv"])
     run(["curves", ckpt, "--dims", "recency", "--range", "0:10", "--resolution", 5,
          "--out", work / "curves_1d.csv"])
+    # 40 x 40 = 1,600 grid rows: past 2 * SCORE_ROWS, so net_qs scores them in blocks
     run(["curves", ckpt, "--dims", "recency,frequency", "--range", "0:10,0:5",
-         "--resolution", 4, "--reference", "monetary=12.5,i_frequency=3",
+         "--resolution", 40, "--reference", "monetary=12.5,i_frequency=3",
          "--out", work / "curves_2d.csv"])
     run(["simulate", "--config", sim_cfg, "--mode", mode, "--seed", 1,
          "--history", work / "sim.csv", "--checkpoint", sim_ckpt])
