@@ -49,20 +49,19 @@ def is_mixed(net: Mlp) -> bool:
 def net_qs(net: Mlp, inputs):
     """The net's outputs for a (n, input_dim) batch: states, then acont for a mixed net.
 
-    A batch of 2 * SCORE_ROWS rows or more is checked whole, then forwarded in
-    consecutive blocks of SCORE_ROWS rows, the last taking the remainder, so
-    no forward keeps a cache for more than 2 * SCORE_ROWS - 1 rows. A
-    non-finite output raises NetworkOverflow: the inputs are finite, so the net overflows.
+    The batch is checked whole, then forwarded in consecutive blocks of
+    SCORE_ROWS rows, the last taking the remainder; a batch of under
+    2 * SCORE_ROWS rows is one block. Each block's forward cache is dropped
+    before the next block runs, so at most 2 * SCORE_ROWS - 1 rows' cache is
+    live. A non-finite output raises NetworkOverflow: the inputs are finite,
+    so the net overflows.
     """
+    x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
+    qs = np.empty((len(x), net.output_dim))
+    cuts = [0, *range(SCORE_ROWS, len(x) - SCORE_ROWS + 1, SCORE_ROWS), len(x)]
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(inputs) < 2 * SCORE_ROWS:
-            qs, _ = forward_batch(net, inputs)
-        else:
-            x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
-            qs = np.empty((len(x), net.output_dim))
-            cuts = [*range(0, len(x) - SCORE_ROWS + 1, SCORE_ROWS), len(x)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                qs[lo:hi], _ = forward_batch(net, x[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:]):
+            qs[lo:hi] = forward_batch(net, x[lo:hi])[0]
     if not np.isfinite(qs).all():
         raise NetworkOverflow("non-finite Q-value: the network overflows")
     return qs

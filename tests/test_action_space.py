@@ -300,6 +300,20 @@ class TestNetQs:
             net_qs(net, inputs)
         assert str(got.value) == str(want.value)
 
+    def test_one_block_cache_is_live_at_a_time(self):
+        # a forward keeps about 1 KB per row: one block of 512-544 rows adds about 0.55 MB
+        # over the output, two live blocks about 1.1 MB
+        net = init_mlp(network_spec("discrete_only"), seed=0)
+        inputs = np.random.default_rng(0).normal(size=(20_000, 5))
+        net_qs(net, inputs[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            qs = net_qs(net, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - qs.nbytes < 0.8e6
+
 
 class TestActionValues:
     def test_discrete_net_scores_its_outputs_at_acont_zero(self):
