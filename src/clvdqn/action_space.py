@@ -6,7 +6,9 @@ for the mixed space. With ReLU hidden layers each output of a mixed net is
 piecewise linear in acont for a fixed state, so its maximum over the bounds
 lies at a bound or at a kink, where some hidden pre-activation changes sign.
 maximize_continuous_batch enumerates those points as one flat list of (state,
-acont) candidates per block of BLOCK_STATES states and evaluates them all.
+acont) candidates per block of BLOCK_STATES states and evaluates them all
+from the block's cached state part, layer 0's pre-activations at acont 0:
+layer 0's kinks are in closed form, and no candidate runs a whole forward.
 Ties always break toward the lowest acont, then the lowest action index.
 Every Q-value returned comes from net_qs, which raises NetworkOverflow if one is not finite.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from .nn_core import ConfigError, Mlp, NetworkOverflow, batch_inputs, forward_batch
 from .rfmi import STATE_DIMS
 
-BLOCK_STATES = 4  # states per block of the kink search; bounds memory only
+BLOCK_STATES = 12  # states per block of the kink search; bounds memory only
 SCORE_ROWS = 512  # rows per block of net_qs; bounds memory only
 
 
@@ -81,33 +83,60 @@ def action_values(net: Mlp, states, acont_range: AcontRange = None):
     return maximize_continuous_batch(net, states, acont_range)
 
 
+def _pres_from(net: Mlp, z, j: int, k: int):
+    """Layer k's pre-activations, from layer j's pre-activations z (j <= k)."""
+    for spec, w, b in zip(net.specs[j:k], net.weights[j + 1:k + 1], net.biases[j + 1:k + 1]):
+        if spec.activation == "relu":
+            z = np.maximum(z, 0.0)
+        z = z @ w.T
+        z += b
+    return z
+
+
 def _argmax_aconts(net: Mlp, states, lo: float, hi: float):
     """(n, output_dim) lowest acont in [lo, hi] at which each output peaks.
 
-    The candidates are flat (owner, acont) arrays sorted by owner, then acont,
-    starting at each state's two bounds. Hidden layers are taken in order.
-    Between consecutive candidates of one owner every earlier layer is affine
-    in acont, so this layer's pre-activations are too, and each sign change
-    gives a kink by linear interpolation; an overflowing layer's NaN kinks are
-    dropped. (A linear hidden layer adds points that are not kinks: more
+    Layer 0's pre-activations are c + acont * u, with the state part c cached
+    once per block, so its kinks are -c / u in closed form (a unit with u == 0
+    has none). The candidates are flat (owner, acont) arrays sorted by owner,
+    then acont, starting at each state's two bounds, and z holds the
+    pre-activations of the layer being read at each candidate. Hidden layers
+    are taken in order. Between consecutive candidates of one owner every
+    earlier layer is affine in acont, so layer k's pre-activations are too,
+    and each sign change gives a kink by linear interpolation; an overflowing
+    layer's NaN kinks are dropped. A pass's new points are forwarded from c
+    through layer k only, merged in, and every candidate's z then goes on to
+    layer k + 1. (A linear hidden layer adds points that are not kinks: more
     candidates, same maximum. An output ReLU only clips a segment's affine
     value, which keeps its maximum at a segment end.)
     """
+    c = states @ net.weights[0][:, :-1].T
+    c += net.biases[0]
+    u = net.weights[0][:, -1]
     owner = np.repeat(np.arange(len(states)), 2)
     points = np.tile([lo, hi], len(states))
-    for k in range(len(net.specs) - 1):
-        _, cache = forward_batch(net, np.column_stack([states[owner], points]))
-        z0, z1 = cache["pres"][k][:-1], cache["pres"][k][1:]
-        cross = (np.sign(z0) * np.sign(z1) < 0) & (owner[:-1] == owner[1:])[:, None]
-        seg, unit = np.nonzero(cross)
-        z0, z1, t0, t1 = z0[seg, unit], z1[seg, unit], points[seg], points[seg + 1]
-        kinks = np.clip(t0 + (t1 - t0) * (z0 / (z0 - z1)), t0, t1)
-        kept = ~np.isnan(kinks)
-        owner = np.concatenate([owner, owner[seg[kept]]])
-        points = np.concatenate([points, kinks[kept]])
+    z = c[owner] + np.multiply.outer(points, u)
+    last = len(net.specs) - 1
+    for k in range(last):
+        if k == 0:
+            kinks = -c / u
+            kink_owner, unit = np.nonzero((lo < kinks) & (kinks < hi))
+            kinks = kinks[kink_owner, unit]
+        else:
+            z0, z1 = z[:-1], z[1:]
+            cross = (np.sign(z0) * np.sign(z1) < 0) & (owner[:-1] == owner[1:])[:, None]
+            seg, unit = np.nonzero(cross)
+            z0, z1, t0, t1 = z0[seg, unit], z1[seg, unit], points[seg], points[seg + 1]
+            kinks = np.clip(t0 + (t1 - t0) * (z0 / (z0 - z1)), t0, t1)
+            kept = ~np.isnan(kinks)
+            kink_owner, kinks = owner[seg[kept]], kinks[kept]
+        kink_z = _pres_from(net, c[kink_owner] + np.multiply.outer(kinks, u), 0, k)
+        owner = np.concatenate([owner, kink_owner])
+        points = np.concatenate([points, kinks])
         order = np.lexsort((points, owner))
         owner, points = owner[order], points[order]
-    q, _ = forward_batch(net, np.column_stack([states[owner], points]))
+        z = _pres_from(net, np.concatenate([z, kink_z])[order], k, k + 1)
+    q = np.maximum(z, 0.0) if net.specs[-1].activation == "relu" else z
     starts = np.searchsorted(owner, np.arange(len(states)))  # each state's first candidate
     peaks = np.maximum.reduceat(q, starts)
     hit = (q == peaks[owner]) | np.isnan(q)  # a NaN peak sits at its first NaN, as in np.argmax
@@ -129,13 +158,17 @@ def maximize_continuous_batch(net: Mlp, states, acont_range: AcontRange):
                           "states plus acont")
     if acont_range is None:
         raise ConfigError("a mixed-mode net needs an acont range to maximize over")
-    aconts = np.empty((len(states), net.output_dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NetworkOverflow
-        for i in range(0, len(states), BLOCK_STATES):
-            aconts[i:i + BLOCK_STATES] = _argmax_aconts(net, states[i:i + BLOCK_STATES],
+    # its errors name the whole batch's shape; its last column holds each read-back's aconts
+    x = batch_inputs(net, np.column_stack([states, np.full(len(states), acont_range.inaction)]))
+    aconts = np.empty((len(x), net.output_dim))
+    # u == 0 in _argmax_aconts divides by zero; an overflow raises NetworkOverflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(0, len(x), BLOCK_STATES):
+            aconts[i:i + BLOCK_STATES] = _argmax_aconts(net, x[i:i + BLOCK_STATES, :-1],
                                                         acont_range.lo, acont_range.hi)
     aconts[:, 0] = acont_range.inaction
     qs = np.empty_like(aconts)
     for a in range(net.output_dim):
-        qs[:, a] = net_qs(net, np.column_stack([states, aconts[:, a]]))[:, a]
+        x[:, -1] = aconts[:, a]
+        qs[:, a] = net_qs(net, x)[:, a]
     return aconts, qs

@@ -268,21 +268,26 @@ def _value_faults(amounts, actions, aconts):
     )
 
 
-def open_text(path, newline=None):
-    """A text stream over the whole of a UTF-8 file, read once: a pipe cannot be read twice.
+def read_text(path) -> str:
+    """The whole of a UTF-8 file, read once: a pipe cannot be read twice.
 
-    newline is as for open(): None reads every line end as "\\n", "" keeps them.
     DataError("path:line: not UTF-8") names the line of the first byte that does
     not decode.
     """
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise DataError(f"{path}:{line}: not UTF-8") from None
+
+
+def open_text(path, newline=None):
+    """A text stream over read_text(path); newline is as for open(): None reads every
+    line end as "\\n", "" keeps them."""
+    return io.StringIO(read_text(path), newline=newline)
 
 
 def _check_header(path, header, expected):
@@ -464,8 +469,8 @@ def read_transitions(path) -> Transitions:
     integer in 0..N_ACTIONS-1 and every state component non-negative. Only a
     file that np.loadtxt refuses is read row by row, as read_timelines reads it.
     """
-    with open_text(path) as f:  # universal newlines: every line end reads as \n
-        lines = f.read().split("\n")
+    # universal newlines: \r\n and a lone \r read as \n; no stream, which holds 4 bytes a character
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     rows = _csv_rows(path, lines)

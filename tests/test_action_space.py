@@ -75,6 +75,26 @@ def random_relu_net(rng, widths, n_out):
                        [rng.normal(size=o) for o in dims[1:]])
 
 
+def assert_matches_padded_oracle(net, states):
+    """Checks maximize_continuous_batch against the padded oracle: every q to a relative 1e-12,
+    aconts inside the bounds, and to 1e-12 where the oracle's maximum is unique (returned)."""
+    aconts, qs = maximize_continuous_batch(net, states, MIXED_RANGE)
+    want_aconts, want_qs = padded_maximize_continuous_batch(net, states, MIXED_RANGE)
+    np.testing.assert_allclose(qs, want_qs, rtol=1e-12, atol=0)
+    assert np.all((BOUNDS[0] <= aconts[:, 1:]) & (aconts[:, 1:] <= BOUNDS[1]))
+    unique = np.zeros(qs.shape, dtype=bool)
+    for i, state in enumerate(states):
+        points = padded_kink_points(net, state[None, :], *BOUNDS)[0]
+        q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(points), 1)), points]))
+        far = np.abs(points[:, None] - want_aconts[i]) > 1e-9  # (points, actions)
+        runner_up = np.where(far, q, -np.inf).max(axis=0)
+        unique[i] = want_qs[i] - runner_up > 1e-12 * np.abs(want_qs[i])
+    unique[:, 0] = False  # inaction is not maximized
+    np.testing.assert_allclose(aconts[unique], want_aconts[unique], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(aconts[:, 0], MIXED_RANGE.inaction)
+    return unique
+
+
 class TestBestDiscrete:
     def test_zero_net_tie_breaks_to_action_zero(self):
         action, _, q = best(zero_net(), np.zeros(5))
@@ -190,23 +210,28 @@ class TestMaximizeContinuous:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_padded_oracle(self, seed):
-        # 200 states: 50 blocks of the flat candidate list, 67 of the padded table
+        # 200 states: 17 blocks of the flat candidate list, 67 of the padded table
         net = init_mlp(network_spec("mixed"), seed=seed)
         states = np.random.default_rng(300 + seed).normal(size=(200, 5))
-        aconts, qs = maximize_continuous_batch(net, states, MIXED_RANGE)
-        want_aconts, want_qs = padded_maximize_continuous_batch(net, states, MIXED_RANGE)
-        np.testing.assert_allclose(qs, want_qs, rtol=1e-12, atol=0)
-        unique = np.zeros(qs.shape, dtype=bool)
-        for i, state in enumerate(states):
-            points = padded_kink_points(net, state[None, :], *BOUNDS)[0]
-            q, _ = forward_batch(net, np.column_stack([np.tile(state, (len(points), 1)), points]))
-            far = np.abs(points[:, None] - want_aconts[i]) > 1e-9  # (points, actions)
-            runner_up = np.where(far, q, -np.inf).max(axis=0)
-            unique[i] = want_qs[i] - runner_up > 1e-12 * np.abs(want_qs[i])
-        unique[:, 0] = False  # inaction is not maximized
-        assert unique[:, 1:].mean() > 0.9  # the check below is not vacuous
-        np.testing.assert_allclose(aconts[unique], want_aconts[unique], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(aconts[:, 0], MIXED_RANGE.inaction)
+        unique = assert_matches_padded_oracle(net, states)
+        assert unique[:, 1:].mean() > 0.9  # the acont check is not vacuous
+
+    def test_closed_form_edge_cases_match_padded_oracle(self):
+        # layer 0: u == 0 with c != 0 (c / u is infinite), u == 0 with c == 0 (0 / 0), kinks
+        # exactly on lo and on hi, and one kink inside; then a linear hidden layer
+        rng = np.random.default_rng(7)
+        w0 = np.zeros((5, 6))
+        w0[2:, 5] = 1.0
+        w0[4, :5] = rng.normal(size=5)
+        b0 = np.array([1.5, 0.0, -BOUNDS[0], -BOUNDS[1], 0.3])
+        specs = (LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "linear"), LayerSpec(3, 4, "linear"))
+        net = layered_net(specs, [w0, rng.normal(size=(3, 5)), rng.normal(size=(4, 3))],
+                          [b0, rng.normal(size=3), rng.normal(size=4)])
+        states = rng.normal(size=(30, 5)) * 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unique = assert_matches_padded_oracle(net, states)
+        assert unique[:, 1:].mean() > 0.9
 
     def test_peak_memory_is_bounded_by_the_block(self):
         # on these 3,000 states the padded search peaks at 6.8 MB, one unblocked list at 180+ MB

@@ -63,6 +63,18 @@ class TestRecommendBatch:
             with pytest.raises(ConfigError, match="non-finite network input"):
                 recommend_batch(zero_net(mode), [[1e308, 1, 1, 1, 1]], stats, AcontRange(-2, 2))
 
+    @pytest.mark.parametrize("mode, width", [("discrete_only", 5), ("mixed", 6)])
+    def test_non_finite_input_error_names_the_whole_batch(self, mode, width):
+        # the bad row is the last of 20: in the last block of the kink search
+        stats = NormStats(np.zeros(5), np.full(5, 1e-10), 0.0, 1.0)
+        raw = np.ones((20, 5))
+        raw[-1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                recommend_batch(zero_net(mode), raw, stats, AcontRange(-2, 2))
+        assert str(info.value) == f"non-finite network input in a batch of shape (20, {width})"
+
 
 class TestRawUnits:
     @settings(deadline=None, max_examples=40)

@@ -394,6 +394,26 @@ class TestCsv:
         with pytest.raises(DataError):
             read_transitions(path)
 
+    def test_transition_read_peak_is_bounded(self, tmp_path):
+        # a 1.0 MB file of 17,000 rows: its lines, table and checks peak at 5.5 MB; a text
+        # stream over it, which holds 4 bytes a character, took that to 7.0 MB
+        rng = np.random.default_rng(0)
+        n = 17_000
+        table = np.round(np.column_stack([
+            rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n), rng.normal(size=n),
+            rng.uniform(0, 50, (n, 5)), rng.exponential(size=n)]), 1)
+        path = tmp_path / "transitions.csv"
+        write_transitions(Transitions(table), path)
+        assert 0.95e6 < path.stat().st_size < 1.05e6
+        tracemalloc.start()
+        try:
+            data = read_transitions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(data.table, table)
+        assert peak < 6e6
+
 
 # ---------------------------------------------------------------------------
 # The columnar CSV readers and writer against the row-by-row references in
@@ -558,7 +578,7 @@ class TestTransitionCsvMatchesRowReference:
         assert (csv_dir / "columnar.csv").read_bytes() == (csv_dir / "rows.csv").read_bytes()
 
     @settings(deadline=None, max_examples=60)
-    @given(VALID_TRANSITIONS, st.sampled_from(["\r\n", "\n"]), st.data())
+    @given(VALID_TRANSITIONS, st.sampled_from(["\r\n", "\n", "\r"]), st.data())
     def test_valid_files(self, csv_dir, data, eol, draw):
         written = reference_lines(csv_dir, data)
         lines = list(written)
@@ -574,7 +594,7 @@ class TestTransitionCsvMatchesRowReference:
             assert_bit_equal(getattr(got, name), getattr(want, name))
 
     @settings(deadline=None, max_examples=80)
-    @given(VALID_TRANSITIONS.filter(len), st.sampled_from(["\r\n", "\n"]), st.data())
+    @given(VALID_TRANSITIONS.filter(len), st.sampled_from(["\r\n", "\n", "\r"]), st.data())
     def test_one_fault_is_reported_alike(self, csv_dir, data, eol, draw):
         lines = reference_lines(csv_dir, data)
         row = draw.draw(st.integers(1, len(data)))
