@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, NetworkOverflow, batch_inputs, forward_batch
+from .nn_core import ConfigError, Mlp, NetworkOverflow, batch_inputs
 from .rfmi import STATE_DIMS
 
 BLOCK_STATES = 12  # states per block of the kink search; bounds memory only
 SCORE_ROWS = 512  # rows per block of net_qs; bounds memory only
+_ZERO = np.zeros(1)  # the read-only buffer of a discrete net's aconts
+_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,19 +53,21 @@ def is_mixed(net: Mlp) -> bool:
 def net_qs(net: Mlp, inputs):
     """The net's outputs for a (n, input_dim) batch: states, then acont for a mixed net.
 
-    The batch is checked whole, then forwarded in consecutive blocks of
-    SCORE_ROWS rows, the last taking the remainder; a batch of under
-    2 * SCORE_ROWS rows is one block. Each block's forward cache is dropped
-    before the next block runs, so at most 2 * SCORE_ROWS - 1 rows' cache is
-    live. A non-finite output raises NetworkOverflow: the inputs are finite,
-    so the net overflows.
+    The batch is checked whole, then forwarded with no cache, in consecutive
+    blocks of SCORE_ROWS rows, the last taking the remainder; a batch of under
+    2 * SCORE_ROWS rows is one block. Each block's last product goes straight
+    into the output, so at most 2 * SCORE_ROWS - 1 rows' hidden activations are
+    live. The float operations are forward_batch's. A non-finite output raises
+    NetworkOverflow: the inputs are finite, so the net overflows.
     """
     x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
     qs = np.empty((len(x), net.output_dim))
     cuts = [0, *range(SCORE_ROWS, len(x) - SCORE_ROWS + 1, SCORE_ROWS), len(x)]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(cuts, cuts[1:]):
-            qs[lo:hi] = forward_batch(net, x[lo:hi])[0]
+            _pres_from(net, x[lo:hi], -1, len(net.specs) - 1, out=qs[lo:hi])
+        if net.specs[-1].activation == "relu":
+            np.maximum(qs, 0.0, out=qs)
     if not np.isfinite(qs).all():
         raise NetworkOverflow("non-finite Q-value: the network overflows")
     return qs
@@ -72,24 +76,26 @@ def net_qs(net: Mlp, inputs):
 def action_values(net: Mlp, states, acont_range: AcontRange = None):
     """(aconts, qs), both (n, net.output_dim), for a batch of normalized states.
 
-    A discrete net's qs are its outputs and its aconts a read-only broadcast 0, which
+    A discrete net's qs are its outputs and its aconts a read-only 0 of stride 0, which
     allocates nothing. A mixed net needs acont_range; see maximize_continuous_batch.
     A non-finite Q raises NetworkOverflow.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if not is_mixed(net):
         qs = net_qs(net, states)
-        return np.broadcast_to(0.0, qs.shape), qs
+        return np.ndarray(qs.shape, buffer=_ZERO, strides=(0, 0)), qs
     return maximize_continuous_batch(net, states, acont_range)
 
 
-def _pres_from(net: Mlp, z, j: int, k: int):
-    """Layer k's pre-activations, from layer j's pre-activations z (j <= k)."""
-    for spec, w, b in zip(net.specs[j:k], net.weights[j + 1:k + 1], net.biases[j + 1:k + 1]):
-        if spec.activation == "relu":
-            z = np.maximum(z, 0.0)
-        z = z @ w.T
-        z += b
+def _pres_from(net: Mlp, z, j: int, k: int, out=None):
+    """Layer k's pre-activations, from layer j's pre-activations z (j <= k), or from the net's
+    inputs z with j = -1: forward_batch's operations, with no check and no cache. Layer k's
+    product goes into out, if given."""
+    for i in range(j + 1, k + 1):
+        if i and net.specs[i - 1].activation == "relu":
+            z = np.maximum(z, 0.0, out=z if i > j + 1 else None)  # in place once z is ours
+        z = np.matmul(z, net.weights[i].T, out=out if i == k else None)
+        z += net.biases[i]
     return z
 
 

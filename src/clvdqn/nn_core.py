@@ -182,10 +182,16 @@ def rmsprop_step(net: Mlp, grads: Gradients, cache: np.ndarray, lr: float):
     if not lr > 0:  # NaN too
         raise ConfigError(f"learning rate must be positive, got {lr}")
     g = grads.flat
+    # cache * DECAY + (1 - DECAY) * g * g, then lr * g / (sqrt + EPSILON), in that order of
+    # operations, into three buffers; step holds the squared term before the step
     with np.errstate(over="ignore", invalid="ignore"):
-        new_cache = cache * RMSPROP_DECAY
-        new_cache += (1.0 - RMSPROP_DECAY) * g * g
-        step = lr * g / (np.sqrt(new_cache) + RMSPROP_EPSILON)
+        new_cache = np.multiply(cache, RMSPROP_DECAY)
+        step = np.multiply(g, 1.0 - RMSPROP_DECAY)
+        new_cache += np.multiply(step, g, out=step)
+        root = np.sqrt(new_cache)
+        root += RMSPROP_EPSILON
+        np.multiply(g, lr, out=step)
+        step /= root
     if not (np.isfinite(new_cache).all() and np.isfinite(step).all()):
         raise TrainingDiverged(-1, -1)
     cache[...] = new_cache

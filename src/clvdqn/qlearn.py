@@ -106,19 +106,22 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: np.ndarray, cfg:
     x = batch.states
     if is_mixed(net):
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
-    taken = (np.arange(n), batch.actions)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         try:
             y = bellman_target(batch, target_net, cfg, acont_range)
         except NetworkOverflow:
             raise TrainingDiverged(-1, -1, what="target Q-value") from None
         q, cache = forward_batch(net, x)
-        err = q[taken] - y
+        taken = batch.actions + np.arange(0, q.size, q.shape[1])  # flat index of (row, action)
+        err = q.take(taken)
+        err -= y
         loss = float(np.add.reduce(err * err)) / n  # np.mean's sum and division, called direct
         if not math.isfinite(loss):
             raise TrainingDiverged(-1, -1, loss)
-        output_grads = np.zeros_like(q)
-        output_grads[taken] = 2.0 * err / n
+        err *= 2.0  # then / n: the bits of 2.0 * err / n
+        err /= n
+        output_grads = np.zeros(q.shape)
+        output_grads.put(taken, err)
         grads = backward_batch(net, cache, output_grads, grads, input_grads=False)
     rmsprop_step(net, grads, opt, lr)
     return loss
@@ -142,16 +145,18 @@ class Learner:
 def td_steps(learner: Learner, data, n_steps: int, cfg: TrainConfig, norm_stats: NormStats,
              lr=None) -> np.ndarray:
     """n_steps TD steps on batches drawn uniformly with replacement from raw data (anything with
-    len() whose int-array index gives Transitions: a Transitions or an env.ReplayRing), each
-    normalized with norm_stats. Clones the target net whenever the learner's global step count
-    reaches a multiple of cfg.target_clone_period. Returns the per-step losses."""
+    len() whose int-array index gives Transitions in a new table: a Transitions or an
+    env.ReplayRing), each normalized in that table with norm_stats. Clones the target net
+    whenever the learner's global step count reaches a multiple of cfg.target_clone_period.
+    Returns the per-step losses."""
     acont_range = cfg.acont_range(norm_stats)
     losses = np.empty(n_steps)
     grads = Gradients.like(learner.net)
     for i in range(n_steps):
-        idx = learner.rng.integers(0, len(data), size=cfg.batch_size)
-        losses[i] = td_step(apply_norm(norm_stats, data[idx]), learner.net, learner.target,
-                            learner.opt, cfg, lr, acont_range, grads)
+        batch = data[learner.rng.integers(0, len(data), size=cfg.batch_size)]
+        apply_norm(norm_stats, batch, out=batch.table)  # the gather is a copy: normalize it
+        losses[i] = td_step(batch, learner.net, learner.target, learner.opt, cfg, lr,
+                            acont_range, grads)
         learner.step += 1
         if learner.step % cfg.target_clone_period == 0:
             learner.target = learner.net.copy()

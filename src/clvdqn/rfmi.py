@@ -240,9 +240,12 @@ def compute_norm_stats(data: Transitions) -> NormStats:
     return stats_from_moments(table_moments(data))
 
 
-def apply_norm(stats: NormStats, data: Transitions) -> Transitions:
-    """Normalized states and aconts in a new table; actions and rewards keep their values."""
-    return Transitions((data.table - stats._shift) / stats._div)
+def apply_norm(stats: NormStats, data: Transitions, out=None) -> Transitions:
+    """Normalized states and aconts in a new table, or in out (data.table itself may be it);
+    actions and rewards keep their values."""
+    table = np.subtract(data.table, stats._shift, out=out)
+    table /= stats._div  # in place, with the bits of a division into a new array
+    return Transitions(table)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +493,14 @@ def read_transitions(path) -> Transitions:
         if message:
             raise DataError(f"{path}:{line_nums[i]}: {message}") from None
         vals = np.column_stack(columns)  # np.loadtxt refused numbers that float() reads
+    del lines, body, rows  # the text is parsed: the checks below need only the table
     actions = vals[:, 5]
-    state_cols = vals[:, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]]
     faults = (  # checked in this order, so a row's first fault is the one reported
         (~np.isfinite(vals).all(axis=1), "non-finite value"),
         ((actions != np.floor(actions)) | (actions < 0) | (actions >= N_ACTIONS),
          f"action must be an integer in 0..{N_ACTIONS - 1}"),
-        ((state_cols < 0).any(axis=1), "negative state value"),
+        ((vals[:, 0:5] < 0).any(axis=1) | (vals[:, 7:12] < 0).any(axis=1),
+         "negative state value"),
     )
     row, message = _first_fault(faults)
     if message:

@@ -300,6 +300,20 @@ class TestNetQs:
         want, _ = forward_batch(net, inputs)
         np.testing.assert_allclose(net_qs(net, inputs), want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("output", ["linear", "relu"])
+    @pytest.mark.parametrize("n", [1, 80, 81, 200, 1023, 1025])
+    def test_cache_free_forward_is_forward_batch_bit_for_bit(self, mode, output, n):
+        # on a strided column view of a transitions-like table; 1, 2-80 and 81+ rows are
+        # the batch sizes whose row bits can differ, and 1,025 rows are two blocks
+        specs = network_spec(mode)
+        specs[-1] = LayerSpec(specs[-1].input_dim, specs[-1].output_dim, output)
+        net = init_mlp(specs, seed=n)
+        table = np.random.default_rng(n).normal(size=(n, 13))
+        inputs = table[:, 7:7 + net.input_dim]
+        want, _ = forward_batch(net, inputs)
+        assert net_qs(net, inputs).tobytes() == want.tobytes()
+
     def test_overflow_in_the_last_block_is_caught(self):
         n = 3 * SCORE_ROWS + 7  # blocks of 512, 512 and 519 rows
         net = init_mlp(network_spec("discrete_only"), seed=0)

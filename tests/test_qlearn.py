@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clvdqn.env import ReplayRing
 from clvdqn.nn_core import ConfigError, LayerSpec, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
@@ -152,6 +153,69 @@ class TestFlatTraining:
             losses = td_steps(learner, Transitions(table), 6, cfg, stats)
             runs.append((losses.tobytes(), learner.net.flat.tobytes()))
         assert runs[0] == runs[1]
+
+    def test_td_steps_leave_the_callers_table_and_ring_rows_unchanged(self):
+        # each drawn batch is normalized in place, in the copy that the gather made
+        rng = np.random.default_rng(3)
+        n = 150
+        data = transitions_from(rng.uniform(0, 50, (n, 5)), rng.integers(0, 12, n),
+                                rng.uniform(0, 30, n), rng.uniform(0, 50, (n, 5)),
+                                rng.exponential(5.0, n))
+        ring = ReplayRing(2, 50)
+        for start in range(0, n, 50):  # the third episode overwrites the first
+            ring.add(data[start:start + 50])
+        stats = compute_norm_stats(data)
+        for mode in ("discrete_only", "mixed"):
+            cfg = TrainConfig(batch_size=40, mode=mode)
+            for source in (data, ring):
+                before = source[np.arange(len(source))].table.tobytes()
+                learner = Learner.fresh(init_mlp(network_spec(mode), 0), np.random.default_rng(0))
+                td_steps(learner, source, 4, cfg, stats)
+                assert source[np.arange(len(source))].table.tobytes() == before
+
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("fault, want", [
+        ("input", "non-finite network input in a batch of shape (10, {width})"),
+        ("target", "non-finite target Q-value at epoch -1, step -1"),
+        ("loss", "non-finite loss inf at epoch -1, step -1"),
+        ("step", "non-finite gradient at epoch -1, step -1"),
+    ])
+    def test_a_fault_raises_at_the_step_that_draws_it(self, mode, fault, want):
+        # row 7 carries the fault, so the first step whose batch holds it raises; a step
+        # too large for a float (lr 1e308) raises at the first step, leaving net and cache
+        rng = np.random.default_rng(5)
+        n, batch_size = 200, 10
+        data = transitions_from(rng.normal(size=(n, 5)), rng.integers(0, 12, n),
+                                rng.normal(size=n), rng.normal(size=(n, 5)),
+                                rng.exponential(size=n))
+        net = init_mlp(network_spec(mode), 0)
+        lr = None
+        if fault == "input":
+            data.next_states[7, 2] = np.nan
+        elif fault == "target":
+            for w in net.weights:
+                w[...] = np.abs(w) + 1.0  # every product of a 1e308 input is at least 1e308
+            data.next_states[7] = 1e308
+        elif fault == "loss":
+            data.rewards[7] = 1e308
+        else:
+            lr = 1e308
+        draws = np.random.default_rng(0)
+        expected = 0 if fault == "step" else next(
+            step for step in range(1000) if 7 in draws.integers(0, n, size=batch_size))
+        assert fault == "step" or expected > 0
+        learner = Learner.fresh(net, np.random.default_rng(0))
+        before = learner.net.flat.copy()
+        cfg = TrainConfig(batch_size=batch_size, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((TrainingDiverged, ConfigError)) as exc:
+                td_steps(learner, data, 1000, cfg, NormStats.identity(), lr)
+        assert str(exc.value) == want.format(width=net.input_dim)
+        assert learner.step == expected
+        if fault == "step":
+            assert learner.net.flat.tobytes() == before.tobytes()
+            assert not learner.opt.any()
 
     def test_td_steps_peak_memory_is_far_below_one_copy_of_the_data(self):
         # td_steps gathers each batch's rows alone: no copy of the replay

@@ -13,8 +13,10 @@ names `qlearn` calls through its module globals (`bellman_target`,
 `forward_batch`, `backward_batch`, `rmsprop_step`, `td_step`), for the layer
 costs. The gather is the traced `td_steps` time that no `td_step` call
 covers: the replay draw, the one-table row gather `data[idx]`, the per-batch
-`apply_norm` and the loop. Prints one JSON object of per-step medians over the repeats, in
-microseconds, with the numpy/BLAS build and the Python version.
+`apply_norm` in place and the loop. Prints one JSON object of per-step medians over the
+repeats, in microseconds, with the numpy/BLAS build and the Python version. Exits 1, and
+prints no result, if a wrapped name records no call in a traced run: a step that no longer
+calls it through `qlearn`'s globals would read 0 for that layer.
 """
 
 from __future__ import annotations
@@ -54,28 +56,33 @@ def replay(rows: int, seed: int) -> Transitions:
 
 
 class Timers:
-    """Wraps qlearn's module-global names; sums each one's seconds outside bellman_target."""
+    """Wraps qlearn's module-global names; counts each one's calls and sums its seconds
+    outside bellman_target."""
 
     NAMES = {"bellman_target": "bellman_target", "forward_batch": "forward",
              "backward_batch": "backward", "rmsprop_step": "rmsprop", "td_step": "td_step"}
 
     def __init__(self):
         self.seconds = dict.fromkeys(self.NAMES.values(), 0.0)
+        self.calls = dict.fromkeys(self.NAMES, 0)
         self.inside_target = False
 
     @contextlib.contextmanager
     def installed(self):
         originals = {name: getattr(qlearn, name) for name in self.NAMES}
-        for name, layer in self.NAMES.items():
-            setattr(qlearn, name, self._timed(originals[name], layer))
+        for name in self.NAMES:
+            setattr(qlearn, name, self._timed(originals[name], name))
         try:
             yield self
         finally:
             for name, fn in originals.items():
                 setattr(qlearn, name, fn)
 
-    def _timed(self, fn, layer):
+    def _timed(self, fn, name):
+        layer = self.NAMES[name]
+
         def timed(*args, **kwargs):
+            self.calls[name] += 1
             if self.inside_target and layer != "bellman_target":
                 return fn(*args, **kwargs)  # the target net's forward counts as the target
             self.inside_target = layer == "bellman_target"
@@ -102,6 +109,10 @@ def one_repeat(data, mode, steps, seed):
         start = time.perf_counter()
         qlearn.td_steps(learner, data, steps, cfg, stats)
         traced = time.perf_counter() - start
+    uncalled = [name for name, calls in timers.calls.items() if not calls]
+    if uncalled:
+        sys.exit(f"td_step_costs: the traced run never called qlearn.{', qlearn.'.join(uncalled)}"
+                 "; its layer cost would read 0")
     s = timers.seconds
     costs = {
         "td_step_untraced": untraced,
