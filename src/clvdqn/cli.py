@@ -63,7 +63,7 @@ def load_config(path) -> dict:
     """The settings of a flat key=value file, defaults filled in."""
     settings = default_settings()
     try:
-        lines = rfmi.open_text(path)
+        lines = rfmi.split_lines(rfmi.read_text(path))
     except rfmi.DataError as exc:  # not UTF-8; a config file is a usage error
         raise ConfigError(str(exc)) from None
     for line_no, line in enumerate(lines, start=1):

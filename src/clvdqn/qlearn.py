@@ -31,7 +31,7 @@ from .nn_core import (
     rmsprop_step,
     save_mlp,
 )
-from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, apply_norm, open_text
+from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, apply_norm, read_text, split_lines
 
 log = logging.getLogger(__name__)
 
@@ -268,8 +268,7 @@ def _five_floats(text):
 def read_sidecar(path):
     """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed (an
     integer outside int64 included) or non-finite key, or the line that is not UTF-8."""
-    with open_text(path) as f:
-        kv = dict(line.strip().split("=", 1) for line in f if "=" in line)
+    kv = dict(line.strip().split("=", 1) for line in split_lines(read_text(path)) if "=" in line)
 
     def value(key, parse):
         if key not in kv:

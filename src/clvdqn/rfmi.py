@@ -12,9 +12,9 @@ and simulated donors alike. Action 0 is inaction.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -287,10 +287,18 @@ def read_text(path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8") from None
 
 
-def open_text(path, newline=None):
-    """A text stream over read_text(path); newline is as for open(): None reads every
-    line end as "\\n", "" keeps them."""
-    return io.StringIO(read_text(path), newline=newline)
+def split_lines(text) -> list:
+    """The lines of text without their ends, read with universal newlines: \\r\\n and a lone
+    \\r end a line as \\n does, and a final line end starts no empty line."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # rebound: frees a text no caller keeps
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+# the lines of a text with their ends, split as open(newline="") splits them, for csv.reader
+_LINES = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _check_header(path, header, expected):
@@ -306,22 +314,23 @@ def _check_header(path, header, expected):
 _NOT_PLAIN = re.compile(r"[^\x00-\x1b\x20-\x5e\x60-\x7f]")
 
 
-def _check_plain(cells):
-    """ValueError if a cell holds a character that no number here has."""
-    bad = _NOT_PLAIN.search("".join(cells))
-    if bad:
-        raise ValueError(f"{bad.group()!r} in a number")
+def _check_plain(text):
+    """ValueError if text holds a character that no number here has. Five `in` tests on an
+    ASCII text give the regex's verdict; the regex names the character."""
+    if not text.isascii() or any(c in text for c in "_\x1c\x1d\x1e\x1f"):
+        raise ValueError(f"{_NOT_PLAIN.search(text).group()!r} in a number")
 
 
 def _numbers(cells, kind, blank=""):
     """A column of CSV cells as a list of kind (int or float); an empty cell reads as blank.
 
     Raises ValueError unless every cell is a number as kind() reads it, with
-    no underscore, non-ASCII or \\x1c-\\x1f character.
+    no underscore, non-ASCII or \\x1c-\\x1f character. Each distinct cell is read once:
+    a timeline column repeats few spellings.
     """
-    values = [kind(cell or blank) for cell in cells]
-    _check_plain(cells)
-    return values
+    read = {cell: kind(cell or blank) for cell in set(cells)}
+    _check_plain("".join(read))
+    return list(map(read.__getitem__, cells))
 
 
 def _column(cells, kind, blank=""):
@@ -340,9 +349,9 @@ def _column(cells, kind, blank=""):
 
 
 def _csv_rows(path, lines):
-    """(line, row) of each csv row of lines (a text stream or list of lines), line being the
-    row's last. A row the csv module refuses, such as one with a field over its size limit,
-    raises DataError("path:line: ...")."""
+    """(line, row) of each csv row of a list of lines, line being the row's last. A row the
+    csv module refuses, such as one with a field over its size limit, raises
+    DataError("path:line: ...")."""
     reader = csv.reader(lines)
     try:
         for row in reader:
@@ -365,12 +374,46 @@ def _parse_rows(numbered, kinds, skip_blank):
     wrong_width = widths != len(kinds)
     faults = [(wrong_width, lambda i: f"expected {len(kinds)} columns, got {widths[i]}")]
     rows = rows[:int(np.argmax(wrong_width))] if wrong_width.any() else rows
-    columns = []
-    for cells, (kind, blank) in zip(zip(*rows) if rows else [()] * len(kinds), kinds):
-        values, fault = (cells, None) if kind is str else _column(cells, kind, blank)
-        columns.append(values)
+    columns, cell_faults = _parse_columns(zip(*rows) if rows else [()] * len(kinds), kinds)
+    return columns, line_nums, faults + cell_faults
+
+
+def _parse_columns(columns, kinds):
+    """(values, faults) of columns of cells: each (kind, blank) of kinds reads a column as
+    _column does, or keeps a str column's cells; faults are the bad cells' checks."""
+    values, faults = [], []
+    for cells, (kind, blank) in zip(columns, kinds):
+        column, fault = (cells, None) if kind is str else _column(cells, kind, blank)
+        values.append(column)
         faults += [fault] if fault else []
-    return columns, line_nums, faults
+    return values, faults
+
+
+def _plain_columns(text, width):
+    """(header, columns of cells, line of each row) of CSV text that csv.reader would split at
+    its commas alone, blank rows skipped as _parse_rows skips them; None unless the text has
+    no quote and no NUL (which Python 3.10's csv refuses), no line is longer than csv's field
+    size limit, and every row after the header has width fields. header is the first row as
+    csv reads it, None for no row."""
+    if '"' in text or "\0" in text:
+        return None
+    lines = split_lines(text)
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    header = (lines[0].split(",") if lines[0] else []) if lines else None
+    body, line_nums = lines[1:], range(2, len(lines) + 1)
+    del lines
+    if "" in body:
+        line_nums = [n for n, line in zip(line_nums, body) if line]
+        body = list(filter(None, body))
+    if not body:
+        return header, [[]] * width, line_nums
+    if set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    joined = ",".join(body)
+    del body  # before the split: the cells take four times the lines' memory
+    cells = joined.split(",")
+    return header, [cells[j::width] for j in range(width)], line_nums
 
 
 def _int64(values):
@@ -392,18 +435,29 @@ def read_timelines(path) -> Timelines:
     raises DataError("path:line: ..."), naming the first such row (the row of
     the largest period for the last). Timelines come in order of their
     customer's first row, each with an empty period where a row is missing.
+    A file with a quote, or one that _plain_columns refuses, is read row by row
+    through csv.reader; both ways read the same values and faults.
     """
-    with open_text(path, newline="") as f:
-        rows = _csv_rows(path, f)
+    text = read_text(path)
+    kinds = ((str, ""), (int, ""), (float, "0"), (int, "0"), (float, "0"))
+    plain = _plain_columns(text, len(kinds))
+    if plain:
+        header, cells, line_nums = plain
+        _check_header(path, header, TIMELINE_COLUMNS)
+        del text, plain  # and the cells once read: 75,000 of a 0.27 MB file hold 3 MB
+        (cids, *columns), faults = _parse_columns(cells, kinds)
+        del cells
+    else:
+        rows = _csv_rows(path, _LINES.findall(text))
         _check_header(path, next(rows, (1, None))[1], TIMELINE_COLUMNS)
-        kinds = ((str, ""), (int, ""), (float, "0"), (int, "0"), (float, "0"))
+        del text
         (cids, *columns), line_nums, faults = _parse_rows(rows, kinds, skip_blank=True)
     n = min(map(len, columns))  # the rows before the first faulty one
     period, action = _int64(columns[0][:n]), _int64(columns[2][:n])
     amount = np.array(columns[1][:n], dtype=np.float64)
     acont = np.array(columns[3][:n], dtype=np.float64)
-    index = {}
-    codes = np.array([index.setdefault(cid, len(index)) for cid in cids[:n]], dtype=np.int64)
+    index = {cid: k for k, cid in enumerate(dict.fromkeys(cids[:n]))}  # by first row
+    codes = np.fromiter(map(index.__getitem__, cids[:n]), np.int64, n)
     order = np.lexsort((period, codes))  # stable: a repeat follows its first row
     duplicate = np.zeros(n, dtype=bool)
     duplicate[order[1:]] = ((codes[order[1:]] == codes[order[:-1]])
@@ -470,19 +524,16 @@ def read_transitions(path) -> Transitions:
 
     Every row has 13 numbers; every value must be finite, the action an
     integer in 0..N_ACTIONS-1 and every state component non-negative. Only a
-    file that np.loadtxt refuses is read row by row, as read_timelines reads it.
+    file that np.loadtxt refuses is read row by row, through csv.reader.
     """
-    # universal newlines: \r\n and a lone \r read as \n; no stream, which holds 4 bytes a character
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = split_lines(read_text(path))
     rows = _csv_rows(path, lines)
     _check_header(path, next(rows, (1, None))[1], TRANSITION_COLUMNS)
     body, line_nums = lines[1:], range(2, len(lines) + 1)  # the line of each row
     try:
         if "" in body:  # np.loadtxt would skip it
             raise ValueError("blank line")
-        _check_plain(body)
+        _check_plain("".join(body))
         vals = (np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
                 if body else np.empty((0, 13)))
         if vals.shape[1] != 13:

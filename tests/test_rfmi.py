@@ -2,6 +2,7 @@ import csv
 import io
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,6 +395,19 @@ class TestCsv:
         with pytest.raises(DataError):
             read_transitions(path)
 
+    @pytest.mark.parametrize("text, got", [
+        ("", "an empty line"), ("\nc,0,,,\nc,1,,,\n", "an empty line"),
+        ("\r\nc,0,,,\nc,1,,,\n", "an empty line"), ("x,y\nc,0,,,\nc,1,,,\n", "x,y"),
+        ('"x",y\nc,0,,,\nc,1,,,\n', "x,y"), ("x,y\nc,0\n", "x,y"),
+    ])
+    def test_timeline_header_fault_is_reported_at_line_1(self, tmp_path, text, got):
+        path = tmp_path / "timelines.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError) as exc:
+            read_timelines(path)
+        header = ",".join(TIMELINE_COLUMNS)
+        assert str(exc.value) == f"{path}:1: expected header {header}, got {got}"
+
     def test_transition_read_peak_is_bounded(self, tmp_path):
         # a 1.0 MB file of 17,000 rows: its lines and the parsed table peak at 4.1 MB, and
         # the lines are dropped before the value checks; holding them, and a 10-column copy
@@ -414,6 +428,31 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(data.table, table)
+        assert peak < 4.6e6
+
+    def test_timeline_read_peak_is_bounded(self, tmp_path):
+        # 300 customers x 50 periods (0.27 MB), shaped as the benchmark's logged files: split
+        # at its commas into 75,000 cells, which are dropped once their columns are read, the
+        # file peaks at 4.1 MB during the split; csv.reader's 15,000 row lists over a text
+        # stream, kept to the end, took that to 8.4 MB
+        rng = np.random.default_rng(0)
+        shape = (300, 50)
+        actions = np.where(rng.random(shape) < 0.35, rng.integers(1, 12, shape), 0)
+        amounts = np.where(rng.random(shape) < 0.15, rng.lognormal(2.5, 0.6, shape), 0.0)
+        spelt = [f"{amount:.2f}" for amount in amounts.ravel()]
+        path = tmp_path / "timelines.csv"
+        write_lines(path, [",".join(TIMELINE_COLUMNS), *(
+            f"c{c:06d},{p},{spelt[c * 50 + p]},{actions[c, p] or ''},"
+            for c in range(300) for p in range(50))], "\n")
+        assert 0.25e6 < path.stat().st_size < 0.3e6
+        tracemalloc.start()
+        try:
+            tls = read_timelines(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bit_equal(tls.amounts, np.array(list(map(float, spelt))))
+        assert_bit_equal(tls.actions, actions.ravel())
         assert peak < 4.6e6
 
 
@@ -447,14 +486,15 @@ def spelt(values):
 
 
 CUSTOMER_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\r\n\x00"), max_size=8)
+PLAIN_IDS = CUSTOMER_IDS.filter(lambda cid: not set(cid) & set(',"'))  # csv.writer quotes none
 
 
 @st.composite
-def timeline_rows(draw):
+def timeline_rows(draw, ids=CUSTOMER_IDS):
     """The rows of a valid timeline CSV: 1-5 customers of 2-20 periods each, some
     periods missing, in a random order."""
     rows = []
-    for cid in draw(st.lists(CUSTOMER_IDS, min_size=1, max_size=5, unique=True)):
+    for cid in draw(st.lists(ids, min_size=1, max_size=5, unique=True)):
         last = draw(st.integers(1, 19))
         for p in sorted(draw(st.sets(st.integers(0, last - 1))) | {last}):
             rows.append([
@@ -495,7 +535,7 @@ NEW_TIMELINE_REJECTIONS = [  # (edit of a row, message) rejected now, read by th
 
 class TestTimelineCsvMatchesRowReference:
     @settings(deadline=None, max_examples=60)
-    @given(timeline_rows(), st.sampled_from(["\r\n", "\n"]), st.data())
+    @given(timeline_rows(), st.sampled_from(["\r\n", "\n", "\r"]), st.data())
     def test_valid_files(self, csv_dir, rows, eol, data):
         path = csv_dir / "valid.csv"
         write_lines(path, with_blank_lines(data.draw, TIMELINE_COLUMNS, rows), eol)
@@ -505,7 +545,7 @@ class TestTimelineCsvMatchesRowReference:
             assert_bit_equal(getattr(got, name), getattr(want, name))
 
     @settings(deadline=None, max_examples=80)
-    @given(timeline_rows(), st.sampled_from(["\r\n", "\n"]), st.data())
+    @given(timeline_rows(), st.sampled_from(["\r\n", "\n", "\r"]), st.data())
     def test_one_fault_is_reported_alike(self, csv_dir, rows, eol, data):
         i = data.draw(st.integers(0, len(rows) - 1))
         kind = data.draw(st.sampled_from(["field", "duplicate", "single period"]))
@@ -523,6 +563,44 @@ class TestTimelineCsvMatchesRowReference:
         with pytest.raises(DataError) as got:
             read_timelines(path)
         assert str(got.value) == str(want.value)
+
+    @settings(deadline=None, max_examples=60)
+    @given(timeline_rows(PLAIN_IDS), st.sampled_from(["\r\n", "\n", "\r"]),
+           st.sampled_from(["none", "field", "width"]), st.data())
+    def test_plain_text_and_csv_paths_read_alike(self, csv_dir, rows, eol, fault, data):
+        """The same rows, read once as plain text and once through csv.reader, which one
+        quoted customer id forces: bit-equal Timelines, or the same DataError."""
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "field":
+            field, value = data.draw(st.sampled_from(TIMELINE_FAULTS))
+            rows[i][field] = value
+        elif fault == "width":
+            rows[i] = rows[i] + ["EXTRA"] if data.draw(st.booleans()) else rows[i][:4]
+        lines = with_blank_lines(data.draw, TIMELINE_COLUMNS, rows)
+        first = next(k for k, line in enumerate(lines) if k and line)
+        quoted = list(lines)
+        quoted[first] = f'"{rows[0][0]}"{lines[first][len(rows[0][0]):]}'
+        path = csv_dir / "paths.csv"
+
+        def read(lines):
+            write_lines(path, lines, eol)
+            try:
+                return read_timelines(path)
+            except DataError as exc:
+                return str(exc)
+
+        if fault == "width":  # the plain-text path hands this file to csv.reader too
+            plain = read(lines)
+        else:
+            with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")):
+                plain = read(lines)
+        got = read(quoted)
+        if isinstance(plain, str):
+            assert got == plain
+        else:
+            assert got.customer_ids == plain.customer_ids
+            for name in ("lengths", "amounts", "actions", "aconts"):
+                assert_bit_equal(getattr(got, name), getattr(plain, name))
 
     @settings(deadline=None, max_examples=40)
     @given(timeline_rows(), st.sampled_from(NEW_TIMELINE_REJECTIONS), st.data())
@@ -669,6 +747,24 @@ class TestCsvWriterMatchesRowReference:
         want = (csv_dir / "rows.csv").read_bytes()
         assert (csv_dir / "columnar.csv").read_bytes() == want
         assert csv_text(header, columns).encode("utf-8") == want
+
+
+@pytest.mark.parametrize("cell, fault", [
+    ("1_0", "'_' in a number"), *((f"1{c}", f"{c!r} in a number") for c in "\u0663\u2003"),
+    *((f"1{c}", f"could not convert string to float: {f'1{c}'!r}") for c in "\x1c\x1d\x1e\x1f"),
+])
+def test_both_readers_reject_a_character_that_no_number_has(csv_dir, cell, fault):
+    """float() reads an underscore and non-ASCII digits and spaces, which the plain check
+    names; np.loadtxt strips the separators \\x1c-\\x1f, which float() refuses."""
+    timelines = csv_dir / "plain_timelines.csv"
+    write_lines(timelines, [",".join(TIMELINE_COLUMNS), f"c,0,,1,{cell}", "c,1,,,"], "\n")
+    transitions = csv_dir / "plain_transitions.csv"
+    write_lines(transitions, [",".join(TRANSITION_COLUMNS), f"0,0,0,0,0,1,{cell},0,0,0,0,0,0"],
+                "\n")
+    for read, path in ((read_timelines, timelines), (read_transitions, transitions)):
+        with pytest.raises(DataError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:2: malformed row ({fault})"
 
 
 NUMBER_PIECES = [*"0123456789.eE+- \t\x0b\x1c_", "\u0663", "\u2003", "inf", "nan"]
