@@ -7,7 +7,8 @@ piecewise linear in acont for a fixed state, so its maximum over the bounds
 lies at a bound or at a kink, where some hidden pre-activation changes sign.
 maximize_continuous_batch enumerates those points as one flat list of (state,
 acont) candidates per block of BLOCK_STATES states and evaluates them all
-from the block's cached state part, layer 0's pre-activations at acont 0:
+from the block's cached state part, layer 0's pre-activations at acont 0, the
+only layer arithmetic here (nn_core's one layer loop runs every other layer):
 layer 0's kinks are in closed form, and no candidate runs a whole forward.
 Ties always break toward the lowest acont, then the lowest action index.
 Every Q-value returned comes from net_qs, which raises NetworkOverflow if one is not finite.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ConfigError, Mlp, NetworkOverflow, batch_inputs
+from .nn_core import ConfigError, Mlp, NetworkOverflow, _pres_from, batch_inputs
 from .rfmi import STATE_DIMS
 
 BLOCK_STATES = 12  # states per block of the kink search; bounds memory only
@@ -57,8 +58,8 @@ def net_qs(net: Mlp, inputs):
     blocks of SCORE_ROWS rows, the last taking the remainder; a batch of under
     2 * SCORE_ROWS rows is one block. Each block's last product goes straight
     into the output, so at most 2 * SCORE_ROWS - 1 rows' hidden activations are
-    live. The float operations are forward_batch's. A non-finite output raises
-    NetworkOverflow: the inputs are finite, so the net overflows.
+    live. It runs forward_batch's layer loop, with no cache. A non-finite output
+    raises NetworkOverflow: the inputs are finite, so the net overflows.
     """
     x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
     qs = np.empty((len(x), net.output_dim))
@@ -85,18 +86,6 @@ def action_values(net: Mlp, states, acont_range: AcontRange = None):
         qs = net_qs(net, states)
         return np.ndarray(qs.shape, buffer=_ZERO, strides=(0, 0)), qs
     return maximize_continuous_batch(net, states, acont_range)
-
-
-def _pres_from(net: Mlp, z, j: int, k: int, out=None):
-    """Layer k's pre-activations, from layer j's pre-activations z (j <= k), or from the net's
-    inputs z with j = -1: forward_batch's operations, with no check and no cache. Layer k's
-    product goes into out, if given."""
-    for i in range(j + 1, k + 1):
-        if i and net.specs[i - 1].activation == "relu":
-            z = np.maximum(z, 0.0, out=z if i > j + 1 else None)  # in place once z is ours
-        z = np.matmul(z, net.weights[i].T, out=out if i == k else None)
-        z += net.biases[i]
-    return z
 
 
 def _argmax_aconts(net: Mlp, states, lo: float, hi: float):

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import env as env_mod
 from . import policy_eval, qlearn, rfmi
-from .nn_core import ConfigError
-from .qlearn import TrainConfig, TrainingDiverged
+from .nn_core import ConfigError, TrainingDiverged
+from .qlearn import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import policy_eval
 from .action_space import is_mixed
-from .nn_core import ConfigError, NetworkOverflow, init_mlp
-from .qlearn import Learner, TrainConfig, TrainingDiverged, network_spec, td_steps
+from .nn_core import ConfigError, NetworkOverflow, TrainingDiverged, init_mlp
+from .qlearn import Learner, TrainConfig, network_spec, td_steps
 from .rfmi import (N_ACTIONS, TRANSITION_COLUMNS, NormStats, Transitions, advance_states,
                    merge_moments, stats_from_moments, table_moments)
 

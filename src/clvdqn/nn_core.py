@@ -3,8 +3,9 @@
 Everything is float64 numpy. A net's parameters are one flat float64 vector
 in file order (w0, b0, w1, b1, ...; weights row-major), which its per-layer
 weights and biases view, and a weight file is its header plus that vector.
-Forward returns the cache backward needs instead of storing state: each
-layer's input and pre-activation. Backward can write into a caller's reused
+One layer loop, _pres_from, runs every forward: training's and action_space's.
+forward_batch returns the cache backward needs instead of storing state: each
+layer's input, then the outputs. Backward can write into a caller's reused
 Gradients and skip the input gradient, which a training step never reads.
 Layers are ReLU or linear.
 """
@@ -132,19 +133,27 @@ def batch_inputs(net: Mlp, inputs) -> np.ndarray:
     return x
 
 
+def _pres_from(net: Mlp, z, j: int, k: int, out=None, inputs=None):
+    """Layer k's pre-activations, from layer j's pre-activations z (j <= k), or from the net's
+    inputs z with j = -1: the one layer loop, with no check. Layer k's product goes into out,
+    if given, and each layer's input is appended to the list inputs, if given."""
+    for i in range(j + 1, k + 1):
+        if i and net.specs[i - 1].activation == "relu":
+            z = np.maximum(z, 0.0, out=z if i > j + 1 else None)  # in place once z is ours
+        if inputs is not None:
+            inputs.append(z)
+        z = np.matmul(z, net.weights[i].T, out=out if i == k else None)
+        z += net.biases[i]
+    return z
+
+
 def forward_batch(net: Mlp, inputs: np.ndarray):
-    """Run a (n, input_dim) batch (see batch_inputs). Returns (outputs, cache) for backward."""
-    x = batch_inputs(net, inputs)
-    layer_inputs = []
-    pre_acts = []
-    h = x
-    for spec, w, b in zip(net.specs, net.weights, net.biases):
-        layer_inputs.append(h)
-        z = h @ w.T
-        z += b  # the same sums as h @ w.T + b, with one temporary fewer
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else z
-    return h, {"inputs": layer_inputs, "pres": pre_acts}
+    """Run a (n, input_dim) batch (see batch_inputs). Returns (outputs, cache) for backward:
+    the cache lists each layer's input, then the outputs."""
+    cache = []
+    h = _pres_from(net, batch_inputs(net, inputs), -1, len(net.specs) - 1, inputs=cache)
+    cache.append(np.maximum(h, 0.0, out=h) if net.specs[-1].activation == "relu" else h)
+    return h, cache
 
 
 def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = None,
@@ -154,21 +163,19 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = N
     Parameter gradients are summed over the batch into one flat vector, that
     of out (a Gradients.like(net)) if given, else a new one; input_grads stay
     per-row, or are None without input_grads, which skips layer 0's input
-    matmul. ReLU subgradient at exactly 0 is 0.
+    matmul. A ReLU's mask is its cached output > 0, which is its pre-activation > 0.
     """
     g = np.asarray(output_grads, dtype=np.float64)
-    if g.shape != cache["pres"][-1].shape:
-        raise ConfigError(
-            f"output grad shape {g.shape} != output shape {cache['pres'][-1].shape}"
-        )
+    if g.shape != cache[-1].shape:
+        raise ConfigError(f"output grad shape {g.shape} != output shape {cache[-1].shape}")
     grads = Gradients.like(net) if out is None else out
     last = len(net.specs) - 1
     for i in range(last, -1, -1):
         if net.specs[i].activation == "relu":
-            mask = cache["pres"][i] > 0.0
+            mask = cache[i + 1] > 0.0
             # below the output layer g is this loop's own array, so mask it in place
             g = g * mask if i == last else np.multiply(g, mask, out=g)
-        np.matmul(g.T, cache["inputs"][i], out=grads.weight_grads[i])
+        np.matmul(g.T, cache[i], out=grads.weight_grads[i])
         np.add.reduce(g, axis=0, out=grads.bias_grads[i])  # np.sum's reduction, called direct
         if i or input_grads:
             g = g @ net.weights[i]

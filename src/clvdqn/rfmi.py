@@ -289,7 +289,10 @@ def read_text(path) -> str:
 
 def split_lines(text) -> list:
     """The lines of text without their ends, read with universal newlines: \\r\\n and a lone
-    \\r end a line as \\n does, and a final line end starts no empty line."""
+    \\r end a line as \\n does, and a final line end starts no empty line. In a text with a
+    quote each line keeps its end, as open(newline="") keeps it, for csv.reader to read."""
+    if '"' in text:
+        return _LINES.findall(text)
     text = text.replace("\r\n", "\n").replace("\r", "\n")  # rebound: frees a text no caller keeps
     lines = text.split("\n")
     if lines[-1] == "":
@@ -297,7 +300,6 @@ def split_lines(text) -> list:
     return lines
 
 
-# the lines of a text with their ends, split as open(newline="") splits them, for csv.reader
 _LINES = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
@@ -448,7 +450,7 @@ def read_timelines(path) -> Timelines:
         (cids, *columns), faults = _parse_columns(cells, kinds)
         del cells
     else:
-        rows = _csv_rows(path, _LINES.findall(text))
+        rows = _csv_rows(path, split_lines(text))
         _check_header(path, next(rows, (1, None))[1], TIMELINE_COLUMNS)
         del text
         (cids, *columns), line_nums, faults = _parse_rows(rows, kinds, skip_blank=True)
@@ -523,21 +525,22 @@ def read_transitions(path) -> Transitions:
     """Reads a transition CSV, rejecting malformed rows with DataError("path:line: ...").
 
     Every row has 13 numbers; every value must be finite, the action an
-    integer in 0..N_ACTIONS-1 and every state component non-negative. Only a
-    file that np.loadtxt refuses is read row by row, through csv.reader.
+    integer in 0..N_ACTIONS-1 and every state component non-negative. A file
+    with no row, a line over csv's field size limit or anything np.loadtxt
+    refuses (a quote too) is read row by row, through csv.reader.
     """
     lines = split_lines(read_text(path))
     rows = _csv_rows(path, lines)
     _check_header(path, next(rows, (1, None))[1], TRANSITION_COLUMNS)
     body, line_nums = lines[1:], range(2, len(lines) + 1)  # the line of each row
     try:
-        if "" in body:  # np.loadtxt would skip it
-            raise ValueError("blank line")
         _check_plain("".join(body))
-        vals = (np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
-                if body else np.empty((0, 13)))
-        if vals.shape[1] != 13:
-            raise ValueError(f"expected 13 columns, got {vals.shape[1]}")
+        # np.loadtxt warns on only blank lines, and no row of 13 numbers is under 25 characters
+        if not 25 <= max(map(len, body), default=0) <= csv.field_size_limit():
+            raise ValueError("no row of 13 numbers, or a line over csv's field size limit")
+        vals = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if vals.shape != (len(body), 13):
+            raise ValueError("not 13 numbers on every line")
     except ValueError:
         columns, line_nums, faults = _parse_rows(rows, ((float, ""),) * 13, skip_blank=False)
         i, message = _first_fault(faults)

@@ -108,6 +108,15 @@ def _paired(states, aconts):
     return np.column_stack([np.repeat(states, aconts.shape[1], axis=0), aconts.reshape(-1)])
 
 
+def _pre_activations(net, x, k):
+    """Layer k's pre-activations of inputs x: h @ w.T + b layer by layer, ReLU between."""
+    h = x
+    for i in range(k + 1):
+        z = h @ net.weights[i].T + net.biases[i]
+        h = np.maximum(z, 0.0) if net.specs[i].activation == "relu" else z
+    return z
+
+
 def padded_kink_points(net, states, lo, hi):
     """(n, m) sorted candidate aconts of each state: its bounds and the kinks of every hidden
     layer, found by linear interpolation between the points before, padded with hi."""
@@ -115,8 +124,7 @@ def padded_kink_points(net, states, lo, hi):
     points = np.tile([lo, hi], (n, 1))
     count = np.full(n, 2)
     for k in range(len(net.specs) - 1):
-        _, cache = forward_batch(net, _paired(states, points))
-        z = cache["pres"][k].reshape(n, points.shape[1], -1)
+        z = _pre_activations(net, _paired(states, points), k).reshape(n, points.shape[1], -1)
         z0, z1 = z[:, :-1], z[:, 1:]
         t0, t1 = points[:, :-1, None], points[:, 1:, None]
         cross = np.sign(z0) * np.sign(z1) < 0

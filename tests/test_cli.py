@@ -196,6 +196,8 @@ class TestTrain:
         ("reward", "\u0665", "malformed row ('\u0665' in a number)"),
         pytest.param("reward", "1" * 140_000 + "x", "field larger than field limit (131072)",
                      id="field-over-the-csv-limit"),
+        pytest.param("reward", "1." + "0" * 140_000, "field larger than field limit (131072)",
+                     id="valid-number-over-the-csv-limit"),
     ])
     def test_invalid_transition_row_is_data_error(self, tmp_path, transitions_csv, capsys,
                                                   field, value, message):

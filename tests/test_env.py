@@ -28,8 +28,8 @@ from clvdqn.env import (
     response_probabilities,
     run_autonomous,
 )
-from clvdqn.nn_core import ConfigError
-from clvdqn.qlearn import TrainConfig, TrainingDiverged
+from clvdqn.nn_core import ConfigError, TrainingDiverged
+from clvdqn.qlearn import TrainConfig
 from clvdqn.rfmi import (N_ACTIONS, NormStats, Timelines, Transitions, advance_states,
                          build_transitions, compute_norm_stats, write_records)
 

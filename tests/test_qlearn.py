@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvdqn.env import ReplayRing
-from clvdqn.nn_core import ConfigError, LayerSpec, forward_batch, init_mlp
+from clvdqn.nn_core import ConfigError, LayerSpec, TrainingDiverged, forward_batch, init_mlp
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
     EpochRecord,
     Learner,
     TrainConfig,
-    TrainingDiverged,
     bellman_target,
     load_checkpoint,
     network_spec,
@@ -130,6 +129,40 @@ class TestFlatTraining:
                                                        cfg.lr0, cfg.acont_range(stats))
         learner = Learner.fresh(net, np.random.default_rng(seed))
         losses = td_steps(learner, raw, n_steps, cfg, stats)
+        assert losses.tolist() == want_losses.tolist()
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    def test_td_steps_match_reference_where_hidden_pre_activations_are_zero(self, mode):
+        # backward masks a ReLU layer where its output is positive, the reference where its
+        # pre-activation is; they can differ only at a pre-activation of +-0.0 (or NaN).
+        # Zeroed weight rows with biases of +0.0 and -0.0 give zero pre-activations on every
+        # row (their sign is the BLAS's: OpenBLAS sums -0.0 products to +0.0), and a unit
+        # reading r - f gives them on the rows where r == f
+        z = np.array([-0.0, 0.0, np.nan, -5e-324, 5e-324])
+        assert ((np.maximum(z, 0.0) > 0.0) == (z > 0.0)).all()
+        rng = np.random.default_rng(4)
+        net = init_mlp(network_spec(mode), 4)
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            w[:3] = 0.0
+            b[:3] = [0.0, -0.0, -0.0]
+        net.weights[0][3] = 0.0
+        net.weights[0][3, :2] = [1.0, -1.0]
+        n = 40
+        states = rng.uniform(0, 5, (n, 5))
+        states[::2, 1] = states[::2, 0]
+        data = transitions_from(states, rng.integers(0, 12, n), rng.normal(size=n),
+                                rng.uniform(0, 5, (n, 5)), rng.exponential(size=n))
+        x = states if mode == "discrete_only" else np.column_stack([states, data.aconts])
+        pre = x @ net.weights[0].T + net.biases[0]
+        assert (pre[:, :3] == 0.0).all() and (pre[::2, 3] == 0.0).all()
+        cfg = TrainConfig(batch_size=30, target_clone_period=2, mode=mode)
+        stats = NormStats.identity()
+        want_losses, weights, biases = td_steps_arrays(net, data, 5, cfg, 4, cfg.lr0,
+                                                       cfg.acont_range(stats))
+        learner = Learner.fresh(net, np.random.default_rng(4))
+        losses = td_steps(learner, data, 5, cfg, stats)
         assert losses.tolist() == want_losses.tolist()
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert got.tolist() == want.tolist()

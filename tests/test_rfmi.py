@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -383,11 +384,29 @@ class TestCsv:
         np.testing.assert_array_equal(back.aconts, data.aconts)
         np.testing.assert_array_equal(back.rewards, data.rewards)
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("header", ["r", '"r"'])  # a quote keeps each line's end
+    @pytest.mark.parametrize("body", ["1,2,3\n", "\n", "\n\r\n"])
+    def test_malformed_row_reports_line(self, tmp_path, header, body):
+        # a body of blank lines goes to csv.reader, without np.loadtxt's no-data warning
         path = tmp_path / "bad.csv"
-        path.write_text("r,f,m,ir,if,a,acont,r2,f2,m2,ir2,if2,reward\n1,2,3\n")
-        with pytest.raises(DataError, match=":2"):
+        path.write_bytes(f"{header},f,m,ir,if,a,acont,r2,f2,m2,ir2,if2,reward\n{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=":2: expected 13 columns"):
+                read_transitions(path)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
+    def test_quoted_line_break_in_a_transition_cell_is_malformed(self, tmp_path, eol):
+        # csv.reader keeps a quoted line end in its cell, as the row reference's does, and
+        # float() refuses it; the row starts on line 2 and is reported at its last, line 3
+        path = tmp_path / "quoted.csv"
+        lines = [",".join(TRANSITION_COLUMNS), f'"1{eol}2",' + ",".join(["0"] * 12), ""]
+        path.write_bytes(eol.join(lines).encode("utf-8"))
+        message = f"malformed row (could not convert string to float: {f'1{eol}2'!r})"
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
             read_transitions(path)
+        with pytest.raises(DataError, match=f"{re.escape(message)}$"):
+            read_transitions_rows(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
