@@ -51,19 +51,25 @@ def is_mixed(net: Mlp) -> bool:
     return net.input_dim == width + 1
 
 
+def score_cuts(n: int) -> list:
+    """Bounds of the blocks that n rows are scored in: SCORE_ROWS rows each, the last taking
+    the remainder, so no block is smaller than SCORE_ROWS rows or the whole batch."""
+    return [0, *range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS), n]
+
+
 def net_qs(net: Mlp, inputs):
     """The net's outputs for a (n, input_dim) batch: states, then acont for a mixed net.
 
-    The batch is checked whole, then forwarded with no cache, in consecutive
-    blocks of SCORE_ROWS rows, the last taking the remainder; a batch of under
-    2 * SCORE_ROWS rows is one block. Each block's last product goes straight
-    into the output, so at most 2 * SCORE_ROWS - 1 rows' hidden activations are
-    live. It runs forward_batch's layer loop, with no cache. A non-finite output
-    raises NetworkOverflow: the inputs are finite, so the net overflows.
+    The batch is checked whole, then forwarded with no cache, in the blocks of
+    score_cuts; a batch of under 2 * SCORE_ROWS rows is one block. Each block's
+    last product goes straight into the output, so at most 2 * SCORE_ROWS - 1
+    rows' hidden activations are live. It runs forward_batch's layer loop, with
+    no cache. A non-finite output raises NetworkOverflow: the inputs are finite,
+    so the net overflows.
     """
     x = batch_inputs(net, inputs)  # its errors name the whole batch's shape
     qs = np.empty((len(x), net.output_dim))
-    cuts = [0, *range(SCORE_ROWS, len(x) - SCORE_ROWS + 1, SCORE_ROWS), len(x)]
+    cuts = score_cuts(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(cuts, cuts[1:]):
             _pres_from(net, x[lo:hi], -1, len(net.specs) - 1, out=qs[lo:hi])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import policy_eval
-from .action_space import AcontRange, action_values, is_mixed
+from .action_space import AcontRange, action_values, is_mixed, score_cuts
 from .nn_core import (
     ConfigError,
     Gradients,
@@ -38,6 +38,8 @@ log = logging.getLogger(__name__)
 HIDDEN = (40, 15)
 
 MODES = ("discrete_only", "mixed")
+
+SEGMENT_DRAWS = 65_536  # replay draws per segment of td_steps; bounds memory only
 
 
 @dataclass
@@ -92,12 +94,14 @@ def bellman_target(batch: Transitions, target_net: Mlp, cfg: TrainConfig,
 
 
 def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: np.ndarray, cfg: TrainConfig,
-            lr=None, acont_range=None, grads: Gradients = None):
+            lr=None, acont_range=None, grads: Gradients = None, y=None):
     """One gradient step on a batch. Returns the batch mean squared TD error.
 
     Only the output neuron of the taken action receives loss gradient. The
     gradients go into grads (a Gradients.like(net)) if given, else a new one.
-    A non-finite loss, gradient or target Q-value raises TrainingDiverged.
+    y holds the batch's Bellman targets if the caller has them; else
+    bellman_target computes them with target_net. A non-finite loss, gradient
+    or target Q-value raises TrainingDiverged.
     """
     if not batch:
         raise ConfigError("empty training batch")
@@ -107,10 +111,11 @@ def td_step(batch: Transitions, net: Mlp, target_net: Mlp, opt: np.ndarray, cfg:
     if is_mixed(net):
         x = np.concatenate([x, batch.aconts[:, None]], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        try:
-            y = bellman_target(batch, target_net, cfg, acont_range)
-        except NetworkOverflow:
-            raise TrainingDiverged(-1, -1, what="target Q-value") from None
+        if y is None:
+            try:
+                y = bellman_target(batch, target_net, cfg, acont_range)
+            except NetworkOverflow:
+                raise TrainingDiverged(-1, -1, what="target Q-value") from None
         q, cache = forward_batch(net, x)
         taken = batch.actions + np.arange(0, q.size, q.shape[1])  # flat index of (row, action)
         err = q.take(taken)
@@ -148,19 +153,68 @@ def td_steps(learner: Learner, data, n_steps: int, cfg: TrainConfig, norm_stats:
     len() whose int-array index gives Transitions in a new table: a Transitions or an
     env.ReplayRing), each normalized in that table with norm_stats. Clones the target net
     whenever the learner's global step count reaches a multiple of cfg.target_clone_period.
-    Returns the per-step losses."""
+    Returns the per-step losses.
+
+    The steps run in segments, each ending at a clone, at the call's end or after
+    SEGMENT_DRAWS draws. A segment first draws its steps' batches, one rng call per step as
+    a step-by-step loop makes them, then computes the Bellman target of each distinct drawn
+    row once (_row_targets), and each step takes its batch's targets from those. If that
+    scoring raises (a non-finite input or target Q-value), each step of the segment
+    computes its own batch's targets, so the fault raises at the step that first draws its
+    row. Whatever raises, learner.rng is left after the draws of the steps begun.
+    """
     acont_range = cfg.acont_range(norm_stats)
     losses = np.empty(n_steps)
     grads = Gradients.like(learner.net)
-    for i in range(n_steps):
-        batch = data[learner.rng.integers(0, len(data), size=cfg.batch_size)]
-        apply_norm(norm_stats, batch, out=batch.table)  # the gather is a copy: normalize it
-        losses[i] = td_step(batch, learner.net, learner.target, learner.opt, cfg, lr,
-                            acont_range, grads)
-        learner.step += 1
-        if learner.step % cfg.target_clone_period == 0:
+    rng, size, period = learner.rng, cfg.batch_size, cfg.target_clone_period
+    done = 0
+    while done < n_steps:
+        steps = min(n_steps - done, max(SEGMENT_DRAWS // size, 1), period - learner.step % period)
+        start = rng.bit_generator.state
+        drawn = np.empty((steps, size), dtype=np.int64)
+        for i in range(steps):
+            drawn[i] = rng.integers(0, len(data), size=size)
+        begun = 0
+        try:
+            rows, inverse = np.unique(drawn, return_inverse=True)
+            inverse = inverse.reshape(drawn.shape)  # numpy 1 returns it flat
+            try:
+                targets = _row_targets(data, rows, learner.target, cfg, norm_stats, acont_range)
+            except ConfigError:  # NetworkOverflow included: the steps raise it in turn
+                targets = None
+            for i in range(steps):
+                begun = i + 1
+                batch = data[drawn[i]]
+                apply_norm(norm_stats, batch, out=batch.table)  # the gather is a copy: normalize it
+                y = None if targets is None else targets[inverse[i]]
+                losses[done + i] = td_step(batch, learner.net, learner.target, learner.opt, cfg,
+                                           lr, acont_range, grads, y)
+                learner.step += 1
+        except BaseException:
+            rng.bit_generator.state = start
+            for _ in range(begun):
+                rng.integers(0, len(data), size=size)
+            raise
+        done += steps
+        if learner.step % period == 0:
             learner.target = learner.net.copy()
     return losses
+
+
+def _row_targets(data, rows, target_net: Mlp, cfg: TrainConfig, norm_stats: NormStats,
+                 acont_range) -> np.ndarray:
+    """bellman_target of data's rows (distinct indices), gathered and normalized in the blocks
+    that net_qs scores a batch in (score_cuts), so each block is one net_qs block. (On
+    OpenBLAS a row's Q bits do not depend on its batch mates in a batch of 81 rows or more,
+    so a set that large gets the bits of a batch-200 step.)"""
+    targets = np.empty(len(rows))
+    cuts = score_cuts(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target raises in td_step
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = data[rows[lo:hi]]
+            apply_norm(norm_stats, block, out=block.table)
+            targets[lo:hi] = bellman_target(block, target_net, cfg, acont_range)
+    return targets
 
 
 @dataclass

@@ -7,8 +7,8 @@ tabular Q* from value iteration on explicit dynamics, normalization from
 row-by-row loops over a batch of transitions, RFM-I states from each
 timeline's prefix, the simulator from a loop over customers in Python
 floats, TD training from one parameter, gradient and RMSProp cache
-array per layer weight and bias, and the CSV readers and writer from one
-loop per row through the csv module.
+array per layer weight and bias and a dict of each segment's row targets,
+and the CSV readers and writer from one loop per row through the csv module.
 """
 
 import csv
@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from clvdqn import env, policy_eval
+from clvdqn import env, policy_eval, qlearn
+from clvdqn.action_space import SCORE_ROWS
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
 from clvdqn.nn_core import Mlp, NetworkOverflow, TrainingDiverged, forward_batch, init_mlp, n_params
 from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
@@ -188,13 +189,20 @@ def rmsprop_arrays(params, grads, caches, lr, decay=0.9, epsilon=1e-8):
         p -= lr * g / (np.sqrt(cache) + epsilon)
 
 
-def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
+def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None, per_step=False):
     """Reference for qlearn.td_steps on a fresh Learner(net, default_rng(seed)).
 
     The online net is a list of weight arrays and a list of bias arrays, each
     its own allocation; forward, backward and RMSProp run array by array.
     The target is a copy taken at the start and every cfg.target_clone_period
-    steps, and its max over next actions is the library's max_next_q.
+    steps. The steps run in segments that end at a clone, at the last step and
+    after qlearn.SEGMENT_DRAWS draws (at least one step). A segment draws all
+    its batches first, one rng call per step; its distinct rows, in ascending
+    order, are scored in blocks of SCORE_ROWS rows, the last block taking the
+    remainder (so a set of under 2 * SCORE_ROWS rows is one block), each row's
+    target r + gamma * max_next_q (the library's) over its block; each step
+    looks its rows' targets up. With per_step, each step scores its own batch
+    instead, as a step-by-step loop with no segments would.
     Returns (losses, weights, biases); net is left untouched.
     """
     specs = net.specs
@@ -203,33 +211,51 @@ def td_steps_arrays(net, data, n_steps, cfg, seed, lr, acont_range=None):
     caches = [np.zeros_like(p) for p in weights + biases]
     target = layered_net(specs, weights, biases)
     rng = np.random.default_rng(seed)
+    period = cfg.target_clone_period
     losses = []
-    for step in range(1, n_steps + 1):
-        batch = data[rng.integers(0, len(data), size=cfg.batch_size)]
-        n = len(batch)
-        y = batch.rewards + cfg.gamma * max_next_q(batch.next_states, target, acont_range)
-        h = batch.states
-        if net.input_dim == 6:
-            h = np.concatenate([h, batch.aconts[:, None]], axis=1)
-        inputs, pres = [], []
-        for spec, w, b in zip(specs, weights, biases):
-            inputs.append(h)
-            pres.append(h @ w.T + b)
-            h = np.maximum(pres[-1], 0.0) if spec.activation == "relu" else pres[-1]
-        err = h[np.arange(n), batch.actions] - y
-        losses.append(float(np.mean(err * err)))
-        g = np.zeros_like(h)
-        g[np.arange(n), batch.actions] = 2.0 * err / n
-        weight_grads, bias_grads = [None] * len(specs), [None] * len(specs)
-        for i in range(len(specs) - 1, -1, -1):
-            if specs[i].activation == "relu":
-                g = g * (pres[i] > 0.0)
-            weight_grads[i] = g.T @ inputs[i]
-            bias_grads[i] = g.sum(axis=0)
-            g = g @ weights[i]
-        rmsprop_arrays(weights + biases, weight_grads + bias_grads, caches, lr)
-        if step % cfg.target_clone_period == 0:
-            target = layered_net(specs, weights, biases)
+    step = 0
+    while step < n_steps:
+        end = min(n_steps, step + max(qlearn.SEGMENT_DRAWS // cfg.batch_size, 1),
+                  (step // period + 1) * period)
+        draws = [rng.integers(0, len(data), size=cfg.batch_size) for _ in range(step, end)]
+        rows = sorted(set(np.concatenate(draws).tolist()))
+        n_blocks = max(len(rows) // SCORE_ROWS, 1)
+        target_of = {}
+        for k in range(n_blocks):
+            block = rows[k * SCORE_ROWS:(k + 1) * SCORE_ROWS if k + 1 < n_blocks else None]
+            scored = data[np.array(block)]
+            ys = scored.rewards + cfg.gamma * max_next_q(scored.next_states, target, acont_range)
+            target_of.update(zip(block, ys.tolist()))
+        for drawn in draws:
+            step += 1
+            batch = data[drawn]
+            n = len(batch)
+            if per_step:
+                y = batch.rewards + cfg.gamma * max_next_q(batch.next_states, target, acont_range)
+            else:
+                y = np.array([target_of[row] for row in drawn.tolist()])
+            h = batch.states
+            if net.input_dim == 6:
+                h = np.concatenate([h, batch.aconts[:, None]], axis=1)
+            inputs, pres = [], []
+            for spec, w, b in zip(specs, weights, biases):
+                inputs.append(h)
+                pres.append(h @ w.T + b)
+                h = np.maximum(pres[-1], 0.0) if spec.activation == "relu" else pres[-1]
+            err = h[np.arange(n), batch.actions] - y
+            losses.append(float(np.mean(err * err)))
+            g = np.zeros_like(h)
+            g[np.arange(n), batch.actions] = 2.0 * err / n
+            weight_grads, bias_grads = [None] * len(specs), [None] * len(specs)
+            for i in range(len(specs) - 1, -1, -1):
+                if specs[i].activation == "relu":
+                    g = g * (pres[i] > 0.0)
+                weight_grads[i] = g.T @ inputs[i]
+                bias_grads[i] = g.sum(axis=0)
+                g = g @ weights[i]
+            rmsprop_arrays(weights + biases, weight_grads + bias_grads, caches, lr)
+            if step % period == 0:
+                target = layered_net(specs, weights, biases)
     return np.array(losses), weights, biases
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvdqn.env import ReplayRing
-from clvdqn.nn_core import ConfigError, LayerSpec, TrainingDiverged, forward_batch, init_mlp
+from clvdqn.nn_core import (ConfigError, LayerSpec, Mlp, TrainingDiverged, forward_batch,
+                            init_mlp)
 import clvdqn.qlearn as qlearn_module
 from clvdqn.qlearn import (
     EpochRecord,
@@ -249,6 +250,113 @@ class TestFlatTraining:
         if fault == "step":
             assert learner.net.flat.tobytes() == before.tobytes()
             assert not learner.opt.any()
+
+    @pytest.mark.parametrize("mode", ["discrete_only", "mixed"])
+    @pytest.mark.parametrize("fault", ["input", "target", "loss", "step"])
+    def test_a_fault_leaves_the_rng_after_the_batches_of_the_steps_begun(self, mode, fault):
+        # the faults of the test above; a step-by-step loop has drawn one batch per step
+        # begun, the faulty step's included, so the next draw is a fresh generator's after
+        # that many batches, and a caller that goes on (the simulator) draws what it did
+        rng = np.random.default_rng(5)
+        n, batch_size = 200, 10
+        data = transitions_from(rng.normal(size=(n, 5)), rng.integers(0, 12, n),
+                                rng.normal(size=n), rng.normal(size=(n, 5)),
+                                rng.exponential(size=n))
+        net = init_mlp(network_spec(mode), 0)
+        lr = 1e308 if fault == "step" else None
+        if fault == "input":
+            data.next_states[7, 2] = np.nan
+        elif fault == "target":
+            for w in net.weights:
+                w[...] = np.abs(w) + 1.0
+            data.next_states[7] = 1e308
+        elif fault == "loss":
+            data.rewards[7] = 1e308
+        learner = Learner.fresh(net, np.random.default_rng(0))
+        with pytest.raises((TrainingDiverged, ConfigError)):
+            td_steps(learner, data, 1000, TrainConfig(batch_size=batch_size, mode=mode),
+                     NormStats.identity(), lr)
+        fresh = np.random.default_rng(0)
+        for _ in range(learner.step + 1):
+            fresh.integers(0, n, size=batch_size)
+        assert (learner.rng.integers(0, n, size=batch_size).tolist()
+                == fresh.integers(0, n, size=batch_size).tolist())
+
+    def test_segments_end_at_a_clone_and_at_the_draw_cap(self, monkeypatch):
+        # a reward is its row's index, so each target call shows the rows it scores: from
+        # step 3, a clone every 7 steps and a cap of 59 draws (5 whole batches of 10) cut 20
+        # steps into segments of 4, 5, 2, 5, 2 and 2 steps, each scored once over its
+        # distinct rows in ascending order
+        n, batch_size = 1000, 10
+        data = transitions_from(np.zeros((n, 5)), np.zeros(n), np.zeros(n), np.zeros((n, 5)),
+                                np.arange(float(n)))
+        scored = []
+        target = qlearn_module.bellman_target
+        monkeypatch.setattr(qlearn_module, "SEGMENT_DRAWS", 59)
+        monkeypatch.setattr(qlearn_module, "bellman_target",
+                            lambda batch, *args: scored.append(batch.rewards.tolist())
+                            or target(batch, *args))
+        learner = Learner.fresh(zero_net(), np.random.default_rng(0), step=3)
+        clones = []
+        monkeypatch.setattr(Mlp, "copy", lambda net, copy=Mlp.copy: clones.append(learner.step)
+                            or copy(net))
+        td_steps(learner, data, 20, TrainConfig(batch_size=batch_size, target_clone_period=7),
+                 NormStats.identity())
+        draws = np.random.default_rng(0)
+        batches = [draws.integers(0, n, size=batch_size) for _ in range(20)]
+        cuts = np.cumsum([0, 4, 5, 2, 5, 2, 2])
+        assert scored == [np.unique(batches[lo:hi]).tolist() for lo, hi in zip(cuts, cuts[1:])]
+        assert clones == [7, 14, 21] and learner.step == 23
+
+    def test_td_steps_at_batch_200_match_per_step_targets(self):
+        # on this BLAS a row's Q bits do not depend on its batch mates in a batch of 81 rows
+        # or more, so targets scored once per segment (in blocks of 512 rows or more) give
+        # the bits of each step scoring its own batch of 200; on a BLAS whose size class
+        # moves, this fails and shows it
+        rng = np.random.default_rng(0)
+        ring = ReplayRing(60, 1000)
+        for _ in range(61):  # the last episode overwrites the first
+            ring.add(transitions_from(rng.uniform(0, 50, (1000, 5)), rng.integers(0, 12, 1000),
+                                      rng.uniform(0, 30, 1000), rng.uniform(0, 50, (1000, 5)),
+                                      rng.exponential(5.0, 1000)))
+        stats = ring.norm_stats()
+        raw = ring.contents()
+        states, aconts, next_states = apply_norm_rows(stats, raw)
+        normalized = transitions_from(states, raw.actions, aconts, next_states, raw.rewards)
+        for mode, steps, clone_period in (("discrete_only", 100, 40), ("mixed", 30, 12)):
+            cfg = TrainConfig(batch_size=200, target_clone_period=clone_period, mode=mode)
+            net = init_mlp(network_spec(mode), 1)
+            want_losses, weights, biases = td_steps_arrays(net, normalized, steps, cfg, 1,
+                                                           cfg.lr0, cfg.acont_range(stats),
+                                                           per_step=True)
+            learner = Learner.fresh(net, np.random.default_rng(1))
+            losses = td_steps(learner, ring, steps, cfg, stats)
+            assert losses.tolist() == want_losses.tolist()
+            for got, want in zip(net.weights + net.biases, weights + biases):
+                assert got.tolist() == want.tolist()
+
+    def test_a_burst_keeps_indices_and_targets_not_rows(self):
+        # a 100-step burst on a 60,000-row ring draws 20,000 rows, about 17,000 distinct:
+        # their draws, inverse and targets, then one scored block of 512-1,023 rows, peak at
+        # 1.13 MB (measured); a table of the distinct rows alone would be 1.8 MB
+        rng = np.random.default_rng(0)
+        ring = ReplayRing(60, 1000)
+        for _ in range(61):
+            ring.add(transitions_from(rng.normal(size=(1000, 5)), rng.integers(0, 12, 1000),
+                                      np.zeros(1000), rng.normal(size=(1000, 5)),
+                                      rng.exponential(size=1000)))
+        learner = Learner.fresh(init_mlp(network_spec("discrete_only"), 0),
+                                np.random.default_rng(0))
+        stats = ring.norm_stats()
+        td_steps(learner, ring, 2, TrainConfig(batch_size=200), stats)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            td_steps(learner, ring, 100, TrainConfig(batch_size=200), stats)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6 < 17_000 * 13 * 8
 
     def test_td_steps_peak_memory_is_far_below_one_copy_of_the_data(self):
         # td_steps gathers each batch's rows alone: no copy of the replay
