@@ -114,6 +114,7 @@ def _split(transitions, fraction, seed):
 
 
 def cmd_build_transitions(args):
+    _check_outputs(args.out)
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
         raise rfmi.DataError(f"no timelines found in {args.timelines}")
@@ -161,6 +162,8 @@ def cmd_evaluate(args):
 
 
 def cmd_clv(args):
+    if args.out:
+        _check_outputs(args.out)
     net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     try:
         state = np.array([float(v) for v in args.state.split(",")])
@@ -189,6 +192,7 @@ def cmd_simulate(args):
 
 
 def cmd_curves(args):
+    _check_outputs(args.out)
     net, _, stats = qlearn.load_checkpoint(args.checkpoint)
     dims = tuple(args.dims.split(","))
     ranges = []
@@ -300,21 +304,47 @@ COMMANDS = {  # name -> (help, the function that adds its arguments, its handler
 }
 
 
-def build_parser(command=None):
-    """The parser of `command` alone, or of every subcommand when `command` names none."""
+def build_parser():
+    """The parser of every subcommand."""
     parser = _Parser(prog="clvdqn", description="RFM-I deep Q-learning for direct marketing")
-    alone = command in COMMANDS  # then the metavar keeps every name in the usage line
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(COMMANDS) if alone else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in COMMANDS.items():
-        if name == command or not alone:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+class _ParseFailed(Exception):
+    """A command's own parser refused its argv; the full parser takes it over."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, with the same options as its subparser in build_parser(), so it
+    reads each argv as that subparser does. It prints nothing: an error or -h raises."""
+
+    def error(self, message=None):
+        raise _ParseFailed
+
+    print_help = error
+
+
+def parse_args(argv):
+    """The Namespace of argv. A known command is parsed by a parser of that command alone;
+    an error or a help request hands the same argv to the full build_parser(), so every
+    usage line, help text, message and exit code is the full parser's."""
+    if argv and argv[0] in COMMANDS:
+        parser = _CommandParser(prog=f"clvdqn {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0])
+        try:
+            return parser.parse_args(argv[1:])
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         globals()[COMMANDS[args.command][2]](args)  # looked up now: a patched cmd_* runs
     except TrainingDiverged as exc:

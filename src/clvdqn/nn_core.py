@@ -236,8 +236,9 @@ def load_mlp(path) -> Mlp:
     if len(raw) != expected:
         raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
     net = Mlp(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        for kind, values in (("weights", w), ("biases", b)):
-            if not np.all(np.isfinite(values)):
-                raise ConfigError(f"{path}: non-finite value in layer {i} {kind}")
+    if not np.isfinite(net.flat).all():  # one pass; the layers are scanned to name the first
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            for kind, values in (("weights", w), ("biases", b)):
+                if not np.isfinite(values).all():
+                    raise ConfigError(f"{path}: non-finite value in layer {i} {kind}")
     return net

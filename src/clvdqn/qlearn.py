@@ -321,8 +321,15 @@ def _five_floats(text):
 
 def read_sidecar(path):
     """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed (an
-    integer outside int64 included) or non-finite key, or the line that is not UTF-8."""
-    kv = dict(line.strip().split("=", 1) for line in split_lines(read_text(path)) if "=" in line)
+    integer outside int64 included), non-finite or repeated key, or the line that is not
+    UTF-8."""
+    kv = {}
+    for line_no, line in enumerate(split_lines(read_text(path)), start=1):
+        if "=" in line:
+            key, text = line.strip().split("=", 1)
+            if key in kv:
+                raise DataError(f"{path}:{line_no}: key {key!r} given twice")
+            kv[key] = text
 
     def value(key, parse):
         if key not in kv:
@@ -333,7 +340,8 @@ def read_sidecar(path):
                 raise ValueError("outside int64")
         except ValueError:
             raise DataError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
-        if not isinstance(parsed, (str, int)) and not np.all(np.isfinite(parsed)):
+        if (isinstance(parsed, float) and not math.isfinite(parsed)
+                or isinstance(parsed, np.ndarray) and not np.isfinite(parsed).all()):
             raise DataError(f"{path}: non-finite value for {key!r}: {kv[key]!r}")
         return parsed
 

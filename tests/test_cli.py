@@ -14,7 +14,7 @@ import pytest
 import clvdqn
 from clvdqn import cli
 from clvdqn.cli import CONFIGS, default_settings, load_config, main
-from clvdqn.nn_core import init_mlp
+from clvdqn.nn_core import init_mlp, n_params
 from clvdqn.qlearn import TrainConfig, load_checkpoint, network_spec, save_checkpoint
 from clvdqn.rfmi import NormStats, write_transitions
 from oracles import transitions_from
@@ -39,6 +39,10 @@ def transitions_csv(tmp_path):
     write_timeline_csv(tl)
     assert main(["build-transitions", str(tl), str(out)]) == 0
     return out
+
+
+NAN = struct.pack("<d", math.nan)
+N_PARAMS = n_params(network_spec("discrete_only"))  # the float64 values a weight file ends with
 
 
 def zero_checkpoint(tmp_path, mode="discrete_only", **cfg):
@@ -364,6 +368,11 @@ class TestClv:
         ("", lambda b: b[:-8] + struct.pack("<d", math.nan), "non-finite value in layer 2 biases"),
         ("", lambda b: b[:-200] + struct.pack("<d", -math.inf) + b[-192:],
          "non-finite value in layer 2 weights"),
+        ("", lambda b: b[:-8 * N_PARAMS] + NAN + b[8 - 8 * N_PARAMS:-8] + NAN,
+         "non-finite value in layer 0 weights"),
+        (".meta", lambda b: b.replace(b"state_mean=0.0", b"state_mean=inf"),
+         "non-finite value for 'state_mean'"),
+        (".meta", lambda b: b.replace(b"gamma=0.9", b"gamma=nan"), "non-finite value for 'gamma'"),
         (".meta", lambda b: b.replace(b"state_std=1.0", b"state_std=nan"),
          "non-finite value for 'state_std'"),
         (".meta", lambda b: b.replace(b"acont_std=1.0", b"acont_std=nan"),
@@ -379,8 +388,9 @@ class TestClv:
         (".meta", lambda b: b.replace(b"\nepochs=100\n", b"\nepochs=%d\n" % 2**64),
          "bad value for 'epochs': '18446744073709551616'"),
     ], ids=["truncated", "trailing-bytes", "no-acont-std", "bad-seed", "nan-bias", "inf-weight",
-            "nan-state-std", "nan-acont-std", "inf-lr0", "mode-mismatch", "no-bounds-lo",
-            "no-bounds-hi", "empty-bounds", "overflowing-bounds", "int64-overflowing-epochs"])
+            "nan-layer-0-and-2", "inf-state-mean", "nan-gamma", "nan-state-std", "nan-acont-std",
+            "inf-lr0", "mode-mismatch", "no-bounds-lo", "no-bounds-hi", "empty-bounds",
+            "overflowing-bounds", "int64-overflowing-epochs"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, suffix, mutate, message):
         ckpt = zero_checkpoint(tmp_path)
         damaged = Path(str(ckpt) + suffix)
@@ -390,6 +400,16 @@ class TestClv:
         assert code == 2
         assert f"{damaged}: " in err and message in err
         assert "Traceback" not in err
+
+    def test_a_sidecar_key_given_twice_is_data_error(self, tmp_path, capsys):
+        # were the last line to win, clv would read the state at a mean of 100 and exit 0
+        ckpt = zero_checkpoint(tmp_path)
+        meta = Path(str(ckpt) + ".meta")
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(lines) + "state_mean=100,100,100,100,100\n")
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: {meta}:{len(lines) + 1}: key 'state_mean' given twice\n")
 
     @pytest.mark.parametrize("command", ["clv", "evaluate"])
     def test_mixed_net_under_discrete_meta_is_data_error(self, tmp_path, capsys, transitions_csv,
@@ -758,6 +778,27 @@ class TestFaultsExitWithoutTraceback:
         assert worked == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["build-transitions", "clv", "curves"])
+    def test_output_path_is_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        worked = []
+        monkeypatch.setattr(cli.rfmi, "read_timelines", lambda *a: worked.append("read"))
+        monkeypatch.setattr(cli.qlearn, "load_checkpoint", lambda *a: worked.append("load"))
+        monkeypatch.setattr(cli.policy_eval, "export_value_curves",
+                            lambda *a: worked.append("export"))
+        out = tmp_path / "missing" / "o.csv"
+        argv = {
+            "build-transitions": ["build-transitions", "t.csv", str(out)],
+            "clv": ["clv", "c.ckpt", "--state", "3,2,15,1,4", "--out", str(out)],
+            "curves": ["curves", "c.ckpt", "--dims", "recency,frequency", "--range", "0:1,0:1",
+                       "--resolution", "1000", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: [Errno 2] No such file or directory: '{out}'\n")
+        assert worked == []
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, transitions_csv, command,
@@ -998,31 +1039,43 @@ PARSE_CASES = (
     + [[name, "-h"] for name in cli.COMMANDS]
     + [argv + ["--bogus"] for argv in FULL_ARGV.values()]
     + list(FULL_ARGV.values())
+    + [["clv", "c", "--state"],  # a flag missing its value
+       ["clv", "c", "--bogus", "--state", "3,2,15,1,4"],  # an unknown flag before a required one
+       ["clv", "--state", "3,2,15,1,4", "--", "c"],  # -- before a positional
+       ["clv", "c", "--state", "1,1,1,1,1", "--state", "3,2,15,1,4"],  # a flag given twice
+       ["clv", "c", "--stat", "3,2,15,1,4"],  # an abbreviated flag
+       ["clv", "-h x", "--state", "3,2,15,1,4"],  # -h with a value, to a parser that has -h
+       ["clv", "c", "--state", "3,2,15,1,4", "--he"]]  # an abbreviated --help
 )
 
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "none")
     def test_one_subparser_parses_as_all_six_do(self, capsys, argv):
-        # help text differs between Python versions, so compare within this interpreter
-        def parse(parser):
+        # main's parse path (the command's own parser, the full parser on an error) against
+        # the full parser; help text differs between Python versions, so compare within this
+        # interpreter
+        def parse(parse_args):
             try:
-                return None, parser.parse_args(argv), capsys.readouterr()
+                return None, parse_args(argv), capsys.readouterr()
             except SystemExit as exc:
                 return exc.code, None, capsys.readouterr()
 
-        assert parse(cli.build_parser(*argv[:1])) == parse(cli.build_parser())
+        assert parse(cli.parse_args) == parse(cli.build_parser().parse_args)
 
-    def test_a_subcommand_builds_its_subparser_alone(self, tmp_path, capsys, monkeypatch):
+    def test_a_valid_command_builds_no_full_parser(self, tmp_path, capsys, monkeypatch):
         build_parser = cli.build_parser
         calls = []
-        monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build_parser(*a))
-        assert main(["clv", str(zero_checkpoint(tmp_path)), "--state", "3,2,15,1,4"]) == 0
-        assert calls == [("clv",)]
-        helps = {name: help_text for name, (help_text, _, _) in cli.COMMANDS.items()}
-        listed = [name for name, h in helps.items() if h in build_parser("clv").format_help()]
-        assert listed == ["clv"]
-        assert all(h in build_parser().format_help() for h in helps.values())
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        argv = ["clv", str(zero_checkpoint(tmp_path)), "--state", "3,2,15,1,4"]
+        assert main(argv) == 0
+        assert [cli.parse_args(full).command for full in FULL_ARGV.values()] == list(FULL_ARGV)
+        assert calls == []
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bogus"])
+        assert exc.value.code == 1 and calls == [1]
+        assert capsys.readouterr().err.startswith("usage: clvdqn [-h] {build-transitions,")
 
     def test_main_calls_the_handler_bound_when_it_runs(self, monkeypatch):
         calls = []
