@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -60,25 +61,18 @@ def make_config(cls, settings):
 
 
 def load_config(path) -> dict:
-    """The settings of a flat key=value file, defaults filled in."""
+    """The settings of a flat key=value file (rfmi.key_values), defaults filled in."""
     settings = default_settings()
     try:
-        lines = rfmi.split_lines(rfmi.read_text(path))
-    except rfmi.DataError as exc:  # not UTF-8; a config file is a usage error
+        for line_no, key, value in rfmi.key_values(path):
+            if key not in settings:
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            try:
+                settings[key] = MODE_NAMES[value] if key == "mode" else type(settings[key])(value)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{path}:{line_no}: bad value for {key!r}") from None
+    except rfmi.DataError as exc:  # not UTF-8 or not key=value; a config file is a usage error
         raise ConfigError(str(exc)) from None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in settings:
-            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        try:
-            settings[key] = MODE_NAMES[value] if key == "mode" else type(settings[key])(value)
-        except (KeyError, ValueError):
-            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}") from None
     return settings
 
 
@@ -96,12 +90,31 @@ def _effective_config(args) -> dict:
     return settings
 
 
-def _check_outputs(*paths):
+def _file_named(path):
+    """What a path names: (device, inode) for a regular file, the real path for a path that
+    cannot be looked up (one not made yet), and None for another kind, such as /dev/null."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
+def _check_outputs(*paths, inputs=()):
     """Raise, before any work, the OSError that writing would raise for a path that is a
-    directory or whose directory is missing, so that a failed run writes no file."""
+    directory or whose directory is missing, and a ConfigError for one that names the file
+    of an input or an earlier output, so that a failed run writes no file; None is skipped."""
+    paths = [path for path in paths if path]
     for path in paths:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             open(path, "rb").close()  # fails as opening it to write would, creating nothing
+    named = {}  # a file -> the first path that names it
+    for kind, path in [*(("input", p) for p in inputs if p), *(("output", p) for p in paths)]:
+        file = _file_named(path)
+        if kind == "output" and file in named:
+            raise ConfigError(f"output {path!r} names the same file as {named[file]}")
+        if file is not None:
+            named.setdefault(file, f"{kind} {path!r}")
 
 
 def _split(transitions, fraction, seed):
@@ -114,7 +127,7 @@ def _split(transitions, fraction, seed):
 
 
 def cmd_build_transitions(args):
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.timelines])
     timelines = rfmi.read_timelines(args.timelines)
     if not timelines:
         raise rfmi.DataError(f"no timelines found in {args.timelines}")
@@ -129,7 +142,8 @@ def cmd_train(args):
     fraction = cfg["validation_fraction"]
     if not 0 < fraction < 1:  # NaN too
         raise ConfigError(f"validation_fraction must be in (0,1), got {fraction}")
-    _check_outputs(args.checkpoint, f"{args.checkpoint}.meta", args.history)
+    _check_outputs(args.checkpoint, f"{args.checkpoint}.meta", args.history,
+                   inputs=[args.transitions, args.config])
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise rfmi.DataError(f"no transitions in {args.transitions}")
@@ -145,7 +159,8 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = _effective_config(args)
-    _check_outputs(*(path for path in (args.report_out, args.csv_out) if path))
+    _check_outputs(args.report_out, args.csv_out, inputs=[
+        args.transitions, args.checkpoint, f"{args.checkpoint}.meta", args.config])
     transitions = rfmi.read_transitions(args.transitions)
     if not transitions:
         raise rfmi.DataError(f"no transitions in {args.transitions}")
@@ -163,7 +178,7 @@ def cmd_evaluate(args):
 
 def cmd_clv(args):
     if args.out:
-        _check_outputs(args.out)
+        _check_outputs(args.out, inputs=[args.checkpoint, f"{args.checkpoint}.meta"])
     net, tc, stats = qlearn.load_checkpoint(args.checkpoint)
     try:
         state = np.array([float(v) for v in args.state.split(",")])
@@ -184,7 +199,7 @@ def cmd_clv(args):
 def cmd_simulate(args):
     cfg = _effective_config(args)
     tc, model, agent = (make_config(cls, cfg) for cls in CONFIGS)
-    _check_outputs(args.history, args.checkpoint, f"{args.checkpoint}.meta")
+    _check_outputs(args.history, args.checkpoint, f"{args.checkpoint}.meta", inputs=[args.config])
     result = env_mod.run_autonomous(cfg["population"], model, agent, tc)
     rfmi.write_records(args.history, env_mod.EpisodeRecord, result.history)
     qlearn.save_checkpoint(args.checkpoint, result.net, tc, result.norm_stats)
@@ -192,7 +207,7 @@ def cmd_simulate(args):
 
 
 def cmd_curves(args):
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.checkpoint, f"{args.checkpoint}.meta"])
     net, _, stats = qlearn.load_checkpoint(args.checkpoint)
     dims = tuple(args.dims.split(","))
     ranges = []

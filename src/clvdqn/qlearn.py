@@ -31,7 +31,7 @@ from .nn_core import (
     rmsprop_step,
     save_mlp,
 )
-from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, apply_norm, read_text, split_lines
+from .rfmi import N_ACTIONS, DataError, NormStats, Transitions, apply_norm, key_values
 
 log = logging.getLogger(__name__)
 
@@ -320,16 +320,9 @@ def _five_floats(text):
 
 
 def read_sidecar(path):
-    """(TrainConfig, NormStats) of a sidecar; DataError names a missing, malformed (an
-    integer outside int64 included), non-finite or repeated key, or the line that is not
-    UTF-8."""
-    kv = {}
-    for line_no, line in enumerate(split_lines(read_text(path)), start=1):
-        if "=" in line:
-            key, text = line.strip().split("=", 1)
-            if key in kv:
-                raise DataError(f"{path}:{line_no}: key {key!r} given twice")
-            kv[key] = text
+    """(TrainConfig, NormStats) of a sidecar read by rfmi.key_values; DataError names a
+    missing, malformed (an integer outside int64 included) or non-finite key."""
+    kv = {key: text for _, key, text in key_values(path)}
 
     def value(key, parse):
         if key not in kv:

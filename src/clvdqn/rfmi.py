@@ -303,6 +303,20 @@ def split_lines(text) -> list:
 _LINES = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
+def key_values(path):
+    """(line number, key, value) of each non-blank, non-# line of a key=value file, in order."""
+    first_line = {}
+    for line_no, line in enumerate(split_lines(read_text(path)), start=1):
+        key, eq, value = line.partition("=")
+        if (key := key.strip()).startswith("#") or not (eq or key):  # a # line or a blank one
+            continue
+        if not eq:
+            raise DataError(f"{path}:{line_no}: expected key=value")
+        if first_line.setdefault(key, line_no) != line_no:
+            raise DataError(f"{path}:{line_no}: key {key!r} given twice")
+        yield line_no, key, value.strip()
+
+
 def _check_header(path, header, expected):
     if header != list(expected):
         got = ",".join(header) if header else "an empty line"

@@ -8,21 +8,25 @@ row-by-row loops over a batch of transitions, RFM-I states from each
 timeline's prefix, the simulator from a loop over customers in Python
 floats, TD training from one parameter, gradient and RMSProp cache
 array per layer weight and bias and a dict of each segment's row targets,
-and the CSV readers and writer from one loop per row through the csv module.
+the CSV readers and writer from one loop per row through the csv module,
+and the config and sidecar readers from one line loop each, under the two
+rules that each file's reader had before they shared rfmi.key_values.
 """
 
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from clvdqn import env, policy_eval, qlearn
+from clvdqn.cli import MODE_NAMES, default_settings
 from clvdqn.action_space import SCORE_ROWS
 from clvdqn.env import AutonomousResult, EpisodeRecord, ReplayRing
-from clvdqn.nn_core import Mlp, NetworkOverflow, TrainingDiverged, forward_batch, init_mlp, n_params
+from clvdqn.nn_core import ConfigError, Mlp, NetworkOverflow, TrainingDiverged, forward_batch, init_mlp, n_params
 from clvdqn.qlearn import Learner, max_next_q, network_spec, td_steps
 from clvdqn.rfmi import (N_ACTIONS, TIMELINE_COLUMNS, TRANSITION_COLUMNS, DataError, NormStats,
-                         Timelines, Transitions, _check_header)
+                         Timelines, Transitions, _check_header, read_text, split_lines)
 
 
 def transitions_from(states, actions, aconts, next_states, rewards) -> Transitions:
@@ -579,3 +583,68 @@ def read_transitions_rows(path) -> Transitions:
         row, message = min(bad, key=lambda b: b[0])
         raise DataError(f"{path}:{row + 2}: {message}")
     return transitions_from(vals[:, 0:5], actions, vals[:, 6], vals[:, 7:12], vals[:, 12])
+
+
+def load_config_lines(path) -> dict:
+    """Line-loop reference for cli.load_config under its own rules: both sides stripped, blank
+    and # lines skipped, a line with no = refused, and the last of a repeated key kept."""
+    settings = default_settings()
+    try:
+        lines = split_lines(read_text(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in settings:
+            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        try:
+            settings[key] = MODE_NAMES[value] if key == "mode" else type(settings[key])(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}") from None
+    return settings
+
+
+def read_sidecar_lines(path):
+    """Line-loop reference for qlearn.read_sidecar under its own rules: a line with no = and a
+    blank line ignored, a # line read as any other, the line stripped but not the two sides of
+    its first =, and a repeated key refused."""
+    kv = {}
+    for line_no, line in enumerate(split_lines(read_text(path)), start=1):
+        if "=" in line:
+            key, text = line.strip().split("=", 1)
+            if key in kv:
+                raise DataError(f"{path}:{line_no}: key {key!r} given twice")
+            kv[key] = text
+
+    def value(key, parse):
+        if key not in kv:
+            raise DataError(f"{path}: missing key {key!r}")
+        try:
+            parsed = parse(kv[key])
+            if isinstance(parsed, int) and not -2**63 <= parsed < 2**63:
+                raise ValueError("outside int64")
+        except ValueError:
+            raise DataError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
+        if (isinstance(parsed, float) and not math.isfinite(parsed)
+                or isinstance(parsed, np.ndarray) and not np.isfinite(parsed).all()):
+            raise DataError(f"{path}: non-finite value for {key!r}: {kv[key]!r}")
+        return parsed
+
+    defaults = qlearn.TrainConfig()
+    try:
+        cfg = qlearn.TrainConfig(**{f.name: value(f.name, type(getattr(defaults, f.name)))
+                                    for f in fields(qlearn.TrainConfig)})
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    stats = NormStats(
+        state_mean=value("state_mean", qlearn._five_floats),
+        state_std=value("state_std", qlearn._five_floats),
+        acont_mean=value("acont_mean", float),
+        acont_std=value("acont_std", float),
+    )
+    return cfg, stats

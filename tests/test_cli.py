@@ -411,6 +411,36 @@ class TestClv:
         assert capsys.readouterr() == (
             "", f"data error: {meta}:{len(lines) + 1}: key 'state_mean' given twice\n")
 
+    def test_a_sidecar_line_with_no_equals_sign_is_data_error(self, tmp_path, capsys):
+        ckpt = zero_checkpoint(tmp_path)
+        meta = Path(str(ckpt) + ".meta")
+        meta.write_text(meta.read_text().replace("gamma=0.9\n", "gamma=0.9\n\nstray\n"))
+        line = meta.read_text().splitlines().index("stray") + 1
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 2
+        assert capsys.readouterr() == ("", f"data error: {meta}:{line}: expected key=value\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("gamma=0.9", "gamma = 0.9"),
+        ("mode=discrete_only", "\t mode =  discrete_only "),
+        ("gamma=0.9", "#gamma=0.5\n#gamma=0.5\ngamma=0.9"),
+        ("seed=0", "#\n# written by hand\n\nseed=0"),
+    ], ids=["padded-float", "padded-mode", "commented-out-key", "comments-and-blank"])
+    def test_sidecar_comments_and_spaces_read_as_the_written_sidecar(self, tmp_path, capsys,
+                                                                     old, new):
+        ckpt = zero_checkpoint(tmp_path)
+        meta = Path(str(ckpt) + ".meta")
+        _, cfg, stats = load_checkpoint(ckpt)
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 0
+        out = capsys.readouterr()
+        meta.write_text(meta.read_text().replace(f"{old}\n", f"{new}\n"))
+        assert new in meta.read_text()
+        _, edited_cfg, edited_stats = load_checkpoint(ckpt)
+        assert edited_cfg == cfg
+        assert all(np.array_equal(getattr(edited_stats, k), getattr(stats, k))
+                   for k in ("state_mean", "state_std", "acont_mean", "acont_std"))
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 0
+        assert capsys.readouterr() == out
+
     @pytest.mark.parametrize("command", ["clv", "evaluate"])
     def test_mixed_net_under_discrete_meta_is_data_error(self, tmp_path, capsys, transitions_csv,
                                                          command):
@@ -579,6 +609,27 @@ class TestConfigFile:
         assert main(["train", str(transitions_csv), "--checkpoint", str(tmp_path / "c"),
                      "--history", str(tmp_path / "h"), "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("epochs=1\nepochs=5\n", "2: key 'epochs' given twice"),
+        ("epochs=1\n# a run\n\n  epochs = 5\n", "4: key 'epochs' given twice"),
+        ("no_such_knob=1\nepochs=1\n\nstray\n", "1: unknown config key 'no_such_knob'"),
+        ("epochs=1\nstray\nepochs=2\n", "2: expected key=value"),
+        ("epochs=x\nepochs=1\n", "1: bad value for 'epochs'"),
+        ("epochs=1\nepochs=x\n", "2: key 'epochs' given twice"),
+    ], ids=["repeated-key", "repeated-padded-key", "unknown-key-before-a-bare-line",
+            "bare-line-before-a-repeated-key", "bad-value-before-a-repeated-key",
+            "repeated-key-with-a-bad-value"])
+    def test_the_first_fault_in_file_order_is_a_usage_error(self, tmp_path, capsys,
+                                                            transitions_csv, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        ckpt = tmp_path / "c.ckpt"
+        capsys.readouterr()  # the fixture's output
+        assert main(["train", str(transitions_csv), "--checkpoint", str(ckpt),
+                     "--history", str(tmp_path / "h"), "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:{message}\n")
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("key", ["threads", "restarts", "opt_steps", "step_size", "n_discrete"])
     def test_threads_key_and_flag_are_gone(self, tmp_path, transitions_csv, key):
         path = tmp_path / "run.cfg"
@@ -685,8 +736,13 @@ class TestFaultsExitWithoutTraceback:
             "thankyou_action-40", "amount_mean-negative", "base_rate-nan", "epsilon_decay-inf"])
     def test_bad_simulator_setting_is_usage_error(self, tmp_path, capsys, settings, flags,
                                                   message):
+        # a small run, unless the setting under test is one of its two keys: a key given
+        # twice is an error of its own
+        given = {line.partition("=")[0] for line in settings.splitlines()}
+        small = "".join(f"{key}={value}\n" for key, value in (("population", 5), ("episodes", 3))
+                        if key not in given)
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"population=5\nepisodes=3\n{settings}\n")
+        cfg.write_text(f"{small}{settings}\n")
         hist = tmp_path / "sim.csv"
         code = main(["simulate", "--history", str(hist), "--checkpoint", str(tmp_path / "c"),
                      "--config", str(cfg)] + flags)
@@ -798,6 +854,68 @@ class TestFaultsExitWithoutTraceback:
             "", f"data error: [Errno 2] No such file or directory: '{out}'\n")
         assert worked == []
         assert not out.parent.exists()
+
+    # case: (argv, and the one stderr line), with {name} a path in the test's directory
+    COLLISIONS = {
+        "build-transitions": (["build-transitions", "{timelines}", "{timelines}"],
+                              "output '{timelines}' names the same file as input '{timelines}'"),
+        "train": (["train", "{transitions}", "--checkpoint", "{new}", "--history", "{new}"],
+                  "output '{new}' names the same file as output '{new}'"),
+        "train-sidecar": (["train", "{transitions}", "--checkpoint", "{new}", "--history",
+                           "{new}.meta"],
+                          "output '{new}.meta' names the same file as output '{new}.meta'"),
+        "train-config": (["train", "{transitions}", "--config", "{config}", "--checkpoint",
+                          "{new}", "--history", "{config}"],
+                         "output '{config}' names the same file as input '{config}'"),
+        "train-spelled-otherwise": (["train", "{transitions}", "--checkpoint", "{new}",
+                                     "--history", "{folder}/../new.ckpt"],
+                                    "output '{folder}/../new.ckpt' names the same file as "
+                                    "output '{new}'"),
+        "evaluate": (["evaluate", "{transitions}", "{ckpt}", "--report-out", "{new}",
+                      "--csv-out", "{new}"],
+                     "output '{new}' names the same file as output '{new}'"),
+        "evaluate-input": (["evaluate", "{transitions}", "{ckpt}", "--csv-out", "{transitions}"],
+                           "output '{transitions}' names the same file as input "
+                           "'{transitions}'"),
+        "clv": (["clv", "{ckpt}", "--state", "3,2,15,1,4", "--out", "{ckpt}.meta"],
+                "output '{ckpt}.meta' names the same file as input '{ckpt}.meta'"),
+        "simulate": (["simulate", "--population", "5", "--episodes", "3", "--checkpoint",
+                      "{new}", "--history", "{new}"],
+                     "output '{new}' names the same file as output '{new}'"),
+        "curves-through-a-link": (["curves", "{ckpt}", "--dims", "recency", "--range", "0:1",
+                                   "--out", "{link}"],
+                                  "output '{link}' names the same file as input '{ckpt}'"),
+    }
+
+    @pytest.mark.parametrize("case", list(COLLISIONS))
+    def test_an_output_naming_another_path_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          transitions_csv, case):
+        worked = []
+        for module, name in ((cli.rfmi, "read_timelines"), (cli.rfmi, "read_transitions"),
+                             (cli.qlearn, "load_checkpoint"), (cli.qlearn, "train"),
+                             (cli.env_mod, "run_autonomous"),
+                             (cli.policy_eval, "export_value_curves")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: worked.append(name))
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "run.cfg").write_text("epochs=1\n")
+        (tmp_path / "link").symlink_to(zero_checkpoint(tmp_path))
+        names = {name: str(tmp_path / file) for name, file in (
+            ("timelines", "timelines.csv"), ("transitions", "transitions.csv"),
+            ("ckpt", "zero.ckpt"), ("config", "run.cfg"), ("new", "new.ckpt"),
+            ("folder", "folder"), ("link", "link"))}
+        argv, message = self.COLLISIONS[case]
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        capsys.readouterr()  # the fixture's output
+        assert main([arg.format(**names) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+        assert worked == []
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+    def test_dev_null_given_twice_is_no_collision(self, tmp_path, capsys, transitions_csv):
+        capsys.readouterr()  # the fixture's output
+        assert main(["evaluate", str(transitions_csv), str(zero_checkpoint(tmp_path)),
+                     "--no-timestamp", "--report-out", os.devnull, "--csv-out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -21,8 +21,9 @@ from test_cli import write_timeline_csv
 SEED = 20240517
 CASES = 500
 PREFIXES = {1: "error: ", 2: "data error: ", 3: "training diverged: "}
-# Bytes that a number, a CSV or a key=value line is made of, and two that no UTF-8 text has
-INTERESTING = b"0123456789e.-+,=\n\r \x00\xff_nainf"
+# Bytes that a number, a CSV or a key=value line (or its # comment) is made of, and two
+# that no UTF-8 text has
+INTERESTING = b"0123456789e.-+,=#\n\r \x00\xff_nainf"
 
 # The subcommands that read each input; {name} is a path in the case's directory.
 COMMANDS = {
