@@ -1,8 +1,12 @@
 """Minimal feed-forward network with backprop, RMSProp, and input gradients.
 
-Everything is float64 numpy. A net's parameters are one flat float64 vector
-in file order (w0, b0, w1, b1, ...; weights row-major), which its per-layer
-weights and biases view, and a weight file is its header plus that vector.
+Everything is float64 numpy. A net's parameters are one flat float64 vector,
+which its per-layer weights and biases view: layer by layer, each layer's
+weights as one row-major (input_dim, output_dim) block, then its biases, so
+that every forward product reads a contiguous matrix. weights[i] is the
+(output_dim, input_dim) transposed view of its block. A weight file is its
+header plus the vector in file order (w0, b0, w1, b1, ...; each weights[i]
+row-major), one precomputed permutation away from the memory order.
 One layer loop, _pres_from, runs every forward: training's and action_space's.
 forward_batch returns the cache backward needs instead of storing state: each
 layer's input, then the outputs. Backward can write into a caller's reused
@@ -13,6 +17,7 @@ Layers are ReLU or linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,18 +64,29 @@ def n_params(specs) -> int:
 
 
 def layer_views(specs, flat: np.ndarray):
-    """(weights, biases): tuples of per-layer views into a flat parameter vector."""
+    """(weights, biases): tuples of per-layer views into a flat parameter vector, each weights
+    view the (output_dim, input_dim) transpose of an (input_dim, output_dim) row-major block."""
     weights, biases, start = [], [], 0
     for s in specs:
         end = start + s.output_dim * s.input_dim
-        weights.append(flat[start:end].reshape(s.output_dim, s.input_dim))
+        weights.append(flat[start:end].reshape(s.input_dim, s.output_dim).T)
         biases.append(flat[end:end + s.output_dim])
         start = end + s.output_dim
     return tuple(weights), tuple(biases)
 
 
+@lru_cache
+def _file_order(specs: tuple):
+    """(order, inverse) for specs: a weight file's parameters are flat.take(order), and the
+    flat vector of a file's parameters is params.take(inverse)."""
+    weights, biases = layer_views(specs, np.arange(n_params(specs)))
+    order = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    return order, np.argsort(order)
+
+
 class Mlp:
-    """Layer specs plus one flat parameter vector; weights[i] is (output_dim, input_dim)."""
+    """Layer specs plus one flat parameter vector; weights[i] is (output_dim, input_dim), a
+    transposed view of the row-major (input_dim, output_dim) block that flat holds."""
 
     def __init__(self, specs, flat: np.ndarray):
         """Makes flat itself (not a copy) the parameters of this net: n_params(specs) floats."""
@@ -172,7 +188,9 @@ def backward_batch(net: Mlp, cache, output_grads: np.ndarray, out: Gradients = N
     last = len(net.specs) - 1
     for i in range(last, -1, -1):
         if net.specs[i].activation == "relu":
-            mask = cache[i + 1] > 0.0
+            # as floats: g * 1.0 and g * 0.0 are g * True and g * False, bit for bit, with no
+            # buffered cast of a bool mask in the multiply
+            mask = np.greater(cache[i + 1], 0.0, out=np.empty_like(cache[i + 1]))
             # below the output layer g is this loop's own array, so mask it in place
             g = g * mask if i == last else np.multiply(g, mask, out=g)
         np.matmul(g.T, cache[i], out=grads.weight_grads[i])
@@ -206,13 +224,14 @@ def rmsprop_step(net: Mlp, grads: Gradients, cache: np.ndarray, lr: float):
 
 
 def save_mlp(net: Mlp, path):
-    """Versioned flat file: magic + layer specs, then Mlp.flat as float64 LE."""
+    """Versioned flat file: magic + layer specs, then the parameters in file order as float64
+    LE: per layer, weights[i] row-major, then biases[i]."""
     with open(path, "wb") as f:
         f.write(MAGIC + b"\n")
         f.write(f"{len(net.specs)}\n".encode("ascii"))
         for spec in net.specs:
             f.write(f"{spec.input_dim} {spec.output_dim} {spec.activation}\n".encode("ascii"))
-        f.write(net.flat.astype("<f8").tobytes())
+        f.write(net.flat.take(_file_order(net.specs)[0]).astype("<f8", copy=False).tobytes())
 
 
 def load_mlp(path) -> Mlp:
@@ -235,7 +254,8 @@ def load_mlp(path) -> Mlp:
     expected = 8 * n_params(specs)
     if len(raw) != expected:
         raise ConfigError(f"{path}: expected {expected} parameter bytes, found {len(raw)}")
-    net = Mlp(specs, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    params = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+    net = Mlp(specs, params.take(_file_order(specs)[1]))
     if not np.isfinite(net.flat).all():  # one pass; the layers are scanned to name the first
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             for kind, values in (("weights", w), ("biases", b)):

@@ -44,7 +44,11 @@ def layered_net(specs, weights, biases) -> Mlp:
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
-    """Central-difference gradients of output_grad . f(x) w.r.t. params and input."""
+    """Central-difference gradients of output_grad . f(x) w.r.t. params and input.
+
+    Each parameter is perturbed in place in net's own view of it, at an index tuple, so a
+    strided view is perturbed too (a reshape of one would be a copy); each layer's weights
+    and biases must move the objective at one index at least, which a copy never does."""
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_grad, dtype=np.float64)
 
@@ -56,16 +60,17 @@ def finite_difference_grads(net, x, output_grad, h=1e-5):
     for arrs, grads in ((net.weights, weight_grads), (net.biases, bias_grads)):
         for p in arrs:
             grad = np.zeros_like(p)
-            flat = p.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
+            moved = False
+            for i in np.ndindex(p.shape):
+                orig = p[i]
+                p[i] = orig + h
                 up = objective()
-                flat[i] = orig - h
+                p[i] = orig - h
                 down = objective()
-                flat[i] = orig
-                gflat[i] = (up - down) / (2 * h)
+                p[i] = orig
+                moved |= up != down
+                grad[i] = (up - down) / (2 * h)
+            assert moved, f"no perturbation of a {p.shape} parameter moved the objective"
             grads.append(grad)
     input_grad = np.zeros_like(x)
     for i in range(x.size):

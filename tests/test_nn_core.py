@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -181,6 +182,25 @@ class TestBackward:
         assert full.input_grads.shape == (rows, widths[0])
         assert output_grads.tobytes() == upstream.tobytes()
 
+    def test_relu_mask_has_the_bits_of_a_bool_mask(self):
+        # a cached ReLU output of NaN or +-0.0 masks to a 0 subgradient, of g's sign
+        specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "relu")]
+        net = init_mlp(specs, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 3))
+        hidden = np.maximum(rng.normal(size=(5, 4)), 0.0)
+        hidden[0, :3] = [np.nan, 0.0, -0.0]
+        out = np.array([[1.0, 0.0], [np.nan, 2.0], [-0.0, 3.0], [4.0, 0.0], [0.0, 5.0]])
+        gy = -np.abs(rng.normal(size=(5, 2)))
+        grads = backward_batch(net, [x, hidden, out], gy)
+        g = gy * (out > 0.0)
+        w1, b1 = g.T @ hidden, g.sum(axis=0)
+        g = (g @ net.weights[1]) * (hidden > 0.0)
+        w0, b0 = g.T @ x, g.sum(axis=0)
+        for got, want in zip(grads.weight_grads + grads.bias_grads, (w0, w1, b0, b1)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert grads.input_grads.tobytes() == (g @ net.weights[0]).tobytes()
+
 
 class TestRmsprop:
     def test_zero_gradient_leaves_params(self):
@@ -248,16 +268,18 @@ class TestRmsprop:
 class TestFlatParameters:
     SPECS = [LayerSpec(5, 7, "relu"), LayerSpec(7, 3, "relu"), LayerSpec(3, 12, "linear")]
 
-    def test_layers_are_views_in_file_order(self):
+    def test_layers_view_row_major_in_out_blocks(self):
         net = init_mlp(self.SPECS, seed=4)
         assert net.flat.shape == (net.flat.size,) and net.flat.dtype == np.float64
         expected = np.concatenate([a.ravel() for pair in zip(net.weights, net.biases)
-                                   for a in pair])
+                                   for a in (pair[0].T, pair[1])])
         np.testing.assert_array_equal(net.flat, expected)
+        for spec, w in zip(self.SPECS, net.weights):
+            assert w.shape == (spec.output_dim, spec.input_dim) and w.T.flags.c_contiguous
         for p in net.weights + net.biases:
             assert np.shares_memory(p, net.flat)
-        net.flat[0] = 9.5
-        assert net.weights[0][0, 0] == 9.5
+        net.flat[1] = 9.5  # layer 0's block is (5, 7): its second value is input 0, output 1
+        assert net.weights[0][1, 0] == 9.5
 
     def test_layers_cannot_be_rebound(self):
         net = init_mlp(self.SPECS, seed=4)
@@ -273,10 +295,12 @@ class TestFlatParameters:
         assert net.flat is flat and net.specs == tuple(self.SPECS)
         assert (net.input_dim, net.output_dim) == (5, 12)
         expected = np.concatenate([a.ravel() for pair in zip(net.weights, net.biases)
-                                   for a in pair])
+                                   for a in (pair[0].T, pair[1])])
         np.testing.assert_array_equal(expected, given_)
+        np.testing.assert_array_equal(net.weights[1], given_[42:63].reshape(7, 3).T)
         net.weights[1][...] = 0.0
         assert not flat[5 * 7 + 7:5 * 7 + 7 + 7 * 3].any()
+        assert flat[:42].all() and flat[63:].all()
 
     def test_constructor_rejects_a_wrong_size_or_specs(self):
         with pytest.raises(ConfigError):
@@ -319,15 +343,38 @@ class TestFlatParameters:
         np.testing.assert_array_equal(net.flat, before)
         assert not np.any(cache)
 
-    def test_save_writes_header_then_flat_le_bytes(self, tmp_path):
+    # SHA-256 of the CLVDQN1 file of init_mlp(SPECS, seed=4), as save_mlp wrote it when
+    # Mlp.flat held the file order itself.
+    FILE_SHA256 = "4870c4d662c97972ba0ce1b372624fae76b45901fb46e958fbc713eacc29d2bb"
+    HEADER = b"CLVDQN1\n3\n5 7 relu\n7 3 relu\n3 12 linear\n"
+
+    def file_bytes(self, net):
+        """The CLVDQN1 bytes of net: the header, then per layer its (out, in) weights
+        row-major and its biases, as float64 LE."""
+        return self.HEADER + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                                      for pair in zip(net.weights, net.biases) for a in pair)
+
+    def test_save_writes_header_then_file_order_le_bytes(self, tmp_path):
         net = init_mlp(self.SPECS, seed=4)
         path = tmp_path / "net.clvdqn"
         save_mlp(net, path)
-        header = b"CLVDQN1\n3\n5 7 relu\n7 3 relu\n3 12 linear\n"
-        assert path.read_bytes() == header + net.flat.astype("<f8").tobytes()
+        written = path.read_bytes()
+        assert written == self.file_bytes(net)
+        assert hashlib.sha256(written).hexdigest() == self.FILE_SHA256
         loaded = load_mlp(path)
         assert loaded.flat.flags.writeable and loaded.flat.flags.c_contiguous
         np.testing.assert_array_equal(loaded.flat, net.flat)
+
+    def test_file_of_the_old_layout_loads_and_saves_back_unchanged(self, tmp_path):
+        net = init_mlp(self.SPECS, seed=4)
+        path = tmp_path / "old.clvdqn"
+        path.write_bytes(self.file_bytes(net))  # written without save_mlp
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FILE_SHA256
+        loaded = load_mlp(path)
+        for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+            assert a.tobytes() == b.tobytes()
+        save_mlp(loaded, tmp_path / "again.clvdqn")
+        assert (tmp_path / "again.clvdqn").read_bytes() == path.read_bytes()
 
 
 class TestSaveLoad:
