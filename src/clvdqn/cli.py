@@ -82,8 +82,8 @@ def _effective_config(args) -> dict:
         flag = getattr(args, name, None)
         if flag is not None:
             settings[name] = MODE_NAMES[flag] if name == "mode" else flag
-    if settings["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
+    if not 0 <= settings["seed"] < 2**63:  # a checkpoint's sidecar keeps the seed as an int64
+        raise ConfigError(f"seed must be in [0, 2**63), got {settings['seed']}")
     for name, value in settings.items():  # each int but the seed counts or sizes something
         if type(value) is int and name != "seed" and value > MAX_SIZE:
             raise ConfigError(f"{name} must be at most {MAX_SIZE}, got {value}")
@@ -328,33 +328,83 @@ def build_parser():
     return parser
 
 
-class _ParseFailed(Exception):
-    """A command's own parser refused its argv; the full parser takes it over."""
+class _Recorded(list):
+    """Stands in for a parser in a command's _<command>_args function: it keeps each
+    add_argument call as (names, settings), and builds nothing."""
+
+    def add_argument(self, *names, **settings):
+        self.append((names, settings))
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, with the same options as its subparser in build_parser(), so it
-    reads each argv as that subparser does. It prints nothing: an error or -h raises."""
+_MATCHED = {"action", "choices", "default", "dest", "help", "required", "type"}  # read by _match
 
-    def error(self, message=None):
-        raise _ParseFailed
 
-    print_help = error
+def _value(settings, token):
+    """token under an argument's type and choices, as argparse converts and checks it."""
+    value = (settings.get("type") or str)(token)
+    if settings.get("choices") is not None and value not in settings["choices"]:
+        raise ValueError(token)
+    return value
+
+
+def _match(command, args):
+    """build_parser()'s Namespace for [command, *args] when args is a plain command line: each
+    option by its exact string with one value that does not start with "-" (none for a
+    store_true flag), the last of a repeated option winning, and each positional in order,
+    with type, choices, required and defaults applied as argparse applies them. None for any
+    other args, and for a command that records a setting not read here, such as nargs."""
+    recorded = _Recorded()
+    COMMANDS[command][1](recorded)
+    namespace = argparse.Namespace(command=command)
+    options, positionals, required = {}, [], set()
+    for i, (names, settings) in enumerate(recorded):
+        action = settings.get("action")
+        if (settings.keys() - _MATCHED or action not in (None, "store_true")
+                or isinstance(settings.get("default"), str)):  # argparse converts a str default
+            return None
+        if not names[0].startswith("-"):
+            positionals.append((names[0], settings))
+            continue
+        dest = settings.get("dest") or (
+            [n for n in names if n.startswith("--")] or names)[0].lstrip("-").replace("-", "_")
+        default = settings.get("default", False if action else None)
+        vars(namespace).setdefault(dest, default)  # as in argparse, a dest's first default wins
+        options.update((name, (i, dest, settings)) for name in names)
+        if settings.get("required"):
+            required.add(i)
+    tokens, given, seen = iter(args), [], set()
+    try:
+        for token in tokens:
+            if token in options:
+                i, dest, settings = options[token]
+                seen.add(i)
+                if settings.get("action"):
+                    setattr(namespace, dest, True)
+                    continue
+                token = next(tokens, "-")  # a missing value goes to argparse as "-" does
+                if token.startswith("-"):
+                    return None
+                setattr(namespace, dest, _value(settings, token))
+            elif token.startswith("-"):
+                return None
+            else:
+                given.append(token)
+        if len(given) != len(positionals) or not required <= seen:
+            return None
+        for (dest, settings), token in zip(positionals, given):
+            setattr(namespace, dest, _value(settings, token))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):  # what argparse reports
+        return None
+    return namespace
 
 
 def parse_args(argv):
-    """The Namespace of argv. A known command is parsed by a parser of that command alone;
-    an error or a help request hands the same argv to the full build_parser(), so every
-    usage line, help text, message and exit code is the full parser's."""
-    if argv and argv[0] in COMMANDS:
-        parser = _CommandParser(prog=f"clvdqn {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        parser.set_defaults(command=argv[0])
-        try:
-            return parser.parse_args(argv[1:])
-        except _ParseFailed:
-            pass
-    return build_parser().parse_args(argv)
+    """The Namespace of argv. A plain command line of a known command is matched against the
+    options that its _<command>_args function records (_match), with no parser built. Any other
+    argv, an error or a help request among them, goes to the full build_parser(), so every
+    usage line, help text, message and exit code is argparse's."""
+    namespace = _match(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if namespace is None else namespace
 
 
 def main(argv=None) -> int:

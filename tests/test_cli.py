@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clvdqn
 from clvdqn import cli
@@ -919,21 +922,33 @@ class TestFaultsExitWithoutTraceback:
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, transitions_csv, command,
-                                          source):
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, transitions_csv, command,
+                                              source, seed):
+        # a checkpoint's sidecar keeps the seed as an int64, so 2**63 would write a checkpoint
+        # that no command can read
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=-1\n" if source == "config" else "")
+        cfg.write_text(f"seed={seed}\n" if source == "config" else "")
         ckpt, hist = tmp_path / "c.ckpt", tmp_path / "h.csv"
         argv = {
             "train": ["train", str(transitions_csv), "--epochs", "1", "--checkpoint", str(ckpt),
                       "--history", str(hist)],
-            "evaluate": ["evaluate", str(transitions_csv), str(zero_checkpoint(tmp_path))],
+            "evaluate": ["evaluate", str(transitions_csv), str(zero_checkpoint(tmp_path)),
+                         "--report-out", str(hist)],
             "simulate": ["simulate", "--population", "5", "--episodes", "3", "--checkpoint",
                          str(ckpt), "--history", str(hist)],
-        }[command] + ["--config", str(cfg)] + (["--seed", "-1"] if source == "flag" else [])
+        }[command] + ["--config", str(cfg)] + (["--seed", str(seed)] if source == "flag" else [])
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**63), got {seed}\n"
         assert not ckpt.exists() and not hist.exists()
+
+    def test_largest_seed_writes_a_readable_checkpoint(self, tmp_path, capsys, transitions_csv):
+        ckpt = tmp_path / "c.ckpt"
+        assert main(["train", str(transitions_csv), "--epochs", "1", "--checkpoint", str(ckpt),
+                     "--history", str(tmp_path / "h.csv"), "--seed", str(2**63 - 1)]) == 0
+        assert f"seed={2**63 - 1}\n" in (tmp_path / "c.ckpt.meta").read_text()
+        assert main(["clv", str(ckpt), "--state", "3,2,15,1,4"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command, settings, flags, key", [
         ("train", "", ["--batch-size", str(10**19)], "batch_size"),
@@ -1167,10 +1182,55 @@ PARSE_CASES = (
 )
 
 
+# Tokens for mutating a FULL_ARGV entry: values, some of which a type or choices refuse, every
+# command's option strings, and what only argparse reads (abbreviations, --opt=value, -h, --,
+# a value or positional that starts with "-").
+def recorded_options(add_arguments):
+    add_arguments(recorded := cli._Recorded())
+    return [names[0] for names, _ in recorded if names[0].startswith("-")]
+
+
+OPTIONS = {name: recorded_options(add) for name, (_, add, _) in cli.COMMANDS.items()}
+VALUES = st.sampled_from([*cli.COMMANDS, "", "nan", "inf", "1_0", " 5", "0", "3", "1e3", "x", "c",
+                          "3,2,15,1,4", "discrete", "mixed", "discrete_only"])
+TOKENS = st.one_of(VALUES, st.sampled_from(sorted({o for own in OPTIONS.values() for o in own}) + [
+    "--stat", "--no-t", "--ep", "--state=3,2,15,1,4", "--seed=1", "--mode=mixed", "-h", "--help",
+    "--", "-", "-1", "-h x", "--bogus"]))
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A FULL_ARGV entry, sometimes under another command's name, after a few edits: a token
+    inserted, replaced or deleted, one of the command's options inserted with a value, or a
+    token pair (such as an option and its value) repeated."""
+    argv = list(draw(st.sampled_from(list(FULL_ARGV.values()))))
+    if draw(st.integers(0, 3)) == 0:
+        argv[0] = draw(st.sampled_from(list(cli.COMMANDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "option", "repeat"]))
+        if edit == "option" and OPTIONS[argv[0]]:  # build-transitions has none
+            argv[at:at] = [draw(st.sampled_from(OPTIONS[argv[0]])), draw(VALUES)]
+        elif edit == "insert" or at == len(argv):
+            argv.insert(at, draw(TOKENS))
+        elif edit == "replace":
+            argv[at] = draw(TOKENS)
+        elif edit == "delete":
+            del argv[at]
+        else:
+            argv[at:at] = argv[draw(st.integers(1, len(argv) - 1)):][:2]
+    return argv
+
+
+def namespace_fields(namespace):
+    """A Namespace's fields with the type of each value, NaN equal to NaN."""
+    return {k: (type(v), "nan" if v != v else v) for k, v in vars(namespace).items()}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "none")
     def test_one_subparser_parses_as_all_six_do(self, capsys, argv):
-        # main's parse path (the command's own parser, the full parser on an error) against
+        # main's parse path (the matcher, and the full parser for any other argv) against
         # the full parser; help text differs between Python versions, so compare within this
         # interpreter
         def parse(parse_args):
@@ -1182,18 +1242,47 @@ class TestUsageErrors:
         assert parse(cli.parse_args) == parse(cli.build_parser().parse_args)
 
     def test_a_valid_command_builds_no_full_parser(self, tmp_path, capsys, monkeypatch):
-        build_parser = cli.build_parser
-        calls = []
+        build_parser, init = cli.build_parser, argparse.ArgumentParser.__init__
+        calls, parsers = [], []
         monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: parsers.append(1) or init(self, *a, **kw))
         argv = ["clv", str(zero_checkpoint(tmp_path)), "--state", "3,2,15,1,4"]
         assert main(argv) == 0
         assert [cli.parse_args(full).command for full in FULL_ARGV.values()] == list(FULL_ARGV)
-        assert calls == []
+        assert calls == [] and parsers == []  # no argparse parser at all, not even one command's
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--bogus"])
         assert exc.value.code == 1 and calls == [1]
         assert capsys.readouterr().err.startswith("usage: clvdqn [-h] {build-transitions,")
+
+    def test_a_setting_the_matcher_does_not_read_goes_to_the_full_parser(self, monkeypatch):
+        help_text, clv_args, handler = cli.COMMANDS["clv"]
+
+        def with_tags(p):
+            clv_args(p)
+            p.add_argument("--tags", nargs="+")
+
+        monkeypatch.setitem(cli.COMMANDS, "clv", (help_text, with_tags, handler))
+        build_parser, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        argv = ["clv", "c", "--state", "3,2,15,1,4"]
+        assert cli.parse_args(argv).tags is None
+        assert cli.parse_args(argv + ["--tags", "a", "b"]).tags == ["a", "b"]
+        assert calls == [1, 1]
+
+    @settings(deadline=None, max_examples=400)
+    @given(argv=mutated_argvs())
+    @example(argv=["train", "t", "--checkpoint", "c", "--history", "h",
+                   "--validation-fraction", "nan"])
+    @example(argv=["evaluate", "t.csv", "c", "--seed", "1", "--seed", "2"])  # store_true unseen
+    @example(argv=["train", "t", "--checkpoint", "c", "--history", "h", "--mode", "discrete_only"])
+    def test_a_matched_command_line_parses_as_the_full_parser_does(self, argv):
+        namespace = cli._match(argv[0], argv[1:])
+        if namespace is not None:  # the full parser must accept argv, with the same fields
+            full = cli.build_parser().parse_args(argv)
+            assert namespace_fields(namespace) == namespace_fields(full)
 
     def test_main_calls_the_handler_bound_when_it_runs(self, monkeypatch):
         calls = []
